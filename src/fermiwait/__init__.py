@@ -15,6 +15,7 @@ from .model import (
     SingleParticleSet,
     build_tight_binding,
     channels,
+    click_weight,
     derive_single_particle,
     evolve_covariance,
     gaussian_exponent_factors,
@@ -41,7 +42,6 @@ from .stats import (
     QuadratureResult,
     channel_probability,
     channel_stats,
-    conditional_moments,
     integrate_semiinfinite,
     jump_frequencies,
     natd,
@@ -52,9 +52,6 @@ from .fock import (
     FockOracle,
     build_fermions,
     build_liouvillian,
-    gaussian_density,
-    oracle_steady_state,
-    oracle_wtd,
     verify_tracedet,
 )
 

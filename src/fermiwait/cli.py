@@ -32,9 +32,11 @@ from .fock import FockOracle, VerificationEntry, VerificationReport, verify_trac
 from .linalg import LinalgError
 from .model import (
     CHANNEL_ORDER,
+    MIN_CLICK_WEIGHT,
     build_tight_binding,
     ChainSpec,
     channels,
+    click_weight,
     derive_single_particle,
     steady_state,
     vacuum_state,
@@ -157,9 +159,10 @@ def _stats_payload(cfg: RunConfig, spec: ChainSpec) -> tuple[dict, bool]:
             audits_ok = False
 
     if state.kind == "steady":
-        natd_mean, natd_var = statsmod.natd_moments(state, sp, tol)
+        natd_mean, natd_var = table.natd_moments()
     else:
         natd_mean = natd_var = None
+    quad = table.quadrature
 
     payload = {
         "config": cfg.to_dict(),
@@ -171,6 +174,12 @@ def _stats_payload(cfg: RunConfig, spec: ChainSpec) -> tuple[dict, bool]:
         "natd_mean": natd_mean,
         "natd_variance": natd_var,
         "normalization_audit": audits,
+        "quadrature": {
+            "evaluations": quad.evaluations,
+            "abs_error_estimate": quad.abs_error_estimate,
+            "truncation_tail_bound": quad.truncation_tail_bound,
+            "t_cut": quad.t_cut,
+        },
     }
     return payload, audits_ok
 
@@ -241,13 +250,11 @@ def run_verification(cfg: RunConfig, seed: int, allow_large: bool) -> Verificati
         count = 0
         for ql in CHANNEL_ORDER:
             q = ch[ql]
-            occ = float(np.real(state.C[q.site_index, q.site_index]))
-            weight = occ if q.sign == "-" else 1.0 - occ
             if state.kind == "vacuum" and q.sign == "-":
                 for kl in CHANNEL_ORDER:
                     dev = max(dev, abs(wtdmod.wtd_density(1.0, ch[kl], q, state, sp)))
                 continue
-            if q.rate * weight <= 1e-14:
+            if click_weight(q, state) <= MIN_CLICK_WEIGHT:
                 continue
             for kl in CHANNEL_ORDER:
                 for t in times:
@@ -260,16 +267,13 @@ def run_verification(cfg: RunConfig, seed: int, allow_large: bool) -> Verificati
         )
 
     for name, state in (("steady", st), ("vacuum", vacuum_state(spec.L))):
+        totals = statsmod.channel_stats(state, sp, cfg.tol_quadrature).moments[0].sum(axis=0)
         dev = 0.0
         count = 0
-        for ql in CHANNEL_ORDER:
-            q = ch[ql]
-            occ = float(np.real(state.C[q.site_index, q.site_index]))
-            weight = occ if q.sign == "-" else 1.0 - occ
-            if q.rate * weight <= 1e-14 or (state.kind == "vacuum" and q.sign == "-"):
+        for b, ql in enumerate(CHANNEL_ORDER):
+            if click_weight(ch[ql], state) <= MIN_CLICK_WEIGHT:
                 continue
-            audit = statsmod.normalization_audit(q, state, sp, cfg.tol_quadrature)
-            dev = max(dev, abs(audit - 1.0))
+            dev = max(dev, abs(totals[b] - 1.0))
             count += 1
         report.entries.append(
             VerificationEntry(f"normalization_{name}", count, dev, AUDIT_TOL)

@@ -276,32 +276,6 @@ class FockOracle:
         return self.gaussian_density(np.zeros((self.spec.L, self.spec.L)))
 
 
-def oracle_wtd(t: float, k, q, rho: np.ndarray, spec: ChainSpec) -> float:
-    return FockOracle(spec).wtd(t, k, q, rho)
-
-
-def oracle_steady_state(spec: ChainSpec) -> np.ndarray:
-    return FockOracle(spec).steady_state()
-
-
-def gaussian_density(cov: np.ndarray, allow_large: bool = False) -> np.ndarray:
-    cov = np.asarray(cov, dtype=complex)
-    L = cov.shape[0]
-    _check_size(L, allow_large)
-    c_ops = build_fermions(L, allow_large=allow_large)
-    occ, u = np.linalg.eigh(cov)
-    if occ.min() < -1e-10 or occ.max() > 1.0 + 1e-10:
-        raise ValueError("covariance eigenvalues must lie in [0, 1]")
-    occ = np.clip(occ.real, 0.0, 1.0)
-    dim = 2**L
-    rho = np.eye(dim, dtype=complex)
-    for a in range(L):
-        d_a = sum(u[i, a].conj() * c_ops[i] for i in range(L))
-        n_a = d_a.conj().T @ d_a
-        rho = rho @ ((1.0 - occ[a]) * np.eye(dim) + (2.0 * occ[a] - 1.0) * n_a)
-    return rho
-
-
 # ----------------------------------------------------------------------
 # Randomized verification of the trace-determinant formula family.
 # ----------------------------------------------------------------------

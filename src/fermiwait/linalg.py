@@ -39,12 +39,6 @@ class LogDet:
     def value(self) -> complex:
         return np.exp(self.log_abs) * self.phase
 
-    def __mul__(self, other: "LogDet") -> "LogDet":
-        return LogDet(self.log_abs + other.log_abs, self.phase * other.phase)
-
-    def __truediv__(self, other: "LogDet") -> "LogDet":
-        return LogDet(self.log_abs - other.log_abs, self.phase / other.phase)
-
     @classmethod
     def from_value(cls, z: complex) -> "LogDet":
         a = abs(z)

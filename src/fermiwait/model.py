@@ -113,6 +113,21 @@ def channels(spec: ChainSpec) -> dict[str, Channel]:
     }
 
 
+#: Channels whose click weight is at or below this never click from the state.
+MIN_CLICK_WEIGHT = 1e-14
+
+
+def click_weight(q: Channel, state: GaussianState) -> float:
+    """Jump expectation of q: rate times occupation (extraction) or hole (injection).
+
+    Extraction from the vacuum weighs exactly 0, not rate * lam.
+    """
+    if state.kind == "vacuum" and q.sign == "-":
+        return 0.0
+    n = float(np.real(state.C[q.site_index, q.site_index]))
+    return q.rate * (n if q.sign == "-" else 1.0 - n)
+
+
 @dataclass(frozen=True)
 class SingleParticleSet:
     """Derived single-particle matrices W, F, Q and the decay scalar."""

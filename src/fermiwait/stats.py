@@ -1,10 +1,25 @@
 """Integrals and moments over the waiting-time densities.
 
-All improper time integrals are reduced to certified finite ones: every
-density carries the uniform decay envelope rate * e^{-Gamma t} * (bounded
-matrix factor), so a cutoff T with envelope mass below tol/10 turns
-integral truncation into a quantified error term.  The adaptive quadrature
-on [0, T] is QUADPACK's interval-subdivision scheme.
+Every statistic is a read of one vector-valued quadrature pass per state.
+The pass integrates the time moments
+
+    M_n[k, q] = int_0^inf t^n P(t, k|q) dt,    n = 0, 1, 2,
+
+of all sixteen channel pairs together, from the 4 x 4 table that
+``wtd_density_matrix`` builds out of one set of L x L blocks per node.
+Channel probabilities are M_0, conditional means and variances follow from
+M_1 / M_0 and M_2 / M_0, the net activity (NATD) moments are the
+click-frequency mixtures of the column sums of M_1 and M_2, and the
+normalization audit is a column sum of M_0.
+
+The improper integral is certified, not extrapolated.  Every density carries
+the uniform decay envelope rate * e^{-Gamma t} * (bounded matrix factor), so
+the mass beyond a cutoff T is bounded by the largest component at T with a
+polynomial correction for the t^2 weight.  The cutoff is extended,
+integrating only the added interval, until that bound is below tol / 10.
+On each interval the adaptive Gauss-Kronrod scheme of
+``scipy.integrate.quad_vec`` refines until the largest componentwise error
+estimate is below tol / 2, or below 1e-10 times the largest component.
 """
 
 from __future__ import annotations
@@ -12,22 +27,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from .model import (
     CHANNEL_ORDER,
+    MIN_CLICK_WEIGHT,
     Channel,
     GaussianState,
     SingleParticleSet,
     channels_from_single_particle,
+    click_weight,
 )
-from .wtd import wtd_density, wtd_density_matrix
+from .wtd import wtd_density_matrix
 
 DEFAULT_TOL = 1e-8
 
 #: Channel probabilities below this are treated as "this sequence never
 #: happens" and conditional moments are undefined.
 EPS_PROBABILITY = 1e-12
+
+_QUAD_VEC_STATUS = {1: "subdivision limit reached", 2: "roundoff error", 3: "non-finite integrand"}
 
 
 class QuadratureError(Exception):
@@ -36,9 +55,13 @@ class QuadratureError(Exception):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with error and truncation accounting."""
+    """Integral value with error and truncation accounting.
 
-    value: float
+    ``value`` has the shape of the integrand's output.  ``evaluations``
+    counts every integrand call, the tail probes at the cutoffs included.
+    """
+
+    value: float | np.ndarray
     abs_error_estimate: float
     evaluations: int
     truncation_tail_bound: float
@@ -53,14 +76,27 @@ class ChannelStats:
     CHANNEL_ORDER[b] is followed by one in CHANNEL_ORDER[a]; ``mean`` and
     ``variance`` are the conditional waiting-time moments of that pair
     (NaN where the pair has vanishing probability); ``p_q`` are the
-    steady-state relative click frequencies.
+    relative click frequencies.  ``moments[n, a, b]`` is the raw integral
+    of t^n P(t, a|b), and ``quadrature`` accounts for the pass that
+    produced it.  Columns of channels that never click are NaN throughout.
     """
 
     p_kq: np.ndarray
     mean: np.ndarray
     variance: np.ndarray
     p_q: np.ndarray
+    moments: np.ndarray
+    quadrature: QuadratureResult
     order: tuple[str, ...] = CHANNEL_ORDER
+
+    def natd_moments(self) -> tuple[float, float]:
+        """Mean and variance of the time between consecutive clicks.
+
+        Only meaningful for the steady state, where p_q is stationary.
+        """
+        clicks = self.p_q > 0.0
+        m1, m2 = (float(self.p_q[clicks] @ self.moments[n][:, clicks].sum(0)) for n in (1, 2))
+        return m1, max(m2 - m1**2, 0.0)
 
 
 def integrate_semiinfinite(
@@ -73,17 +109,18 @@ def integrate_semiinfinite(
     t_cut: float | None = None,
     limit: int = 400,
 ) -> QuadratureResult:
-    """Integrate f over [0, inf) given an exponential tail envelope.
+    """Integrate a scalar- or array-valued f over [0, inf) given an exponential tail envelope.
 
     ``decay_rate`` is the guaranteed exponential rate of f's tail and
     ``amplitude`` an a-priori scale of its prefactor, so the initial
     cutoff satisfies amplitude * e^{-rate * T} / rate < tol / 10.  After
-    integrating, the tail bound is re-estimated from f at the cutoff
-    (assuming the envelope, with a polynomial correction of degree
-    ``poly_degree`` for moment integrands) and the cutoff is extended
-    until the bound drops below tol / 10.  Passing ``t_cut`` pins the
-    cutoff, bypassing the extension loop (useful to demonstrate that the
-    audit catches truncation).
+    integrating, the tail bound is re-estimated from the largest component
+    of f at the cutoff (assuming the envelope, with a polynomial correction
+    of degree ``poly_degree``, the highest power of t among the components)
+    and the cutoff is extended, integrating only the added interval, until
+    the bound drops below tol / 10.  Passing ``t_cut`` pins the cutoff,
+    bypassing the extension loop (useful to demonstrate that the audit
+    catches truncation).
     """
     if decay_rate <= 0.0:
         raise QuadratureError(
@@ -98,29 +135,113 @@ def integrate_semiinfinite(
     if t_cut <= 0.0:
         raise ValueError("t_cut must be positive")
 
-    for _ in range(8):
-        out = quad(f, 0.0, t_cut, epsabs=0.5 * tol, epsrel=1e-10, limit=limit, full_output=True)
-        if len(out) > 3:
-            raise QuadratureError(f"adaptive refinement did not converge: {out[3]}")
-        value, abs_err, info = out[0], out[1], out[2]
-        evals = int(info["neval"])
+    calls = 0
 
-        edge = max(float(f(t_cut)), 0.0)
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return f(t)
+
+    value, abs_err, start = 0.0, 0.0, 0.0
+    for _ in range(8):
+        piece, err, info = quad_vec(
+            counted, start, t_cut, epsabs=0.5 * tol, epsrel=1e-10, norm="max",
+            limit=limit, full_output=True,
+        )
+        if info.status != 0:
+            raise QuadratureError(
+                f"adaptive refinement did not converge on [{start:.6g}, {t_cut:.6g}]: "
+                f"{_QUAD_VEC_STATUS.get(info.status, f'status {info.status}')}"
+            )
+        value = value + piece
+        abs_err += float(err)
+
+        edge = max(float(np.max(counted(t_cut))), 0.0)
         slack = decay_rate * t_cut
         if slack <= poly_degree + 1:
             tail = np.inf
         else:
             tail = (edge / decay_rate) / (1.0 - poly_degree / slack)
         if fixed_cut or tail <= tol / 10.0:
-            return QuadratureResult(value, abs_err, evals, tail, t_cut)
-        t_cut *= 1.6
+            return QuadratureResult(value, abs_err, calls, tail, t_cut)
+        start, t_cut = t_cut, 1.6 * t_cut
     raise QuadratureError(
         f"tail bound {tail:.3e} still above {tol / 10:.1e} after extending the cutoff"
     )
 
 
-def _max_rate(sp: SingleParticleSet) -> float:
-    return max(c.rate for c in channels_from_single_particle(sp).values())
+def jump_frequencies(state: GaussianState, sp: SingleParticleSet) -> np.ndarray:
+    """Relative click frequencies p(q) in CHANNEL_ORDER, normalized to 1.
+
+    Each raw weight is the channel's click weight; channels at or below
+    MIN_CLICK_WEIGHT never click and get exactly 0.
+    """
+    ch = channels_from_single_particle(sp)
+    raw = np.array([click_weight(ch[label], state) for label in CHANNEL_ORDER])
+    raw[raw <= MIN_CLICK_WEIGHT] = 0.0
+    total = raw.sum()
+    if total <= 0.0:
+        raise ValueError("no channel has a nonzero click frequency")
+    return raw / total
+
+
+def _moment_pass(
+    state: GaussianState,
+    sp: SingleParticleSet,
+    tol: float,
+    t_cut: float | None = None,
+) -> ChannelStats:
+    """The one quadrature pass over [P, tP, t^2 P], read into the tables."""
+    p_q = jump_frequencies(state, sp)
+
+    def moments_at(t: float) -> np.ndarray:
+        m = wtd_density_matrix(t, state, sp)
+        return np.stack((m, t * m, t * t * m))
+
+    res = integrate_semiinfinite(
+        moments_at,
+        tol,
+        decay_rate=sp.gamma_total,
+        amplitude=max(4.0 * max(c.rate for c in channels_from_single_particle(sp).values()), tol),
+        poly_degree=2,
+        t_cut=t_cut,
+    )
+    moments = np.array(res.value)
+    moments[:, :, p_q == 0.0] = np.nan
+
+    p = moments[0]
+    bad = (p < -tol) | (p > 1.0 + max(tol, 1e-6))
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        raise QuadratureError(
+            f"p({CHANNEL_ORDER[a]}|{CHANNEL_ORDER[b]}) = {p[a, b]} outside [0, 1]"
+        )
+    p_kq = np.clip(p, 0.0, 1.0)
+
+    mean = np.full((4, 4), np.nan)
+    var = np.full((4, 4), np.nan)
+    ok = p_kq > EPS_PROBABILITY
+    mean[ok] = moments[1][ok] / p_kq[ok]
+    var[ok] = moments[2][ok] / p_kq[ok] - mean[ok] ** 2
+    if np.any(var[ok] < -max(tol, 1e-6) * np.maximum(mean[ok] ** 2, 1.0)):
+        raise QuadratureError(f"variance {np.min(var[ok]):.3e} is negative beyond tolerance")
+    var[ok] = np.maximum(var[ok], 0.0)
+    return ChannelStats(
+        p_kq=p_kq, mean=mean, variance=var, p_q=p_q, moments=moments, quadrature=res
+    )
+
+
+def channel_stats(
+    state: GaussianState,
+    sp: SingleParticleSet,
+    tol: float = DEFAULT_TOL,
+) -> ChannelStats:
+    """Full 4x4 tables of channel probabilities and conditional moments.
+
+    Columns for channels that never click from this state are NaN, as are
+    moment entries of pairs with probability below EPS_PROBABILITY.
+    """
+    return _moment_pass(state, sp, tol)
 
 
 def channel_probability(
@@ -130,74 +251,12 @@ def channel_probability(
     sp: SingleParticleSet,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Probability that a click in q is followed by one in k, any time later."""
-    res = integrate_semiinfinite(
-        lambda t: wtd_density(t, k, q, state, sp),
-        tol,
-        decay_rate=sp.gamma_total,
-        amplitude=max(k.rate, tol),
-    )
-    if res.value < -tol or res.value > 1.0 + max(tol, 1e-6):
-        raise QuadratureError(
-            f"p({k.label}|{q.label}) = {res.value} outside [0, 1]"
-        )
-    return min(max(res.value, 0.0), 1.0)
+    """Probability that a click in q is followed by one in k, any time later.
 
-
-def conditional_moments(
-    k: Channel,
-    q: Channel,
-    state: GaussianState,
-    sp: SingleParticleSet,
-    tol: float = DEFAULT_TOL,
-    eps_p: float = EPS_PROBABILITY,
-) -> tuple[float, float]:
-    """Mean and variance of the waiting time given the click sequence q -> k."""
-    p = channel_probability(k, q, state, sp, tol)
-    if p <= eps_p:
-        raise ValueError(
-            f"sequence {q.label} -> {k.label} has probability {p:.3e}; "
-            "conditional law undefined"
-        )
-    amp = max(k.rate, tol)
-    m1 = integrate_semiinfinite(
-        lambda t: t * wtd_density(t, k, q, state, sp),
-        tol,
-        decay_rate=sp.gamma_total,
-        amplitude=amp,
-        poly_degree=1,
-    ).value
-    m2 = integrate_semiinfinite(
-        lambda t: t * t * wtd_density(t, k, q, state, sp),
-        tol,
-        decay_rate=sp.gamma_total,
-        amplitude=amp,
-        poly_degree=2,
-    ).value
-    mean = m1 / p
-    var = m2 / p - mean**2
-    if var < -max(tol, 1e-6) * max(mean**2, 1.0):
-        raise QuadratureError(f"variance {var:.3e} is negative beyond tolerance")
-    return mean, max(var, 0.0)
-
-
-def jump_frequencies(state: GaussianState, sp: SingleParticleSet) -> np.ndarray:
-    """Relative click frequencies p(q) in CHANNEL_ORDER, normalized to 1.
-
-    Each raw weight is the jump expectation: rate times the occupation
-    (extraction) or hole (injection) at the attached site.
+    One entry of :func:`channel_stats`, NaN when q never clicks.
     """
-    ch = channels_from_single_particle(sp)
-    occ = np.real(np.diagonal(state.C))
-    raw = np.empty(4)
-    for b, label in enumerate(CHANNEL_ORDER):
-        c = ch[label]
-        n = occ[c.site_index]
-        raw[b] = c.rate * (n if c.sign == "-" else 1.0 - n)
-    total = raw.sum()
-    if total <= 0.0:
-        raise ValueError("no channel has a nonzero click frequency")
-    return raw / total
+    table = channel_stats(state, sp, tol)
+    return float(table.p_kq[CHANNEL_ORDER.index(k.label), CHANNEL_ORDER.index(q.label)])
 
 
 def natd(t: float, state: GaussianState, sp: SingleParticleSet) -> float:
@@ -220,22 +279,7 @@ def natd_moments(
     """Mean and variance of the time between consecutive clicks (steady state)."""
     if state.kind != "steady":
         raise ValueError("net activity distribution is defined for the steady state")
-    amp = max(_max_rate(sp), tol)
-    m1 = integrate_semiinfinite(
-        lambda t: t * natd(t, state, sp),
-        tol,
-        decay_rate=sp.gamma_total,
-        amplitude=amp,
-        poly_degree=1,
-    ).value
-    m2 = integrate_semiinfinite(
-        lambda t: t * t * natd(t, state, sp),
-        tol,
-        decay_rate=sp.gamma_total,
-        amplitude=amp,
-        poly_degree=2,
-    ).value
-    return m1, max(m2 - m1**2, 0.0)
+    return channel_stats(state, sp, tol).natd_moments()
 
 
 def normalization_audit(
@@ -251,51 +295,9 @@ def normalization_audit(
     tolerance means lost tail mass or a broken density.  ``t_cut``
     deliberately truncates the integral (the audit then reports < 1).
     """
-    occ = float(np.real(state.C[q.site_index, q.site_index]))
-    weight = occ if q.sign == "-" else 1.0 - occ
-    if q.rate * weight <= 0.0 and state.kind != "vacuum":
-        raise ValueError(f"channel {q.label} never clicks; audit undefined")
-    if state.kind == "vacuum" and q.sign == "-":
-        raise ValueError("extraction from the vacuum never clicks; audit undefined")
-    col = CHANNEL_ORDER.index(q.label)
-
-    def total_density(t: float) -> float:
-        return float(wtd_density_matrix(t, state, sp)[:, col].sum())
-
-    res = integrate_semiinfinite(
-        total_density,
-        tol,
-        decay_rate=sp.gamma_total,
-        amplitude=max(4.0 * _max_rate(sp), tol),
-        t_cut=t_cut,
-    )
-    return res.value
-
-
-def channel_stats(
-    state: GaussianState,
-    sp: SingleParticleSet,
-    tol: float = DEFAULT_TOL,
-) -> ChannelStats:
-    """Full 4x4 tables of channel probabilities and conditional moments.
-
-    Columns for channels that never click from this state are NaN, as are
-    moment entries of pairs with probability below EPS_PROBABILITY.
-    """
-    ch = channels_from_single_particle(sp)
-    occ = np.real(np.diagonal(state.C))
-    p_kq = np.full((4, 4), np.nan)
-    mean = np.full((4, 4), np.nan)
-    var = np.full((4, 4), np.nan)
-    for b, ql in enumerate(CHANNEL_ORDER):
-        cq = ch[ql]
-        n = occ[cq.site_index]
-        weight = n if cq.sign == "-" else 1.0 - n
-        if cq.rate * weight <= EPS_PROBABILITY or (state.kind == "vacuum" and cq.sign == "-"):
-            continue
-        for a, kl in enumerate(CHANNEL_ORDER):
-            p_kq[a, b] = channel_probability(ch[kl], cq, state, sp, tol)
-            if p_kq[a, b] > EPS_PROBABILITY:
-                mean[a, b], var[a, b] = conditional_moments(ch[kl], cq, state, sp, tol)
-    p_q = jump_frequencies(state, sp)
-    return ChannelStats(p_kq=p_kq, mean=mean, variance=var, p_q=p_q)
+    if click_weight(q, state) <= MIN_CLICK_WEIGHT:
+        raise ValueError(
+            f"channel {q.label} never clicks from the {state.kind} state; audit undefined"
+        )
+    table = _moment_pass(state, sp, tol, t_cut)
+    return float(table.moments[0, :, CHANNEL_ORDER.index(q.label)].sum())

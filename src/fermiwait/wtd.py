@@ -242,9 +242,14 @@ def wtd_density_vacuum(t: float, k: Channel, q: Channel, sp: SingleParticleSet) 
         raise ValueError("time must be nonnegative")
     if q.sign == "-":
         return 0.0
+    return _vacuum_entry(expm(-sp.Q * t), np.exp(-sp.gamma_total * t), k, q)
+
+
+def _vacuum_entry(g: np.ndarray, decay: float, k: Channel, q: Channel) -> float:
+    """Vacuum density of (k | q) from the propagator G and the decay factor at one time."""
+    if q.sign == "-":
+        return 0.0
     i, j = k.site_index, q.site_index
-    g = expm(-sp.Q * t)
-    decay = np.exp(-sp.gamma_total * t)
     hop = abs(g[i, j]) ** 2
     if k.sign == "-":
         return k.rate * decay * hop
@@ -291,21 +296,27 @@ def wtd_density_matrix(
 ) -> np.ndarray:
     """All sixteen densities at one time, as a (k, q) matrix in CHANNEL_ORDER.
 
-    Columns conditioned on an impossible jump (extraction from the vacuum)
-    are zero.  Sharing the t-dependent blocks across the sixteen entries
+    Columns conditioned on an impossible jump (extraction from an empty
+    site, as in the vacuum, or injection into a full one) are zero.  Sharing the t-dependent blocks across the sixteen entries
     makes this the cheap way to evaluate mixtures and column sums.
     """
+    if t < 0:
+        raise ValueError("time must be nonnegative")
     ch = channels_from_single_particle(sp)
     out = np.zeros((4, 4))
     if state.kind == "vacuum":
+        g = expm(-sp.Q * t)
+        decay = np.exp(-sp.gamma_total * t)
         for a, kl in enumerate(CHANNEL_ORDER):
             for b, ql in enumerate(CHANNEL_ORDER):
-                out[a, b] = wtd_density_vacuum(t, ch[kl], ch[ql], sp)
+                out[a, b] = _vacuum_entry(g, decay, ch[kl], ch[ql])
         return out
     blocks = _build_blocks(t, state.C, sp)
     for a, kl in enumerate(CHANNEL_ORDER):
         for b, ql in enumerate(CHANNEL_ORDER):
             br, denom = _bracket(blocks, ch[kl], ch[ql])
+            if denom <= 1e-14:  # the impossible click _finish rejects
+                continue
             out[a, b], _ = _finish(br, denom, ch[kl].rate, blocks, t, ch[kl], ch[ql])
     return out
 

@@ -13,9 +13,6 @@ from fermiwait.fock import (
     FockOracle,
     build_fermions,
     build_liouvillian,
-    gaussian_density,
-    oracle_steady_state,
-    oracle_wtd,
     quadratic_form_operator,
 )
 
@@ -108,11 +105,6 @@ class TestOracleWtd:
                 val = sv_oracle.wtd(1.0, ch[kl], ch[ql], rho)
                 assert np.isfinite(val) and val >= -1e-13
 
-    def test_module_level_wrapper(self, sv_spec, sv_oracle):
-        rho = sv_oracle.steady_state()
-        a = oracle_wtd(1.0, "L-", "1+", rho, sv_spec)
-        assert a == pytest.approx(0.07730511070354423, rel=1e-10)
-
     def test_normalization_of_oracle_densities(self, sv_spec, sv_oracle):
         # Independent confirmation that total escape probability is 1.
         ch = channels(sv_spec)
@@ -149,18 +141,14 @@ class TestOracleSteadyState:
         ref = steady_state(spec).C
         assert np.max(np.abs(oracle.covariance(oracle.steady_state()) - ref)) < 1e-8
 
-    def test_module_level_wrapper(self, sv_spec):
-        rho = oracle_steady_state(sv_spec)
-        assert rho.shape == (4, 4)
-
 
 class TestGaussianDensity:
-    def test_half_filling_is_maximally_mixed(self):
-        rho = gaussian_density(0.5 * np.eye(2))
+    def test_half_filling_is_maximally_mixed(self, sv_oracle):
+        rho = sv_oracle.gaussian_density(0.5 * np.eye(2))
         assert np.max(np.abs(rho - np.eye(4) / 4.0)) < 1e-12
 
-    def test_vacuum_projector(self):
-        rho = gaussian_density(np.zeros((2, 2)))
+    def test_vacuum_projector(self, sv_oracle):
+        rho = sv_oracle.gaussian_density(np.zeros((2, 2)))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.max(np.abs(rho - expected)) < 1e-13
@@ -177,19 +165,22 @@ class TestGaussianDensity:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(sv_oracle.covariance(rho) - cov)) < 1e-10
 
-    def test_partition_function_consistency(self):
-        # tr e^{-M_many} equals the closed form 1/det(1-C).
+    def test_partition_function_consistency(self, sv_oracle):
+        # tr e^{-M_many} equals the closed form 1/det(1-C), and the Gaussian
+        # density of C is e^{-M_many} / Z.
         import scipy.linalg as sla
 
         rng = np.random.default_rng(1)
-        c_ops = build_fermions(2)
         m = rng.standard_normal((2, 2))
         m = 0.5 * (m + m.T)
-        z_fock = np.trace(sla.expm(quadratic_form_operator(-m, c_ops)))
-        occ = 1.0 / (1.0 + np.exp(np.linalg.eigvalsh(m)))
+        gibbs = sla.expm(quadratic_form_operator(-m, sv_oracle.c_ops))
+        eps, u = np.linalg.eigh(m)
+        occ = 1.0 / (1.0 + np.exp(eps))
         z_closed = 1.0 / np.prod(1.0 - occ)
-        assert z_fock.real == pytest.approx(z_closed, rel=1e-12)
+        assert np.trace(gibbs).real == pytest.approx(z_closed, rel=1e-12)
+        rho = sv_oracle.gaussian_density((u * occ) @ u.T)
+        assert np.max(np.abs(rho - gibbs / z_closed)) < 1e-12
 
-    def test_rejects_invalid_covariance(self):
+    def test_rejects_invalid_covariance(self, sv_oracle):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            gaussian_density(2.0 * np.eye(2))
+            sv_oracle.gaussian_density(2.0 * np.eye(2))

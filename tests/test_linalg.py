@@ -99,9 +99,8 @@ class TestLuLogdet:
     def test_logdet_value_roundtrip(self):
         ld = LogDet.from_value(-2.5 + 1.0j)
         assert ld.value == pytest.approx(-2.5 + 1.0j, rel=1e-14)
-        prod = ld * LogDet.from_value(2.0)
-        assert prod.value == pytest.approx(-5.0 + 2.0j, rel=1e-14)
-        assert (prod / ld).value == pytest.approx(2.0, rel=1e-14)
+        with pytest.raises(ValueError, match="zero"):
+            LogDet.from_value(0.0)
 
 
 class TestSolve:

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from fermiwait.model import (
     CHANNEL_ORDER,
-    channels,
+    GaussianState,
     derive_single_particle,
     steady_state,
     vacuum_state,
@@ -14,7 +14,6 @@ from fermiwait.stats import (
     QuadratureError,
     channel_probability,
     channel_stats,
-    conditional_moments,
     integrate_semiinfinite,
     jump_frequencies,
     natd,
@@ -24,6 +23,37 @@ from fermiwait.stats import (
 from fermiwait.wtd import wtd_density, wtd_density_matrix
 
 from conftest import generic_spec
+
+
+def cell(kl, ql):
+    """(row, column) of the pair (kl | ql) in the CHANNEL_ORDER tables."""
+    return CHANNEL_ORDER.index(kl), CHANNEL_ORDER.index(ql)
+
+
+def exact_moments(oracle, rho):
+    """Quadrature-free moments int t^n P(t, k|q) dt, n = 0, 1, 2, and p_q.
+
+    With the post-jump state rho_q = J_q rho / tr(J_q rho) and the no-click
+    generator L0, P(t, k|q) = tr(J_k e^{L0 t} rho_q), so the moments are
+    -tr(J_k L0^-1 rho_q), tr(J_k L0^-2 rho_q) and -2 tr(J_k L0^-3 rho_q).
+    Columns of channels that cannot click are NaN.
+    """
+    l0, jumps = oracle.parts.no_click, oracle.parts.jumps
+
+    def tr(v):
+        return float(np.trace(v.reshape(oracle.dim, oracle.dim)).real)
+
+    weights = np.array([tr(jumps[ql] @ rho.reshape(-1)) for ql in CHANNEL_ORDER])
+    out = np.full((3, 4, 4), np.nan)
+    for b, ql in enumerate(CHANNEL_ORDER):
+        if weights[b] <= 1e-14:
+            continue
+        x = jumps[ql] @ rho.reshape(-1) / weights[b]
+        for n, sign in enumerate((-1.0, 1.0, -2.0)):
+            x = np.linalg.solve(l0, x)
+            for a, kl in enumerate(CHANNEL_ORDER):
+                out[n, a, b] = sign * tr(jumps[kl] @ x)
+    return out, weights / weights.sum()
 
 
 def analytic_natd(t, gamma=0.1, hop=1.0):
@@ -73,6 +103,32 @@ class TestQuadrature:
         expected = 0.5 / 0.1 + 0.1 / (2 * (0.01 + 16.0))
         assert res.value == pytest.approx(expected, abs=1e-7)
 
+    def test_extended_cutoff_counts_every_call(self):
+        g = 0.5
+        calls = 0
+
+        def f(t):
+            nonlocal calls
+            calls += 1
+            return t * t * g * np.exp(-g * t)
+
+        # amplitude 1e-8 puts the first cutoff at (2 + 2) / g = 8, far short.
+        res = integrate_semiinfinite(f, 1e-8, decay_rate=g, amplitude=1e-8, poly_degree=2)
+        assert res.t_cut > 8.0
+        assert res.value == pytest.approx(2.0 / g**2, abs=1e-7)
+        assert res.truncation_tail_bound <= 1e-9
+        assert res.evaluations == calls
+
+    def test_array_valued_integrand(self):
+        g = 0.25
+        res = integrate_semiinfinite(
+            lambda t: g * np.exp(-g * t) * np.array([1.0, t, t * t]),
+            1e-8,
+            decay_rate=g,
+            poly_degree=2,
+        )
+        assert res.value == pytest.approx([1.0, 1.0 / g, 2.0 / g**2], rel=1e-9)
+
     def test_subdivision_cap_is_an_error(self):
         with pytest.raises(QuadratureError, match="refinement"):
             integrate_semiinfinite(
@@ -101,17 +157,19 @@ class TestChannelProbability:
 
     def test_probabilities_bounded(self, sv_spec, sv_sp, sv_channels):
         st = steady_state(sv_spec)
+        table = channel_stats(st, sv_sp)
         for ql in ("1+", "L-"):
             for kl in CHANNEL_ORDER:
-                p = channel_probability(sv_channels[kl], sv_channels[ql], st, sv_sp)
-                assert 0.0 <= p <= 1.0
+                assert 0.0 <= table.p_kq[cell(kl, ql)] <= 1.0
+        p = channel_probability(sv_channels["L+"], sv_channels["L-"], st, sv_sp)
+        assert p == table.p_kq[cell("L+", "L-")]
 
 
 class TestConditionalMoments:
     def test_bayes_normalization(self, sv_spec, sv_sp, sv_channels):
         st = steady_state(sv_spec)
         k, q = sv_channels["L-"], sv_channels["1+"]
-        p = channel_probability(k, q, st, sv_sp)
+        p = channel_stats(st, sv_sp).p_kq[cell("L-", "1+")]
         res = integrate_semiinfinite(
             lambda t: wtd_density(t, k, q, st, sv_sp) / p,
             1e-8,
@@ -122,7 +180,8 @@ class TestConditionalMoments:
     def test_mean_against_brute_force(self, sv_spec, sv_sp, sv_channels, sv_oracle):
         st = steady_state(sv_spec)
         rho = sv_oracle.steady_state()
-        mean, var = conditional_moments(sv_channels["L-"], sv_channels["1+"], st, sv_sp)
+        table = channel_stats(st, sv_sp)
+        mean, var = table.mean[cell("L-", "1+")], table.variance[cell("L-", "1+")]
         p_ref = quad(lambda t: sv_oracle.wtd(t, "L-", "1+", rho), 0, 400, limit=400)[0]
         m_ref = quad(
             lambda t: t * sv_oracle.wtd(t, "L-", "1+", rho), 0, 400, limit=400
@@ -134,17 +193,16 @@ class TestConditionalMoments:
     def test_variance_nonnegative_across_channels(self, L):
         spec = generic_spec(L)
         sp = derive_single_particle(spec)
-        ch = channels(spec)
-        st = steady_state(spec)
+        table = channel_stats(steady_state(spec), sp)
         for ql in ("1+", "L-"):
             for kl in ("1+", "L-"):
-                _, var = conditional_moments(ch[kl], ch[ql], st, sp)
-                assert var >= 0.0
+                assert table.variance[cell(kl, ql)] >= 0.0
 
-    def test_impossible_sequence_rejected(self, sv_spec, sv_sp, sv_channels):
-        st = steady_state(sv_spec)
-        with pytest.raises(ValueError, match="undefined"):
-            conditional_moments(sv_channels["1-"], sv_channels["1+"], st, sv_sp)
+    def test_impossible_sequence_rejected(self, sv_spec, sv_sp):
+        table = channel_stats(steady_state(sv_spec), sv_sp)
+        assert table.p_kq[cell("1-", "1+")] == 0.0
+        assert np.isnan(table.mean[cell("1-", "1+")])
+        assert np.isnan(table.variance[cell("1-", "1+")])
 
 
 class TestJumpFrequencies:
@@ -229,6 +287,17 @@ class TestNormalizationAudit:
         with pytest.raises(ValueError, match="vacuum"):
             normalization_audit(sv_channels["L-"], vacuum_state(2), sv_sp)
 
+    def test_accepts_exactly_the_defined_table_columns(self, sv_spec, sv_sp, sv_channels):
+        for state in (steady_state(sv_spec), vacuum_state(2)):
+            table = channel_stats(state, sv_sp)
+            for b, ql in enumerate(CHANNEL_ORDER):
+                try:
+                    normalization_audit(sv_channels[ql], state, sv_sp)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == bool(np.all(~np.isnan(table.p_kq[:, b]))), (state.kind, ql)
+
 
 class TestChannelStatsTable:
     def test_reference_point_table(self, sv_spec, sv_sp):
@@ -250,3 +319,48 @@ class TestChannelStatsTable:
             1.0, abs=1e-6
         )
         assert np.all(np.isnan(table.p_kq[:, CHANNEL_ORDER.index("L-")]))
+
+    def test_empty_boundary_site_leaves_only_its_extraction_column_out(self):
+        sp = derive_single_particle(generic_spec(2))
+        state = GaussianState(C=np.diag([0.0, 0.5]).astype(complex), kind="custom")
+        table = channel_stats(state, sp)
+        defined = ~np.isnan(table.p_kq).all(axis=0)
+        assert defined.tolist() == [False, True, True, True]
+        assert np.nansum(table.p_kq, axis=0)[defined] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestExactTable:
+    @pytest.mark.parametrize("kind", ["steady", "vacuum"])
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_against_liouvillian_solves(self, L, kind, oracle_cache):
+        spec = generic_spec(L)
+        sp = derive_single_particle(spec)
+        oracle = oracle_cache(spec)
+        if kind == "steady":
+            state, rho = steady_state(spec), oracle.steady_state()
+        else:
+            state, rho = vacuum_state(L), oracle.vacuum_density()
+        exact, p_q = exact_moments(oracle, rho)
+        table = channel_stats(state, sp)
+
+        def close(got, want):
+            return abs(got - want) <= 1e-7 * max(abs(want), 1.0)
+
+        assert np.array_equal(np.isnan(table.p_kq), np.isnan(exact[0]))
+        assert np.nanmax(np.abs(table.p_kq - exact[0])) <= 1e-8
+        assert table.p_q == pytest.approx(p_q, abs=1e-12)
+        for a in range(4):
+            for b in range(4):
+                p = exact[0, a, b]
+                if not p > 1e-12:
+                    assert np.isnan(table.mean[a, b])
+                    continue
+                mean = exact[1, a, b] / p
+                assert close(table.mean[a, b], mean)
+                assert close(table.variance[a, b], exact[2, a, b] / p - mean**2)
+        if kind == "steady":
+            clicks = p_q > 0.0
+            m1, m2 = (p_q[clicks] @ exact[n][:, clicks].sum(axis=0) for n in (1, 2))
+            mean, var = natd_moments(state, sp)
+            assert close(mean, m1)
+            assert close(var, m2 - m1**2)

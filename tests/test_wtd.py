@@ -166,11 +166,20 @@ class TestNumericalHygiene:
                     wtd_density(1.3, sv_channels[kl], sv_channels[ql], st, sv_sp),
                     abs=1e-15,
                 )
+        # The vacuum matrix shares one propagator; its entries are exact.
+        vac = vacuum_state(2)
+        m = wtd_density_matrix(1.3, vac, sv_sp)
+        for a, kl in enumerate(CHANNEL_ORDER):
+            for b, ql in enumerate(CHANNEL_ORDER):
+                assert m[a, b] == wtd_density(1.3, sv_channels[kl], sv_channels[ql], vac, sv_sp)
 
     def test_conditioning_on_empty_site_is_rejected(self, sv_sp, sv_channels):
         dead = GaussianState(C=np.diag([0.0, 0.0]).astype(complex), kind="custom")
         with pytest.raises(WtdNumericsError, match="impossible"):
             wtd_density(1.0, sv_channels["1+"], sv_channels["1-"], dead, sv_sp)
+        m = wtd_density_matrix(1.0, dead, sv_sp)
+        assert np.all(m[:, CHANNEL_ORDER.index("1-")] == 0.0)
+        assert np.all(m[:, CHANNEL_ORDER.index("L-")] == 0.0)
 
     def test_negative_time_rejected(self, sv_spec, sv_sp, sv_channels):
         st = steady_state(sv_spec)

@@ -17,8 +17,6 @@ from .model import (
     channels,
     click_weight,
     derive_single_particle,
-    evolve_covariance,
-    gaussian_exponent_factors,
     steady_state,
     vacuum_state,
 )

@@ -17,8 +17,11 @@ across runs (verification draws are seeded).
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -348,6 +351,28 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _bundled_openblas():
+    """(library handle, symbol suffix) of each OpenBLAS bundled with numpy and scipy."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for owner in ("numpy", "scipy"):
+        for lib in glob.glob(os.path.join(site, f"{owner}.libs", "*openblas*")):
+            yield ctypes.CDLL(lib), "64_" if "64_" in os.path.basename(lib) else ""
+
+
+def _pin_blas_threads() -> None:
+    """Run the bundled OpenBLAS libraries on one thread each.
+
+    The one level of parallelism is ``wtd_curve``'s pool over time points;
+    BLAS threads under it would only contend for the same cores.  Does
+    nothing where the scipy-openblas symbols are absent.
+    """
+    for handle, suffix in _bundled_openblas():
+        setter = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermiwait",
@@ -398,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import expm
+from .linalg import Propagator
 from .model import ChainSpec, Channel, CHANNEL_ORDER, channels
 from . import tracedet
 
@@ -152,34 +152,6 @@ def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> Liouvillian
     return LiouvillianParts(full=full, no_click=no_click, jumps=jumps)
 
 
-class _Propagator:
-    """exp(G t) action by dense eigendecomposition, with expm fallback.
-
-    The generator is generally non-Hermitian; if its eigenvector matrix is
-    too ill-conditioned (exceptional points) or the reconstruction
-    residual is poor, every application falls back to scaling-and-squaring.
-    """
-
-    def __init__(self, g: np.ndarray, cond_threshold: float = 1e10, method: str = "auto"):
-        self.g = g
-        self._eig = None
-        if method not in ("auto", "expm"):
-            raise ValueError("method must be 'auto' or 'expm'")
-        if method == "expm":
-            return
-        w, v = np.linalg.eig(g)
-        cond = np.linalg.cond(v)
-        resid = np.linalg.norm(g @ v - v * w) / max(np.linalg.norm(g), 1e-300)
-        if cond < cond_threshold and resid < 1e-10:
-            self._eig = (w, v, np.linalg.inv(v))
-
-    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        if self._eig is None:
-            return expm(self.g * t) @ vec
-        w, v, vinv = self._eig
-        return v @ (np.exp(w * t) * (vinv @ vec))
-
-
 def _as_label(k) -> str:
     label = k.label if isinstance(k, Channel) else str(k)
     if label not in CHANNEL_ORDER:
@@ -199,7 +171,7 @@ class FockOracle:
         self.spec = spec
         self.c_ops = build_fermions(spec.L, allow_large=allow_large)
         self.parts = build_liouvillian(spec, allow_large=allow_large)
-        self.propagator = _Propagator(self.parts.no_click, method=method)
+        self.propagator = Propagator(self.parts.no_click, method=method)
         self.dim = 2**spec.L
 
     def _tr(self, vec: np.ndarray) -> complex:

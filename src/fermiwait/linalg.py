@@ -9,7 +9,6 @@ other log-scale terms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,6 +83,66 @@ def expm(a) -> np.ndarray:
     return e
 
 
+#: Eigenvector condition number ||V||_1 ||V^-1||_1 above which
+#: :class:`Propagator` falls back to expm: the eigen-reconstruction loses
+#: about cond(V) units of roundoff, and exceptional points (cond ~ 1e8 for
+#: a 2 x 2 Jordan block) lie above.
+PROPAGATOR_COND_MAX = 1e6
+
+
+class Propagator:
+    """exp(g t) for any t >= 0 from one eigendecomposition of g, or expm per call.
+
+    With g = V diag(w) V^-1, exp(g t) = V diag(e^{w t}) V^-1 costs one matrix
+    product (``matrix``) or two matrix-vector products (``apply``) per time.
+    g is generally non-normal; if V is ill-conditioned beyond
+    PROPAGATOR_COND_MAX (near an exceptional point) or the decomposition
+    residual is poor, every call falls back to scaling-and-squaring
+    (Moler & Van Loan, SIAM Rev. 2003).  ``method="expm"`` forces the
+    fallback.  At t = 0 both return the identity exactly.
+    """
+
+    def __init__(self, g, method: str = "auto"):
+        if method not in ("auto", "expm"):
+            raise ValueError("method must be 'auto' or 'expm'")
+        self.g = _as_square(g)
+        self._eig = None
+        if method == "expm":
+            return
+        w, v = np.linalg.eig(self.g)
+        try:
+            vinv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:  # exactly defective
+            return
+        cond = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
+        resid = np.linalg.norm(self.g @ v - v * w) / max(np.linalg.norm(self.g), 1e-300)
+        if cond < PROPAGATOR_COND_MAX and resid < 1e-10:
+            self._eig = (w, v, vinv)
+
+    @property
+    def uses_eig(self) -> bool:
+        """Whether calls use the eigendecomposition rather than expm."""
+        return self._eig is not None
+
+    def matrix(self, t: float) -> np.ndarray:
+        """exp(g t) as a dense matrix."""
+        if t == 0.0:
+            return np.eye(self.g.shape[0], dtype=complex)
+        if self._eig is None:
+            return expm(self.g * t)
+        w, v, vinv = self._eig
+        return (v * np.exp(w * t)) @ vinv
+
+    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
+        """exp(g t) @ vec for a vector or a block of columns."""
+        if t == 0.0:
+            return np.array(vec, dtype=complex)
+        if self._eig is None:
+            return expm(self.g * t) @ vec
+        w, v, vinv = self._eig
+        return v @ (np.exp(w * t) * (vinv @ vec).T).T
+
+
 def lu_logdet(a) -> tuple[LUFactors, LogDet]:
     """LU-factorize ``a`` and assemble its determinant in log space.
 
@@ -92,24 +151,23 @@ def lu_logdet(a) -> tuple[LUFactors, LogDet]:
     exact even when the plain determinant would over/underflow.
     """
     a = _as_square(a)
-    with warnings.catch_warnings():
-        # singularity is detected from the pivots below and raised properly
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
+    lu, piv, info = lapack.zgetrf(a)
+    if info > 0:
+        raise SingularMatrixError(info - 1)
     diag = np.diagonal(lu)
-    zero = np.nonzero(diag == 0.0)[0]
-    if zero.size:
-        raise SingularMatrixError(int(zero[0]))
     sign = 1.0 if np.count_nonzero(piv != np.arange(len(piv))) % 2 == 0 else -1.0
     log_abs = float(np.sum(np.log(np.abs(diag))))
     phase = sign * np.exp(1j * np.sum(np.angle(diag)))
     return LUFactors(lu, piv), LogDet(log_abs, complex(phase))
 
 
-def solve_factored(factors: LUFactors, b, trans: int = 0) -> np.ndarray:
-    """Solve A X = B (or A^H X = B for trans=2) from an existing factorization."""
+def solve_factored(factors: LUFactors, b) -> np.ndarray:
+    """Solve A X = B from an existing factorization."""
     b = np.asarray(b, dtype=complex)
-    return sla.lu_solve((factors.lu, factors.piv), b, trans=trans, check_finite=False)
+    x, info = lapack.zgetrs(factors.lu, factors.piv, b.reshape(b.shape[0], -1))
+    if info != 0:
+        raise LinalgError(f"zgetrs failed with info = {info}")
+    return x.reshape(b.shape)
 
 
 def solve(a, b) -> np.ndarray:

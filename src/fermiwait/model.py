@@ -12,25 +12,21 @@ scalar:
     gamma_total = gamma_1 f_1 + gamma_L f_L             uniform decay rate
 
 Gaussian states are carried by their covariance matrix C_ij = <c_j^dag c_i>;
-the exponent matrix of the Gibbs form is never materialized, only its
-exponentials e^{+M} = (1-C) C^-1 and e^{-M} = C (1-C)^-1, which are rational
-in C.
+the exponent matrix of the Gibbs form is never materialized.  The no-click
+propagator e^{-Qt} comes from one eigendecomposition of Q per
+SingleParticleSet (``SingleParticleSet.propagator``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import LogDet, expm, lyapunov_solve
+from .linalg import Propagator, lyapunov_solve
 
 HERMITICITY_TOL = 1e-12
-
-#: Occupation eigenvalues of non-vacuum states are clipped into
-#: [OCC_CLIP, 1 - OCC_CLIP] before forming (1-C)/C ratios.
-OCC_CLIP = 1e-12
 
 #: Default regularization scale for the vacuum covariance C = lambda * I.
 VACUUM_LAMBDA = 1e-10
@@ -141,6 +137,11 @@ class SingleParticleSet:
     def L(self) -> int:
         return self.W.shape[0]
 
+    @cached_property
+    def propagator(self) -> Propagator:
+        """e^{-Qt} for every t, from one eigendecomposition of Q (built on first use)."""
+        return Propagator(-self.Q)
+
 
 def channels_from_single_particle(sp: SingleParticleSet) -> dict[str, Channel]:
     """Recover the four jump channels from the derived matrices alone.
@@ -246,54 +247,3 @@ def vacuum_state(L: int, lam: float = VACUUM_LAMBDA) -> GaussianState:
     if not 0.0 < lam <= 1e-8:
         raise ValueError("vacuum regularization lam must lie in (0, 1e-8]")
     return GaussianState(C=lam * np.eye(L, dtype=complex), kind="vacuum", lam=lam)
-
-
-def evolve_covariance(spec: ChainSpec, state: GaussianState, t: float) -> GaussianState:
-    """Propagate the covariance matrix for time t under the full dynamics.
-
-    Uses the closed form C(t) = e^{-Wt} (C0 - C_ss) e^{-W^dag t} + C_ss,
-    so it needs both bath rates positive for C_ss to exist.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    sp = derive_single_particle(spec)
-    css = steady_state(spec).C
-    g = expm(-sp.W * t)
-    c = g @ (state.C - css) @ g.conj().T + css
-    return GaussianState(C=c, kind="custom")
-
-
-def gaussian_exponent_factors(
-    state: GaussianState, eps_occ: float = OCC_CLIP
-) -> tuple[np.ndarray, np.ndarray, LogDet]:
-    """Exponentials of the Gibbs exponent and the log partition function.
-
-    Returns (e^{+M}, e^{-M}, log Z) with e^{+M} = (1-C) C^-1,
-    e^{-M} = C (1-C)^-1 and Z = 1/det(1-C), all computed from the
-    eigendecomposition of C.  Occupation eigenvalues are clipped into
-    [eps_occ, 1 - eps_occ] with a warning; exact vacuum states must use
-    their dedicated analytic path instead.
-    """
-    if state.kind == "vacuum":
-        raise ValueError(
-            "vacuum states have no finite exponent factors; "
-            "use the vacuum-limit formulas instead"
-        )
-    occ, u = np.linalg.eigh(state.C)
-    if occ.min() < -1e-10 or occ.max() > 1.0 + 1e-10:
-        raise ValueError(
-            f"occupation eigenvalues outside [0, 1]: range "
-            f"[{occ.min():.3e}, {occ.max():.3e}]; adjust eps_occ or use the vacuum path"
-        )
-    clipped = np.clip(occ, eps_occ, 1.0 - eps_occ)
-    if np.any(clipped != occ):
-        warnings.warn(
-            f"occupation eigenvalues clipped to [{eps_occ:g}, 1-{eps_occ:g}]",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    ratio = (1.0 - clipped) / clipped
-    eplus = (u * ratio) @ u.conj().T
-    eminus = (u * (1.0 / ratio)) @ u.conj().T
-    log_z = -float(np.sum(np.log1p(-clipped)))
-    return eplus, eminus, LogDet(log_z, 1.0 + 0.0j)

@@ -17,12 +17,31 @@ factors and C survive (e.g. e^{M} e^{Qt} T e^{-Qt} = (1-C) A^{-1} Gd G).
 The scalar prefactor combines exp(-Gamma t) and det(A) in log space before
 a single exponentiation.
 
+Boundary-only blocks.  The channels act on the bath sites b = (1, L) only,
+so a density reads nothing but the 2 x 2 boundary entries of seven blocks
+(``_Blocks``).  Per time the O(L^3) work is G, Gd G, A and one LU of A with
+its condition estimate.  Every block then follows in O(L^2) from one
+six-column solve, A^{-1} [Gd, Gd G, 1][:, b], multiplied by C and by the
+boundary rows of G and 1 - C, in the order of the full L x L formulas.
+
+Shared propagator.  G comes from ``SingleParticleSet.propagator``: one
+eigendecomposition of Q per single-particle set, reused by every point,
+density matrix and curve, with the expm fallback of
+:class:`~fermiwait.linalg.Propagator` near exceptional points.  The Fock
+oracle uses the same class with the same threshold.
+
 Starting from the vacuum the limit is taken analytically:
 
     P(t, i-|j+) = rate_i- * e^{-Gamma t} * |G_ij|^2
     P(t, i+|j+) = rate_i+ * e^{-Gamma t} * [(Gd G)_jj - |G_ij|^2]
 
-and densities conditioned on an extraction vanish identically.
+and densities conditioned on an extraction vanish identically.  These need
+only the boundary columns G[:, b], O(L^2) per time.
+
+Thread policy.  ``wtd_curve`` evaluates its points on a thread pool, which
+is the only level of parallelism: the command line pins the bundled
+OpenBLAS to one thread (``cli.main``), so BLAS threads never nest under the
+pool's workers.
 """
 
 from __future__ import annotations
@@ -32,12 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    condition_estimate,
-    expm,
-    lu_logdet,
-    solve_factored,
-)
+from .linalg import condition_estimate, lu_logdet, solve_factored
 from .model import (
     CHANNEL_ORDER,
     ChainSpec,
@@ -56,6 +70,11 @@ IMAG_TOL = 1e-9
 
 #: Condition estimate of the T solve above which points are flagged.
 COND_THRESHOLD = 1e12
+
+#: Occupation factor (C_jj for q = j-, 1 - C_jj for q = j+) at or below
+#: which a click in q is impossible and densities conditioned on it are
+#: undefined.
+MIN_OCCUPATION_FACTOR = 1e-14
 
 DEFAULT_GRID_POINTS = 400
 
@@ -143,47 +162,55 @@ def default_time_grid(
 
 @dataclass(frozen=True)
 class _Blocks:
-    """t-dependent matrix blocks shared by all sixteen densities."""
+    """Boundary entries, at sites (1, L), of the t-dependent factors of all sixteen densities."""
 
-    T: np.ndarray  # G C A^-1 Gd: no-click occupation kernel
-    inj_same: np.ndarray  # (1-C) A^-1 Gd G: diagonal factor for q = j+
-    inj_left: np.ndarray  # (1-T) G: left exchange factor for q = j+
-    inj_right: np.ndarray  # (1-C) A^-1 Gd: right exchange factor for q = j+
-    ext_same: np.ndarray  # C A^-1: diagonal factor for q = j-
-    ext_left: np.ndarray  # G C A^-1: left exchange factor for q = j-
-    ext_right: np.ndarray  # C A^-1 Gd: right exchange factor for q = j-
-    c_diag: np.ndarray  # real diagonal of C
+    T: np.ndarray  # (G C A^-1 Gd)[b, b]: no-click occupation kernel
+    inj_same: np.ndarray  # ((1-C) A^-1 Gd G)[b, b]: diagonal factor for q = j+
+    inj_left: np.ndarray  # ((1-T) G)[b, b]: left exchange factor for q = j+
+    inj_right: np.ndarray  # ((1-C) A^-1 Gd)[b, b]: right exchange factor for q = j+
+    ext_same: np.ndarray  # (C A^-1)[b, b]: diagonal factor for q = j-
+    ext_left: np.ndarray  # (G C A^-1)[b, b]: left exchange factor for q = j-
+    ext_right: np.ndarray  # (C A^-1 Gd)[b, b]: right exchange factor for q = j-
+    c_diag: np.ndarray  # real C_jj at the boundary sites
     log_prefactor: float  # -Gamma t + log|det A|
     phase: complex
     cond: float
 
 
+def _boundary(L: int) -> slice:
+    """Index of the two bath sites as a view: slot 0 is site 1, slot 1 is site L."""
+    return slice(None, None, L - 1)
+
+
+def _slot(ch: Channel) -> int:
+    return 0 if ch.site == 1 else 1
+
+
 def _build_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
-    L = sp.L
-    eye = np.eye(L, dtype=complex)
-    g = expm(-sp.Q * t)
+    b = _boundary(sp.L)
+    g = sp.propagator.matrix(t)
     gd = g.conj().T
     gdg = gd @ g
-    one_minus_c = eye - c
-
-    a = one_minus_c + gdg @ c
+    one_minus_c = np.eye(sp.L) - c
+    a = gdg @ c
+    a += one_minus_c
     factors, logdet = lu_logdet(a)
-    cond = condition_estimate(factors, float(np.linalg.norm(a, 1)))
+    cond = condition_estimate(factors, float(np.abs(a).sum(axis=0).max()))
 
-    ainv_gd = solve_factored(factors, gd)
-    c_ainv = solve_factored(factors, c.conj().T, trans=2).conj().T
-
-    ext_right = c @ ainv_gd
-    tmat = g @ ext_right
+    # A^-1 [Gd, Gd G, 1][:, b]: the only solve, six columns.
+    cols = solve_factored(factors, np.hstack((gd[:, b], gdg[:, b], np.eye(sp.L)[:, b])))
+    c_cols = c @ cols
+    left = g[b] @ c_cols  # G C A^-1 [Gd, Gd G, 1] at rows b
+    right = one_minus_c[b] @ cols  # (1-C) A^-1 [Gd, Gd G] at rows b
     return _Blocks(
-        T=tmat,
-        inj_same=one_minus_c @ ainv_gd @ g,
-        inj_left=(eye - tmat) @ g,
-        inj_right=one_minus_c @ ainv_gd,
-        ext_same=c_ainv,
-        ext_left=g @ c_ainv,
-        ext_right=ext_right,
-        c_diag=np.real(np.diagonal(c)),
+        T=left[:, :2],
+        inj_same=right[:, 2:4],
+        inj_left=g[b, b] - left[:, 2:4],
+        inj_right=right[:, :2],
+        ext_same=c_cols[b, 4:],
+        ext_left=left[:, 4:],
+        ext_right=c_cols[b, :2],
+        c_diag=np.real(np.diagonal(c)[b]),
         log_prefactor=-sp.gamma_total * t + logdet.log_abs,
         phase=logdet.phase,
         cond=cond,
@@ -192,7 +219,7 @@ def _build_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
 
 def _bracket(blocks: _Blocks, k: Channel, q: Channel) -> tuple[complex, float]:
     """Bracketed matrix-element combination and the conditioning denominator."""
-    i, j = k.site_index, q.site_index
+    i, j = _slot(k), _slot(q)
     if q.sign == "+":
         denom = 1.0 - blocks.c_diag[j]
         diag = blocks.inj_same[j, j]
@@ -213,7 +240,7 @@ def _bracket(blocks: _Blocks, k: Channel, q: Channel) -> tuple[complex, float]:
 
 
 def _finish(b: complex, denom: float, rate: float, blocks: _Blocks, t, k, q):
-    if denom <= 1e-14:
+    if denom <= MIN_OCCUPATION_FACTOR:
         raise WtdNumericsError(
             f"conditioning on channel {q.label} is impossible: occupation factor "
             f"{denom:.3e}; vacuum-like states must use the vacuum path"
@@ -242,19 +269,26 @@ def wtd_density_vacuum(t: float, k: Channel, q: Channel, sp: SingleParticleSet) 
         raise ValueError("time must be nonnegative")
     if q.sign == "-":
         return 0.0
-    return _vacuum_entry(expm(-sp.Q * t), np.exp(-sp.gamma_total * t), k, q)
+    return _vacuum_entry(_boundary_columns(t, sp), np.exp(-sp.gamma_total * t), k, q)
 
 
-def _vacuum_entry(g: np.ndarray, decay: float, k: Channel, q: Channel) -> float:
-    """Vacuum density of (k | q) from the propagator G and the decay factor at one time."""
+def _boundary_columns(t: float, sp: SingleParticleSet) -> np.ndarray:
+    """G[:, b] = e^{-Qt} applied to the unit vectors of the two bath sites."""
+    e = np.zeros((sp.L, 2))
+    e[_boundary(sp.L)] = np.eye(2)
+    return sp.propagator.apply(t, e)
+
+
+def _vacuum_entry(g_cols: np.ndarray, decay: float, k: Channel, q: Channel) -> float:
+    """Vacuum density of (k | q) from the boundary columns G[:, b] and the decay factor."""
     if q.sign == "-":
         return 0.0
-    i, j = k.site_index, q.site_index
-    hop = abs(g[i, j]) ** 2
+    col = g_cols[:, _slot(q)]
+    hop = abs(col[k.site_index]) ** 2
     if k.sign == "-":
         return k.rate * decay * hop
-    col = float(np.real(np.vdot(g[:, j], g[:, j])))  # (Gd G)_jj
-    return max(k.rate * decay * (col - hop), 0.0)
+    norm = float(np.real(np.vdot(col, col)))  # (Gd G)_jj
+    return max(k.rate * decay * (norm - hop), 0.0)
 
 
 def wtd_point(
@@ -305,17 +339,17 @@ def wtd_density_matrix(
     ch = channels_from_single_particle(sp)
     out = np.zeros((4, 4))
     if state.kind == "vacuum":
-        g = expm(-sp.Q * t)
+        g_cols = _boundary_columns(t, sp)
         decay = np.exp(-sp.gamma_total * t)
         for a, kl in enumerate(CHANNEL_ORDER):
             for b, ql in enumerate(CHANNEL_ORDER):
-                out[a, b] = _vacuum_entry(g, decay, ch[kl], ch[ql])
+                out[a, b] = _vacuum_entry(g_cols, decay, ch[kl], ch[ql])
         return out
     blocks = _build_blocks(t, state.C, sp)
     for a, kl in enumerate(CHANNEL_ORDER):
         for b, ql in enumerate(CHANNEL_ORDER):
             br, denom = _bracket(blocks, ch[kl], ch[ql])
-            if denom <= 1e-14:  # the impossible click _finish rejects
+            if denom <= MIN_OCCUPATION_FACTOR:  # the impossible click _finish rejects
                 continue
             out[a, b], _ = _finish(br, denom, ch[kl].rate, blocks, t, ch[kl], ch[ql])
     return out
@@ -333,9 +367,11 @@ def wtd_curve(
     """Sample the density over a time grid, points evaluated in parallel.
 
     Points are independent; they are distributed over a thread pool (the
-    heavy kernels release the GIL) and reassembled in grid order.
+    heavy kernels release the GIL) and reassembled in grid order.  The
+    propagator is built once, before the pool starts.
     """
     grid = validate_grid(grid)
+    sp.propagator  # built here, before the workers start, and shared by all of them
 
     def one(t: float) -> WtdPoint:
         return wtd_point(float(t), k, q, state, sp, cond_threshold=cond_threshold)

@@ -1,3 +1,4 @@
+import ctypes
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import fermiwait.tracedet
 import fermiwait.wtd
-from fermiwait.cli import main
+from fermiwait.cli import _bundled_openblas, main
 from fermiwait.config import ConfigError, RunConfig
 
 
@@ -71,6 +72,30 @@ class TestRunConfig:
         path = write_config(tmp_path / "bad.ini", "[misc]\nx = 1\n")
         with pytest.raises(ConfigError, match=r"\[misc\]"):
             RunConfig.from_file(path)
+
+
+def _openblas_symbol(handle, suffix, name, argtypes, restype):
+    fn = getattr(handle, f"scipy_openblas_{name}{suffix}", None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+class TestThreadPolicy:
+    def test_main_pins_bundled_openblas_to_one_thread(self, tmp_path):
+        libs = [
+            (_openblas_symbol(h, s, "set_num_threads", [ctypes.c_int], None),
+             _openblas_symbol(h, s, "get_num_threads", [], ctypes.c_int))
+            for h, s in _bundled_openblas()
+        ]
+        libs = [(set_, get) for set_, get in libs if set_ is not None and get is not None]
+        if not libs:
+            pytest.skip("no bundled scipy-openblas found")
+        for set_, _ in libs:
+            set_(2)
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        assert main(["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]) == 0
+        assert [get() for _, get in libs] == [1] * len(libs)
 
 
 class TestWtdCommand:

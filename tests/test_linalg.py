@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fermiwait.linalg import (
+    PROPAGATOR_COND_MAX,
     LinalgError,
     LogDet,
+    Propagator,
     SingularMatrixError,
     eig,
     expm,
@@ -12,6 +15,7 @@ from fermiwait.linalg import (
     solve,
     solve_factored,
 )
+from fermiwait.model import ChainSpec, build_tight_binding, derive_single_particle
 
 
 def brute_force_det(a):
@@ -63,6 +67,55 @@ class TestExpm:
         a[0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             expm(a)
+
+
+class TestPropagator:
+    def test_matrix_matches_expm_at_large_size(self):
+        # The benchmark chain: L = 200 tight binding, full left and empty right bath.
+        spec = ChainSpec(h=build_tight_binding(200, 1.0, 1.0), gamma1=0.1, gammaL=0.1, f1=1.0, fL=0.0)
+        sp = derive_single_particle(spec)
+        prop = sp.propagator
+        assert prop.uses_eig
+        assert sp.propagator is prop  # built once per single-particle set
+        # Eigenvalue roundoff enters as e^{(w + dw) t}, so the deviation grows
+        # linearly in t: 5.6e-13 at t = 400, 1.1e-12 at the horizon t = 800.
+        for t in (0.5, 7.0, 100.0, 400.0, 800.0):
+            dev = np.max(np.abs(prop.matrix(t) - sla.expm(-sp.Q * t)))
+            assert dev <= 1e-12 * max(1.0, t / 400.0)
+
+    def test_apply_matches_matrix(self):
+        rng = np.random.default_rng(11)
+        g = random_complex(rng, 6) - 3.0 * np.eye(6)
+        prop = Propagator(g)
+        vec = random_complex(rng, 6)[:, :2]
+        for t in (0.0, 0.4, 3.0):
+            assert np.max(np.abs(prop.apply(t, vec) - prop.matrix(t) @ vec)) < 1e-13
+            assert np.max(np.abs(prop.apply(t, vec[:, 0]) - prop.matrix(t) @ vec[:, 0])) < 1e-13
+
+    def test_zero_time_is_exact_identity(self):
+        rng = np.random.default_rng(12)
+        prop = Propagator(random_complex(rng, 4))
+        assert np.array_equal(prop.matrix(0.0), np.eye(4))
+
+    def test_exceptional_point_falls_back_to_expm(self):
+        # A 2 x 2 Jordan block: eig returns nearly parallel eigenvectors.
+        g = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+        v = np.linalg.eig(g)[1]
+        assert np.linalg.norm(v, 1) * np.linalg.norm(np.linalg.inv(v), 1) > PROPAGATOR_COND_MAX
+        prop = Propagator(g)
+        assert not prop.uses_eig
+        for t in (0.5, 2.0):
+            want = np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
+            assert np.max(np.abs(prop.matrix(t) - want)) < 1e-14
+
+    def test_forced_fallback_agrees(self):
+        rng = np.random.default_rng(13)
+        g = random_complex(rng, 5) - 3.0 * np.eye(5)
+        auto, forced = Propagator(g), Propagator(g, method="expm")
+        assert auto.uses_eig and not forced.uses_eig
+        assert np.max(np.abs(auto.matrix(1.3) - forced.matrix(1.3))) < 1e-12
+        with pytest.raises(ValueError, match="method"):
+            Propagator(g, method="pade")
 
 
 class TestLuLogdet:

@@ -9,12 +9,9 @@ from fermiwait.model import (
     channels,
     channels_from_single_particle,
     derive_single_particle,
-    evolve_covariance,
-    gaussian_exponent_factors,
     steady_state,
     vacuum_state,
 )
-from fermiwait.fock import build_fermions, quadratic_form_operator
 
 from conftest import generic_spec, random_hermitian, tight_binding_spec
 
@@ -209,70 +206,3 @@ class TestGaussianState:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             GaussianState(C=0.5 * np.eye(2), kind="thermal")
-
-
-class TestEvolveCovariance:
-    def test_zero_time_is_identity(self, sv_spec):
-        state = GaussianState(C=0.5 * np.eye(2))
-        out = evolve_covariance(sv_spec, state, 0.0)
-        assert np.max(np.abs(out.C - state.C)) < 1e-12
-
-    def test_relaxes_to_steady_state(self):
-        spec = generic_spec(3)
-        start = GaussianState(C=np.zeros((3, 3)))
-        late = evolve_covariance(spec, start, 600.0)
-        assert np.max(np.abs(late.C - steady_state(spec).C)) < 1e-10
-
-    def test_monotone_approach(self, sv_spec):
-        start = GaussianState(C=np.zeros((2, 2)))
-        target = steady_state(sv_spec).C
-        gaps = [
-            np.max(np.abs(evolve_covariance(sv_spec, start, t).C - target))
-            for t in (0.0, 30.0, 120.0, 400.0)
-        ]
-        assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
-
-
-class TestExponentFactors:
-    def test_half_filling(self):
-        state = GaussianState(C=0.5 * np.eye(2))
-        eplus, eminus, log_z = gaussian_exponent_factors(state)
-        assert np.max(np.abs(eplus - np.eye(2))) < 1e-12
-        assert np.max(np.abs(eminus - np.eye(2))) < 1e-12
-        assert log_z.log_abs == pytest.approx(np.log(4.0), rel=1e-12)
-
-    def test_factors_are_inverse_pair(self):
-        rng = np.random.default_rng(3)
-        m = random_hermitian(rng, 3)
-        occ = 1.0 / (1.0 + np.exp(np.linalg.eigvalsh(m)))
-        u = np.linalg.eigh(m)[1]
-        state = GaussianState(C=(u * occ) @ u.conj().T)
-        eplus, eminus, _ = gaussian_exponent_factors(state)
-        assert np.max(np.abs(eplus @ eminus - np.eye(3))) < 1e-10
-
-    def test_partition_function_matches_fock_trace(self):
-        rng = np.random.default_rng(4)
-        c_ops = build_fermions(2)
-        for _ in range(5):
-            m = random_hermitian(rng, 2)
-            occ, u = np.linalg.eigh(m)
-            occ = 1.0 / (1.0 + np.exp(occ))
-            cov = (u * occ) @ u.conj().T
-            state = GaussianState(C=cov)
-            _, _, log_z = gaussian_exponent_factors(state)
-            # trace of e^{-M_many} with M_many rebuilt from the covariance
-            m_single = (u * np.log((1.0 - occ) / occ)) @ u.conj().T
-            import scipy.linalg as sla
-
-            z_fock = np.trace(sla.expm(quadratic_form_operator(-m_single, c_ops)))
-            assert abs(log_z.value - z_fock) < 1e-9 * abs(z_fock)
-
-    def test_vacuum_is_redirected(self):
-        with pytest.raises(ValueError, match="vacuum"):
-            gaussian_exponent_factors(vacuum_state(2))
-
-    def test_extreme_occupations_are_clipped_with_warning(self):
-        state = GaussianState(C=np.diag([0.0, 0.5]).astype(complex))
-        with pytest.warns(RuntimeWarning, match="clipped"):
-            eplus, _, _ = gaussian_exponent_factors(state)
-        assert np.isfinite(eplus).all()

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fermiwait.linalg import lyapunov_solve
 from fermiwait.model import (
     CHANNEL_ORDER,
     GaussianState,
+    channels,
     derive_single_particle,
     steady_state,
     vacuum_state,
@@ -364,3 +366,36 @@ class TestExactTable:
             mean, var = natd_moments(state, sp)
             assert close(mean, m1)
             assert close(var, m2 - m1**2)
+
+
+class TestVacuumLyapunov:
+    def test_large_chain_against_lyapunov_solves(self):
+        # From the vacuum, P(t, i-|j+) = rate_i- e^{-Gamma t} (Gd E_ii G)_jj
+        # and P(t, i+|j+) = rate_i+ e^{-Gamma t} (Gd (1 - E_ii) G)_jj with
+        # G = e^{-Qt}.  X = int e^{-Gamma t} Gd E G dt solves
+        # W X + X W^dag = E with W = Q^dag + Gamma/2, and X1 = int t (...) dt
+        # solves W X1 + X1 W^dag = X: exact moments with no quadrature.
+        spec = generic_spec(20)
+        sp = derive_single_particle(spec)
+        ch = channels(spec)
+        w = sp.Q.conj().T + 0.5 * sp.gamma_total * np.eye(spec.L)
+        table = channel_stats(vacuum_state(spec.L), sp)
+
+        def moments(e):
+            x = lyapunov_solve(w, e)
+            return x, lyapunov_solve(w, x)
+
+        all_x, all_x1 = moments(np.eye(spec.L, dtype=complex))
+        for a, kl in enumerate(CHANNEL_ORDER):
+            k = ch[kl]
+            e = np.zeros((spec.L, spec.L), dtype=complex)
+            e[k.site_index, k.site_index] = 1.0
+            x, x1 = moments(e)
+            if k.sign == "+":
+                x, x1 = all_x - x, all_x1 - x1
+            for ql in ("1+", "L+"):
+                b, j = CHANNEL_ORDER.index(ql), ch[ql].site_index
+                p, m1 = k.rate * x[j, j].real, k.rate * x1[j, j].real
+                assert abs(table.p_kq[a, b] - p) <= 1e-8
+                assert abs(table.moments[1, a, b] - m1) <= 1e-7 * max(abs(m1), 1.0)
+        assert np.all(np.isnan(table.p_kq[:, [CHANNEL_ORDER.index("1-"), CHANNEL_ORDER.index("L-")]]))

@@ -6,7 +6,7 @@ all evaluated with L x L single-particle matrices, plus a 2^L brute-force
 Fock-space oracle that verifies every formula at small chain sizes.
 """
 
-from .linalg import LogDet, expm, lu_logdet, solve, eig, lyapunov_solve
+from .linalg import LogDet, expm, lu_logdet, eig, lyapunov_solve
 from .model import (
     CHANNEL_ORDER,
     ChainSpec,
@@ -24,7 +24,6 @@ from .tracedet import (
     QuadraticFormChain,
     bss_trace,
     trace_one_insert,
-    trace_two_insert,
 )
 from .wtd import (
     WtdCurve,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import glob
 import json
 import math
@@ -199,7 +200,7 @@ def cmd_stats(args) -> int:
         if L is not None:
             if L < 2:
                 raise ConfigError(f"--sweep-L: chain needs at least 2 sites, got {L}")
-            run_cfg = RunConfig(**{**cfg.to_dict(), "L": L}).validate()
+            run_cfg = dataclasses.replace(cfg, L=L).validate()
             suffix = f"_L{L}"
         spec = run_cfg.chain_spec()
         payload, audits_ok = _stats_payload(run_cfg, spec)
@@ -233,7 +234,7 @@ def run_verification(cfg: RunConfig, seed: int, allow_large: bool) -> Verificati
     spec = cfg.chain_spec()
     oracle = FockOracle(spec, allow_large=allow_large)
     sp = derive_single_particle(spec)
-    ch = channels(spec)
+    ch = sp.channels
     rng = np.random.default_rng(seed)
     gamma_min = min(g for g in (spec.gamma1, spec.gammaL) if g > 0)
     times = rng.uniform(0.0, 20.0 / gamma_min, size=10)
@@ -324,8 +325,7 @@ def cmd_bench(args) -> int:
             state = steady_state(spec)
         except ValueError as exc:
             raise ConfigError(f"baths: {exc}") from exc
-        ch = channels(spec)
-        k, q = ch["L-"], ch["1+"]
+        k, q = sp.channels["L-"], sp.channels["1+"]
         t_probe = L / 2.0
         wtdmod.wtd_density(t_probe, k, q, state, sp)  # warm up caches/BLAS
         best = math.inf

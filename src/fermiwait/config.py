@@ -39,7 +39,6 @@ imaginary part of each entry, interleaved.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -50,6 +49,27 @@ from .model import ChainSpec, GaussianState, build_tight_binding, steady_state, 
 
 class ConfigError(Exception):
     """Invalid run configuration; message names the offending field."""
+
+
+#: The config file schema: (section, key) -> (RunConfig attribute, converter).
+_KEYS = {
+    ("model", "kind"): ("model_kind", str),
+    ("model", "L"): ("L", int),
+    ("model", "V"): ("V", float),
+    ("model", "J"): ("J", float),
+    ("model", "h_file"): ("h_file", str),
+    ("baths", "gamma1"): ("gamma1", float),
+    ("baths", "gammaL"): ("gammaL", float),
+    ("baths", "f1"): ("f1", float),
+    ("baths", "fL"): ("fL", float),
+    ("state", "initial"): ("initial_state", str),
+    ("grid", "points"): ("points", int),
+    ("grid", "t_max"): ("t_max", float),
+    ("tolerances", "quadrature"): ("tol_quadrature", float),
+    ("tolerances", "oracle"): ("tol_oracle", float),
+    ("output", "dir"): ("out_dir", str),
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 @dataclass
@@ -116,47 +136,22 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         cfg = cls(source=str(path))
-
-        def fetch(section, key, convert, attr):
-            if parser.has_option(section, key):
+        if parser.defaults():  # configparser would copy these keys into every section
+            raise ConfigError(f"unknown config section [{parser.default_section}]")
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key in parser.options(section):
+                if (section, key) not in _KEYS:
+                    raise ConfigError(f"unknown key {section}.{key}")
                 raw = parser.get(section, key).strip()
                 if raw == "":
-                    return
+                    continue
+                attr, convert = _KEYS[section, key]
                 try:
                     setattr(cfg, attr, convert(raw))
                 except ValueError as exc:
                     raise ConfigError(f"{section}.{key}: bad value {raw!r} ({exc})") from exc
-
-        fetch("model", "kind", str, "model_kind")
-        fetch("model", "L", int, "L")
-        fetch("model", "V", float, "V")
-        fetch("model", "J", float, "J")
-        fetch("model", "h_file", str, "h_file")
-        fetch("baths", "gamma1", float, "gamma1")
-        fetch("baths", "gammaL", float, "gammaL")
-        fetch("baths", "f1", float, "f1")
-        fetch("baths", "fL", float, "fL")
-        fetch("state", "initial", str, "initial_state")
-        fetch("grid", "t_max", float, "t_max")
-        fetch("grid", "points", int, "points")
-        fetch("tolerances", "quadrature", float, "tol_quadrature")
-        fetch("tolerances", "oracle", float, "tol_oracle")
-        fetch("output", "dir", str, "out_dir")
-
-        known = {
-            "model": {"kind", "L", "V", "J", "h_file"},
-            "baths": {"gamma1", "gammaL", "f1", "fL"},
-            "state": {"initial"},
-            "grid": {"t_max", "points"},
-            "tolerances": {"quadrature", "oracle"},
-            "output": {"dir"},
-        }
-        for section in parser.sections():
-            if section not in known:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key in parser.options(section):
-                if key not in known[section]:
-                    raise ConfigError(f"unknown key {section}.{key}")
         return cfg.validate()
 
     # -- realization ---------------------------------------------------
@@ -214,32 +209,3 @@ class RunConfig:
         d = asdict(self)
         d.pop("source")
         return d
-
-    def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
-        parser["model"] = {
-            "kind": self.model_kind,
-            "L": str(self.L),
-            "V": str(self.V),
-            "J": str(self.J),
-        }
-        if self.h_file:
-            parser["model"]["h_file"] = self.h_file
-        parser["baths"] = {
-            "gamma1": str(self.gamma1),
-            "gammaL": str(self.gammaL),
-            "f1": str(self.f1),
-            "fL": str(self.fL),
-        }
-        parser["state"] = {"initial": self.initial_state}
-        parser["grid"] = {"points": str(self.points)}
-        if self.t_max is not None:
-            parser["grid"]["t_max"] = str(self.t_max)
-        parser["tolerances"] = {
-            "quadrature": str(self.tol_quadrature),
-            "oracle": str(self.tol_oracle),
-        }
-        parser["output"] = {"dir": self.out_dir}
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()

@@ -111,11 +111,11 @@ class LiouvillianParts:
 def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> LiouvillianParts:
     """Assemble the master-equation superoperators for a chain spec.
 
-    The full generator, the no-click generator (built from the
-    non-Hermitian effective Hamiltonian) and the four jump sandwiches are
-    constructed independently; their sum rule full = no_click + sum(jumps)
-    is then asserted, which cross-validates the effective-Hamiltonian
-    decomposition.
+    The full generator (Lindblad dissipators), the no-click generator
+    (built from the non-Hermitian effective Hamiltonian) and the four jump
+    sandwiches are constructed independently from the one channel table;
+    their sum rule full = no_click + sum(jumps) is then asserted, which
+    cross-validates the effective-Hamiltonian decomposition.
     """
     _check_size(spec.L, allow_large)
     c_ops = build_fermions(spec.L, allow_large=allow_large)
@@ -124,11 +124,9 @@ def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> Liouvillian
 
     h_many = quadratic_form_operator(spec.h, c_ops)
     full = -1j * (_spre(h_many) - _spost(h_many))
-    for op, site in ((c1, 1), (cL, spec.L)):
-        gamma = spec.gamma1 if site == 1 else spec.gammaL
-        f = spec.f1 if site == 1 else spec.fL
-        full = full + gamma * (1.0 - f) * _dissipator(op)
-        full = full + gamma * f * _dissipator(op.conj().T)
+    for op, site in ((c1, "1"), (cL, "L")):
+        full = full + ch[site + "-"].rate * _dissipator(op)
+        full = full + ch[site + "+"].rate * _dissipator(op.conj().T)
 
     jumps = {
         "1-": ch["1-"].rate * _sandwich(c1, c1.conj().T),

@@ -38,13 +38,6 @@ class LogDet:
     def value(self) -> complex:
         return np.exp(self.log_abs) * self.phase
 
-    @classmethod
-    def from_value(cls, z: complex) -> "LogDet":
-        a = abs(z)
-        if a == 0.0:
-            raise ValueError("zero has no log-determinant representation")
-        return cls(float(np.log(a)), z / a)
-
 
 class LUFactors(NamedTuple):
     """Partial-pivoting LU factorization, reusable for solves."""
@@ -168,12 +161,6 @@ def solve_factored(factors: LUFactors, b) -> np.ndarray:
     if info != 0:
         raise LinalgError(f"zgetrs failed with info = {info}")
     return x.reshape(b.shape)
-
-
-def solve(a, b) -> np.ndarray:
-    """One-shot linear solve A X = B through LU with partial pivoting."""
-    factors, _ = lu_logdet(a)
-    return solve_factored(factors, b)
 
 
 def condition_estimate(factors: LUFactors, anorm: float) -> float:

@@ -19,7 +19,7 @@ SingleParticleSet (``SingleParticleSet.propagator``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,9 +27,6 @@ import numpy as np
 from .linalg import Propagator, lyapunov_solve
 
 HERMITICITY_TOL = 1e-12
-
-#: Default regularization scale for the vacuum covariance C = lambda * I.
-VACUUM_LAMBDA = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,24 +111,24 @@ MIN_CLICK_WEIGHT = 1e-14
 
 
 def click_weight(q: Channel, state: GaussianState) -> float:
-    """Jump expectation of q: rate times occupation (extraction) or hole (injection).
-
-    Extraction from the vacuum weighs exactly 0, not rate * lam.
-    """
-    if state.kind == "vacuum" and q.sign == "-":
-        return 0.0
+    """Jump expectation of q: rate times occupation (extraction) or hole (injection)."""
     n = float(np.real(state.C[q.site_index, q.site_index]))
     return q.rate * (n if q.sign == "-" else 1.0 - n)
 
 
 @dataclass(frozen=True)
 class SingleParticleSet:
-    """Derived single-particle matrices W, F, Q and the decay scalar."""
+    """Derived single-particle matrices W, F, Q, the decay scalar and the channel table.
+
+    ``channels`` is the spec's :func:`channels` table; F and gamma_total are
+    built from its injection rates, so every consumer reads the same rates.
+    """
 
     W: np.ndarray
     F: np.ndarray
     Q: np.ndarray
     gamma_total: float
+    channels: dict[str, Channel]
 
     @property
     def L(self) -> int:
@@ -143,38 +140,17 @@ class SingleParticleSet:
         return Propagator(-self.Q)
 
 
-def channels_from_single_particle(sp: SingleParticleSet) -> dict[str, Channel]:
-    """Recover the four jump channels from the derived matrices alone.
-
-    The Hermitian part of W is diag(gamma_1, 0, ..., 0, gamma_L) / 2 (the
-    i*h part is anti-Hermitian), and F holds the injection rates, so no
-    separate chain spec is needed.
-    """
-    L = sp.L
-    gamma1 = 2.0 * float(np.real(sp.W[0, 0]))
-    gammaL = 2.0 * float(np.real(sp.W[-1, -1]))
-    in1 = float(np.real(sp.F[0, 0]))
-    inL = float(np.real(sp.F[-1, -1]))
-    return {
-        "1-": Channel(1, "-", max(gamma1 - in1, 0.0), 0),
-        "1+": Channel(1, "+", in1, 0),
-        "L-": Channel(L, "-", max(gammaL - inL, 0.0), L - 1),
-        "L+": Channel(L, "+", inL, L - 1),
-    }
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian fermionic state held as a covariance matrix C_ij = <c_j^dag c_i>.
 
-    ``kind`` is "steady", "vacuum" or "custom".  Vacuum states carry the
-    regularized C = lam * I for inspection, but consumers use the exact
-    lam -> 0 limit formulas, never lam itself.
+    ``kind`` is "steady", "vacuum" or "custom".  The vacuum has C = 0
+    exactly; the density kernel dispatches on ``kind == "vacuum"`` to the
+    analytic vacuum formulas, which never read C.
     """
 
     C: np.ndarray
     kind: str = "custom"
-    lam: float = field(default=0.0)
 
     def __post_init__(self):
         if self.kind not in ("steady", "vacuum", "custom"):
@@ -208,42 +184,41 @@ def build_tight_binding(L: int, V: float, J: float) -> np.ndarray:
 
 
 def derive_single_particle(spec: ChainSpec) -> SingleParticleSet:
-    """Build the drift/injection/no-click matrices from a chain spec."""
+    """Build the drift/injection/no-click matrices and the channel table from a chain spec."""
     L = spec.L
+    ch = channels(spec)
     gamma_diag = np.zeros(L)
     gamma_diag[0] = spec.gamma1
     gamma_diag[-1] = spec.gammaL
     w = 1j * spec.h + 0.5 * np.diag(gamma_diag)
 
     f = np.zeros((L, L), dtype=complex)
-    f[0, 0] = spec.gamma1 * spec.f1
-    f[-1, -1] = spec.gammaL * spec.fL
+    f[0, 0] = ch["1+"].rate
+    f[-1, -1] = ch["L+"].rate
 
     return SingleParticleSet(
         W=w,
         F=f,
         Q=w - f,
-        gamma_total=spec.gamma1 * spec.f1 + spec.gammaL * spec.fL,
+        gamma_total=ch["1+"].rate + ch["L+"].rate,
+        channels=ch,
     )
 
 
-def steady_state(spec: ChainSpec, cond_threshold: float = 1e8) -> GaussianState:
+def steady_state(spec: ChainSpec) -> GaussianState:
     """Steady-state covariance: the fixed point W C + C W^dag = F."""
     if spec.gamma1 <= 0 or spec.gammaL <= 0:
         raise ValueError("steady state requires gamma1 > 0 and gammaL > 0")
     sp = derive_single_particle(spec)
-    c = lyapunov_solve(sp.W, sp.F, cond_threshold=cond_threshold)
-    return GaussianState(C=c, kind="steady")
+    return GaussianState(C=lyapunov_solve(sp.W, sp.F), kind="steady")
 
 
-def vacuum_state(L: int, lam: float = VACUUM_LAMBDA) -> GaussianState:
-    """Empty-chain initial state, regularized as C = lam * I.
+def vacuum_state(L: int) -> GaussianState:
+    """Empty-chain initial state, C = 0.
 
-    Downstream consumers recognize ``kind == "vacuum"`` and dispatch to the
-    analytic lam -> 0 limit formulas.
+    Its densities come from the analytic vacuum formulas, dispatched on
+    ``kind == "vacuum"``.
     """
     if L < 2:
         raise ValueError("chain needs L >= 2 sites")
-    if not 0.0 < lam <= 1e-8:
-        raise ValueError("vacuum regularization lam must lie in (0, 1e-8]")
-    return GaussianState(C=lam * np.eye(L, dtype=complex), kind="vacuum", lam=lam)
+    return GaussianState(C=np.zeros((L, L), dtype=complex), kind="vacuum")

@@ -35,7 +35,6 @@ from .model import (
     Channel,
     GaussianState,
     SingleParticleSet,
-    channels_from_single_particle,
     click_weight,
 )
 from .wtd import wtd_density_matrix
@@ -176,8 +175,7 @@ def jump_frequencies(state: GaussianState, sp: SingleParticleSet) -> np.ndarray:
     Each raw weight is the channel's click weight; channels at or below
     MIN_CLICK_WEIGHT never click and get exactly 0.
     """
-    ch = channels_from_single_particle(sp)
-    raw = np.array([click_weight(ch[label], state) for label in CHANNEL_ORDER])
+    raw = np.array([click_weight(sp.channels[label], state) for label in CHANNEL_ORDER])
     raw[raw <= MIN_CLICK_WEIGHT] = 0.0
     total = raw.sum()
     if total <= 0.0:
@@ -202,7 +200,7 @@ def _moment_pass(
         moments_at,
         tol,
         decay_rate=sp.gamma_total,
-        amplitude=max(4.0 * max(c.rate for c in channels_from_single_particle(sp).values()), tol),
+        amplitude=max(4.0 * max(c.rate for c in sp.channels.values()), tol),
         poly_degree=2,
         t_cut=t_cut,
     )

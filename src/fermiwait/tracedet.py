@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import LogDet, expm, lu_logdet, solve, solve_factored
+from .linalg import LogDet, expm, lu_logdet, solve_factored
 
 TWO_INSERT_KINDS = ("adjacent", "split_mp", "split_pp", "split_mm", "split_pm")
 
@@ -31,35 +31,13 @@ TWO_INSERT_KINDS = ("adjacent", "split_mp", "split_pp", "split_mm", "split_pm")
 class QuadraticFormChain:
     """Ordered list of exponentiated quadratic forms, as e^{X_k} matrices.
 
-    Built either from coefficient matrices (each exponentiated once, with
-    the inverse obtained as e^{-X_k} for accuracy) or directly from
-    already-exponentiated factors via :meth:`from_exponentials`.
+    Built from the coefficient matrices X_k: each is exponentiated once,
+    and its inverse is taken as e^{-X_k} rather than by inversion, for
+    accuracy.
     """
 
     def __init__(self, matrices: Sequence[np.ndarray]):
         mats = [np.asarray(m, dtype=complex) for m in matrices]
-        self._check(mats)
-        self.exps = [expm(m) for m in mats]
-        self.inv_exps = [expm(-m) for m in mats]
-
-    @classmethod
-    def from_exponentials(cls, exps, inv_exps=None) -> "QuadraticFormChain":
-        exps = [np.asarray(m, dtype=complex) for m in exps]
-        cls._check(exps)
-        chain = cls.__new__(cls)
-        chain.exps = exps
-        if inv_exps is None:
-            eye = np.eye(exps[0].shape[0], dtype=complex)
-            chain.inv_exps = [solve(m, eye) for m in exps]
-        else:
-            inv_exps = [np.asarray(m, dtype=complex) for m in inv_exps]
-            if len(inv_exps) != len(exps):
-                raise ValueError("need one inverse per factor")
-            chain.inv_exps = inv_exps
-        return chain
-
-    @staticmethod
-    def _check(mats):
         if not mats:
             raise ValueError("chain must contain at least one factor")
         dim = mats[0].shape[0]
@@ -68,6 +46,8 @@ class QuadraticFormChain:
                 raise ValueError(
                     f"all factors must be square of equal dimension, got {m.shape}"
                 )
+        self.exps = [expm(m) for m in mats]
+        self.inv_exps = [expm(-m) for m in mats]
 
     @property
     def dim(self) -> int:
@@ -176,17 +156,6 @@ def trace_two_insert_chain(
         (v[j, jp] - t_uv[j, jp]) * (delta_ii - t[i, ip])
         + t_z[i, jp] * ut_u[j, ip]
     )
-
-
-def trace_two_insert(
-    kind: str,
-    indices: tuple[int, int, int, int],
-    x,
-    y,
-    z,
-) -> complex:
-    """Same as :func:`trace_two_insert_chain` for coefficient matrices X, Y, Z."""
-    return trace_two_insert_chain(kind, indices, QuadraticFormChain([x, y, z]))
 
 
 def conjugation_residual(chain: QuadraticFormChain) -> float:

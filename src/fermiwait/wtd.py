@@ -30,7 +30,7 @@ density matrix and curve, with the expm fallback of
 :class:`~fermiwait.linalg.Propagator` near exceptional points.  The Fock
 oracle uses the same class with the same threshold.
 
-Starting from the vacuum the limit is taken analytically:
+Starting from the vacuum (C = 0) the densities are analytic:
 
     P(t, i-|j+) = rate_i- * e^{-Gamma t} * |G_ij|^2
     P(t, i+|j+) = rate_i+ * e^{-Gamma t} * [(Gd G)_jj - |G_ij|^2]
@@ -58,7 +58,6 @@ from .model import (
     Channel,
     GaussianState,
     SingleParticleSet,
-    channels_from_single_particle,
     derive_single_particle,
 )
 
@@ -297,9 +296,12 @@ def wtd_point(
     q: Channel,
     state: GaussianState,
     sp: SingleParticleSet,
-    cond_threshold: float = COND_THRESHOLD,
 ) -> WtdPoint:
-    """Single density evaluation carrying its conditioning diagnostic."""
+    """Single density evaluation carrying its conditioning diagnostic.
+
+    Points whose condition estimate exceeds COND_THRESHOLD are flagged
+    "ill_conditioned".
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
     if state.kind == "vacuum":
@@ -307,7 +309,7 @@ def wtd_point(
     blocks = _build_blocks(t, state.C, sp)
     b, denom = _bracket(blocks, k, q)
     value, flag = _finish(b, denom, k.rate, blocks, t, k, q)
-    if blocks.cond > cond_threshold:
+    if blocks.cond > COND_THRESHOLD:
         flag = flag + "," + "ill_conditioned" if flag else "ill_conditioned"
     return WtdPoint(t, value, blocks.cond, flag)
 
@@ -336,7 +338,7 @@ def wtd_density_matrix(
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    ch = channels_from_single_particle(sp)
+    ch = sp.channels
     out = np.zeros((4, 4))
     if state.kind == "vacuum":
         g_cols = _boundary_columns(t, sp)
@@ -362,7 +364,6 @@ def wtd_curve(
     sp: SingleParticleSet,
     grid,
     max_workers: int | None = None,
-    cond_threshold: float = COND_THRESHOLD,
 ) -> WtdCurve:
     """Sample the density over a time grid, points evaluated in parallel.
 
@@ -374,7 +375,7 @@ def wtd_curve(
     sp.propagator  # built here, before the workers start, and shared by all of them
 
     def one(t: float) -> WtdPoint:
-        return wtd_point(float(t), k, q, state, sp, cond_threshold=cond_threshold)
+        return wtd_point(float(t), k, q, state, sp)
 
     if max_workers is None:
         import os

@@ -10,7 +10,7 @@ to roundoff.
 import numpy as np
 import scipy.linalg as sla
 
-from fermiwait.model import CHANNEL_ORDER, channels_from_single_particle
+from fermiwait.model import CHANNEL_ORDER
 
 
 def _full_blocks(t, c, sp):
@@ -74,7 +74,7 @@ def reference_density_matrix(t, state, sp):
     where a bath has f > 1/2, G = e^{-Qt} can grow with t, and the terms of
     each bracket grow with |G|^2 before the prefactor scales them back.
     """
-    ch = channels_from_single_particle(sp)
+    ch = sp.channels
     out = np.zeros((4, 4))
     if state.kind == "vacuum":
         g = sla.expm(-sp.Q * t)

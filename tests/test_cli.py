@@ -1,9 +1,11 @@
 import ctypes
 import json
+import textwrap
 
 import numpy as np
 import pytest
 
+import fermiwait.config
 import fermiwait.tracedet
 import fermiwait.wtd
 from fermiwait.cli import _bundled_openblas, main
@@ -47,7 +49,13 @@ class TestRunConfig:
         cfg = RunConfig.from_file(path)
         assert cfg.points == 60
         assert cfg.t_max == 30.0
-        assert "kind = tight_binding" in cfg.to_ini()
+
+    def test_docstring_example_parses_to_defaults(self, tmp_path):
+        # The module docstring's example file is the one listing of the keys
+        # for users; it must stay a valid file that spells out the defaults.
+        doc = fermiwait.config.__doc__
+        example = textwrap.dedent(doc.split("::", 1)[1].split("\nEvery section", 1)[0])
+        assert RunConfig.from_file(write_config(tmp_path / "doc.ini", example)) == RunConfig()
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -71,6 +79,11 @@ class TestRunConfig:
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", "[misc]\nx = 1\n")
         with pytest.raises(ConfigError, match=r"\[misc\]"):
+            RunConfig.from_file(path)
+
+    def test_default_section_rejected(self, tmp_path):
+        path = write_config(tmp_path / "bad.ini", "[DEFAULT]\npoints = 50\n\n[grid]\nt_max = 10\n")
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
             RunConfig.from_file(path)
 
 
@@ -212,6 +225,21 @@ class TestStatsCommand:
         assert rc == 0
         assert (tmp_path / "stats_L2.json").exists()
         assert (tmp_path / "stats_L3.json").exists()
+
+    def test_sweep_keeps_relative_hamiltonian_file(self, tmp_path, monkeypatch):
+        # h_file is resolved against the config file's directory, also
+        # for the per-size configs of a sweep.
+        (tmp_path / "h.csv").write_text("-1.0,0.0,-1.0,0.0\n-1.0,0.0,-1.0,0.0\n")
+        body = DEFAULT_CONFIG.replace("kind = tight_binding", "kind = custom_h\nh_file = h.csv")
+        cfg = write_config(tmp_path / "run.ini", body)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        rc = main(["stats", "--config", cfg, "--out", str(tmp_path), "--sweep-L", "2"])
+        assert rc == 0
+        plain = json.loads((tmp_path / "stats_L2.json").read_text())
+        assert main(["stats", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "stats.json").read_text()) == plain
 
     def test_audit_failure_exits_nonzero(self, tmp_path, monkeypatch):
         import fermiwait.cli as cli

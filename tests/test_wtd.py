@@ -162,21 +162,18 @@ class TestNumericalHygiene:
             gd = expm(-sv_sp.Q.conj().T * t)
             assert np.max(np.abs(g.conj().T - gd)) < 1e-12
 
-    def test_matrix_agrees_with_scalar_calls(self, sv_spec, sv_sp, sv_channels):
-        st = steady_state(sv_spec)
-        m = wtd_density_matrix(1.3, st, sv_sp)
-        for a, kl in enumerate(CHANNEL_ORDER):
-            for b, ql in enumerate(CHANNEL_ORDER):
-                assert m[a, b] == pytest.approx(
-                    wtd_density(1.3, sv_channels[kl], sv_channels[ql], st, sv_sp),
-                    abs=1e-15,
-                )
-        # The vacuum matrix shares one propagator; its entries are exact.
-        vac = vacuum_state(2)
-        m = wtd_density_matrix(1.3, vac, sv_sp)
-        for a, kl in enumerate(CHANNEL_ORDER):
-            for b, ql in enumerate(CHANNEL_ORDER):
-                assert m[a, b] == wtd_density(1.3, sv_channels[kl], sv_channels[ql], vac, sv_sp)
+    def test_matrix_agrees_with_scalar_calls(self, sv_spec):
+        # Both read the channel rates from the one table on the
+        # single-particle set, so the entries agree bitwise, interior bath
+        # fillings (generic_spec) included.
+        for spec in (sv_spec, generic_spec(2), generic_spec(3)):
+            sp = derive_single_particle(spec)
+            ch = channels(spec)
+            for state in (steady_state(spec), vacuum_state(spec.L)):
+                m = wtd_density_matrix(1.3, state, sp)
+                for a, kl in enumerate(CHANNEL_ORDER):
+                    for b, ql in enumerate(CHANNEL_ORDER):
+                        assert m[a, b] == wtd_density(1.3, ch[kl], ch[ql], state, sp)
 
     def test_conditioning_on_empty_site_is_rejected(self, sv_sp, sv_channels):
         dead = GaussianState(C=np.diag([0.0, 0.0]).astype(complex), kind="custom")
@@ -191,13 +188,12 @@ class TestNumericalHygiene:
         with pytest.raises(ValueError, match="nonnegative"):
             wtd_density(-1.0, sv_channels["1+"], sv_channels["1+"], st, sv_sp)
 
-    def test_condition_flagging(self, sv_spec, sv_sp, sv_channels):
+    def test_condition_flagging(self, sv_spec, sv_sp, sv_channels, monkeypatch):
         st = steady_state(sv_spec)
         p = wtd_point(1.0, sv_channels["L-"], sv_channels["1+"], st, sv_sp)
         assert p.flag == "" and p.cond_estimate >= 1.0
-        forced = wtd_point(
-            1.0, sv_channels["L-"], sv_channels["1+"], st, sv_sp, cond_threshold=0.5
-        )
+        monkeypatch.setattr("fermiwait.wtd.COND_THRESHOLD", 0.5)
+        forced = wtd_point(1.0, sv_channels["L-"], sv_channels["1+"], st, sv_sp)
         assert "ill_conditioned" in forced.flag
         assert forced.value == p.value
 

@@ -32,7 +32,14 @@ import numpy as np
 from . import stats as statsmod
 from . import wtd as wtdmod
 from .config import ConfigError, RunConfig
-from .fock import FockOracle, VerificationEntry, VerificationReport, verify_tracedet
+from .fock import (
+    ORACLE_LARGE_MAX_SITES,
+    ORACLE_MAX_SITES,
+    FockOracle,
+    VerificationEntry,
+    VerificationReport,
+    verify_tracedet,
+)
 from .linalg import LinalgError
 from .model import (
     CHANNEL_ORDER,
@@ -166,7 +173,6 @@ def _stats_payload(cfg: RunConfig, spec: ChainSpec) -> tuple[dict, bool]:
         natd_mean, natd_var = table.natd_moments()
     else:
         natd_mean = natd_var = None
-    quad = table.quadrature
 
     payload = {
         "config": cfg.to_dict(),
@@ -178,14 +184,18 @@ def _stats_payload(cfg: RunConfig, spec: ChainSpec) -> tuple[dict, bool]:
         "natd_mean": natd_mean,
         "natd_variance": natd_var,
         "normalization_audit": audits,
-        "quadrature": {
-            "evaluations": quad.evaluations,
-            "abs_error_estimate": quad.abs_error_estimate,
-            "truncation_tail_bound": quad.truncation_tail_bound,
-            "t_cut": quad.t_cut,
-        },
+        "quadrature": _quadrature_record(table.quadrature),
     }
     return payload, audits_ok
+
+
+def _quadrature_record(quad) -> dict:
+    return {
+        "evaluations": quad.evaluations,
+        "abs_error_estimate": quad.abs_error_estimate,
+        "truncation_tail_bound": quad.truncation_tail_bound,
+        "t_cut": quad.t_cut,
+    }
 
 
 def cmd_stats(args) -> int:
@@ -222,12 +232,16 @@ def cmd_stats(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def run_verification(cfg: RunConfig, seed: int, allow_large: bool) -> VerificationReport:
+def run_verification(
+    cfg: RunConfig, seed: int, allow_large: bool
+) -> tuple[VerificationReport, dict]:
     """Closed-form-vs-brute-force verification for the configured chain.
 
     Combines the trace-determinant identity suite with a direct
     waiting-time equivalence sweep, the steady-state covariance
-    cross-check and normalization audits.
+    cross-check and normalization audits.  Also returns the run's
+    diagnostics: the oracle's sector dimension and propagator path, and
+    the quadrature record of each normalization pass.
     """
     report = verify_tracedet(seed=seed, draws=20, sizes=(2, 3))
 
@@ -270,8 +284,17 @@ def run_verification(cfg: RunConfig, seed: int, allow_large: bool) -> Verificati
             VerificationEntry(f"wtd_equivalence_{name}", count, dev, tol)
         )
 
+    diagnostics = {
+        "oracle": {
+            "sector_dimension": oracle.parts.no_click.shape[0],
+            "propagator": "eig" if oracle.propagator.uses_eig else "expm",
+        },
+        "quadrature": {},
+    }
     for name, state in (("steady", st), ("vacuum", vacuum_state(spec.L))):
-        totals = statsmod.channel_stats(state, sp, cfg.tol_quadrature).moments[0].sum(axis=0)
+        table = statsmod.channel_stats(state, sp, cfg.tol_quadrature)
+        diagnostics["quadrature"][name] = _quadrature_record(table.quadrature)
+        totals = table.moments[0].sum(axis=0)
         dev = 0.0
         count = 0
         for b, ql in enumerate(CHANNEL_ORDER):
@@ -282,23 +305,27 @@ def run_verification(cfg: RunConfig, seed: int, allow_large: bool) -> Verificati
         report.entries.append(
             VerificationEntry(f"normalization_{name}", count, dev, AUDIT_TOL)
         )
-    return report
+    return report, diagnostics
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    if cfg.L > 5 or (cfg.L == 5 and not args.allow_large_oracle):
+    if cfg.L > (ORACLE_LARGE_MAX_SITES if args.allow_large_oracle else ORACLE_MAX_SITES):
         print(
-            f"error: the brute-force oracle is capped at L = 4 "
-            f"(L = 5 with --allow-large-oracle); got L = {cfg.L}",
+            f"error: the brute-force oracle is capped at L = {ORACLE_MAX_SITES} "
+            f"(L = {ORACLE_LARGE_MAX_SITES} with --allow-large-oracle); got L = {cfg.L}",
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    report = run_verification(cfg, seed=args.seed, allow_large=args.allow_large_oracle)
+    report, diagnostics = run_verification(
+        cfg, seed=args.seed, allow_large=args.allow_large_oracle
+    )
     print(report.to_text())
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify.json", {"config": cfg.to_dict(), **report.to_dict()})
+    _write_json(
+        out / "verify.json", {"config": cfg.to_dict(), **report.to_dict(), **diagnostics}
+    )
     with open(out / "verify.txt", "w", encoding="utf-8", newline="\n") as fh:
         for line in _config_comment_lines(cfg):
             fh.write(line + "\n")
@@ -410,7 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-large-oracle",
         action="store_true",
-        help="permit the L = 5 oracle (superoperator dimension 1024)",
+        help=(
+            f"permit the oracle up to L = {ORACLE_LARGE_MAX_SITES} "
+            "(superoperator dimension C(2L, L))"
+        ),
     )
     p.set_defaults(func=cmd_verify)
 

@@ -1,13 +1,20 @@
-"""Brute-force many-body reference in the full 2^L Fock space.
+"""Brute-force many-body reference on the N_ket = N_bra sector of Fock space.
 
 Fermion operators are realized by a Jordan-Wigner chain of Pauli matrices
 with site 1 as the leftmost tensor factor; every module shares this
-ordering.  Density matrices are vectorized row-major, so a sandwich
-A rho B becomes kron(A, B.T) acting on the flattened state.
+ordering.  Density matrices are 2^L x 2^L, but every superoperator acts on
+the sector of entries rho[I, J] whose ket and bra hold the same particle
+number: a number-conserving h with single-site jumps conserves
+N_ket - N_bra (Buca & Prosen, NJP 14, 073007, 2012), the trace reads only
+that sector, and every state the oracle builds (steady, Gaussian, vacuum and
+each of these after a jump) lies in it.  Dropping the other blocks is exact.
+Sector vectors list the (ket, bra) pairs in row-major order, so a sandwich
+A rho B has the entries A[I, I'] B[J', J].
 
-Everything here scales as 4^L (superoperators) and exists to verify the
-L x L closed forms at small L, not to be fast.  The hard cap is L <= 4
-(superoperator dimension 256); L = 5 is allowed behind a flag.
+Everything here scales as C(2L, L) (the sector dimension) and exists to
+verify the L x L closed forms at small L, not to be fast.  The hard cap is
+L <= 4 (sector dimension 70); up to L = 6 (dimension 924) is allowed behind
+a flag.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .model import ChainSpec, Channel, CHANNEL_ORDER, channels
 from . import tracedet
 
 ORACLE_MAX_SITES = 4
+ORACLE_LARGE_MAX_SITES = 6
 ANTICOMM_TOL = 1e-13
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -29,11 +37,11 @@ _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <0|c|1> = 1
 
 
 def _check_size(L: int, allow_large: bool):
-    cap = ORACLE_MAX_SITES + 1 if allow_large else ORACLE_MAX_SITES
+    cap = ORACLE_LARGE_MAX_SITES if allow_large else ORACLE_MAX_SITES
     if not 1 <= L <= cap:
         raise ValueError(
             f"Fock oracle supports 1 <= L <= {cap} "
-            f"(got L={L}; pass allow_large=True for L={ORACLE_MAX_SITES + 1})"
+            f"(got L={L}; pass allow_large=True for L <= {ORACLE_LARGE_MAX_SITES})"
         )
 
 
@@ -82,30 +90,18 @@ def quadratic_form_operator(x, c_ops: list[np.ndarray]) -> np.ndarray:
     return op
 
 
-def _spre(a) -> np.ndarray:
-    return np.kron(a, np.eye(a.shape[0]))
-
-
-def _spost(b) -> np.ndarray:
-    return np.kron(np.eye(b.shape[0]), b.T)
-
-
-def _sandwich(a, b) -> np.ndarray:
-    return np.kron(a, b.T)
-
-
-def _dissipator(a) -> np.ndarray:
-    ada = a.conj().T @ a
-    return _sandwich(a, a.conj().T) - 0.5 * (_spre(ada) + _spost(ada))
-
-
 @dataclass
 class LiouvillianParts:
-    """Full generator, its no-click part, and the four jump superoperators."""
+    """Full generator, its no-click part and the four jumps, on the sector.
+
+    Entry s of a sector vector is rho[ket[s], bra[s]].
+    """
 
     full: np.ndarray
     no_click: np.ndarray
     jumps: dict[str, np.ndarray]
+    ket: np.ndarray
+    bra: np.ndarray
 
 
 def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> LiouvillianParts:
@@ -121,18 +117,29 @@ def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> Liouvillian
     c_ops = build_fermions(spec.L, allow_large=allow_large)
     c1, cL = c_ops[0], c_ops[-1]
     ch = channels(spec)
+    number = np.array([bin(i).count("1") for i in range(2**spec.L)])
+    ket, bra = np.nonzero(number[:, None] == number[None, :])  # row-major pairs
+    kets, bras = np.ix_(ket, ket), np.ix_(bra, bra)
+    eye = np.eye(2**spec.L)
+
+    def sandwich(a, b):  # rho -> A rho B
+        return a[kets] * b.T[bras]
+
+    def dissipator(a):
+        ada = a.conj().T @ a
+        return sandwich(a, a.conj().T) - 0.5 * (sandwich(ada, eye) + sandwich(eye, ada))
 
     h_many = quadratic_form_operator(spec.h, c_ops)
-    full = -1j * (_spre(h_many) - _spost(h_many))
+    full = -1j * (sandwich(h_many, eye) - sandwich(eye, h_many))
     for op, site in ((c1, "1"), (cL, "L")):
-        full = full + ch[site + "-"].rate * _dissipator(op)
-        full = full + ch[site + "+"].rate * _dissipator(op.conj().T)
+        full = full + ch[site + "-"].rate * dissipator(op)
+        full = full + ch[site + "+"].rate * dissipator(op.conj().T)
 
     jumps = {
-        "1-": ch["1-"].rate * _sandwich(c1, c1.conj().T),
-        "1+": ch["1+"].rate * _sandwich(c1.conj().T, c1),
-        "L-": ch["L-"].rate * _sandwich(cL, cL.conj().T),
-        "L+": ch["L+"].rate * _sandwich(cL.conj().T, cL),
+        "1-": ch["1-"].rate * sandwich(c1, c1.conj().T),
+        "1+": ch["1+"].rate * sandwich(c1.conj().T, c1),
+        "L-": ch["L-"].rate * sandwich(cL, cL.conj().T),
+        "L+": ch["L+"].rate * sandwich(cL.conj().T, cL),
     }
 
     h_eff = h_many - 0.5j * (
@@ -141,13 +148,13 @@ def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> Liouvillian
         + ch["L-"].rate * (cL.conj().T @ cL)
         + ch["L+"].rate * (cL @ cL.conj().T)
     )
-    no_click = -1j * (_spre(h_eff) - np.kron(np.eye(h_eff.shape[0]), h_eff.conj()))
+    no_click = -1j * (sandwich(h_eff, eye) - sandwich(eye, h_eff.conj().T))
 
     recomposed = no_click + sum(jumps.values())
     scale = max(1.0, np.max(np.abs(full)))
     if np.max(np.abs(full - recomposed)) > 1e-12 * scale:
         raise AssertionError("generator decomposition full = no_click + jumps failed")
-    return LiouvillianParts(full=full, no_click=no_click, jumps=jumps)
+    return LiouvillianParts(full=full, no_click=no_click, jumps=jumps, ket=ket, bra=bra)
 
 
 def _as_label(k) -> str:
@@ -160,9 +167,10 @@ def _as_label(k) -> str:
 class FockOracle:
     """Cached many-body machinery for one chain spec.
 
-    Builds the fermion operators, the Liouvillian parts and the no-click
-    propagator once; the per-call work of :meth:`wtd` is then two jump
-    applications and one propagator action.
+    Builds the fermion operators, the sector Liouvillian parts and the
+    no-click propagator once; the per-call work of :meth:`wtd` is then two
+    jump applications and one propagator action.  Density matrices go in
+    and come out as full 2^L x 2^L arrays.
     """
 
     def __init__(self, spec: ChainSpec, allow_large: bool = False, method: str = "auto"):
@@ -171,9 +179,10 @@ class FockOracle:
         self.parts = build_liouvillian(spec, allow_large=allow_large)
         self.propagator = Propagator(self.parts.no_click, method=method)
         self.dim = 2**spec.L
+        self._diagonal = self.parts.ket == self.parts.bra
 
     def _tr(self, vec: np.ndarray) -> complex:
-        return complex(np.trace(vec.reshape(self.dim, self.dim)))
+        return complex(np.sum(vec[self._diagonal]))
 
     def wtd(self, t: float, k, q, rho: np.ndarray) -> float:
         """Waiting-time density between a click in q (at 0) and k (at t).
@@ -185,7 +194,7 @@ class FockOracle:
             raise ValueError("time must be nonnegative")
         jk = self.parts.jumps[_as_label(k)]
         jq = self.parts.jumps[_as_label(q)]
-        v = jq @ np.asarray(rho, dtype=complex).reshape(-1)
+        v = jq @ np.asarray(rho, dtype=complex)[self.parts.ket, self.parts.bra]
         denom = self._tr(v)
         if abs(denom) < 1e-14:
             raise ValueError(
@@ -198,13 +207,14 @@ class FockOracle:
         return float(val.real)
 
     def steady_state(self) -> np.ndarray:
-        """Unique trace-1 fixed point of the full generator, from its null space."""
+        """Unique trace-1 fixed point of the full generator, from its sector null space."""
         u, s, vh = np.linalg.svd(self.parts.full)
         if s[-2] <= 1e-10:
             raise ValueError(
                 f"degenerate null space: second-smallest singular value {s[-2]:.3e}"
             )
-        rho = vh[-1].conj().reshape(self.dim, self.dim)
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho[self.parts.ket, self.parts.bra] = vh[-1].conj()
         rho = 0.5 * (rho + rho.conj().T)
         tr = np.trace(rho).real
         if abs(tr) < 1e-12:

@@ -267,6 +267,15 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["passed"] is True
         assert (tmp_path / "verify.txt").exists()
+        assert payload["oracle"] == {"sector_dimension": 6, "propagator": "eig"}
+        assert set(payload["quadrature"]) == {"steady", "vacuum"}
+        for quad in payload["quadrature"].values():
+            assert quad["evaluations"] > 0
+            assert quad["truncation_tail_bound"] < 1e-10
+            assert quad["t_cut"] > 0.0
+        first = (tmp_path / "verify.json").read_bytes()
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]) == 0
+        assert (tmp_path / "verify.json").read_bytes() == first
 
     def test_corrupted_trace_formula_is_caught(self, tmp_path, monkeypatch):
         real = fermiwait.tracedet.trace_two_insert_chain
@@ -294,6 +303,13 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path / "run.ini", body)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "--allow-large-oracle" in capsys.readouterr().err
+
+    def test_flag_caps_the_oracle_at_six_sites(self, tmp_path, capsys):
+        body = DEFAULT_CONFIG.replace("L = 2", "L = 7")
+        cfg = write_config(tmp_path / "run.ini", body)
+        args = ["verify", "--config", cfg, "--out", str(tmp_path), "--allow-large-oracle"]
+        assert main(args) == 1
+        assert "capped at L = 4 (L = 6 with --allow-large-oracle)" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st_
 from scipy.integrate import quad
 
 from fermiwait.model import (
@@ -7,7 +9,9 @@ from fermiwait.model import (
     ChainSpec,
     build_tight_binding,
     channels,
+    derive_single_particle,
     steady_state,
+    vacuum_state,
 )
 from fermiwait.fock import (
     FockOracle,
@@ -15,8 +19,10 @@ from fermiwait.fock import (
     build_liouvillian,
     quadratic_form_operator,
 )
+from fermiwait.wtd import wtd_density
 
-from conftest import generic_spec, tight_binding_spec
+from conftest import generic_spec, random_hermitian, tight_binding_spec
+from full_fock_reference import full_liouvillian, full_steady_state, full_wtd
 
 
 class TestFermions:
@@ -38,10 +44,10 @@ class TestFermions:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="oracle supports"):
             build_fermions(5)
-        ops = build_fermions(5, allow_large=True)
-        assert ops[0].shape == (32, 32)
+        ops = build_fermions(6, allow_large=True)
+        assert ops[0].shape == (64, 64)
         with pytest.raises(ValueError):
-            build_fermions(6, allow_large=True)
+            build_fermions(7, allow_large=True)
 
 
 class TestLiouvillian:
@@ -55,8 +61,8 @@ class TestLiouvillian:
 
     def test_trace_preservation(self, sv_spec):
         parts = build_liouvillian(sv_spec)
-        dim = 2**sv_spec.L
-        left = np.eye(dim).reshape(-1) @ parts.full
+        trace = (parts.ket == parts.bra).astype(float)
+        left = trace @ parts.full
         assert np.max(np.abs(left)) < 1e-10
 
     def test_no_click_part_from_effective_hamiltonian(self, sv_spec):
@@ -67,18 +73,19 @@ class TestLiouvillian:
         assert np.max(np.abs(parts.full - recomposed)) < 1e-13
 
     def test_no_click_evolution_loses_norm(self, sv_oracle):
-        rho = sv_oracle.steady_state()
+        parts = sv_oracle.parts
+        rho = sv_oracle.steady_state()[parts.ket, parts.bra]
         norms = []
         for t in (0.0, 1.0, 5.0, 20.0):
-            v = sv_oracle.propagator.apply(t, rho.reshape(-1))
-            norms.append(np.trace(v.reshape(4, 4)).real)
+            v = sv_oracle.propagator.apply(t, rho)
+            norms.append(np.sum(v[parts.ket == parts.bra]).real)
         assert norms[0] == pytest.approx(1.0, abs=1e-10)
         assert all(-1e-10 <= n <= 1.0 + 1e-10 for n in norms)
         assert norms[1] > norms[2] > norms[3]
 
     def test_propagator_expm_fallback_agrees(self, sv_spec, sv_oracle):
         other = FockOracle(sv_spec, method="expm")
-        rho = sv_oracle.steady_state().reshape(-1)
+        rho = sv_oracle.steady_state()[sv_oracle.parts.ket, sv_oracle.parts.bra]
         for t in (0.3, 2.7):
             a = sv_oracle.propagator.apply(t, rho)
             b = other.propagator.apply(t, rho)
@@ -168,8 +175,6 @@ class TestGaussianDensity:
     def test_partition_function_consistency(self, sv_oracle):
         # tr e^{-M_many} equals the closed form 1/det(1-C), and the Gaussian
         # density of C is e^{-M_many} / Z.
-        import scipy.linalg as sla
-
         rng = np.random.default_rng(1)
         m = rng.standard_normal((2, 2))
         m = 0.5 * (m + m.T)
@@ -184,3 +189,69 @@ class TestGaussianDensity:
     def test_rejects_invalid_covariance(self, sv_oracle):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sv_oracle.gaussian_density(2.0 * np.eye(2))
+
+
+_occupation = st_.one_of(st_.sampled_from([0.0, 1.0]), st_.floats(0.05, 0.95))
+
+
+class TestAgainstFullSpace:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        L=st_.integers(2, 4),
+        seed=st_.integers(0, 2**32 - 1),
+        gammas=st_.tuples(st_.floats(0.05, 2.0), st_.floats(0.05, 2.0)),
+        fs=st_.tuples(_occupation, _occupation),
+        t=st_.floats(0.0, 20.0),
+    )
+    def test_sector_restriction_of_full_space(self, L, seed, gammas, fs, t):
+        rng = np.random.default_rng(seed)
+        spec = ChainSpec(
+            h=random_hermitian(rng, L), gamma1=gammas[0], gammaL=gammas[1], f1=fs[0], fL=fs[1]
+        )
+        oracle = FockOracle(spec)
+        parts = oracle.parts
+        full, no_click, jumps = full_liouvillian(spec)
+        dim = 2**L
+        sector = parts.ket * dim + parts.bra  # row-major position in vec(rho)
+        rest = np.setdiff1d(np.arange(dim * dim), sector)
+        pairs = [(full, parts.full), (no_click, parts.no_click)]
+        pairs += [(jumps[label], parts.jumps[label]) for label in CHANNEL_ORDER]
+        for big, small in pairs:
+            assert not np.any(big[np.ix_(sector, rest)])
+            assert not np.any(big[np.ix_(rest, sector)])
+            assert np.array_equal(big[np.ix_(sector, sector)], small)
+
+        rho_ss = oracle.steady_state()
+        assert np.max(np.abs(rho_ss - full_steady_state(full, dim))) <= 1e-12
+        evolve = sla.expm(no_click * t)
+        for rho in (rho_ss, oracle.vacuum_density()):
+            for ql in CHANNEL_ORDER:
+                weight = np.trace((jumps[ql] @ rho.reshape(-1)).reshape(dim, dim)).real
+                if weight <= 1e-12:
+                    continue
+                for kl in CHANNEL_ORDER:
+                    a = oracle.wtd(t, kl, ql, rho)
+                    b = full_wtd(evolve, jumps, kl, ql, rho)
+                    assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+
+class TestLargeOracle:
+    def test_six_site_oracle_equivalence(self):
+        spec = generic_spec(6)
+        sp = derive_single_particle(spec)
+        ch = channels(spec)
+        oracle = FockOracle(spec, allow_large=True)
+        assert oracle.parts.no_click.shape == (924, 924)
+        st = steady_state(spec)
+        rho_ss = oracle.steady_state()
+        assert np.max(np.abs(oracle.covariance(rho_ss) - st.C)) < 1e-8
+        times = np.random.default_rng(6).uniform(0.0, 20.0 / min(spec.gamma1, spec.gammaL), 5)
+        for state, rho in ((st, rho_ss), (vacuum_state(6), oracle.vacuum_density())):
+            for ql in CHANNEL_ORDER:
+                if state.kind == "vacuum" and ql.endswith("-"):
+                    continue
+                for kl in CHANNEL_ORDER:
+                    for t in times:
+                        a = wtd_density(float(t), ch[kl], ch[ql], state, sp)
+                        b = oracle.wtd(float(t), ch[kl], ch[ql], rho)
+                        assert abs(a - b) <= max(1e-8 * max(abs(a), abs(b)), 1e-12)

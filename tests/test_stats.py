@@ -40,17 +40,19 @@ def exact_moments(oracle, rho):
     -tr(J_k L0^-1 rho_q), tr(J_k L0^-2 rho_q) and -2 tr(J_k L0^-3 rho_q).
     Columns of channels that cannot click are NaN.
     """
-    l0, jumps = oracle.parts.no_click, oracle.parts.jumps
+    parts = oracle.parts
+    l0, jumps = parts.no_click, parts.jumps
+    vec = rho[parts.ket, parts.bra]
 
     def tr(v):
-        return float(np.trace(v.reshape(oracle.dim, oracle.dim)).real)
+        return float(np.sum(v[parts.ket == parts.bra]).real)
 
-    weights = np.array([tr(jumps[ql] @ rho.reshape(-1)) for ql in CHANNEL_ORDER])
+    weights = np.array([tr(jumps[ql] @ vec) for ql in CHANNEL_ORDER])
     out = np.full((3, 4, 4), np.nan)
     for b, ql in enumerate(CHANNEL_ORDER):
         if weights[b] <= 1e-14:
             continue
-        x = jumps[ql] @ rho.reshape(-1) / weights[b]
+        x = jumps[ql] @ vec / weights[b]
         for n, sign in enumerate((-1.0, 1.0, -2.0)):
             x = np.linalg.solve(l0, x)
             for a, kl in enumerate(CHANNEL_ORDER):

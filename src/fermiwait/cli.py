@@ -333,6 +333,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_AUDIT
 
 
+def _loglog_slope(rows) -> float:
+    sizes, seconds = np.log(np.array(rows, dtype=float)).T
+    return float(np.polyfit(sizes, seconds, 1)[0])
+
+
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
     sizes = [int(s) for s in args.sizes.split(",")]
@@ -362,10 +367,13 @@ def cmd_bench(args) -> int:
             best = min(best, time.perf_counter() - tic)
         rows.append((L, best))
         print(f"L = {L:4d}: {best * 1e3:9.3f} ms per density point")
-    logs = np.log(np.array([r[0] for r in rows], dtype=float))
-    logt = np.log(np.array([r[1] for r in rows], dtype=float))
-    slope = float(np.polyfit(logs, logt, 1)[0])
+    slope = _loglog_slope(rows)
     print(f"log-log scaling slope: {slope:.3f} (cubic-with-overhead budget 3.5)")
+    large = [r for r in rows if r[0] >= 200]
+    if len(large) >= 2:
+        print(f"log-log scaling slope over L >= 200: {_loglog_slope(large):.3f}")
+    else:
+        print("log-log scaling slope over L >= 200: n/a (needs two sizes >= 200)")
     out = Path(cfg.out_dir) / "bench.csv"
     _write_csv(out, cfg, "L,seconds_per_point", rows)
     print(f"wrote {out}")
@@ -444,7 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="per-point timing across chain sizes")
+    p = sub.add_parser(
+        "bench",
+        help=(
+            "per-point timing across chain sizes; each size's per-state build "
+            "is done in an untimed warm-up call"
+        ),
+    )
     common(p)
     p.add_argument("--sizes", default="10,50,100,200", metavar="LIST")
     p.add_argument("--repeats", type=int, default=3)

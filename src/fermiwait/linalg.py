@@ -21,6 +21,10 @@ class LinalgError(Exception):
     """Numerical failure in one of the dense kernels."""
 
 
+class NotPositiveDefiniteError(LinalgError):
+    """A Cholesky factorization met a nonpositive pivot."""
+
+
 class SingularMatrixError(LinalgError):
     def __init__(self, pivot: int):
         self.pivot = pivot
@@ -44,6 +48,12 @@ class LUFactors(NamedTuple):
 
     lu: np.ndarray
     piv: np.ndarray
+
+
+class CholeskyFactor(NamedTuple):
+    """Lower-triangular factor R of a Hermitian positive definite a = R R^dag."""
+
+    lower: np.ndarray
 
 
 class EigResult(NamedTuple):
@@ -117,6 +127,11 @@ class Propagator:
         """Whether calls use the eigendecomposition rather than expm."""
         return self._eig is not None
 
+    @property
+    def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(w, V, V^-1) with g = V diag(w) V^-1, or None on the expm fallback."""
+        return self._eig
+
     def matrix(self, t: float) -> np.ndarray:
         """exp(g t) as a dense matrix."""
         if t == 0.0:
@@ -163,9 +178,38 @@ def solve_factored(factors: LUFactors, b) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def condition_estimate(factors: LUFactors, anorm: float) -> float:
-    """1-norm condition number estimate from LU factors (LAPACK gecon)."""
-    rcond, info = lapack.zgecon(factors.lu, anorm, norm="1")
+def cholesky_logdet(a: np.ndarray) -> tuple[CholeskyFactor, float]:
+    """Cholesky-factorize a Hermitian positive definite ``a``; return log det a.
+
+    Reads the lower triangle only.  Uses numpy's gufunc, which releases the
+    GIL, so threads factorizing different matrices overlap.  Raises
+    :class:`NotPositiveDefiniteError` when ``a`` is not numerically positive
+    definite, including non-finite input.
+    """
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from None
+    log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower).real)))
+    if not np.isfinite(log_det):
+        raise NotPositiveDefiniteError(f"log det = {log_det} is not finite")
+    return CholeskyFactor(lower), log_det
+
+
+def half_solve(factor: CholeskyFactor, b) -> np.ndarray:
+    """R^-1 B for a = R R^dag, so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B)."""
+    x, info = lapack.ztrtrs(factor.lower, b, lower=1)
+    if info != 0:
+        raise LinalgError(f"ztrtrs failed with info = {info}")
+    return x
+
+
+def condition_estimate(factors: LUFactors | CholeskyFactor, anorm: float) -> float:
+    """1-norm condition number estimate from LU or Cholesky factors (LAPACK gecon/pocon)."""
+    if isinstance(factors, CholeskyFactor):
+        rcond, info = lapack.zpocon(factors.lower, anorm, uplo="L")
+    else:
+        rcond, info = lapack.zgecon(factors.lu, anorm, norm="1")
     if info != 0 or rcond == 0.0:
         return np.inf
     return 1.0 / rcond

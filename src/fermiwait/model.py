@@ -14,12 +14,14 @@ scalar:
 Gaussian states are carried by their covariance matrix C_ij = <c_j^dag c_i>;
 the exponent matrix of the Gibbs form is never materialized.  The no-click
 propagator e^{-Qt} comes from one eigendecomposition of Q per
-SingleParticleSet (``SingleParticleSet.propagator``).
+SingleParticleSet (``SingleParticleSet.propagator``), and data derived from
+one set and one state is kept on the set (``SingleParticleSet.memo``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,6 +108,9 @@ def channels(spec: ChainSpec) -> dict[str, Channel]:
     }
 
 
+#: Entries one SingleParticleSet keeps in its memo; the oldest goes first.
+MEMO_ENTRIES = 16
+
 #: Channels whose click weight is at or below this never click from the state.
 MIN_CLICK_WEIGHT = 1e-14
 
@@ -122,6 +127,8 @@ class SingleParticleSet:
 
     ``channels`` is the spec's :func:`channels` table; F and gamma_total are
     built from its injection rates, so every consumer reads the same rates.
+    The matrices, like a state's covariance, are treated as immutable: the
+    propagator and the memo are built from them once.
     """
 
     W: np.ndarray
@@ -129,6 +136,10 @@ class SingleParticleSet:
     Q: np.ndarray
     gamma_total: float
     channels: dict[str, Channel]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     @property
     def L(self) -> int:
@@ -138,6 +149,26 @@ class SingleParticleSet:
     def propagator(self) -> Propagator:
         """e^{-Qt} for every t, from one eigendecomposition of Q (built on first use)."""
         return Propagator(-self.Q)
+
+    def memo(self, state: GaussianState, key: tuple, build):
+        """``build()``, computed once per (state, key) and kept on this set.
+
+        For data derived from this set and one state, shared by every point,
+        curve and pass as the propagator is.  An entry holds its state, so
+        the state's id cannot be reused while the entry lives; beyond
+        MEMO_ENTRIES entries the oldest is dropped.  Two threads missing the
+        same entry at once both build it, and the later one is kept.
+        """
+        full_key = (id(state), key)
+        hit = self._memo.get(full_key)
+        if hit is not None:
+            return hit[1]
+        value = build()
+        with self._memo_lock:
+            self._memo[full_key] = (state, value)
+            while len(self._memo) > MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+        return value
 
 
 @dataclass(frozen=True)

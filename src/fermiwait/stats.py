@@ -10,7 +10,9 @@ of all sixteen channel pairs together, from the 4 x 4 table that
 Channel probabilities are M_0, conditional means and variances follow from
 M_1 / M_0 and M_2 / M_0, the net activity (NATD) moments are the
 click-frequency mixtures of the column sums of M_1 and M_2, and the
-normalization audit is a column sum of M_0.
+normalization audit is a column sum of M_0.  The pass runs once per
+(state, single-particle set, tol, t_cut) and is kept on the set, so reading
+several entries or columns does not repeat it.
 
 The improper integral is certified, not extrapolated.  Every density carries
 the uniform decay envelope rate * e^{-Gamma t} * (bounded matrix factor), so
@@ -24,6 +26,7 @@ estimate is below tol / 2, or below 1e-10 times the largest component.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,7 +192,19 @@ def _moment_pass(
     tol: float,
     t_cut: float | None = None,
 ) -> ChannelStats:
-    """The one quadrature pass over [P, tP, t^2 P], read into the tables."""
+    """The one quadrature pass over [P, tP, t^2 P], read into the tables.
+
+    Run once per (state, sp, tol, t_cut) and kept in ``sp.memo``, so the
+    readers below share it.  The returned tables are that shared entry.
+    """
+    return sp.memo(
+        state, ("moments", tol, t_cut), lambda: _run_moment_pass(state, sp, tol, t_cut)
+    )
+
+
+def _run_moment_pass(
+    state: GaussianState, sp: SingleParticleSet, tol: float, t_cut: float | None
+) -> ChannelStats:
     p_q = jump_frequencies(state, sp)
 
     def moments_at(t: float) -> np.ndarray:
@@ -237,9 +252,10 @@ def channel_stats(
     """Full 4x4 tables of channel probabilities and conditional moments.
 
     Columns for channels that never click from this state are NaN, as are
-    moment entries of pairs with probability below EPS_PROBABILITY.
+    moment entries of pairs with probability below EPS_PROBABILITY.  The
+    result is the caller's own copy of the shared pass.
     """
-    return _moment_pass(state, sp, tol)
+    return copy.deepcopy(_moment_pass(state, sp, tol))
 
 
 def channel_probability(
@@ -253,7 +269,7 @@ def channel_probability(
 
     One entry of :func:`channel_stats`, NaN when q never clicks.
     """
-    table = channel_stats(state, sp, tol)
+    table = _moment_pass(state, sp, tol)
     return float(table.p_kq[CHANNEL_ORDER.index(k.label), CHANNEL_ORDER.index(q.label)])
 
 
@@ -277,7 +293,7 @@ def natd_moments(
     """Mean and variance of the time between consecutive clicks (steady state)."""
     if state.kind != "steady":
         raise ValueError("net activity distribution is defined for the steady state")
-    return channel_stats(state, sp, tol).natd_moments()
+    return _moment_pass(state, sp, tol).natd_moments()
 
 
 def normalization_audit(

@@ -4,13 +4,15 @@ This is the straightforward form of the closed-form kernel: every block is
 built as a full L x L matrix from a fresh ``scipy.linalg.expm(-Q t)``, and
 the densities read their entries at the bath sites.  The program computes
 only the 2 x 2 boundary entries from a shared propagator; the two must agree
-to roundoff.
+to roundoff.  ``mp_steady_density_matrix`` evaluates the same blocks in
+50-digit ``mpmath`` arithmetic, for points where double precision fails.
 """
 
+import mpmath as mp
 import numpy as np
 import scipy.linalg as sla
 
-from fermiwait.model import CHANNEL_ORDER
+from fermiwait.model import CHANNEL_ORDER, channels
 
 
 def _full_blocks(t, c, sp):
@@ -88,3 +90,54 @@ def reference_density_matrix(t, state, sp):
         for b, ql in enumerate(CHANNEL_ORDER):
             out[a, b] = _entry(blk, state.C, ch[kl], ch[ql])
     return out, blk["amplification"]
+
+
+def _mp_steady_covariance(w, f, L):
+    """W C + C W^dag = F as one dense (L^2 x L^2) solve, row-major vec(C)."""
+    big = mp.zeros(L * L, L * L)
+    for i in range(L):
+        for j in range(L):
+            for k in range(L):
+                big[i * L + j, k * L + j] += w[i, k]
+                big[i * L + j, i * L + k] += mp.conj(w[j, k])
+    vec = mp.lu_solve(big, mp.matrix([f[i, j] for i in range(L) for j in range(L)]))
+    return mp.matrix([[vec[i * L + j] for j in range(L)] for i in range(L)])
+
+
+def mp_steady_density_matrix(spec, t, dps=50):
+    """All sixteen steady-state densities at time t from the full blocks in ``dps`` digits.
+
+    W, F, the steady covariance, G = expm(-Q t), A and its inverse are all
+    built in mpmath from the spec alone; only the channel rates are the
+    double-precision table's.  Meant for L <= 4.
+    """
+    L = spec.L
+    ch = channels(spec)
+    with mp.workdps(dps):
+        w = mp.matrix([[1j * mp.mpc(complex(x)) for x in row] for row in spec.h])
+        w[0, 0] += mp.mpf(spec.gamma1) / 2
+        w[L - 1, L - 1] += mp.mpf(spec.gammaL) / 2
+        f = mp.zeros(L, L)
+        f[0, 0] = mp.mpf(spec.gamma1) * mp.mpf(spec.f1)
+        f[L - 1, L - 1] = mp.mpf(spec.gammaL) * mp.mpf(spec.fL)
+        c = _mp_steady_covariance(w, f, L)
+        eye = mp.eye(L)
+        g = mp.expm(-(w - f) * t)
+        a = (eye - c) + g.H * g * c
+        ainv = mp.inverse(a)
+        tmat = g * c * ainv * g.H
+        blk = {
+            "T": tmat,
+            "inj_same": (eye - c) * ainv * g.H * g,
+            "inj_left": (eye - tmat) * g,
+            "inj_right": (eye - c) * ainv * g.H,
+            "ext_same": c * ainv,
+            "ext_left": g * c * ainv,
+            "ext_right": c * ainv * g.H,
+            "prefactor": mp.exp(-(f[0, 0] + f[L - 1, L - 1]) * t) * mp.det(a),
+        }
+        out = np.zeros((4, 4))
+        for a_, kl in enumerate(CHANNEL_ORDER):
+            for b_, ql in enumerate(CHANNEL_ORDER):
+                out[a_, b_] = float(_entry(blk, c, ch[kl], ch[ql]))
+        return out

@@ -313,12 +313,13 @@ class TestVerifyCommand:
 
 
 class TestBenchCommand:
-    def test_small_sweep_writes_table(self, tmp_path):
+    def test_small_sweep_writes_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
         rc = main(
             ["bench", "--config", cfg, "--out", str(tmp_path), "--sizes", "4,8", "--repeats", "1"]
         )
         assert rc == 0
+        assert "slope over L >= 200: n/a" in capsys.readouterr().out
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         data = [l for l in lines if l and not l.startswith("#")]
         assert data[0] == "L,seconds_per_point"

@@ -1,8 +1,13 @@
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from fermiwait.model import (
     CHANNEL_ORDER,
+    MEMO_ENTRIES,
     ChainSpec,
     GaussianState,
     build_tight_binding,
@@ -199,3 +204,59 @@ class TestGaussianState:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             GaussianState(C=0.5 * np.eye(2), kind="thermal")
+
+
+class TestMemo:
+    def test_one_build_per_state_and_key(self, sv_spec):
+        sp = derive_single_particle(sv_spec)
+        a, b = steady_state(sv_spec), vacuum_state(2)
+        builds = []
+
+        def build(tag):
+            return lambda: builds.append(tag) or tag
+
+        assert sp.memo(a, ("k",), build("a")) == "a"
+        assert sp.memo(a, ("k",), build("again")) == "a"
+        assert sp.memo(b, ("k",), build("b")) == "b"
+        assert sp.memo(a, ("other",), build("a2")) == "a2"
+        assert sp.memo(a, ("k",), build("none")) is sp.memo(a, ("k",), build("none"))
+        assert builds == ["a", "b", "a2"]
+
+    def test_oldest_entry_is_dropped(self, sv_spec):
+        sp = derive_single_particle(sv_spec)
+        states = [vacuum_state(2) for _ in range(MEMO_ENTRIES + 1)]
+        for i, st in enumerate(states):
+            sp.memo(st, (), lambda i=i: i)
+        assert sp.memo(states[-1], (), lambda: -1) == MEMO_ENTRIES
+        assert sp.memo(states[0], (), lambda: -1) == -1
+
+    def test_threads_never_mix_up_states(self, sv_spec):
+        # wtd_curve's workers share one set's memo; more threads than cores,
+        # a short switch interval and constant eviction.
+        sp = derive_single_particle(sv_spec)
+        states = [vacuum_state(2) for _ in range(2 * MEMO_ENTRIES)]
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(3000):
+                    i = rng.randrange(len(states))
+                    got = sp.memo(states[i], ("index",), lambda: i)
+                    if got != i:
+                        errors.append((i, got))
+            except Exception as exc:  # reported below, not lost with the thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []

@@ -401,3 +401,33 @@ class TestVacuumLyapunov:
                 assert abs(table.p_kq[a, b] - p) <= 1e-8
                 assert abs(table.moments[1, a, b] - m1) <= 1e-7 * max(abs(m1), 1.0)
         assert np.all(np.isnan(table.p_kq[:, [CHANNEL_ORDER.index("1-"), CHANNEL_ORDER.index("L-")]]))
+
+
+class TestMomentPassReuse:
+    def test_one_pass_serves_every_reader(self, monkeypatch):
+        import fermiwait.stats as statsmod
+
+        cutoffs = []
+        real = statsmod.integrate_semiinfinite
+
+        def counted(*args, **kwargs):
+            cutoffs.append(kwargs["t_cut"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(statsmod, "integrate_semiinfinite", counted)
+        spec = generic_spec(2)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        table = channel_stats(st, sp)
+        for ql in CHANNEL_ORDER:
+            normalization_audit(sp.channels[ql], st, sp)
+        channel_probability(sp.channels["L-"], sp.channels["1+"], st, sp)
+        natd_moments(st, sp)
+        assert cutoffs == [None]
+        normalization_audit(sp.channels["1+"], st, sp, t_cut=50.0)
+        natd_moments(st, sp, tol=1e-6)
+        assert cutoffs == [None, 50.0, None]
+        # Each channel_stats caller owns its arrays; the shared pass is untouched.
+        table.p_kq[:] = 0.0
+        assert channel_stats(st, sp).p_kq[cell("L-", "1+")] > 0.0
+        assert len(cutoffs) == 3

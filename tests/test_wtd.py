@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from fermiwait.linalg import LinalgError, expm
+import fermiwait.wtd as wtdmod
+from fermiwait.linalg import LinalgError, NotPositiveDefiniteError, expm
 from fermiwait.model import (
     CHANNEL_ORDER,
     ChainSpec,
@@ -14,6 +15,7 @@ from fermiwait.model import (
     vacuum_state,
 )
 from fermiwait.wtd import (
+    C_MIN_EIGENVALUE,
     COND_THRESHOLD,
     WtdNumericsError,
     default_time_grid,
@@ -26,7 +28,7 @@ from fermiwait.wtd import (
 )
 
 from conftest import generic_spec, random_hermitian, rel_dev, tight_binding_spec
-from full_block_reference import reference_density_matrix
+from full_block_reference import mp_steady_density_matrix, reference_density_matrix
 
 # Brute-force reference values for the two-site chain at the reference
 # working point (gamma = 0.1, full left bath, empty right bath), computed
@@ -277,10 +279,11 @@ class TestAgainstFullBlocks:
         try:
             got = wtd_density_matrix(t, state, sp)
         except (WtdNumericsError, LinalgError):
-            # Modes occupied exactly 0 or 1 make (1 - C) or C singular, and
-            # where a bath has f > 1/2, G = e^{-Qt} grows with t; the kernel
-            # may then fail, but only by name and only when badly conditioned.
-            assert amp > 1e4 or (kind == "custom" and pure)
+            # Custom states with modes occupied exactly 0 or 1 make (1 - C)
+            # or C singular; custom and vacuum points may then fail, but only
+            # by name and only when badly conditioned.  Steady states,
+            # growing modes (a bath with f > 1/2) included, never fail.
+            assert kind != "steady" and (amp > 1e4 or (kind == "custom" and pure))
             return
         if not amp <= COND_THRESHOLD:
             return  # as past the "ill_conditioned" flag: no digits left to compare
@@ -290,8 +293,135 @@ class TestAgainstFullBlocks:
         assert np.all(np.abs(got - want) <= np.maximum(1e-10 * np.abs(want), atol))
 
 
+@pytest.fixture
+def kernel_forms(monkeypatch):
+    """Counts of the factorizations the kernel makes, by form."""
+    calls = {"eigenbasis": 0, "lu": 0}
+
+    def counted(form, fn):
+        def wrapper(*args):
+            calls[form] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(wtdmod, "cholesky_logdet", counted("eigenbasis", wtdmod.cholesky_logdet))
+    monkeypatch.setattr(wtdmod, "lu_logdet", counted("lu", wtdmod.lu_logdet))
+    return calls
+
+
+def _above_half_draw(seed):
+    """Random steady chain, L 2-4, both baths more than half full, t in [0, 40]."""
+    rng = np.random.default_rng(seed)
+    L = int(rng.integers(2, 5))
+    spec = ChainSpec(
+        h=random_hermitian(rng, L),
+        gamma1=rng.uniform(0.05, 2.0),
+        gammaL=rng.uniform(0.05, 2.0),
+        f1=rng.uniform(0.5, 1.0),
+        fL=rng.uniform(0.5, 1.0),
+    )
+    return spec, float(rng.uniform(0.0, 40.0))
+
+
+# Strong coupling across a weak link: the steady C has its smallest
+# eigenvalue at 6.2e-4, below C_MIN_EIGENVALUE, and a mode of G grows at
+# rate 0.92.  The LU form raises from about t = 10 on.
+WEAK_LINK = ChainSpec(
+    h=np.array([[0.8, -0.02 - 0.018j], [-0.02 + 0.018j, 1.4]]),
+    gamma1=1.85,
+    gammaL=0.94,
+    f1=1.0,
+    fL=0.0,
+)
+
+
+def _assert_matches_mpmath(spec, t):
+    got = wtd_density_matrix(t, steady_state(spec), derive_single_particle(spec))
+    want = mp_steady_density_matrix(spec, t)
+    # The oracle-equivalence tolerance of acceptance criterion 1.
+    assert np.all(np.abs(got - want) <= np.maximum(1e-8 * np.maximum(abs(got), abs(want)), 1e-12))
+
+
+def _lowest_occupation_state(rng, L, lowest):
+    u = np.linalg.qr(rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L)))[0]
+    occ = np.concatenate(([lowest], rng.uniform(0.2, 0.8, L - 1)))
+    return GaussianState(C=(u * occ) @ u.conj().T)
+
+
+class TestGrowingModes:
+    """Where a bath has f > 1/2, G = e^{-Qt} grows.
+
+    The LU form of A raises on the seeded draws and on the weak link from
+    t = 10; t = 2 is before the weak link's switch time, on the LU form.
+    """
+
+    @pytest.mark.parametrize("seed", [9, 12, 61, 121])
+    def test_steady_draws_against_mpmath(self, seed):
+        _assert_matches_mpmath(*_above_half_draw(seed))
+
+    @pytest.mark.parametrize("t", [2.0, 10.0, 28.3])
+    def test_weak_link_against_mpmath(self, t):
+        _assert_matches_mpmath(WEAK_LINK, t)
+
+    def test_fully_filled_chain_is_clean(self):
+        # C = 1 and every mode grows: the eigenbasis form keeps B = Dbar_s S D_s.
+        spec = tight_binding_spec(6, f1=1.0, fL=1.0)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        for t in (1.0, 40.0, 400.0):
+            p = wtd_point(t, sp.channels["L+"], sp.channels["1-"], st, sp)
+            assert p.flag == "" and p.cond_estimate < 1e3
+
+
+class TestFormSelection:
+    def test_each_side_of_the_smallest_occupation(self, kernel_forms):
+        # f <= 1/2 on both baths: no mode of G grows, so the lowest
+        # occupation alone picks the form.
+        spec = tight_binding_spec(4, gamma=0.5, f1=0.5, fL=0.2)
+        rng = np.random.default_rng(0)
+        sides = ((1.1 * C_MIN_EIGENVALUE, "eigenbasis"), (0.9 * C_MIN_EIGENVALUE, "lu"))
+        for lowest, form in sides:
+            state = _lowest_occupation_state(rng, 4, lowest)
+            sp = derive_single_particle(spec)
+            kernel_forms.update(eigenbasis=0, lu=0)
+            for t in (0.5, 7.0, 30.0):
+                got = wtd_density_matrix(t, state, sp)
+                want, amp = reference_density_matrix(t, state, sp)
+                atol = max(1e-14, 1e-14 * amp * np.max(np.abs(want)))
+                assert np.all(np.abs(got - want) <= np.maximum(1e-10 * np.abs(want), atol))
+            assert kernel_forms[form] == 3 and sum(kernel_forms.values()) == 3
+
+    def test_small_occupation_switches_form_once_modes_grow(self, kernel_forms):
+        # The LU form loses about e^{2 g t}, the eigenbasis form about 1 / min(C).
+        sp = derive_single_particle(WEAK_LINK)
+        st = steady_state(WEAK_LINK)
+        lowest = np.linalg.eigvalsh(st.C)[0]
+        growth = np.max(np.linalg.eigvals(-sp.Q).real)
+        assert lowest < C_MIN_EIGENVALUE and growth > 0
+        switch = -np.log(lowest) / (2 * growth)
+        wtd_density_matrix(0.9 * switch, st, sp)
+        assert kernel_forms == {"eigenbasis": 0, "lu": 1}
+        wtd_density_matrix(1.1 * switch, st, sp)
+        assert kernel_forms == {"eigenbasis": 1, "lu": 1}
+
+    def test_failed_cholesky_takes_the_lu_form(self, monkeypatch, kernel_forms):
+        spec = generic_spec(3)
+        st = steady_state(spec)
+        clean = wtd_density_matrix(2.0, st, derive_single_particle(spec))
+
+        def refuse(a):
+            raise NotPositiveDefiniteError("forced")
+
+        monkeypatch.setattr(wtdmod, "cholesky_logdet", refuse)
+        kernel_forms.update(eigenbasis=0, lu=0)
+        forced = wtd_density_matrix(2.0, st, derive_single_particle(spec))
+        assert kernel_forms["lu"] == 1
+        assert np.all(np.abs(forced - clean) <= 1e-12 * np.max(clean))
+
+
 class TestExceptionalPoint:
-    def test_fallback_agrees_with_oracle(self, oracle_cache):
+    def test_fallback_agrees_with_oracle(self, oracle_cache, kernel_forms):
         # Q = i h + diag(gamma_1 (1/2 - f_1), gamma_L (1/2 - f_L)) on two sites is
         # defective when |gamma_1 (1/2 - f_1) - gamma_L (1/2 - f_L)| = 2 J:
         # here |2 - 0| = 2 with J = 1.
@@ -312,3 +442,5 @@ class TestExceptionalPoint:
                         a = wtd_density(t, ch[kl], ch[ql], state, sp)
                         b = oracle.wtd(t, ch[kl], ch[ql], rho)
                         assert rel_dev(a, b) < 1e-8
+        # No eigenvectors, no eigenbasis form: every steady point took the LU form.
+        assert kernel_forms["eigenbasis"] == 0 and kernel_forms["lu"] > 0

@@ -6,7 +6,7 @@ all evaluated with L x L single-particle matrices, plus a 2^L brute-force
 Fock-space oracle that verifies every formula at small chain sizes.
 """
 
-from .linalg import LogDet, expm, lu_logdet, eig, lyapunov_solve
+from .linalg import LogDet, expm, lu_logdet, lyapunov_solve
 from .model import (
     CHANNEL_ORDER,
     ChainSpec,

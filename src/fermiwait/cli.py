@@ -44,7 +44,6 @@ from .linalg import LinalgError
 from .model import (
     CHANNEL_ORDER,
     MIN_CLICK_WEIGHT,
-    build_tight_binding,
     ChainSpec,
     channels,
     click_weight,
@@ -158,16 +157,8 @@ def _stats_payload(cfg: RunConfig, spec: ChainSpec) -> tuple[dict, bool]:
     tol = cfg.tol_quadrature
     table = statsmod.channel_stats(state, sp, tol)
 
-    audits = {}
-    audits_ok = True
-    for b, ql in enumerate(CHANNEL_ORDER):
-        col = table.p_kq[:, b]
-        if np.all(np.isnan(col)):
-            audits[ql] = None
-            continue
-        audits[ql] = float(np.nansum(col))
-        if abs(audits[ql] - 1.0) > AUDIT_TOL:
-            audits_ok = False
+    audits = table.normalization()
+    audits_ok = all(v is None or abs(v - 1.0) <= AUDIT_TOL for v in audits.values())
 
     if state.kind == "steady":
         natd_mean, natd_var = table.natd_moments()
@@ -294,16 +285,10 @@ def run_verification(
     for name, state in (("steady", st), ("vacuum", vacuum_state(spec.L))):
         table = statsmod.channel_stats(state, sp, cfg.tol_quadrature)
         diagnostics["quadrature"][name] = _quadrature_record(table.quadrature)
-        totals = table.moments[0].sum(axis=0)
-        dev = 0.0
-        count = 0
-        for b, ql in enumerate(CHANNEL_ORDER):
-            if click_weight(ch[ql], state) <= MIN_CLICK_WEIGHT:
-                continue
-            dev = max(dev, abs(totals[b] - 1.0))
-            count += 1
+        totals = [v for v in table.normalization().values() if v is not None]
+        dev = max((abs(v - 1.0) for v in totals), default=0.0)
         report.entries.append(
-            VerificationEntry(f"normalization_{name}", count, dev, AUDIT_TOL)
+            VerificationEntry(f"normalization_{name}", len(totals), dev, AUDIT_TOL)
         )
     return report, diagnostics
 
@@ -345,13 +330,7 @@ def cmd_bench(args) -> int:
         raise ConfigError("--sizes: all chain sizes must be >= 2")
     rows = []
     for L in sizes:
-        spec = ChainSpec(
-            h=build_tight_binding(L, cfg.V, cfg.J),
-            gamma1=cfg.gamma1,
-            gammaL=cfg.gammaL,
-            f1=cfg.f1,
-            fL=cfg.fL,
-        )
+        spec = dataclasses.replace(cfg, L=L).validate().chain_spec()
         sp = derive_single_particle(spec)
         try:
             state = steady_state(spec)

@@ -173,11 +173,11 @@ class FockOracle:
     and come out as full 2^L x 2^L arrays.
     """
 
-    def __init__(self, spec: ChainSpec, allow_large: bool = False, method: str = "auto"):
+    def __init__(self, spec: ChainSpec, allow_large: bool = False):
         self.spec = spec
         self.c_ops = build_fermions(spec.L, allow_large=allow_large)
         self.parts = build_liouvillian(spec, allow_large=allow_large)
-        self.propagator = Propagator(self.parts.no_click, method=method)
+        self.propagator = Propagator(self.parts.no_click)
         self.dim = 2**spec.L
         self._diagonal = self.parts.ket == self.parts.bra
 
@@ -323,16 +323,6 @@ def _rel_dev(lhs: complex, rhs: complex) -> float:
     if scale < 1e-10:
         return abs(lhs - rhs)
     return abs(lhs - rhs) / scale
-
-
-_TWO_INSERT_PATTERNS = {
-    # name -> (dagger pattern of outer pair, dagger pattern of inner pair)
-    "adjacent": None,
-    "split_mp": ("dag_first", "dag_first"),
-    "split_pp": ("plain_first", "dag_first"),
-    "split_mm": ("dag_first", "plain_first"),
-    "split_pm": ("plain_first", "plain_first"),
-}
 
 
 def _fock_two_insert(kind, idx, exps, c_ops):

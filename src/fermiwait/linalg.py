@@ -56,12 +56,6 @@ class CholeskyFactor(NamedTuple):
     lower: np.ndarray
 
 
-class EigResult(NamedTuple):
-    values: np.ndarray
-    vectors: np.ndarray
-    vector_cond: float
-
-
 def _as_square(a, name="matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -101,17 +95,13 @@ class Propagator:
     g is generally non-normal; if V is ill-conditioned beyond
     PROPAGATOR_COND_MAX (near an exceptional point) or the decomposition
     residual is poor, every call falls back to scaling-and-squaring
-    (Moler & Van Loan, SIAM Rev. 2003).  ``method="expm"`` forces the
-    fallback.  At t = 0 both return the identity exactly.
+    (Moler & Van Loan, SIAM Rev. 2003).  The path is chosen from these two
+    measurements only.  At t = 0 both return the identity exactly.
     """
 
-    def __init__(self, g, method: str = "auto"):
-        if method not in ("auto", "expm"):
-            raise ValueError("method must be 'auto' or 'expm'")
+    def __init__(self, g):
         self.g = _as_square(g)
         self._eig = None
-        if method == "expm":
-            return
         w, v = np.linalg.eig(self.g)
         try:
             vinv = np.linalg.inv(v)
@@ -215,36 +205,25 @@ def condition_estimate(factors: LUFactors | CholeskyFactor, anorm: float) -> flo
     return 1.0 / rcond
 
 
-def eig(a) -> EigResult:
-    """Eigendecomposition A V = V diag(w) with an eigenvector condition estimate.
+def lyapunov_solve(w, f) -> np.ndarray:
+    """Solve W C + C W^dag = F for Hermitian C (Bartels & Stewart, CACM 1972).
 
-    ``vector_cond`` is the 2-norm condition number of the eigenvector
-    matrix; a large value flags a near-defective input.
-    """
-    a = _as_square(a)
-    w, v = np.linalg.eig(a)
-    cond = float(np.linalg.cond(v))
-    return EigResult(w, v, cond)
-
-
-def lyapunov_solve(w, f, cond_threshold: float = 1e8) -> np.ndarray:
-    """Solve W C + C W^dag = F for Hermitian C.
-
-    Eigendecompose W = S diag(lam) S^-1, transform F into the eigenbasis,
-    divide entrywise by lam_a + conj(lam_b), and transform back (O(n^3)).
-    When the eigenvector matrix is ill-conditioned beyond
-    ``cond_threshold`` the O(n^6) Kronecker-vectorized linear solve is
-    used instead.  Requires every pair sum lam_a + conj(lam_b) to be
-    nonzero, which holds when the spectrum of W lies strictly in the
-    right half plane.
+    With the complex Schur form W = U T U^dag the equation becomes
+    T Y + Y T^dag = U^dag F U, solved by LAPACK ``trsyl``, and C = U Y U^dag:
+    O(n^3) for any W, defective or not.  Every eigenvalue pair sum
+    lam_a + conj(lam_b) (from the diagonal of T) must be nonzero, as it is
+    when the spectrum of W lies strictly in the right half plane; a vanishing
+    pair, such as a mode that couples to no bath, is a named error, read
+    from the diagonal of T and from ``trsyl``'s own check.  The residual is
+    checked last.
     """
     w = _as_square(w, "W")
     f = _as_square(f, "F")
     if w.shape != f.shape:
         raise ValueError(f"shape mismatch: W {w.shape} vs F {f.shape}")
-    n = w.shape[0]
 
-    lam, s, s_cond = eig(w)
+    t, u = sla.schur(w, output="complex")
+    lam = np.diagonal(t)
     denom = lam[:, None] + lam[None, :].conj()
     bad = np.abs(denom) < 1e-14 * max(1.0, float(np.abs(lam).max()))
     if np.any(bad):
@@ -254,14 +233,13 @@ def lyapunov_solve(w, f, cond_threshold: float = 1e8) -> np.ndarray:
             f"lam[{a}]={lam[a]:.6g} and conj(lam[{b}])={np.conj(lam[b]):.6g} sum to ~0"
         )
 
-    if s_cond <= cond_threshold:
-        ft = np.linalg.solve(s, np.linalg.solve(s, f.conj().T).conj().T)
-        c = s @ (ft / denom) @ s.conj().T
-    else:
-        eye = np.eye(n)
-        big = np.kron(w, eye) + np.kron(eye, w.conj())
-        c = np.linalg.solve(big, f.reshape(-1)).reshape(n, n)
-
+    y, scale, info = lapack.ztrsyl(t, t, u.conj().T @ f @ u, tranb="C")
+    if info != 0:  # 1: trsyl perturbed a pair sum below eps * max|T|
+        raise LinalgError(
+            "no unique Lyapunov solution: an eigenvalue pair sum is below "
+            f"ztrsyl's perturbation floor (info = {info})"
+        )
+    c = u @ (y / scale) @ u.conj().T
     c = 0.5 * (c + c.conj().T)
     resid = np.linalg.norm(w @ c + c @ w.conj().T - f)
     fnorm = np.linalg.norm(f)

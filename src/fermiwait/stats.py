@@ -22,6 +22,12 @@ integrating only the added interval, until that bound is below tol / 10.
 On each interval the adaptive Gauss-Kronrod scheme of
 ``scipy.integrate.quad_vec`` refines until the largest componentwise error
 estimate is below tol / 2, or below 1e-10 times the largest component.
+
+The pass integrates [P, (Gamma t) P, (Gamma t)^2 P], whose integrals are all
+of order one, and divides the last two blocks by Gamma and Gamma^2
+afterwards.  Each block n thus meets tol / 2 in units of Gamma^-n (for tol
+above a few 1e-10, where the relative target is the smaller), and the pass's
+``abs_error_estimate`` and ``truncation_tail_bound`` are in these units.
 """
 
 from __future__ import annotations
@@ -99,6 +105,14 @@ class ChannelStats:
         clicks = self.p_q > 0.0
         m1, m2 = (float(self.p_q[clicks] @ self.moments[n][:, clicks].sum(0)) for n in (1, 2))
         return m1, max(m2 - m1**2, 0.0)
+
+    def normalization(self) -> dict[str, float | None]:
+        """Total probability sum_k p(k|q) per conditioning channel q, from M_0.
+
+        Should be 1 for every channel that clicks; None for those that never do.
+        """
+        totals = self.moments[0].sum(axis=0)
+        return {q: None if np.isnan(s) else float(s) for q, s in zip(self.order, totals)}
 
 
 def integrate_semiinfinite(
@@ -206,10 +220,12 @@ def _run_moment_pass(
     state: GaussianState, sp: SingleParticleSet, tol: float, t_cut: float | None
 ) -> ChannelStats:
     p_q = jump_frequencies(state, sp)
+    gamma = sp.gamma_total
 
     def moments_at(t: float) -> np.ndarray:
         m = wtd_density_matrix(t, state, sp)
-        return np.stack((m, t * m, t * t * m))
+        s = gamma * t
+        return np.stack((m, s * m, s * s * m))
 
     res = integrate_semiinfinite(
         moments_at,
@@ -220,6 +236,8 @@ def _run_moment_pass(
         t_cut=t_cut,
     )
     moments = np.array(res.value)
+    moments[1] /= gamma
+    moments[2] /= gamma**2
     moments[:, :, p_q == 0.0] = np.nan
 
     p = moments[0]
@@ -313,5 +331,4 @@ def normalization_audit(
         raise ValueError(
             f"channel {q.label} never clicks from the {state.kind} state; audit undefined"
         )
-    table = _moment_pass(state, sp, tol, t_cut)
-    return float(table.moments[0, :, CHANNEL_ORDER.index(q.label)].sum())
+    return _moment_pass(state, sp, tol, t_cut).normalization()[q.label]

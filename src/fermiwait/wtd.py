@@ -96,6 +96,7 @@ come after it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -557,14 +558,15 @@ def wtd_curve(
     state: GaussianState,
     sp: SingleParticleSet,
     grid,
-    max_workers: int | None = None,
 ) -> WtdCurve:
     """Sample the density over a time grid, points evaluated in parallel.
 
-    Points are independent; they are distributed over a thread pool and
-    reassembled in grid order (see the module's thread policy).  The
-    propagator and the per-state factors are built once, before the pool
-    starts, and shared by all workers.
+    Points are independent; grids of at least 8 points are distributed over
+    a pool of min(4, os.cpu_count()) threads and reassembled in grid order
+    (see the module's thread policy), smaller grids or a single core run
+    serially.  Each point is ``wtd_point``'s, bitwise.  The propagator and
+    the per-state factors are built once, before the pool starts, and shared
+    by all workers.
     """
     grid = validate_grid(grid)
     sp.propagator
@@ -574,13 +576,10 @@ def wtd_curve(
     def one(t: float) -> WtdPoint:
         return wtd_point(float(t), k, q, state, sp)
 
-    if max_workers is None:
-        import os
-
-        max_workers = min(4, os.cpu_count() or 1)
-    if max_workers <= 1 or grid.size < 8:
+    workers = min(4, os.cpu_count() or 1)
+    if workers <= 1 or grid.size < 8:
         points = tuple(one(t) for t in grid)
     else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             points = tuple(pool.map(one, grid))
     return WtdCurve(from_channel=q, to_channel=k, points=points, state_kind=state.kind)

@@ -247,6 +247,7 @@ class TestStatsCommand:
         def broken(state, sp, tol=1e-8):
             table = real_stats(state, sp, tol)
             table.p_kq[:, 1] *= 0.9  # lose 10% of the 1+ column
+            table.moments[0][:, 1] *= 0.9
             return table
 
         real_stats = cli.statsmod.channel_stats
@@ -324,3 +325,13 @@ class TestBenchCommand:
         data = [l for l in lines if l and not l.startswith("#")]
         assert data[0] == "L,seconds_per_point"
         assert len(data) == 3
+
+    def test_custom_hamiltonian_sizes_must_match(self, tmp_path, capsys):
+        # Each size is built from the config, as --sweep-L does, so a size
+        # the custom h does not have is refused.
+        (tmp_path / "h.csv").write_text("-1.0,0.0,-1.0,0.0\n-1.0,0.0,-1.0,0.0\n")
+        body = DEFAULT_CONFIG.replace("kind = tight_binding", "kind = custom_h\nh_file = h.csv")
+        cfg = write_config(tmp_path / "run.ini", body)
+        argv = ["bench", "--config", cfg, "--out", str(tmp_path), "--repeats", "1"]
+        assert main(argv + ["--sizes", "2,3"]) == 1
+        assert "does not match h_file dimension" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st_
 from scipy.integrate import quad
 
+from fermiwait import linalg
 from fermiwait.model import (
     CHANNEL_ORDER,
     ChainSpec,
@@ -83,8 +84,10 @@ class TestLiouvillian:
         assert all(-1e-10 <= n <= 1.0 + 1e-10 for n in norms)
         assert norms[1] > norms[2] > norms[3]
 
-    def test_propagator_expm_fallback_agrees(self, sv_spec, sv_oracle):
-        other = FockOracle(sv_spec, method="expm")
+    def test_propagator_expm_fallback_agrees(self, sv_spec, sv_oracle, monkeypatch):
+        monkeypatch.setattr(linalg, "PROPAGATOR_COND_MAX", 1.0)
+        other = FockOracle(sv_spec)
+        assert sv_oracle.propagator.uses_eig and not other.propagator.uses_eig
         rho = sv_oracle.steady_state()[sv_oracle.parts.ket, sv_oracle.parts.bra]
         for t in (0.3, 2.7):
             a = sv_oracle.propagator.apply(t, rho)

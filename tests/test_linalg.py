@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from fermiwait import linalg
+from fermiwait.fock import FockOracle
 from fermiwait.linalg import (
     PROPAGATOR_COND_MAX,
     LinalgError,
     Propagator,
     SingularMatrixError,
-    eig,
     expm,
     lu_logdet,
     lyapunov_solve,
     solve_factored,
 )
-from fermiwait.model import ChainSpec, build_tight_binding, derive_single_particle
+from fermiwait.model import ChainSpec, build_tight_binding, derive_single_particle, steady_state
 
 
 def brute_force_det(a):
@@ -106,14 +107,14 @@ class TestPropagator:
             want = np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
             assert np.max(np.abs(prop.matrix(t) - want)) < 1e-14
 
-    def test_forced_fallback_agrees(self):
+    def test_forced_fallback_agrees(self, monkeypatch):
         rng = np.random.default_rng(13)
         g = random_complex(rng, 5) - 3.0 * np.eye(5)
-        auto, forced = Propagator(g), Propagator(g, method="expm")
+        auto = Propagator(g)
+        monkeypatch.setattr(linalg, "PROPAGATOR_COND_MAX", 1.0)
+        forced = Propagator(g)
         assert auto.uses_eig and not forced.uses_eig
         assert np.max(np.abs(auto.matrix(1.3) - forced.matrix(1.3))) < 1e-12
-        with pytest.raises(ValueError, match="method"):
-            Propagator(g, method="pade")
 
 
 class TestLuLogdet:
@@ -174,28 +175,6 @@ class TestSolve:
         assert np.max(np.abs(solve_factored(factors, a) - np.eye(6))) < 1e-10
 
 
-class TestEig:
-    def test_diagonal_spectrum(self):
-        res = eig(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(sorted(res.values.real), [1, 2, 3], atol=1e-12)
-        assert np.max(np.abs(res.values.imag)) < 1e-12
-
-    def test_hermitian_spectrum_is_real(self):
-        rng = np.random.default_rng(8)
-        m = random_complex(rng, 5)
-        h = 0.5 * (m + m.conj().T)
-        res = eig(h)
-        assert np.max(np.abs(res.values.imag)) < 1e-10
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(9)
-        a = random_complex(rng, 6)
-        res = eig(a)
-        dev = np.linalg.norm(a @ res.vectors - res.vectors * res.values)
-        assert dev <= 1e-9 * np.linalg.norm(a)
-        assert res.vector_cond >= 1.0
-
-
 class TestLyapunov:
     def test_equilibrium_is_uniform(self):
         # W = ih + diag(g)/2 with F = g*f at both ends: C = f * I solves it.
@@ -233,20 +212,51 @@ class TestLyapunov:
             lyapunov_solve(w, np.eye(2, dtype=complex))
 
     def test_near_defective_uses_fallback(self):
-        # Jordan-like block: eigenvector matrix condition is astronomical,
-        # forcing the vectorized solve; the residual must still be tight.
+        # Jordan-like block: the eigenvector matrix is nearly singular
+        # (condition ~ 1e6), which the Schur form never forms; the residual
+        # must still be tight.
         eps = 1e-13
         w = np.array([[1.0, 1.0], [eps, 1.0]], dtype=complex)
+        assert np.linalg.cond(np.linalg.eig(w)[1]) > 1e6
         f = np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex)
-        c = lyapunov_solve(w, f, cond_threshold=1e6)
+        c = lyapunov_solve(w, f)
         res = np.linalg.norm(w @ c + c @ w.conj().T - f)
         assert res <= 1e-10 * np.linalg.norm(f)
 
-    def test_fallback_agrees_with_eigenpath(self):
-        rng = np.random.default_rng(12)
-        w = random_complex(rng, 4) + 2.0 * np.eye(4)
-        b = random_complex(rng, 4)
-        f = b @ b.conj().T
-        via_eig = lyapunov_solve(w, f, cond_threshold=1e12)
-        via_kron = lyapunov_solve(w, f, cond_threshold=0.0)
-        assert np.max(np.abs(via_eig - via_kron)) < 1e-9
+    def test_exceptional_point_of_w_matches_oracle(self):
+        # Two sites with |gamma1 - gammaL| = 4J: W is a 2 x 2 Jordan block
+        # (eigenvector condition ~ 1e8).
+        spec = ChainSpec(
+            h=build_tight_binding(2, 0.0, 1.0), gamma1=4.1, gammaL=0.1, f1=0.8, fL=0.3
+        )
+        w = derive_single_particle(spec).W
+        assert np.linalg.cond(np.linalg.eig(w)[1]) > 1e7
+        oracle = FockOracle(spec)
+        want = oracle.covariance(oracle.steady_state())
+        assert np.max(np.abs(steady_state(spec).C - want)) < 1e-12
+
+    def test_dark_mode_is_rejected(self):
+        # (0, 1, -1, 0) is an eigenvector of h with energy 0.3 and no weight
+        # on either bath site, so it never decays: W has the eigenvalue 0.3i.
+        h = np.array(
+            [[0, 1, 1, 0], [1, 0.3, 0, 1], [1, 0, 0.3, 1], [0, 1, 1, 0]], dtype=complex
+        )
+        spec = ChainSpec(h=h, gamma1=0.5, gammaL=0.5, f1=1.0, fL=0.0)
+        with pytest.raises(LinalgError, match="pair"):
+            steady_state(spec)
+
+    def test_pair_below_trsyl_floor_is_rejected(self):
+        # Pair sum 1e-13 passes the diagonal check but is below trsyl's
+        # eps * max|T| = 2e-12, where it would perturb T.
+        w = np.array([[5e-14 + 1j, 1e4], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(LinalgError, match="pair sum"):
+            lyapunov_solve(w, np.eye(2, dtype=complex))
+
+    def test_equilibrium_chain_is_exact_at_large_size(self):
+        # Equal bath occupations f: C = f * 1 for any h.  The slowest modes
+        # decay at ~2e-7, which sets the forward error: 2.9e-11 here.
+        spec = ChainSpec(
+            h=build_tight_binding(200, 1.0, 1.0), gamma1=0.1, gammaL=0.1, f1=0.3, fL=0.3
+        )
+        c = steady_state(spec).C
+        assert np.max(np.abs(c - 0.3 * np.eye(200))) < 1e-10

@@ -5,13 +5,16 @@ from scipy.integrate import quad
 from fermiwait.linalg import lyapunov_solve
 from fermiwait.model import (
     CHANNEL_ORDER,
+    ChainSpec,
     GaussianState,
+    build_tight_binding,
     channels,
     derive_single_particle,
     steady_state,
     vacuum_state,
 )
 from fermiwait.stats import (
+    DEFAULT_TOL,
     ChannelStats,
     QuadratureError,
     channel_probability,
@@ -368,6 +371,29 @@ class TestExactTable:
             mean, var = natd_moments(state, sp)
             assert close(mean, m1)
             assert close(var, m2 - m1**2)
+
+
+    @pytest.mark.parametrize("kind", ["steady", "vacuum"])
+    def test_slow_decay_meets_tol_per_block(self, kind, oracle_cache):
+        # Gamma = 0.01, so max|M_2| ~ 1e4: each moment block still meets
+        # tol / 2 in its own units, tol / (2 Gamma^n).
+        spec = ChainSpec(
+            h=build_tight_binding(2, 1.0, 1.0), gamma1=0.0125, gammaL=0.0125, f1=0.6, fL=0.2
+        )
+        sp = derive_single_particle(spec)
+        gamma = sp.gamma_total
+        assert gamma == pytest.approx(0.01)
+        oracle = oracle_cache(spec)
+        if kind == "steady":
+            state, rho = steady_state(spec), oracle.steady_state()
+        else:
+            state, rho = vacuum_state(2), oracle.vacuum_density()
+        exact, _ = exact_moments(oracle, rho)
+        assert np.nanmax(np.abs(exact[2])) > 5e3
+        table = channel_stats(state, sp)
+        for n in range(3):
+            dev = np.nanmax(np.abs(table.moments[n] - exact[n]))
+            assert dev <= 0.5 * DEFAULT_TOL / gamma**n
 
 
 class TestVacuumLyapunov:

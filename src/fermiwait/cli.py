@@ -33,10 +33,8 @@ from . import stats as statsmod
 from . import wtd as wtdmod
 from .config import ConfigError, RunConfig
 from .fock import (
-    ORACLE_LARGE_MAX_SITES,
     ORACLE_MAX_SITES,
     FockOracle,
-    VerificationEntry,
     VerificationReport,
     verify_tracedet,
 )
@@ -58,6 +56,8 @@ EXIT_NUMERICAL = 2
 EXIT_AUDIT = 3
 
 AUDIT_TOL = 1e-6
+#: Largest chain `verify` runs the oracle on without --allow-large-oracle.
+VERIFY_DEFAULT_MAX_SITES = 4
 
 
 def _load_config(args) -> RunConfig:
@@ -68,7 +68,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _config_comment_lines(cfg: RunConfig) -> list[str]:
-    return [f"# {k} = {v}" for k, v in cfg.resolved_items()]
+    return [f"# {k} = {v}" for k, v in sorted(cfg.to_dict().items())]
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: str, rows) -> None:
@@ -223,45 +223,43 @@ def cmd_stats(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def run_verification(
-    cfg: RunConfig, seed: int, allow_large: bool
-) -> tuple[VerificationReport, dict]:
+def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dict]:
     """Closed-form-vs-brute-force verification for the configured chain.
 
     Combines the trace-determinant identity suite with a direct
     waiting-time equivalence sweep, the steady-state covariance
-    cross-check and normalization audits.  Also returns the run's
-    diagnostics: the oracle's sector dimension and propagator path, and
-    the quadrature record of each normalization pass.
+    cross-check and normalization audits.  Each comparison is one
+    recorded draw of its entry, and a NaN deviation fails the entry.
+    Also returns the run's diagnostics: the oracle's sector dimension and
+    propagator path, and the quadrature record of each normalization pass.
     """
     report = verify_tracedet(seed=seed, draws=20, sizes=(2, 3))
+    tol = cfg.tol_oracle
+    covariance = report.add("steady_covariance", 1e-8)
+    equivalence = {s: report.add(f"wtd_equivalence_{s}", tol) for s in ("steady", "vacuum")}
+    normalization = {s: report.add(f"normalization_{s}", AUDIT_TOL) for s in ("steady", "vacuum")}
 
     spec = cfg.chain_spec()
-    oracle = FockOracle(spec, allow_large=allow_large)
+    oracle = FockOracle(spec)
     sp = derive_single_particle(spec)
     ch = sp.channels
     rng = np.random.default_rng(seed)
     gamma_min = min(g for g in (spec.gamma1, spec.gammaL) if g > 0)
     times = rng.uniform(0.0, 20.0 / gamma_min, size=10)
-    tol = cfg.tol_oracle
     floor = 1e-12 / tol  # |a-b| <= tol*max(|a|,|b|, floor) == rel tol or 1e-12 abs
 
     st = steady_state(spec)
     rho_ss = oracle.steady_state()
-    cov_dev = float(np.max(np.abs(st.C - oracle.covariance(rho_ss))))
-    report.entries.append(
-        VerificationEntry("steady_covariance", 1, cov_dev, 1e-8)
-    )
+    covariance.record(np.max(np.abs(st.C - oracle.covariance(rho_ss))))
 
     states = [("steady", st, rho_ss), ("vacuum", vacuum_state(spec.L), oracle.vacuum_density())]
     for name, state, rho in states:
-        dev = 0.0
-        count = 0
+        entry = equivalence[name]
         for ql in CHANNEL_ORDER:
             q = ch[ql]
             if state.kind == "vacuum" and q.sign == "-":
                 for kl in CHANNEL_ORDER:
-                    dev = max(dev, abs(wtdmod.wtd_density(1.0, ch[kl], q, state, sp)))
+                    entry.record(abs(wtdmod.wtd_density(1.0, ch[kl], q, state, sp)))
                 continue
             if click_weight(q, state) <= MIN_CLICK_WEIGHT:
                 continue
@@ -269,11 +267,7 @@ def run_verification(
                 for t in times:
                     a = wtdmod.wtd_density(float(t), ch[kl], q, state, sp)
                     b = oracle.wtd(float(t), ch[kl], q, rho)
-                    dev = max(dev, abs(a - b) / max(abs(a), abs(b), floor))
-                    count += 1
-        report.entries.append(
-            VerificationEntry(f"wtd_equivalence_{name}", count, dev, tol)
-        )
+                    entry.record(abs(a - b) / max(abs(a), abs(b), floor))
 
     diagnostics = {
         "oracle": {
@@ -282,29 +276,25 @@ def run_verification(
         },
         "quadrature": {},
     }
-    for name, state in (("steady", st), ("vacuum", vacuum_state(spec.L))):
+    for name, state, _ in states:
         table = statsmod.channel_stats(state, sp, cfg.tol_quadrature)
         diagnostics["quadrature"][name] = _quadrature_record(table.quadrature)
-        totals = [v for v in table.normalization().values() if v is not None]
-        dev = max((abs(v - 1.0) for v in totals), default=0.0)
-        report.entries.append(
-            VerificationEntry(f"normalization_{name}", len(totals), dev, AUDIT_TOL)
-        )
+        for total in table.normalization().values():
+            if total is not None:
+                normalization[name].record(abs(total - 1.0))
     return report, diagnostics
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    if cfg.L > (ORACLE_LARGE_MAX_SITES if args.allow_large_oracle else ORACLE_MAX_SITES):
+    if cfg.L > (ORACLE_MAX_SITES if args.allow_large_oracle else VERIFY_DEFAULT_MAX_SITES):
         print(
-            f"error: the brute-force oracle is capped at L = {ORACLE_MAX_SITES} "
-            f"(L = {ORACLE_LARGE_MAX_SITES} with --allow-large-oracle); got L = {cfg.L}",
+            f"error: the brute-force oracle is capped at L = {VERIFY_DEFAULT_MAX_SITES} "
+            f"(L = {ORACLE_MAX_SITES} with --allow-large-oracle); got L = {cfg.L}",
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    report, diagnostics = run_verification(
-        cfg, seed=args.seed, allow_large=args.allow_large_oracle
-    )
+    report, diagnostics = run_verification(cfg, seed=args.seed)
     print(report.to_text())
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -328,6 +318,8 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     if any(s < 2 for s in sizes):
         raise ConfigError("--sizes: all chain sizes must be >= 2")
+    if len(set(sizes)) < 2:
+        raise ConfigError("--sizes: the scaling slope needs at least two distinct chain sizes")
     rows = []
     for L in sizes:
         spec = dataclasses.replace(cfg, L=L).validate().chain_spec()
@@ -425,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-large-oracle",
         action="store_true",
         help=(
-            f"permit the oracle up to L = {ORACLE_LARGE_MAX_SITES} "
+            f"permit the oracle up to L = {ORACLE_MAX_SITES} "
             "(superoperator dimension C(2L, L))"
         ),
     )

@@ -193,19 +193,15 @@ class RunConfig:
             # e.g. a decoupled bath: a config-level problem, not a numerical one
             raise ConfigError(f"state.initial = steady: {exc}") from exc
 
-    def resolved_items(self) -> list[tuple[str, str]]:
-        """Flat (key, value) pairs of the fully-resolved config, for provenance.
+    def to_dict(self) -> dict:
+        """The fully-resolved config, as every output file records it.
 
-        The output directory is omitted: it does not affect the computed
-        data, and embedding it would break byte-identity across runs that
-        only differ in where results land.
+        The source path and the output directory are left out: neither
+        affects the computed data, and recording them would break
+        byte-identity across runs that differ only in where the config lies
+        or where results land.
         """
         d = asdict(self)
         d.pop("source")
         d.pop("out_dir")
-        return [(k, repr(v) if v is None else str(v)) for k, v in sorted(d.items())]
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("source")
         return d

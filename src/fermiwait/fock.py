@@ -12,13 +12,14 @@ Sector vectors list the (ket, bra) pairs in row-major order, so a sandwich
 A rho B has the entries A[I, I'] B[J', J].
 
 Everything here scales as C(2L, L) (the sector dimension) and exists to
-verify the L x L closed forms at small L, not to be fast.  The hard cap is
-L <= 4 (sector dimension 70); up to L = 6 (dimension 924) is allowed behind
-a flag.
+verify the L x L closed forms at small L, not to be fast.  The one hard cap
+is L <= 6 (sector dimension 924); the command line stops at L = 4 (dimension
+70) unless ``--allow-large-oracle`` is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,31 +29,26 @@ from .linalg import Propagator
 from .model import ChainSpec, Channel, CHANNEL_ORDER, channels
 from . import tracedet
 
-ORACLE_MAX_SITES = 4
-ORACLE_LARGE_MAX_SITES = 6
+ORACLE_MAX_SITES = 6
 ANTICOMM_TOL = 1e-13
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <0|c|1> = 1
 
 
-def _check_size(L: int, allow_large: bool):
-    cap = ORACLE_LARGE_MAX_SITES if allow_large else ORACLE_MAX_SITES
-    if not 1 <= L <= cap:
-        raise ValueError(
-            f"Fock oracle supports 1 <= L <= {cap} "
-            f"(got L={L}; pass allow_large=True for L <= {ORACLE_LARGE_MAX_SITES})"
-        )
+def _check_size(L: int):
+    if not 1 <= L <= ORACLE_MAX_SITES:
+        raise ValueError(f"Fock oracle supports 1 <= L <= {ORACLE_MAX_SITES} (got L={L})")
 
 
-def build_fermions(L: int, allow_large: bool = False) -> list[np.ndarray]:
+def build_fermions(L: int) -> list[np.ndarray]:
     """Annihilation operators c_1..c_L as 2^L matrices (Jordan-Wigner).
 
     c_i = Z x ... x Z x s x I x ... x I with the lowering matrix s at slot
     i and site 1 leftmost.  Canonical anticommutation is verified at
     construction.
     """
-    _check_size(L, allow_large)
+    _check_size(L)
     ops = []
     for i in range(L):
         mats = [_PAULI_Z] * i + [_LOWER] + [np.eye(2, dtype=complex)] * (L - i - 1)
@@ -94,7 +90,8 @@ def quadratic_form_operator(x, c_ops: list[np.ndarray]) -> np.ndarray:
 class LiouvillianParts:
     """Full generator, its no-click part and the four jumps, on the sector.
 
-    Entry s of a sector vector is rho[ket[s], bra[s]].
+    Entry s of a sector vector is rho[ket[s], bra[s]].  ``c_ops`` are the
+    2^L fermion operators the superoperators were built from.
     """
 
     full: np.ndarray
@@ -102,9 +99,10 @@ class LiouvillianParts:
     jumps: dict[str, np.ndarray]
     ket: np.ndarray
     bra: np.ndarray
+    c_ops: list[np.ndarray]
 
 
-def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> LiouvillianParts:
+def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
     """Assemble the master-equation superoperators for a chain spec.
 
     The full generator (Lindblad dissipators), the no-click generator
@@ -113,8 +111,7 @@ def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> Liouvillian
     their sum rule full = no_click + sum(jumps) is then asserted, which
     cross-validates the effective-Hamiltonian decomposition.
     """
-    _check_size(spec.L, allow_large)
-    c_ops = build_fermions(spec.L, allow_large=allow_large)
+    c_ops = build_fermions(spec.L)
     c1, cL = c_ops[0], c_ops[-1]
     ch = channels(spec)
     number = np.array([bin(i).count("1") for i in range(2**spec.L)])
@@ -154,7 +151,9 @@ def build_liouvillian(spec: ChainSpec, allow_large: bool = False) -> Liouvillian
     scale = max(1.0, np.max(np.abs(full)))
     if np.max(np.abs(full - recomposed)) > 1e-12 * scale:
         raise AssertionError("generator decomposition full = no_click + jumps failed")
-    return LiouvillianParts(full=full, no_click=no_click, jumps=jumps, ket=ket, bra=bra)
+    return LiouvillianParts(
+        full=full, no_click=no_click, jumps=jumps, ket=ket, bra=bra, c_ops=c_ops
+    )
 
 
 def _as_label(k) -> str:
@@ -173,10 +172,10 @@ class FockOracle:
     and come out as full 2^L x 2^L arrays.
     """
 
-    def __init__(self, spec: ChainSpec, allow_large: bool = False):
+    def __init__(self, spec: ChainSpec):
         self.spec = spec
-        self.c_ops = build_fermions(spec.L, allow_large=allow_large)
-        self.parts = build_liouvillian(spec, allow_large=allow_large)
+        self.parts = build_liouvillian(spec)
+        self.c_ops = self.parts.c_ops
         self.propagator = Propagator(self.parts.no_click)
         self.dim = 2**spec.L
         self._diagonal = self.parts.ket == self.parts.bra
@@ -263,10 +262,22 @@ class FockOracle:
 
 @dataclass
 class VerificationEntry:
+    """One identity's gate and the checks recorded against it.
+
+    Checks go in through :meth:`record` only: ``draws`` counts them and
+    ``max_deviation`` keeps the largest deviation.  A NaN deviation is kept
+    once seen, so the entry fails.
+    """
+
     name: str
-    draws: int
-    max_deviation: float
     threshold: float
+    draws: int = 0
+    max_deviation: float = 0.0
+
+    def record(self, deviation: float) -> None:
+        self.draws += 1
+        if math.isnan(deviation) or deviation > self.max_deviation:
+            self.max_deviation = float(deviation)
 
     @property
     def passed(self) -> bool:
@@ -281,6 +292,11 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
+
+    def add(self, name: str, threshold: float) -> VerificationEntry:
+        """Append an empty entry and return it for recording."""
+        self.entries.append(VerificationEntry(name, threshold))
+        return self.entries[-1]
 
     def to_text(self) -> str:
         lines = [
@@ -358,19 +374,19 @@ def verify_tracedet(
     many-body trace (2^L space) is compared with the single-particle
     formula (L x L space).  Also re-derives the one-insertion trace
     through the finite-alpha factorization and checks the conjugation,
-    Sylvester and Sherman-Morrison lemmas the derivations rest on.
+    Sylvester and Sherman-Morrison lemmas the derivations rest on.  Each
+    comparison is one recorded draw of its entry; a NaN deviation fails
+    the entry.
     """
     rng = np.random.default_rng(seed)
     report = VerificationReport(seed=seed)
-
-    dev_bss: dict[int, float] = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
-    dev_one = 0.0
-    dev_two = {kind: 0.0 for kind in tracedet.TWO_INSERT_KINDS}
-    dev_alpha = 0.0
-    dev_conj = 0.0
-    dev_sylvester = 0.0
-    dev_sherman = 0.0
-    alphas = (0.1, 1.0, 10.0)
+    bare = {n: report.add(f"bare_trace_{n}_factors", threshold) for n in (1, 2, 3, 4)}
+    one = report.add("one_insertion", threshold)
+    two = {k: report.add(f"two_insertion_{k}", threshold) for k in tracedet.TWO_INSERT_KINDS}
+    alpha_route = report.add("alpha_independence", threshold)
+    conjugation = report.add("conjugation_identity", 1e-10)
+    sylvester = report.add("sylvester_lemma", 1e-10)
+    sherman = report.add("sherman_morrison_lemma", 1e-10)
 
     for L in sizes:
         c_ops = build_fermions(L)
@@ -381,7 +397,7 @@ def verify_tracedet(
             for n in (1, 2, 3, 4):
                 chain = tracedet.QuadraticFormChain(coeffs[:n])
                 lhs = complex(np.trace(np.linalg.multi_dot(many[:n]) if n > 1 else many[0]))
-                dev_bss[n] = max(dev_bss[n], _rel_dev(lhs, tracedet.bss_trace(chain).value))
+                bare[n].record(_rel_dev(lhs, tracedet.bss_trace(chain).value))
 
             chain3 = tracedet.QuadraticFormChain(coeffs[:3])
             exps3 = many[:3]
@@ -389,22 +405,20 @@ def verify_tracedet(
             lhs = complex(np.trace(
                 c_ops[i].conj().T @ c_ops[ip] @ exps3[0] @ exps3[1] @ exps3[2]
             ))
-            rhs = tracedet.trace_one_insert(i, ip, chain3)
-            dev_one = max(dev_one, _rel_dev(lhs, rhs))
+            one.record(_rel_dev(lhs, tracedet.trace_one_insert(i, ip, chain3)))
 
             for kind in tracedet.TWO_INSERT_KINDS:
                 idx = tuple(rng.integers(0, L, size=4))
                 lhs = _fock_two_insert(kind, idx, exps3, c_ops)
-                rhs = tracedet.trace_two_insert_chain(kind, idx, chain3)
-                dev_two[kind] = max(dev_two[kind], _rel_dev(lhs, rhs))
+                two[kind].record(_rel_dev(lhs, tracedet.trace_two_insert_chain(kind, idx, chain3)))
 
             d = int(rng.integers(0, L))
             base = tracedet.trace_one_insert(d, d, chain3)
-            for alpha in alphas:
+            for alpha in (0.1, 1.0, 10.0):
                 via_alpha = tracedet.trace_one_insert_alpha_route(d, chain3, alpha)
-                dev_alpha = max(dev_alpha, _rel_dev(base, via_alpha))
+                alpha_route.record(_rel_dev(base, via_alpha))
 
-            dev_conj = max(dev_conj, tracedet.conjugation_residual(chain3))
+            conjugation.record(tracedet.conjugation_residual(chain3))
 
             a = _random_coeff(rng, L) + 2.0 * np.eye(L)
             psi = rng.standard_normal(L) + 1j * rng.standard_normal(L)
@@ -412,32 +426,7 @@ def verify_tracedet(
             upd = a + np.outer(psi, phi)
             ainv = np.linalg.inv(a)
             syl = np.linalg.det(a) * (1.0 + phi @ ainv @ psi)
-            dev_sylvester = max(dev_sylvester, _rel_dev(np.linalg.det(upd), syl))
+            sylvester.record(_rel_dev(np.linalg.det(upd), syl))
             sm = ainv - np.outer(ainv @ psi, phi @ ainv) / (1.0 + phi @ ainv @ psi)
-            dev_sherman = max(
-                dev_sherman, float(np.max(np.abs(np.linalg.inv(upd) - sm)))
-            )
-
-    total = draws * len(sizes)
-    for n in (1, 2, 3, 4):
-        report.entries.append(
-            VerificationEntry(f"bare_trace_{n}_factors", total, dev_bss[n], threshold)
-        )
-    report.entries.append(VerificationEntry("one_insertion", total, dev_one, threshold))
-    for kind in tracedet.TWO_INSERT_KINDS:
-        report.entries.append(
-            VerificationEntry(f"two_insertion_{kind}", total, dev_two[kind], threshold)
-        )
-    report.entries.append(
-        VerificationEntry("alpha_independence", total * len(alphas), dev_alpha, threshold)
-    )
-    report.entries.append(
-        VerificationEntry("conjugation_identity", total, dev_conj, 1e-10)
-    )
-    report.entries.append(
-        VerificationEntry("sylvester_lemma", total, dev_sylvester, 1e-10)
-    )
-    report.entries.append(
-        VerificationEntry("sherman_morrison_lemma", total, dev_sherman, 1e-10)
-    )
+            sherman.record(np.max(np.abs(np.linalg.inv(upd) - sm)))
     return report

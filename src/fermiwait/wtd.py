@@ -183,10 +183,6 @@ class WtdCurve:
     def values(self) -> np.ndarray:
         return np.array([p.value for p in self.points])
 
-    @property
-    def flags(self) -> list[str]:
-        return [p.flag for p in self.points]
-
 
 def validate_grid(grid) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)

@@ -33,7 +33,7 @@ def _dissipator(a):
 
 def full_liouvillian(spec):
     """(full, no_click, jumps) as 4^L x 4^L superoperators on row-major vec(rho)."""
-    c_ops = build_fermions(spec.L, allow_large=True)
+    c_ops = build_fermions(spec.L)
     c1, cL = c_ops[0], c_ops[-1]
     ch = channels(spec)
 

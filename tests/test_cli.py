@@ -131,9 +131,9 @@ class TestWtdCommand:
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
             assert main(["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(d)]) == 0
-        a = (a_dir / "wtd_L-_given_1+.csv").read_bytes()
-        b = (b_dir / "wtd_L-_given_1+.csv").read_bytes()
-        assert a == b
+            assert main(["stats", "--config", cfg, "--out", str(d)]) == 0
+        for name in ("wtd_L-_given_1+.csv", "stats.json"):
+            assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_blocked_channel_gives_zero_column(self, tmp_path):
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
@@ -260,6 +260,29 @@ class TestStatsCommand:
         )
 
 
+VERIFY_ENTRY_NAMES = [
+    "bare_trace_1_factors",
+    "bare_trace_2_factors",
+    "bare_trace_3_factors",
+    "bare_trace_4_factors",
+    "one_insertion",
+    "two_insertion_adjacent",
+    "two_insertion_split_mp",
+    "two_insertion_split_pp",
+    "two_insertion_split_mm",
+    "two_insertion_split_pm",
+    "alpha_independence",
+    "conjugation_identity",
+    "sylvester_lemma",
+    "sherman_morrison_lemma",
+    "steady_covariance",
+    "wtd_equivalence_steady",
+    "wtd_equivalence_vacuum",
+    "normalization_steady",
+    "normalization_vacuum",
+]
+
+
 class TestVerifyCommand:
     def test_default_chain_passes(self, tmp_path):
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
@@ -267,6 +290,7 @@ class TestVerifyCommand:
         assert rc == 0
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["passed"] is True
+        assert [e["name"] for e in payload["entries"]] == VERIFY_ENTRY_NAMES
         assert (tmp_path / "verify.txt").exists()
         assert payload["oracle"] == {"sector_dimension": 6, "propagator": "eig"}
         assert set(payload["quadrature"]) == {"steady", "vacuum"}
@@ -299,6 +323,21 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_nan_density_is_caught(self, tmp_path, monkeypatch):
+        real = fermiwait.wtd.wtd_density
+
+        def nan_for_one_pair(t, k, q, state, sp):
+            if state.kind == "steady" and (k.label, q.label) == ("L-", "1+"):
+                return float("nan")
+            return real(t, k, q, state, sp)
+
+        monkeypatch.setattr(fermiwait.wtd, "wtd_density", nan_for_one_pair)
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+        entries = json.loads((tmp_path / "verify.json").read_text())["entries"]
+        failed = [e["name"] for e in entries if not e["passed"]]
+        assert failed == ["wtd_equivalence_steady"]
+
     def test_oversized_oracle_is_refused(self, tmp_path, capsys):
         body = DEFAULT_CONFIG.replace("L = 2", "L = 5")
         cfg = write_config(tmp_path / "run.ini", body)
@@ -325,6 +364,15 @@ class TestBenchCommand:
         data = [l for l in lines if l and not l.startswith("#")]
         assert data[0] == "L,seconds_per_point"
         assert len(data) == 3
+
+    @pytest.mark.parametrize("sizes", ["4", "4,4"])
+    def test_slope_needs_two_distinct_sizes(self, tmp_path, capsys, sizes):
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        argv = ["bench", "--config", cfg, "--out", str(tmp_path), "--sizes", sizes]
+        assert main(argv + ["--repeats", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "--sizes" in captured.err
+        assert "ms per density point" not in captured.out
 
     def test_custom_hamiltonian_sizes_must_match(self, tmp_path, capsys):
         # Each size is built from the config, as --sweep-L does, so a size

@@ -43,12 +43,10 @@ class TestFermions:
             assert set(np.round(evals).astype(int)) == {0, 1}
 
     def test_size_cap(self):
-        with pytest.raises(ValueError, match="oracle supports"):
-            build_fermions(5)
-        ops = build_fermions(6, allow_large=True)
+        ops = build_fermions(6)
         assert ops[0].shape == (64, 64)
-        with pytest.raises(ValueError):
-            build_fermions(7, allow_large=True)
+        with pytest.raises(ValueError, match="oracle supports"):
+            build_fermions(7)
 
 
 class TestLiouvillian:
@@ -243,7 +241,7 @@ class TestLargeOracle:
         spec = generic_spec(6)
         sp = derive_single_particle(spec)
         ch = channels(spec)
-        oracle = FockOracle(spec, allow_large=True)
+        oracle = FockOracle(spec)
         assert oracle.parts.no_click.shape == (924, 924)
         st = steady_state(spec)
         rho_ss = oracle.steady_state()

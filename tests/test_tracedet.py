@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import fermiwait.tracedet
 from fermiwait.tracedet import (
     QuadraticFormChain,
     TWO_INSERT_KINDS,
@@ -12,6 +13,7 @@ from fermiwait.tracedet import (
     trace_two_insert_chain,
 )
 from fermiwait.fock import (
+    VerificationEntry,
     _fock_two_insert,
     build_fermions,
     quadratic_form_operator,
@@ -157,3 +159,23 @@ class TestSupportingIdentities:
         assert "sylvester_lemma" in names
         text = report.to_text()
         assert "pass" in text and "FAIL" not in text
+
+    def test_nan_trace_formula_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(fermiwait.tracedet, "trace_one_insert", lambda i, j, chain: np.nan)
+        report = verify_tracedet(seed=123, draws=5, sizes=(2,))
+        assert not report.passed
+        failed = {e.name for e in report.entries if not e.passed}
+        assert "one_insertion" in failed
+
+
+class TestVerificationEntry:
+    def test_record_keeps_the_largest_deviation_and_any_nan(self):
+        entry = VerificationEntry("identity", 1e-9)
+        for dev in (1e-12, 3e-10, 2e-11):
+            entry.record(dev)
+        assert (entry.draws, entry.max_deviation, entry.passed) == (3, 3e-10, True)
+        for dev in (np.nan, 1e-11, 5.0):
+            entry.record(dev)
+        assert entry.draws == 6
+        assert np.isnan(entry.max_deviation)
+        assert not entry.passed

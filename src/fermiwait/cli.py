@@ -104,6 +104,14 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _parse_sizes(text: str, option: str) -> list[int]:
+    """A comma-separated list of chain sizes given to ``option``."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option}: expected comma-separated integers, got {text!r}") from None
+
+
 def _parse_channel(label: str, spec: ChainSpec):
     ch = channels(spec)
     if label not in ch:
@@ -192,9 +200,7 @@ def _quadrature_record(quad) -> dict:
 def cmd_stats(args) -> int:
     cfg = _load_config(args)
     failures = []
-    sweep = (
-        [int(s) for s in args.sweep_L.split(",")] if args.sweep_L else [None]
-    )
+    sweep = _parse_sizes(args.sweep_L, "--sweep-L") if args.sweep_L else [None]
     for L in sweep:
         run_cfg = cfg
         suffix = ""
@@ -315,7 +321,7 @@ def _loglog_slope(rows) -> float:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _parse_sizes(args.sizes, "--sizes")
     if any(s < 2 for s in sizes):
         raise ConfigError("--sizes: all chain sizes must be >= 2")
     if len(set(sizes)) < 2:

@@ -168,36 +168,48 @@ def solve_factored(factors: LUFactors, b) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def cholesky_logdet(a: np.ndarray) -> tuple[CholeskyFactor, float]:
-    """Cholesky-factorize a Hermitian positive definite ``a``; return log det a.
+def cholesky_logdet(a: np.ndarray) -> tuple[CholeskyFactor, np.ndarray]:
+    """Cholesky-factorize a stack (..., n, n) of Hermitian positive definite matrices.
 
-    Reads the lower triangle only.  Uses numpy's gufunc, which releases the
-    GIL, so threads factorizing different matrices overlap.  Raises
-    :class:`NotPositiveDefiniteError` when ``a`` is not numerically positive
-    definite, including non-finite input.
+    Returns the lower factors and log det of each matrix, an array of the
+    stack's shape.  Reads the lower triangles only.  Uses numpy's gufunc,
+    which factorizes the whole stack in one call and releases the GIL, so
+    threads factorizing different matrices overlap.  Raises
+    :class:`NotPositiveDefiniteError` when any matrix of the stack is not
+    numerically positive definite, including non-finite input.
     """
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from None
-    log_det = 2.0 * float(np.sum(np.log(np.diagonal(lower).real)))
-    if not np.isfinite(log_det):
-        raise NotPositiveDefiniteError(f"log det = {log_det} is not finite")
+    log_det = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1).real), axis=-1)
+    if not np.all(np.isfinite(log_det)):
+        raise NotPositiveDefiniteError("log det is not finite")
     return CholeskyFactor(lower), log_det
 
 
 def half_solve(factor: CholeskyFactor, b) -> np.ndarray:
-    """R^-1 B for a = R R^dag, so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B)."""
-    x, info = lapack.ztrtrs(factor.lower, b, lower=1)
+    """R^-1 B for a = R R^dag, so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
+
+    Solves (R^T)^T X = B: the transpose of numpy's C-ordered factor is
+    Fortran-ordered, so LAPACK reads it without a copy.
+    """
+    x, info = lapack.ztrtrs(factor.lower.T, b, lower=0, trans=1)
     if info != 0:
         raise LinalgError(f"ztrtrs failed with info = {info}")
     return x
 
 
 def condition_estimate(factors: LUFactors | CholeskyFactor, anorm: float) -> float:
-    """1-norm condition number estimate from LU or Cholesky factors (LAPACK gecon/pocon)."""
+    """1-norm condition number estimate from LU or Cholesky factors (LAPACK gecon/pocon).
+
+    For a = R R^dag the estimate is taken on conj(a) = U^dag U with U = R^T,
+    which has the same condition number and 1-norm: R^T is the
+    Fortran-ordered view of numpy's C-ordered factor, so LAPACK reads it
+    without a copy.
+    """
     if isinstance(factors, CholeskyFactor):
-        rcond, info = lapack.zpocon(factors.lower, anorm, uplo="L")
+        rcond, info = lapack.zpocon(factors.lower.T, anorm, uplo="U")
     else:
         rcond, info = lapack.zgecon(factors.lu, anorm, norm="1")
     if info != 0 or rcond == 0.0:

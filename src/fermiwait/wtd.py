@@ -68,13 +68,35 @@ of a point is LAPACK's 1-norm condition estimate of the matrix factorized
 for it: B (``zpocon``) on the eigenbasis form, A (``zgecon``) on the LU
 form.
 
+Stacks of times.  ``wtd_density_matrix`` takes one time or a 1-D array of n
+times and returns a (4, 4) or an (n, 4, 4) array; matrix m of a stack
+equals the call at t[m] alone bitwise.  The single-time callers
+(``wtd_point``, ``stats.natd``, ``cli``'s verify) run the same code with
+n = 1; ``wtd_curve`` builds each point's blocks with n = 1 on its thread
+pool and assembles the densities of all points as one stack.  On the
+eigenbasis form the stack's B matrices are built as one (n, L, L) array
+and factorized by one call of numpy's batched Cholesky; the right-hand
+sides, the Gram blocks and the assembly of the densities are batched over
+the stack as well.  What has no batched LAPACK routine runs time by time:
+the condition estimate (``zpocon``), the eight-column triangular solve
+(``ztrtrs``; numpy has no batched triangular solve, and a row-by-row
+batched substitution saves about a microsecond a time at L <= 5 but costs
+three to four times the per-time call from L = 50 on), and every time on
+the LU form.  If the batched Cholesky refuses a matrix, the stack is
+factorized again time by time, so only the refused times take the LU
+form.  One stack holds at most ``STACK_BYTES`` of L x L matrices and is
+evaluated in parts beyond that, so a quadrature round at L = 200-400 does
+not grow the memory.
+
 Starting from the vacuum (C = 0) the densities are analytic:
 
     P(t, i-|j+) = rate_i- * e^{-Gamma t} * |G_ij|^2
     P(t, i+|j+) = rate_i+ * e^{-Gamma t} * [(Gd G)_jj - |G_ij|^2]
 
 and densities conditioned on an extraction vanish identically.  These need
-only the boundary columns G[:, b], O(L^2) per time.
+only the boundary columns G[:, b], O(L^2) per time; on the eigen-propagator
+a whole stack is V (e^{w t} o V^-1[:, b]) in one product, on the expm
+fallback one propagator per time.
 
 Thread policy.  ``wtd_curve`` evaluates its points on a thread pool, which
 is meant to be the only level of parallelism.  The command line pins the
@@ -95,6 +117,7 @@ come after it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -103,6 +126,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    CholeskyFactor,
     NotPositiveDefiniteError,
     cholesky_logdet,
     condition_estimate,
@@ -142,6 +166,14 @@ MIN_OCCUPATION_FACTOR = 1e-14
 #: Eigenvalues near 1 need no fallback: B stays positive definite, and for
 #: C = 1 (both baths full) only the eigenbasis form survives the growth.
 C_MIN_EIGENVALUE = 1e-3
+
+#: Bytes of the L x L complex matrices (for the vacuum, of the L x 2
+#: boundary columns) that one stack of times holds at once.  Longer stacks
+#: are evaluated in parts, so memory does not grow with the stack: 128 KiB
+#: is 8192 two-site matrices, 20 at L = 20 and one from L = 65 on.  Larger
+#: parts gain nothing: once the batched elementwise work leaves the cache
+#: it costs more per time than one time alone.
+STACK_BYTES = 1 << 17
 
 DEFAULT_GRID_POINTS = 400
 
@@ -223,25 +255,27 @@ def default_time_grid(
     return np.linspace(0.0, t_max, points)
 
 
+#: The seven 2 x 2 blocks of ``_Blocks.m``, each the boundary entries [b, b]:
+#: T = G C A^-1 Gd, the no-click occupation kernel; for q = j+ the diagonal
+#: factor (1-C) A^-1 Gd G and the exchange factors (1-T) G (left) and
+#: (1-C) A^-1 Gd (right); for q = j- the diagonal factor C A^-1 and the
+#: exchange factors G C A^-1 (left) and C A^-1 Gd (right).
+_T, _INJ_SAME, _INJ_LEFT, _INJ_RIGHT, _EXT_SAME, _EXT_LEFT, _EXT_RIGHT = range(7)
+
+
 @dataclass(frozen=True)
 class _Blocks:
     """Boundary entries, at sites (1, L), of the t-dependent factors of all sixteen densities.
 
-    Each block is a 2 x 2 nested list of Python complex numbers, so the
-    sixteen-entry assembly runs on plain scalars.
+    One entry per time of a stack of n times, so the sixteen-entry assembly
+    runs on the whole stack: ``m[:, X]`` is the (n, 2, 2) block X of
+    ``_T`` ... ``_EXT_RIGHT``.
     """
 
-    T: list  # (G C A^-1 Gd)[b, b]: no-click occupation kernel
-    inj_same: list  # ((1-C) A^-1 Gd G)[b, b]: diagonal factor for q = j+
-    inj_left: list  # ((1-T) G)[b, b]: left exchange factor for q = j+
-    inj_right: list  # ((1-C) A^-1 Gd)[b, b]: right exchange factor for q = j+
-    ext_same: list  # (C A^-1)[b, b]: diagonal factor for q = j-
-    ext_left: list  # (G C A^-1)[b, b]: left exchange factor for q = j-
-    ext_right: list  # (C A^-1 Gd)[b, b]: right exchange factor for q = j-
-    c_diag: tuple[float, float]  # real C_jj at the boundary sites
-    log_prefactor: float  # -Gamma t + log|det A|
-    phase: complex
-    cond: float
+    m: np.ndarray  # (n, 7, 2, 2) complex
+    log_prefactor: np.ndarray  # (n,): -Gamma t + log|det A|
+    phase: np.ndarray  # (n,) complex
+    cond: np.ndarray  # (n,)
 
 
 @dataclass(frozen=True)
@@ -255,8 +289,7 @@ class _Eigenbasis:
     zvinv_b: np.ndarray  # Z V^-1[:, b]
     vinv_n_b: np.ndarray  # P_N V^-1[:, b], rows of growing modes zeroed
     zvinv_g_b: np.ndarray  # Z P_G V^-1[:, b]
-    k_g: list  # (Z V^-1[:, b])^dag P_G V^-1[:, b] as a nested list
-    c_diag: tuple[float, float]
+    k_g: np.ndarray  # (Z V^-1[:, b])^dag P_G V^-1[:, b]
     log_det_ratio: float  # log det C - 2 log|det V|
     lu_until: float  # times below this take the LU form (C_MIN_EIGENVALUE)
 
@@ -272,6 +305,23 @@ def _slot(ch: Channel) -> int:
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
+
+
+def _chunks(n: int, bytes_per_time: int) -> list[slice]:
+    """Split a stack of n times into parts of at most STACK_BYTES (at least one time each)."""
+    step = max(1, STACK_BYTES // bytes_per_time)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _times(t) -> np.ndarray:
+    """A scalar or 1-D array of times as a 1-D float array, checked nonnegative."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    ts = ts.reshape(-1)
+    if np.any(ts < 0):
+        raise ValueError("time must be nonnegative")
+    return ts
 
 
 def _eigenbasis(c: np.ndarray, sp: SingleParticleSet) -> _Eigenbasis | None:
@@ -302,51 +352,94 @@ def _eigenbasis(c: np.ndarray, sp: SingleParticleSet) -> _Eigenbasis | None:
         zvinv_b=zvinv_b,
         vinv_n_b=vinv_b - vinv_g_b,
         zvinv_g_b=z @ vinv_g_b,
-        k_g=(zvinv_b.conj().T @ vinv_g_b).tolist(),
-        c_diag=tuple(np.real(np.diagonal(c)[b]).tolist()),
+        k_g=zvinv_b.conj().T @ vinv_g_b,
         log_det_ratio=float(np.sum(np.log(occ))) - 2.0 * float(np.linalg.slogdet(v)[1]),
         lu_until=lu_until,
     )
 
 
-def _eigen_blocks(t: float, e: _Eigenbasis, gamma_total: float) -> _Blocks:
-    wt = e.w * t
+def _factorize(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Cholesky factors and log det of a stack of B, and the mask of times it took.
+
+    The stack is factorized in one call; only if that call refuses a matrix
+    is it factorized again time by time, to find the refused ones.  The
+    mask is None when every time took.
+    """
+    n = bmat.shape[0]
+    try:
+        factor, log_det = cholesky_logdet(bmat)
+        return factor.lower, log_det, None
+    except NotPositiveDefiniteError:
+        ok = np.zeros(n, dtype=bool)
+        if n == 1:
+            return bmat, np.zeros(1), ok
+    lower, log_det = np.empty_like(bmat), np.zeros(n)
+    for i in range(n):
+        try:
+            factor, one = cholesky_logdet(bmat[i : i + 1])
+        except NotPositiveDefiniteError:
+            continue
+        lower[i], log_det[i], ok[i] = factor.lower[0], one[0], True
+    return lower, log_det, ok
+
+
+def _gram_index() -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the Gram matrix that hold each block, in ``_Blocks.m`` order."""
+    corners = ((2, 2), (4, 6), (2, 4), (4, 2), (0, 0), (2, 0), (0, 2))
+    rows = np.array([[[r, r], [r + 1, r + 1]] for r, _ in corners])
+    cols = np.array([[[c, c + 1], [c, c + 1]] for _, c in corners])
+    return rows, cols
+
+
+_GRAM_ROWS, _GRAM_COLS = _gram_index()
+
+
+def _eigen_blocks(
+    ts: np.ndarray, e: _Eigenbasis, gamma_total: float
+) -> tuple[dict, np.ndarray | None]:
+    """The blocks at the times ``ts`` on the eigenbasis form, and the mask of times it took.
+
+    Times whose B the Cholesky factorization refuses are left out of the
+    blocks (their mask entry is False) for the LU form to take; the mask is
+    None when every time took.
+    """
+    wt = ts[:, None] * e.w
     grow = np.maximum(wt.real, 0.0)  # log d_b
-    inv_db = np.exp(-grow)[:, None]
-    ds = np.exp(wt - grow)[:, None]
+    inv_db = np.exp(-grow)[:, :, None]
+    ds = np.exp(wt - grow)[:, :, None]
     ds_bar = ds.conj()
-    bmat = e.z * (inv_db * inv_db.T)
-    bmat += e.s * (ds_bar * ds.T)
-    factor, log_det_b = cholesky_logdet(bmat)
-    cond = condition_estimate(factor, float(np.abs(bmat).sum(axis=0).max()))
+    bmat = e.z * (inv_db * inv_db.transpose(0, 2, 1))
+    bmat += e.s * (ds_bar * ds.transpose(0, 2, 1))
+    lower, log_det_b, ok = _factorize(bmat)
+    if ok is not None:
+        ts, grow, inv_db, ds, ds_bar = ts[ok], grow[ok], inv_db[ok], ds[ok], ds_bar[ok]
+        bmat, lower, log_det_b = bmat[ok], lower[ok], log_det_b[ok]
+    anorm = np.abs(bmat).sum(axis=1).max(axis=1)
 
     # R^-1 [X, Y, U, F] for B = R R^dag: the only solve, eight columns; its
     # Gram matrix holds every quadratic form the blocks need.
     f = ds_bar * (e.s @ (ds * e.vinv_n_b)) - inv_db * e.zvinv_g_b
-    cols = np.concatenate((e.vh_b * inv_db, e.vh_b * ds_bar, e.zvinv_b * inv_db, f), axis=1)
-    half = half_solve(factor, cols)
-    g = (half[:, :6].conj().T @ half).tolist()
-
-    def sub(r: int, c: int) -> list:
-        return [[g[r][c], g[r][c + 1]], [g[r + 1][c], g[r + 1][c + 1]]]
-
-    uf = sub(4, 6)
-    return _Blocks(
-        T=sub(2, 2),
-        inj_same=[[e.k_g[i][j] + uf[i][j] for j in (0, 1)] for i in (0, 1)],
-        inj_left=sub(2, 4),
-        inj_right=sub(4, 2),
-        ext_same=sub(0, 0),
-        ext_left=sub(2, 0),
-        ext_right=sub(0, 2),
-        c_diag=e.c_diag,
-        log_prefactor=-gamma_total * t + log_det_b + 2.0 * float(grow.sum()) + e.log_det_ratio,
-        phase=1.0 + 0.0j,
-        cond=cond,
-    )
+    cols = np.concatenate((e.vh_b * inv_db, e.vh_b * ds_bar, e.zvinv_b * inv_db, f), axis=2)
+    half = np.empty_like(cols)
+    cond = np.empty(ts.size)
+    for i in range(ts.size):
+        factor = CholeskyFactor(lower[i])
+        cond[i] = condition_estimate(factor, float(anorm[i]))
+        half[i] = half_solve(factor, cols[i])
+    gram = half[:, :, :6].conj().transpose(0, 2, 1) @ half
+    m = gram[:, _GRAM_ROWS, _GRAM_COLS]
+    m[:, _INJ_SAME] += e.k_g
+    blocks = {
+        "m": m,
+        "log_prefactor": -gamma_total * ts + log_det_b + 2.0 * grow.sum(axis=1) + e.log_det_ratio,
+        "phase": np.ones(ts.size, dtype=complex),
+        "cond": cond,
+    }
+    return blocks, ok
 
 
-def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
+def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> dict:
+    """The blocks at one time on the LU form, as a stack of one."""
     b = _boundary(sp.L)
     g = sp.propagator.matrix(t)
     gd = g.conj().T
@@ -362,19 +455,21 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     c_cols = c @ cols
     left = g[b] @ c_cols  # G C A^-1 [Gd, Gd G, 1] at rows b
     right = one_minus_c[b] @ cols  # (1-C) A^-1 [Gd, Gd G] at rows b
-    return _Blocks(
-        T=left[:, :2].tolist(),
-        inj_same=right[:, 2:4].tolist(),
-        inj_left=(g[b, b] - left[:, 2:4]).tolist(),
-        inj_right=right[:, :2].tolist(),
-        ext_same=c_cols[b, 4:].tolist(),
-        ext_left=left[:, 4:].tolist(),
-        ext_right=c_cols[b, :2].tolist(),
-        c_diag=tuple(np.real(np.diagonal(c)[b]).tolist()),
-        log_prefactor=-sp.gamma_total * t + logdet.log_abs,
-        phase=logdet.phase,
-        cond=cond,
+    m = (
+        left[:, :2],
+        right[:, 2:4],
+        g[b, b] - left[:, 2:4],
+        right[:, :2],
+        c_cols[b, 4:],
+        left[:, 4:],
+        c_cols[b, :2],
     )
+    return {
+        "m": np.stack(m)[None],
+        "log_prefactor": np.array([-sp.gamma_total * t + logdet.log_abs]),
+        "phase": np.array([logdet.phase]),
+        "cond": np.array([cond]),
+    }
 
 
 def _state_eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | None:
@@ -382,67 +477,193 @@ def _state_eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasi
     return sp.memo(state, ("eigenbasis",), lambda: _eigenbasis(state.C, sp))
 
 
-def _build_blocks(t: float, state: GaussianState, sp: SingleParticleSet) -> _Blocks:
-    """The blocks at time t: eigenbasis form where it applies, LU form otherwise."""
+def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -> _Blocks:
+    """The blocks at every time of ``ts``: eigenbasis form where it applies, LU form otherwise.
+
+    The eigenbasis times are evaluated in stacks of at most STACK_BYTES of
+    L x L matrices, the LU times one by one.
+    """
+    pieces = []  # (indices into ts, blocks at those times)
     basis = _state_eigenbasis(state, sp)
-    if basis is not None and t >= basis.lu_until:
-        try:
-            return _eigen_blocks(t, basis, sp.gamma_total)
-        except NotPositiveDefiniteError:
-            pass
-    return _lu_blocks(t, state.C, sp)
+    if basis is not None:
+        eig = (ts >= basis.lu_until).nonzero()[0]
+        for part in _chunks(eig.size, 16 * sp.L**2):
+            idx = eig[part]
+            blocks, ok = _eigen_blocks(ts[idx], basis, sp.gamma_total)
+            pieces.append((idx if ok is None else idx[ok], blocks))
+    if sum(len(idx) for idx, _ in pieces) < ts.size:
+        on_lu = np.ones(ts.size, dtype=bool)
+        for idx, _ in pieces:
+            on_lu[idx] = False
+        for i in np.flatnonzero(on_lu):
+            pieces.append(([i], _lu_blocks(float(ts[i]), state.C, sp)))
+    if len(pieces) == 1:  # all on one form, in one part
+        return _Blocks(**pieces[0][1])
+    out = {
+        "m": np.empty((ts.size, 7, 2, 2), dtype=complex),
+        "log_prefactor": np.empty(ts.size),
+        "phase": np.empty(ts.size, dtype=complex),
+        "cond": np.empty(ts.size),
+    }
+    for idx, blocks in pieces:
+        for name, value in blocks.items():
+            out[name][idx] = value
+    return _Blocks(**out)
 
 
-def _occupation_factor(blocks: _Blocks, q: Channel) -> float:
+def _boundary_occupations(state: GaussianState) -> tuple[float, float]:
+    """Real C_jj at the two bath sites."""
+    return float(state.C[0, 0].real), float(state.C[-1, -1].real)
+
+
+def _occupation_factor(c_diag: tuple[float, float], q: Channel) -> float:
     """C_jj for q = j-, 1 - C_jj for q = j+: the weight of a click in q."""
-    c = blocks.c_diag[_slot(q)]
+    c = c_diag[_slot(q)]
     return c if q.sign == "-" else 1.0 - c
 
 
-def _assemble(blocks: _Blocks, t: float, pairs) -> list[tuple[float, str]]:
-    """(value, flag) of each (k, q) density in ``pairs`` from one set of blocks.
+@dataclass(frozen=True)
+class _Pairs:
+    """A set of (k, q) densities for one pair of boundary occupations.
+
+    ``entries`` (4, P) holds, for each pair, the flat index into a time's
+    seven blocks (``_Blocks.m`` as 28 numbers) of T[i, i], the diagonal
+    factor [j, j] and the left [i, j] and right [j, i] exchange factors of
+    q's sign.
+    """
+
+    pairs: tuple
+    entries: np.ndarray
+    k_minus: np.ndarray  # (P,) k is an extraction: the bracket takes T, else 1 - T
+    plus_cross: np.ndarray  # (P,) the exchange term enters with a plus sign
+    denom: np.ndarray  # (P,) occupation factor of q
+    impossible: np.ndarray  # (P,) a click in q is impossible
+    coef: np.ndarray  # (P,) rate_k / denom, 0 where a click in q is impossible
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_plan(pairs: tuple, c_diag: tuple[float, float]) -> _Pairs:
+    """The plan of ``pairs`` for the boundary occupations ``c_diag``, built once and cached."""
+    index = np.array(
+        [
+            [
+                (_T, i, i),
+                (_INJ_SAME, j, j) if inj else (_EXT_SAME, j, j),
+                (_INJ_LEFT, i, j) if inj else (_EXT_LEFT, i, j),
+                (_INJ_RIGHT, j, i) if inj else (_EXT_RIGHT, j, i),
+            ]
+            for i, j, inj in ((_slot(k), _slot(q), q.sign == "+") for k, q in pairs)
+        ],
+        dtype=int,
+    ).reshape(-1, 4, 3)
+    k_minus = np.array([k.sign == "-" for k, _ in pairs], dtype=bool)
+    denom = np.array([_occupation_factor(c_diag, q) for _, q in pairs], dtype=float)
+    impossible = denom <= MIN_OCCUPATION_FACTOR
+    rates = np.array([k.rate for k, _ in pairs], dtype=float)
+    return _Pairs(
+        pairs=pairs,
+        entries=np.ravel_multi_index(tuple(index.transpose(2, 1, 0)), (7, 2, 2)),
+        k_minus=k_minus,
+        plus_cross=k_minus == np.array([q.sign == "+" for _, q in pairs], dtype=bool),
+        denom=denom,
+        impossible=impossible,
+        coef=np.divide(rates, denom, out=np.zeros_like(rates), where=~impossible),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _matrix_plan(order: tuple, c_diag: tuple[float, float]) -> tuple[_Pairs, tuple, tuple]:
+    """The density-matrix pairs whose q can click, with their rows and columns."""
+    cells = [
+        (a, b)
+        for b, q in enumerate(order)
+        if _occupation_factor(c_diag, q) > MIN_OCCUPATION_FACTOR
+        for a in range(4)
+    ]
+    rows, cols = zip(*cells) if cells else ((), ())
+    return _pair_plan(tuple((order[a], order[b]) for a, b in cells), c_diag), rows, cols
+
+
+def _assemble(blocks: _Blocks, ts: np.ndarray, plan: _Pairs) -> np.ndarray:
+    """Each (k, q) density of ``plan`` at every time, (n, P), before clamping.
 
     Raises :class:`WtdNumericsError` where a click in q is impossible or the
-    bracket keeps an imaginary residue.  Densities below zero are clamped
-    to 0 and flagged "clamped" (within CLAMP_WINDOW) or "negative".
+    bracket keeps an imaginary residue: for the first time of the stack with
+    a failing pair, and its first failing pair, the error a call with that
+    time alone raises.  Values below zero are left to the caller, which
+    clamps them to 0 (``_clamped``) and may flag them (``_clamp_flag``).
     """
-    scale = math.exp(blocks.log_prefactor)
-    t_diag = (blocks.T[0][0], blocks.T[1][1])
-    out = []
-    for k, q in pairs:
-        i, j = _slot(k), _slot(q)
-        denom = _occupation_factor(blocks, q)
-        if denom <= MIN_OCCUPATION_FACTOR:
+    entries = np.take(blocks.m.reshape(ts.size, 28), plan.entries, axis=1)
+    t_diag, diag, left, right = entries.transpose(1, 0, 2)
+    cross = left * right
+    bracket = diag * np.where(plan.k_minus, t_diag, 1.0 - t_diag)
+    bracket = np.where(plan.plus_cross, bracket + cross, bracket - cross)
+    rotated = blocks.phase[:, None] * bracket
+    bad = plan.impossible | (np.abs(rotated.imag) > IMAG_TOL * np.abs(rotated) + 1e-12)
+    if bad.any():
+        n0 = int(np.flatnonzero(bad.any(axis=1))[0])
+        p0 = int(np.flatnonzero(bad[n0])[0])
+        k, q = plan.pairs[p0]
+        if plan.impossible[p0]:
             raise WtdNumericsError(
                 f"conditioning on channel {q.label} is impossible: occupation factor "
-                f"{denom:.3e}; vacuum-like states must use the vacuum path"
+                f"{plan.denom[p0]:.3e}; vacuum-like states must use the vacuum path"
             )
-        if q.sign == "+":
-            diag = blocks.inj_same[j][j]
-            cross = blocks.inj_left[i][j] * blocks.inj_right[j][i]
+        raise WtdNumericsError(
+            f"imaginary residue {rotated[n0, p0].imag:.3e} in density at "
+            f"t={ts[n0]:.6g}, ({k.label}|{q.label})"
+        )
+    return plan.coef * np.exp(blocks.log_prefactor)[:, None] * rotated.real
+
+
+def _clamped(values: np.ndarray) -> np.ndarray:
+    """Densities with every value below zero set to 0."""
+    return np.where(values < 0.0, 0.0, values)
+
+
+def _clamp_flag(value: float) -> str:
+    """"clamped" for a density below zero within CLAMP_WINDOW, "negative" beyond, else ""."""
+    if value < 0.0:
+        return "clamped" if value >= -CLAMP_WINDOW else "negative"
+    return ""
+
+
+def _boundary_columns(ts: np.ndarray, sp: SingleParticleSet) -> np.ndarray:
+    """G[:, b] = e^{-Qt} on the unit vectors of the two bath sites at every time: (n, L, 2).
+
+    On the eigen-propagator the stack is V (e^{w t} o V^-1[:, b]) in one
+    product, and exactly the unit vectors at t = 0; on the expm fallback it
+    takes one propagator per time.
+    """
+    e = np.zeros((sp.L, 2))
+    e[_boundary(sp.L)] = np.eye(2)
+    eig = sp.propagator.eig
+    if eig is None:
+        return np.stack([sp.propagator.apply(float(t), e) for t in ts])
+    w, v, vinv = eig
+    cols = v @ (np.exp(ts[:, None] * w)[:, :, None] * vinv[:, _boundary(sp.L)])
+    cols[ts == 0.0] = e
+    return cols
+
+
+def _vacuum_densities(ts: np.ndarray, sp: SingleParticleSet, pairs) -> np.ndarray:
+    """Vacuum densities (n, len(pairs)) of each (k, q) at every time, from G[:, b].
+
+    Evaluated in stacks of at most STACK_BYTES of boundary columns.
+    """
+    out = np.zeros((ts.size, len(pairs)))
+    for part in _chunks(ts.size, 32 * sp.L):
+        g_cols = _boundary_columns(ts[part], sp)
+        decay = np.exp(-sp.gamma_total * ts[part])
+        norm = np.sum(g_cols.real**2 + g_cols.imag**2, axis=1)  # (Gd G)_jj
+        for p, (k, q) in enumerate(pairs):
+            if q.sign == "-":
+                continue
+            hop = np.abs(g_cols[:, k.site_index, _slot(q)]) ** 2
             if k.sign == "-":
-                b = diag * t_diag[i] + cross
+                out[part, p] = k.rate * decay * hop
             else:
-                b = diag * (1.0 - t_diag[i]) - cross
-        else:
-            diag = blocks.ext_same[j][j]
-            cross = blocks.ext_left[i][j] * blocks.ext_right[j][i]
-            if k.sign == "-":
-                b = diag * t_diag[i] - cross
-            else:
-                b = diag * (1.0 - t_diag[i]) + cross
-        rotated = blocks.phase * b
-        if abs(rotated.imag) > IMAG_TOL * abs(rotated) + 1e-12:
-            raise WtdNumericsError(
-                f"imaginary residue {rotated.imag:.3e} in density at "
-                f"t={t:.6g}, ({k.label}|{q.label})"
-            )
-        value = (k.rate / denom) * scale * rotated.real
-        flag = ""
-        if value < 0.0:
-            flag = "clamped" if value >= -CLAMP_WINDOW else "negative"
-            value = 0.0
-        out.append((value, flag))
+                out[part, p] = np.maximum(k.rate * decay * (norm[:, _slot(q)] - hop), 0.0)
     return out
 
 
@@ -452,30 +673,7 @@ def wtd_density_vacuum(t: float, k: Channel, q: Channel, sp: SingleParticleSet) 
     Densities conditioned on an extraction are identically zero: there is
     nothing to extract from the vacuum.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if q.sign == "-":
-        return 0.0
-    return _vacuum_entry(_boundary_columns(t, sp), np.exp(-sp.gamma_total * t), k, q)
-
-
-def _boundary_columns(t: float, sp: SingleParticleSet) -> np.ndarray:
-    """G[:, b] = e^{-Qt} applied to the unit vectors of the two bath sites."""
-    e = np.zeros((sp.L, 2))
-    e[_boundary(sp.L)] = np.eye(2)
-    return sp.propagator.apply(t, e)
-
-
-def _vacuum_entry(g_cols: np.ndarray, decay: float, k: Channel, q: Channel) -> float:
-    """Vacuum density of (k | q) from the boundary columns G[:, b] and the decay factor."""
-    if q.sign == "-":
-        return 0.0
-    col = g_cols[:, _slot(q)]
-    hop = abs(col[k.site_index]) ** 2
-    if k.sign == "-":
-        return k.rate * decay * hop
-    norm = float(np.real(np.vdot(col, col)))  # (Gd G)_jj
-    return max(k.rate * decay * (norm - hop), 0.0)
+    return float(_vacuum_densities(_times(t), sp, ((k, q),))[0, 0])
 
 
 def wtd_point(
@@ -494,11 +692,18 @@ def wtd_point(
         raise ValueError("time must be nonnegative")
     if state.kind == "vacuum":
         return WtdPoint(t, wtd_density_vacuum(t, k, q, sp), 1.0)
-    blocks = _build_blocks(t, state, sp)
-    ((value, flag),) = _assemble(blocks, t, ((k, q),))
-    if blocks.cond > COND_THRESHOLD:
+    ts = np.array([t], dtype=float)
+    blocks = _build_blocks(ts, state, sp)
+    value = _assemble(blocks, ts, _pair_plan(((k, q),), _boundary_occupations(state)))[0, 0]
+    return _point(t, float(value), float(blocks.cond[0]))
+
+
+def _point(t: float, value: float, cond: float) -> WtdPoint:
+    """The point of an assembled density: clamped, and flagged by its value and condition."""
+    flag = _clamp_flag(value)
+    if cond > COND_THRESHOLD:
         flag = flag + "," + "ill_conditioned" if flag else "ill_conditioned"
-    return WtdPoint(t, value, blocks.cond, flag)
+    return WtdPoint(t, max(value, 0.0), cond, flag)
 
 
 def wtd_density(
@@ -512,40 +717,27 @@ def wtd_density(
     return wtd_point(t, k, q, state, sp).value
 
 
-def wtd_density_matrix(
-    t: float,
-    state: GaussianState,
-    sp: SingleParticleSet,
-) -> np.ndarray:
-    """All sixteen densities at one time, as a (k, q) matrix in CHANNEL_ORDER.
+def wtd_density_matrix(t, state: GaussianState, sp: SingleParticleSet) -> np.ndarray:
+    """All sixteen densities as (k, q) matrices in CHANNEL_ORDER, at one time or a stack.
 
-    Columns conditioned on an impossible jump (extraction from an empty
-    site, as in the vacuum, or injection into a full one) are zero.  Sharing the t-dependent blocks across the sixteen entries
-    makes this the cheap way to evaluate mixtures and column sums.
+    ``t`` is a scalar, giving a (4, 4) matrix, or a 1-D array of n times,
+    giving (n, 4, 4); matrix m of a stack equals the call at ``t[m]`` alone
+    bitwise.  Columns conditioned on an impossible jump (extraction from an
+    empty site, as in the vacuum, or injection into a full one) are zero.
+    Sharing the t-dependent blocks across the sixteen entries, and the
+    factorizations across the stack, makes this the cheap way to evaluate
+    mixtures, column sums and quadrature rounds.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    ch = sp.channels
-    out = np.zeros((4, 4))
+    ts = _times(t)
+    order = tuple(sp.channels[label] for label in CHANNEL_ORDER)
+    out = np.zeros((ts.size, 4, 4))
     if state.kind == "vacuum":
-        g_cols = _boundary_columns(t, sp)
-        decay = np.exp(-sp.gamma_total * t)
-        for a, kl in enumerate(CHANNEL_ORDER):
-            for b, ql in enumerate(CHANNEL_ORDER):
-                out[a, b] = _vacuum_entry(g_cols, decay, ch[kl], ch[ql])
-        return out
-    blocks = _build_blocks(t, state, sp)
-    order = [ch[label] for label in CHANNEL_ORDER]
-    cells = [
-        (a, b)
-        for b, q in enumerate(order)
-        if _occupation_factor(blocks, q) > MIN_OCCUPATION_FACTOR
-        for a in range(4)
-    ]
-    values = _assemble(blocks, t, [(order[a], order[b]) for a, b in cells])
-    for (a, b), (value, _) in zip(cells, values):
-        out[a, b] = value
-    return out
+        pairs = [(order[a], order[b]) for b in range(4) for a in range(4)]
+        out[:] = _vacuum_densities(ts, sp, pairs).reshape(-1, 4, 4).transpose(0, 2, 1)
+    else:
+        plan, rows, cols = _matrix_plan(order, _boundary_occupations(state))
+        out[:, rows, cols] = _clamped(_assemble(_build_blocks(ts, state, sp), ts, plan))
+    return out if np.ndim(t) else out[0]
 
 
 def wtd_curve(
@@ -560,22 +752,33 @@ def wtd_curve(
     Points are independent; grids of at least 8 points are distributed over
     a pool of min(4, os.cpu_count()) threads and reassembled in grid order
     (see the module's thread policy), smaller grids or a single core run
-    serially.  Each point is ``wtd_point``'s, bitwise.  The propagator and
-    the per-state factors are built once, before the pool starts, and shared
-    by all workers.
+    serially.  A worker builds one point's blocks; the densities of all
+    points are then assembled as one stack, so each point is
+    ``wtd_point``'s, bitwise.  The propagator and the per-state factors are
+    built once, before the pool starts, and shared by all workers.  From
+    the vacuum the whole grid is one stack of boundary columns.
     """
     grid = validate_grid(grid)
+    if state.kind == "vacuum":
+        values = _vacuum_densities(grid, sp, ((k, q),))[:, 0]
+        points = tuple(WtdPoint(float(t), float(v), 1.0) for t, v in zip(grid, values))
+        return WtdCurve(from_channel=q, to_channel=k, points=points, state_kind=state.kind)
     sp.propagator
-    if state.kind != "vacuum":
-        _state_eigenbasis(state, sp)
+    _state_eigenbasis(state, sp)
 
-    def one(t: float) -> WtdPoint:
-        return wtd_point(float(t), k, q, state, sp)
+    def one(t: float) -> _Blocks:
+        return _build_blocks(np.array([t]), state, sp)
 
     workers = min(4, os.cpu_count() or 1)
     if workers <= 1 or grid.size < 8:
-        points = tuple(one(t) for t in grid)
+        parts = [one(t) for t in grid]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = tuple(pool.map(one, grid))
+            parts = list(pool.map(one, grid))
+    fields = _Blocks.__dataclass_fields__
+    blocks = _Blocks(**{name: np.concatenate([getattr(b, name) for b in parts]) for name in fields})
+    values = _assemble(blocks, grid, _pair_plan(((k, q),), _boundary_occupations(state)))[:, 0]
+    points = tuple(
+        _point(float(t), float(v), float(c)) for t, v, c in zip(grid, values, blocks.cond)
+    )
     return WtdCurve(from_channel=q, to_channel=k, points=points, state_kind=state.kind)

@@ -1,5 +1,8 @@
 import ctypes
 import json
+import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -109,6 +112,21 @@ class TestThreadPolicy:
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
         assert main(["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]) == 0
         assert [get() for _, get in libs] == [1] * len(libs)
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_heavy_scipy_modules_out(self):
+        # The command line needs scipy.linalg only; scipy.integrate would
+        # also load optimize, special and sparse and add about a third of a
+        # second to every command's start-up.
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+        src = os.path.dirname(os.path.dirname(fermiwait.wtd.__file__))
+        code = f"import sys, fermiwait.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == []
 
 
 class TestWtdCommand:
@@ -225,6 +243,14 @@ class TestStatsCommand:
         assert rc == 0
         assert (tmp_path / "stats_L2.json").exists()
         assert (tmp_path / "stats_L3.json").exists()
+
+    def test_malformed_sweep_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        rc = main(["stats", "--config", cfg, "--out", str(tmp_path), "--sweep-L", "2,x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--sweep-L" in err and "'2,x'" in err
+        assert not list(tmp_path.glob("stats*.json"))
 
     def test_sweep_keeps_relative_hamiltonian_file(self, tmp_path, monkeypatch):
         # h_file is resolved against the config file's directory, also
@@ -372,6 +398,14 @@ class TestBenchCommand:
         assert main(argv + ["--repeats", "1"]) == 1
         captured = capsys.readouterr()
         assert "--sizes" in captured.err
+        assert "ms per density point" not in captured.out
+
+    def test_malformed_sizes_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        argv = ["bench", "--config", cfg, "--out", str(tmp_path), "--sizes", "4,x"]
+        assert main(argv + ["--repeats", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "--sizes" in captured.err and "'4,x'" in captured.err
         assert "ms per density point" not in captured.out
 
     def test_custom_hamiltonian_sizes_must_match(self, tmp_path, capsys):

@@ -27,7 +27,7 @@ from fermiwait.stats import (
 )
 from fermiwait.wtd import wtd_density, wtd_density_matrix
 
-from conftest import generic_spec
+from conftest import generic_spec, tight_binding_spec
 
 
 def cell(kl, ql):
@@ -72,6 +72,131 @@ def analytic_natd(t, gamma=0.1, hop=1.0):
         * np.exp(-gamma * t)
         * (gamma**2 - 8 * hop**2 + 4 * hop**2 * np.cos(t * omega))
     )
+
+
+def quad_vec_semiinfinite(
+    f, tol, *, decay_rate, amplitude=1.0, poly_degree=0, t_cut=None, limit=400
+):
+    """The cutoff loop of ``integrate_semiinfinite`` run on scipy's quad_vec.
+
+    The reference for the in-repo Gauss-Kronrod pass: f is called with one
+    float per node, and every call counts as an evaluation.
+    """
+    from scipy.integrate import quad_vec
+
+    fixed_cut = t_cut is not None
+    if t_cut is None:
+        amp = max(amplitude, tol)
+        t_cut = np.log(10.0 * amp / (tol * decay_rate)) / decay_rate
+        t_cut = max(t_cut, (poly_degree + 2.0) / decay_rate)
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return f(t)
+
+    value, abs_err, start = 0.0, 0.0, 0.0
+    for _ in range(8):
+        piece, err, info = quad_vec(
+            counted, start, t_cut, epsabs=0.5 * tol, epsrel=1e-10, norm="max",
+            limit=limit, full_output=True,
+        )
+        if info.status != 0:
+            raise QuadratureError(f"quad_vec status {info.status}")
+        value = value + piece
+        abs_err += float(err)
+        edge = max(float(np.max(counted(t_cut))), 0.0)
+        slack = decay_rate * t_cut
+        if slack <= poly_degree + 1:
+            tail = np.inf
+        else:
+            tail = (edge / decay_rate) / (1.0 - poly_degree / slack)
+        if fixed_cut or tail <= tol / 10.0:
+            return value, abs_err, calls, tail, t_cut
+        start, t_cut = t_cut, 1.6 * t_cut
+    raise QuadratureError("tail")
+
+
+#: The integrands of TestQuadrature with their keyword arguments.
+QUADRATURE_CASES = {
+    "exponential": (lambda t: 0.37 * np.exp(-0.37 * t), dict(decay_rate=0.37)),
+    "first_moment": (lambda t: t * 0.25 * np.exp(-0.25 * t), dict(decay_rate=0.25, poly_degree=1)),
+    "fixed_cutoff": (lambda t: 0.5 * np.exp(-0.5 * t), dict(decay_rate=0.5, t_cut=10.0)),
+    "oscillatory": (lambda t: np.exp(-0.1 * t) * np.cos(2.0 * t) ** 2, dict(decay_rate=0.1)),
+    "extended_cutoff": (
+        lambda t: t * t * 0.5 * np.exp(-0.5 * t),
+        dict(decay_rate=0.5, amplitude=1e-8, poly_degree=2),
+    ),
+    "array_valued": (
+        lambda t: 0.25 * np.exp(-0.25 * t) * np.array([1.0, t, t * t]),
+        dict(decay_rate=0.25, poly_degree=2),
+    ),
+}
+
+
+def assert_matches_quad_vec(res, ref):
+    value, abs_err, evaluations, tail, t_cut = ref
+    assert res.evaluations == evaluations
+    assert np.max(np.abs(res.value - value)) <= 1e-13 * np.max(np.abs(value))
+    assert res.abs_error_estimate == pytest.approx(abs_err, rel=1e-12)
+    assert (res.truncation_tail_bound, res.t_cut) == (tail, t_cut)
+
+
+class TestAgainstQuadVec:
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_CASES))
+    def test_quadrature_integrands(self, name):
+        f, kwargs = QUADRATURE_CASES[name]
+        res = integrate_semiinfinite(f, 1e-8, **kwargs)
+        assert_matches_quad_vec(res, quad_vec_semiinfinite(f, 1e-8, **kwargs))
+
+    def test_subdivision_cap_fails_on_both(self):
+        f = lambda t: np.exp(-0.01 * t) * np.cos(40.0 * t) ** 2  # noqa: E731
+        for integrate in (integrate_semiinfinite, quad_vec_semiinfinite):
+            with pytest.raises(QuadratureError):
+                integrate(f, 1e-10, decay_rate=0.01, limit=2)
+
+    @pytest.mark.parametrize("kind", ["steady", "vacuum"])
+    @pytest.mark.parametrize("L", [2, 5])
+    def test_default_moment_passes(self, L, kind):
+        # The pass evaluates each round with one stacked density call; the
+        # reference calls the single-time kernel once per node.
+        spec = tight_binding_spec(L)
+        sp = derive_single_particle(spec)
+        state = steady_state(spec) if kind == "steady" else vacuum_state(L)
+        gamma = sp.gamma_total
+
+        def moments_at(t):
+            m = wtd_density_matrix(t, state, sp)
+            return np.stack((m, gamma * t * m, (gamma * t) ** 2 * m))
+
+        res = channel_stats(state, sp).quadrature
+        ref = quad_vec_semiinfinite(
+            moments_at,
+            DEFAULT_TOL,
+            decay_rate=gamma,
+            amplitude=max(4.0 * max(c.rate for c in sp.channels.values()), DEFAULT_TOL),
+            poly_degree=2,
+        )
+        assert_matches_quad_vec(res, ref)
+
+    def test_moment_pass_evaluates_each_round_in_one_call(self, monkeypatch):
+        import fermiwait.stats as statsmod
+
+        stacks = []
+        real = statsmod.wtd_density_matrix
+
+        def recorded(t, state, sp):
+            stacks.append(np.size(t))
+            return real(t, state, sp)
+
+        monkeypatch.setattr(statsmod, "wtd_density_matrix", recorded)
+        spec = tight_binding_spec(2)
+        res = channel_stats(steady_state(spec), derive_single_particle(spec)).quadrature
+        assert sum(stacks) == res.evaluations
+        # Every call is a round of 21-node intervals or one tail probe.
+        assert all(n == 1 or n % 21 == 0 for n in stacks)
+        assert len(stacks) < res.evaluations / 42
 
 
 class TestQuadrature:
@@ -135,6 +260,12 @@ class TestQuadrature:
             poly_degree=2,
         )
         assert res.value == pytest.approx([1.0, 1.0 / g, 2.0 / g**2], rel=1e-9)
+
+    def test_non_finite_integrand_is_an_error(self):
+        with pytest.raises(QuadratureError, match="non-finite integrand"):
+            integrate_semiinfinite(
+                lambda t: np.inf if t > 3.0 else np.exp(-t), 1e-8, decay_rate=1.0
+            )
 
     def test_subdivision_cap_is_an_error(self):
         with pytest.raises(QuadratureError, match="refinement"):

@@ -444,3 +444,136 @@ class TestExceptionalPoint:
                         assert rel_dev(a, b) < 1e-8
         # No eigenvectors, no eigenbasis form: every steady point took the LU form.
         assert kernel_forms["eigenbasis"] == 0 and kernel_forms["lu"] > 0
+
+
+def _assert_stack_is_bitwise_single(ts, state, sp):
+    stack = wtd_density_matrix(ts, state, sp)
+    assert stack.shape == (len(ts), 4, 4)
+    for t, row in zip(ts, stack):
+        assert np.array_equal(row, wtd_density_matrix(float(t), state, sp)), t
+
+
+class TestStackedTimes:
+    """Matrix m of wtd_density_matrix(ts) is the matrix of ts[m] alone, bitwise."""
+
+    TIMES = np.array([0.0, 0.3, 1.7, 4.0, 9.5, 23.0, 61.0])
+
+    def test_eigenbasis_form(self, kernel_forms):
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        _assert_stack_is_bitwise_single(self.TIMES, steady_state(spec), sp)
+        assert kernel_forms["lu"] == 0
+
+    def test_small_occupation_on_both_sides_of_the_switch(self, kernel_forms):
+        # A full left bath makes modes grow; the custom state's lowest
+        # occupation is below C_MIN_EIGENVALUE, so early times take the LU form.
+        spec = tight_binding_spec(4, gamma=0.5, f1=1.0, fL=0.2)
+        sp = derive_single_particle(spec)
+        state = _lowest_occupation_state(np.random.default_rng(3), 4, 0.5 * C_MIN_EIGENVALUE)
+        switch = wtdmod._state_eigenbasis(state, sp).lu_until
+        assert switch > 0.0
+        ts = switch * np.array([0.0, 0.2, 0.9, 1.1, 3.0, 8.0])
+        kernel_forms.update(eigenbasis=0, lu=0)
+        wtd_density_matrix(ts, state, sp)
+        assert kernel_forms == {"eigenbasis": 1, "lu": 3}
+        _assert_stack_is_bitwise_single(ts, state, sp)
+
+    def test_refused_cholesky_of_one_time(self, monkeypatch, kernel_forms):
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        real = wtdmod.cholesky_logdet
+        seen = []
+        monkeypatch.setattr(wtdmod, "cholesky_logdet", lambda a: seen.append(a.copy()) or real(a))
+        wtd_density_matrix(self.TIMES[3], st, sp)
+        (poisoned,) = seen
+
+        def refuse_one(a):
+            if any(np.array_equal(m, poisoned[0]) for m in a):
+                raise NotPositiveDefiniteError("forced")
+            return real(a)
+
+        monkeypatch.setattr(wtdmod, "cholesky_logdet", refuse_one)
+        kernel_forms.update(eigenbasis=0, lu=0)
+        stack = wtd_density_matrix(self.TIMES, st, sp)
+        # The stack is refused, then each time is factorized alone: all but
+        # the poisoned time succeed, and only that one takes the LU form.
+        assert kernel_forms == {"eigenbasis": len(self.TIMES) - 1, "lu": 1}
+        _assert_stack_is_bitwise_single(self.TIMES, st, sp)
+        clean = wtd_density_matrix(self.TIMES[3], st, derive_single_particle(spec))
+        assert np.all(np.abs(stack[3] - clean) <= 1e-12 * np.max(clean))
+
+    @pytest.mark.parametrize("kind", ["steady", "vacuum"])
+    def test_exceptional_point_on_expm(self, kind):
+        spec = ChainSpec(h=build_tight_binding(2, 0.0, 1.0), gamma1=4.0, gammaL=4.0, f1=0.0, fL=0.5)
+        sp = derive_single_particle(spec)
+        assert not sp.propagator.uses_eig
+        state = steady_state(spec) if kind == "steady" else vacuum_state(2)
+        _assert_stack_is_bitwise_single(self.TIMES / 10.0, state, sp)
+
+    def test_vacuum(self, sv_sp):
+        _assert_stack_is_bitwise_single(self.TIMES, vacuum_state(2), sv_sp)
+
+    def test_stack_longer_than_one_part(self, monkeypatch):
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        whole = wtd_density_matrix(self.TIMES, st, sp)
+        monkeypatch.setattr(wtdmod, "STACK_BYTES", 2 * 16 * 3**2)
+        assert np.array_equal(wtd_density_matrix(self.TIMES, st, sp), whole)
+        for state in (st, vacuum_state(3)):
+            _assert_stack_is_bitwise_single(self.TIMES, state, sp)
+
+    def test_imaginary_residue_names_the_failing_time(self, monkeypatch):
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        real = wtdmod._eigen_blocks
+        bad_t = self.TIMES[4]
+
+        def rotated(ts, e, gamma_total):
+            blocks, ok = real(ts, e, gamma_total)
+            times = ts if ok is None else ts[ok]
+            blocks["phase"] = np.where(times == bad_t, 1j, 1.0 + 0.0j)
+            return blocks, ok
+
+        monkeypatch.setattr(wtdmod, "_eigen_blocks", rotated)
+        with pytest.raises(WtdNumericsError) as single:
+            wtd_density_matrix(bad_t, st, sp)
+        with pytest.raises(WtdNumericsError) as stacked:
+            wtd_density_matrix(self.TIMES, st, sp)
+        assert f"t={bad_t:.6g}," in str(single.value)
+        assert str(stacked.value) == str(single.value)
+        wtd_density_matrix(self.TIMES[:4], st, sp)
+
+    def test_impossible_click_raises_the_single_time_error(self, sv_sp, sv_channels):
+        dead = GaussianState(C=np.diag([0.0, 0.0]).astype(complex), kind="custom")
+        pair = ((sv_channels["1+"], sv_channels["1-"]),)
+        with pytest.raises(WtdNumericsError, match="impossible") as single:
+            wtd_density(1.0, *pair[0], dead, sv_sp)
+        blocks = wtdmod._build_blocks(self.TIMES, dead, sv_sp)
+        plan = wtdmod._pair_plan(pair, wtdmod._boundary_occupations(dead))
+        with pytest.raises(WtdNumericsError) as stacked:
+            wtdmod._assemble(blocks, self.TIMES, plan)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("kind", ["steady", "vacuum"])
+    def test_curve_points_are_single_points(self, kind):
+        # The curve builds blocks point by point and assembles them as one stack.
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        state = steady_state(spec) if kind == "steady" else vacuum_state(3)
+        k, q = sp.channels["L-"], sp.channels["1+"]
+        grid = np.linspace(0.0, 60.0, 24)
+        curve = wtd_curve(k, q, state, sp, grid)
+        assert curve.points == tuple(wtd_point(float(t), k, q, state, sp) for t in grid)
+
+    def test_time_arguments(self, sv_spec, sv_sp):
+        st = steady_state(sv_spec)
+        assert wtd_density_matrix(1.0, st, sv_sp).shape == (4, 4)
+        assert wtd_density_matrix([1.0], st, sv_sp).shape == (1, 4, 4)
+        assert wtd_density_matrix(np.array([]), st, sv_sp).shape == (0, 4, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            wtd_density_matrix(np.array([1.0, -1.0]), st, sv_sp)
+        with pytest.raises(ValueError, match="1-D"):
+            wtd_density_matrix(np.ones((2, 2)), st, sv_sp)

@@ -152,7 +152,7 @@ def cmd_natd(args) -> int:
     sp = derive_single_particle(spec)
     state = cfg.initial(spec)
     grid = wtdmod.default_time_grid(spec, points=cfg.points, t_max=cfg.t_max)
-    rows = [(t, statsmod.natd(float(t), state, sp)) for t in grid]
+    rows = zip(grid, statsmod.natd(grid, state, sp).tolist())
     out = Path(cfg.out_dir) / "natd.csv"
     _write_csv(out, cfg, "t,density", rows)
     print(f"wrote {out}")
@@ -261,19 +261,21 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     states = [("steady", st, rho_ss), ("vacuum", vacuum_state(spec.L), oracle.vacuum_density())]
     for name, state, rho in states:
         entry = equivalence[name]
-        for ql in CHANNEL_ORDER:
+        stack = wtdmod.wtd_density_matrix(times, state, sp)
+        at_one = wtdmod.wtd_density_matrix(1.0, state, sp) if state.kind == "vacuum" else None
+        for b, ql in enumerate(CHANNEL_ORDER):
             q = ch[ql]
-            if state.kind == "vacuum" and q.sign == "-":
-                for kl in CHANNEL_ORDER:
-                    entry.record(abs(wtdmod.wtd_density(1.0, ch[kl], q, state, sp)))
+            if at_one is not None and q.sign == "-":
+                for a in range(4):
+                    entry.record(abs(float(at_one[a, b])))
                 continue
             if click_weight(q, state) <= MIN_CLICK_WEIGHT:
                 continue
-            for kl in CHANNEL_ORDER:
-                for t in times:
-                    a = wtdmod.wtd_density(float(t), ch[kl], q, state, sp)
-                    b = oracle.wtd(float(t), ch[kl], q, rho)
-                    entry.record(abs(a - b) / max(abs(a), abs(b), floor))
+            for a, kl in enumerate(CHANNEL_ORDER):
+                for t, m in zip(times, stack):
+                    x = float(m[a, b])
+                    y = oracle.wtd(float(t), ch[kl], q, rho)
+                    entry.record(abs(x - y) / max(abs(x), abs(y), floor))
 
     diagnostics = {
         "oracle": {
@@ -374,9 +376,10 @@ def _bundled_openblas():
 def _pin_blas_threads() -> None:
     """Run the bundled OpenBLAS libraries on one thread each.
 
-    The one level of parallelism is ``wtd_curve``'s pool over time points;
-    BLAS threads under it would only contend for the same cores.  Does
-    nothing where the scipy-openblas symbols are absent.
+    The one level of parallelism is the pool of ``wtd._build_blocks`` over
+    the parts of a stack of times; BLAS threads under it would only contend
+    for the same cores.  Does nothing where the scipy-openblas symbols are
+    absent.
     """
     for handle, suffix in _bundled_openblas():
         setter = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)

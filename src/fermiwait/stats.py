@@ -75,7 +75,7 @@ class QuadratureResult:
 
     ``value`` has the shape of the integrand's output.  ``evaluations``
     counts every node at which the integrand was evaluated, the tail probes
-    at the cutoffs included, whether the nodes came one per call or stacked.
+    at the cutoffs included.
     """
 
     value: float | np.ndarray
@@ -172,26 +172,24 @@ _ROUND_INTERVALS = 128
 _STATUS = {1: "subdivision limit reached", 2: "roundoff error", 3: "non-finite integrand"}
 
 
-class _Stacked:
-    """An integrand that takes the 1-D array of a round's nodes and returns one row per node."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-
-def _gk21(intervals, f: _Stacked) -> list[tuple[np.ndarray, float, float]]:
+def _gk21(intervals, f) -> list[tuple[np.ndarray, float, float]]:
     """(integral, error estimate, rounding error) of f on each (a, b), from one call of f.
 
     The sums run node by node in QUADPACK's order and the error estimate is
-    QUADPACK's, taken in the max norm over the components of f.
+    QUADPACK's, taken in the max norm over the components of f.  A value of
+    f that is not finite raises :class:`QuadratureError` before any sum.
     """
     bounds = np.array(intervals, dtype=float).reshape(-1, 2)
     c = 0.5 * (bounds[:, 0] + bounds[:, 1])
     h = 0.5 * (bounds[:, 1] - bounds[:, 0])
     nodes = c[:, None] + h[:, None] * np.array(_GK21_NODES)
-    fv = np.asarray(f.fn(nodes.reshape(-1)), dtype=float)
+    fv = np.asarray(f(nodes.reshape(-1)), dtype=float)
     shape = fv.shape[1:]
     fv = fv.reshape(len(bounds), _GK21_EVALS, -1)
+    finite = np.isfinite(fv).all(axis=(1, 2))
+    if not finite.all():
+        lo, hi = bounds[np.argmin(finite)]
+        raise QuadratureError(f"adaptive refinement failed on [{lo:.6g}, {hi:.6g}]: {_STATUS[3]}")
     s_k = np.zeros((len(bounds), fv.shape[2]))
     s_k_abs = np.zeros_like(s_k)
     for i, weight in enumerate(_GK21_KRONROD):
@@ -219,7 +217,7 @@ def _gk21(intervals, f: _Stacked) -> list[tuple[np.ndarray, float, float]]:
     return out
 
 
-def _adaptive_gk21(f: _Stacked, a: float, b: float, epsabs: float, epsrel: float, limit: int):
+def _adaptive_gk21(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     """Globally adaptive vector quadrature of f on [a, b].
 
     Returns (integral, error estimate, status, evaluations), status 0 when
@@ -297,10 +295,10 @@ def integrate_semiinfinite(
     bypassing the extension loop (useful to demonstrate that the audit
     catches truncation).
 
-    f is called with one float per node.  The moment pass passes its
-    integrand wrapped in ``_Stacked`` instead, which is called once per
-    refinement round with the 1-D array of the round's nodes; the result is
-    the same either way.  ``evaluations`` counts nodes, tail probes included.
+    f takes a 1-D array of nodes and returns one row per node (a scalar
+    row for a scalar integrand); it is called once per refinement round
+    with all of the round's nodes, and once per cutoff with the tail probe.
+    ``evaluations`` counts nodes, tail probes included.
     """
     if decay_rate <= 0.0:
         raise QuadratureError(
@@ -315,10 +313,9 @@ def integrate_semiinfinite(
     if t_cut <= 0.0:
         raise ValueError("t_cut must be positive")
 
-    stacked = f if isinstance(f, _Stacked) else _Stacked(lambda ts: [f(float(t)) for t in ts])
     value, abs_err, start, evaluations = 0.0, 0.0, 0.0, 0
     for _ in range(8):
-        piece, err, status, count = _adaptive_gk21(stacked, start, t_cut, 0.5 * tol, 1e-10, limit)
+        piece, err, status, count = _adaptive_gk21(f, start, t_cut, 0.5 * tol, 1e-10, limit)
         evaluations += count
         if status != 0:
             raise QuadratureError(
@@ -328,7 +325,7 @@ def integrate_semiinfinite(
         value = value + piece
         abs_err += float(err)
 
-        edge = max(float(np.max(np.asarray(stacked.fn(np.array([t_cut])))[0])), 0.0)
+        edge = max(float(np.max(np.asarray(f(np.array([t_cut])))[0])), 0.0)
         evaluations += 1
         slack = decay_rate * t_cut
         if slack <= poly_degree + 1:
@@ -385,7 +382,7 @@ def _run_moment_pass(
         return np.stack((m, s * m, s * s * m), axis=1)
 
     res = integrate_semiinfinite(
-        _Stacked(moments_at),
+        moments_at,
         tol,
         decay_rate=sp.gamma_total,
         amplitude=max(4.0 * max(c.rate for c in sp.channels.values()), tol),
@@ -448,18 +445,20 @@ def channel_probability(
     return float(table.p_kq[CHANNEL_ORDER.index(k.label), CHANNEL_ORDER.index(q.label)])
 
 
-def natd(t: float, state: GaussianState, sp: SingleParticleSet) -> float:
+def natd(t, state: GaussianState, sp: SingleParticleSet):
     """Net activity time density: waiting time between any two clicks.
 
     Defined as the click-frequency mixture of all sixteen channel-resolved
     densities; only meaningful in the steady state, where the frequencies
-    are stationary.
+    are stationary.  A 1-D array of times gives one density per time from
+    one stacked density call, each equal to its scalar call bitwise.
     """
     if state.kind != "steady":
         raise ValueError("net activity distribution is defined for the steady state")
     p_q = jump_frequencies(state, sp)
     m = wtd_density_matrix(t, state, sp)
-    return float(m.sum(axis=0) @ p_q)
+    density = np.array([column_sums @ p_q for column_sums in m.reshape(-1, 4, 4).sum(axis=1)])
+    return density if np.ndim(t) else float(density[0])
 
 
 def natd_moments(

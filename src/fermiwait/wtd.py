@@ -68,25 +68,23 @@ of a point is LAPACK's 1-norm condition estimate of the matrix factorized
 for it: B (``zpocon``) on the eigenbasis form, A (``zgecon``) on the LU
 form.
 
-Stacks of times.  ``wtd_density_matrix`` takes one time or a 1-D array of n
-times and returns a (4, 4) or an (n, 4, 4) array; matrix m of a stack
-equals the call at t[m] alone bitwise.  The single-time callers
-(``wtd_point``, ``stats.natd``, ``cli``'s verify) run the same code with
-n = 1; ``wtd_curve`` builds each point's blocks with n = 1 on its thread
-pool and assembles the densities of all points as one stack.  On the
-eigenbasis form the stack's B matrices are built as one (n, L, L) array
-and factorized by one call of numpy's batched Cholesky; the right-hand
-sides, the Gram blocks and the assembly of the densities are batched over
-the stack as well.  What has no batched LAPACK routine runs time by time:
-the condition estimate (``zpocon``), the eight-column triangular solve
-(``ztrtrs``; numpy has no batched triangular solve, and a row-by-row
-batched substitution saves about a microsecond a time at L <= 5 but costs
-three to four times the per-time call from L = 50 on), and every time on
-the LU form.  If the batched Cholesky refuses a matrix, the stack is
-factorized again time by time, so only the refused times take the LU
-form.  One stack holds at most ``STACK_BYTES`` of L x L matrices and is
-evaluated in parts beyond that, so a quadrature round at L = 200-400 does
-not grow the memory.
+Stacks of times.  Every density runs through one evaluator
+(``_densities``) on a 1-D array of n times: ``wtd_density_matrix`` takes one
+time or such a stack and returns a (4, 4) or an (n, 4, 4) array, matrix m of
+a stack equal to the call at t[m] alone bitwise; ``wtd_point`` is a stack of
+one and ``wtd_curve`` one stack of the whole grid.  On the eigenbasis form
+the B matrices of a part of the stack are built as one (n, L, L) array and
+factorized by one call of numpy's batched Cholesky; the right-hand sides,
+the Gram blocks and the assembly of the densities are batched as well.
+What has no batched LAPACK routine runs time by time: the condition
+estimate (``zpocon``), the eight-column triangular solve (``ztrtrs``; numpy
+has no batched triangular solve, and a row-by-row batched substitution
+saves about a microsecond a time at L <= 5 but costs three to four times
+the per-time call from L = 50 on), and every time on the LU form.  If the
+batched Cholesky refuses a matrix, the part is factorized again time by
+time, so only the refused times take the LU form.  One part holds at most
+``STACK_BYTES`` of L x L matrices, so a quadrature round at L = 200-400
+does not grow the memory.
 
 Starting from the vacuum (C = 0) the densities are analytic:
 
@@ -98,21 +96,21 @@ only the boundary columns G[:, b], O(L^2) per time; on the eigen-propagator
 a whole stack is V (e^{w t} o V^-1[:, b]) in one product, on the expm
 fallback one propagator per time.
 
-Thread policy.  ``wtd_curve`` evaluates its points on a thread pool, which
-is meant to be the only level of parallelism.  The command line pins the
-bundled OpenBLAS libraries of numpy and scipy to one thread (``cli.main``),
-so BLAS threads never nest under the pool's workers.  Importing or calling
-the library never changes the process-wide BLAS setting: library callers
-that bypass ``cli.main`` keep their process's setting, and to get the same
-behaviour they set ``OPENBLAS_NUM_THREADS=1`` before numpy is first
-imported, or cap the threads at run time (for example with threadpoolctl),
-otherwise pool workers and BLAS threads contend for the same cores.  The
-pool overlaps only code that releases the GIL: numpy's linalg gufuncs (the
-Cholesky factorization, ``eig``, ``inv``) and large elementwise operations
-do, while scipy's f2py LAPACK wrappers (``zgetrf``, ``zgetrs``, ``zgecon``,
-``ztrtrs``, ``zpocon``) hold it.  The per-point factorization of the
-eigenbasis form is therefore numpy's; the O(L^2) calls that hold the GIL
-come after it.
+Thread policy.  The pool of ``_build_blocks`` over the parts of a stack
+is the one level of parallelism; it runs from ``POOL_MIN_SITES`` sites on.
+The command line pins the bundled OpenBLAS libraries of numpy and scipy to
+one thread (``cli.main``), so BLAS threads never nest under the pool's
+workers.  Importing or calling the library never changes the process-wide
+BLAS setting: library callers that bypass ``cli.main`` keep their
+process's setting, and to get the same behaviour they set
+``OPENBLAS_NUM_THREADS=1`` before numpy is first imported, or cap the
+threads at run time (for example with threadpoolctl), otherwise pool
+workers and BLAS threads contend for the same cores.  The pool overlaps
+only code that releases the GIL: numpy's linalg gufuncs (the Cholesky
+factorization, ``eig``, ``inv``) and large elementwise operations do,
+while scipy's f2py LAPACK wrappers (``zgetrf``, ``zgetrs``, ``zgecon``,
+``ztrtrs``, ``zpocon``) hold it.  The factorization of the eigenbasis form
+is therefore numpy's; the O(L^2) calls that hold the GIL come after it.
 """
 
 from __future__ import annotations
@@ -174,6 +172,11 @@ C_MIN_EIGENVALUE = 1e-3
 #: parts gain nothing: once the batched elementwise work leaves the cache
 #: it costs more per time than one time alone.
 STACK_BYTES = 1 << 17
+
+#: Smallest chain whose blocks are built on the thread pool.  Below it the
+#: per-time work holding the GIL outweighs what the pool overlaps: on two
+#: cores, pool/serial time per node was 1.25 at L = 5, 1.06 at 112, 0.90 at 128.
+POOL_MIN_SITES = 128
 
 DEFAULT_GRID_POINTS = 400
 
@@ -480,32 +483,40 @@ def _state_eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasi
 def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -> _Blocks:
     """The blocks at every time of ``ts``: eigenbasis form where it applies, LU form otherwise.
 
-    The eigenbasis times are evaluated in stacks of at most STACK_BYTES of
-    L x L matrices, the LU times one by one.
+    One task per part of at most STACK_BYTES of L x L matrices of the
+    eigenbasis times, in which a time whose B the Cholesky factorization
+    refuses takes the LU form, and one per LU-form time.  With more than one
+    task and core, from POOL_MIN_SITES sites on, the tasks run on a pool of
+    min(4, os.cpu_count()) threads; the blocks are bitwise the same.
     """
-    pieces = []  # (indices into ts, blocks at those times)
     basis = _state_eigenbasis(state, sp)
-    if basis is not None:
-        eig = (ts >= basis.lu_until).nonzero()[0]
-        for part in _chunks(eig.size, 16 * sp.L**2):
-            idx = eig[part]
+    on_eig = np.zeros(ts.size, dtype=bool) if basis is None else ts >= basis.lu_until
+    eig = np.flatnonzero(on_eig)
+    tasks = [eig[part] for part in _chunks(eig.size, 16 * sp.L**2)]
+    tasks += [np.array([i]) for i in np.flatnonzero(~on_eig)]
+
+    def run(idx: np.ndarray) -> list[tuple]:
+        """(indices into ts, blocks at those times) of one task."""
+        pieces, lu = [], idx
+        if on_eig[idx[0]]:
             blocks, ok = _eigen_blocks(ts[idx], basis, sp.gamma_total)
-            pieces.append((idx if ok is None else idx[ok], blocks))
-    if sum(len(idx) for idx, _ in pieces) < ts.size:
-        on_lu = np.ones(ts.size, dtype=bool)
-        for idx, _ in pieces:
-            on_lu[idx] = False
-        for i in np.flatnonzero(on_lu):
-            pieces.append(([i], _lu_blocks(float(ts[i]), state.C, sp)))
-    if len(pieces) == 1:  # all on one form, in one part
-        return _Blocks(**pieces[0][1])
+            ok = np.ones(idx.size, dtype=bool) if ok is None else ok
+            pieces, lu = [(idx[ok], blocks)], idx[~ok]
+        return pieces + [([i], _lu_blocks(float(ts[i]), state.C, sp)) for i in lu]
+
+    workers = min(4, os.cpu_count() or 1)
+    if len(tasks) > 1 and workers > 1 and sp.L >= POOL_MIN_SITES:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(run, tasks))
+    else:
+        done = [run(idx) for idx in tasks]
     out = {
         "m": np.empty((ts.size, 7, 2, 2), dtype=complex),
         "log_prefactor": np.empty(ts.size),
         "phase": np.empty(ts.size, dtype=complex),
         "cond": np.empty(ts.size),
     }
-    for idx, blocks in pieces:
+    for idx, blocks in (piece for task in done for piece in task):
         for name, value in blocks.items():
             out[name][idx] = value
     return _Blocks(**out)
@@ -667,6 +678,29 @@ def _vacuum_densities(ts: np.ndarray, sp: SingleParticleSet, pairs) -> np.ndarra
     return out
 
 
+def _densities(
+    ts: np.ndarray, state: GaussianState, sp: SingleParticleSet, plan: _Pairs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each (k, q) density of ``plan`` at every time, (n, P) before clamping, and (n,) conditions.
+
+    The one evaluator behind every density: from the vacuum the analytic
+    limit formulas (condition 1), otherwise the blocks of the whole stack
+    (``_build_blocks``) assembled at once (``_assemble``).
+    """
+    if state.kind == "vacuum":
+        return _vacuum_densities(ts, sp, plan.pairs), np.ones(ts.size)
+    blocks = _build_blocks(ts, state, sp)
+    return _assemble(blocks, ts, plan), blocks.cond
+
+
+def _point(t: float, value: float, cond: float) -> WtdPoint:
+    """The point of an assembled density: clamped, and flagged by its value and condition."""
+    flag = _clamp_flag(value)
+    if cond > COND_THRESHOLD:
+        flag = flag + "," + "ill_conditioned" if flag else "ill_conditioned"
+    return WtdPoint(t, max(value, 0.0), cond, flag)
+
+
 def wtd_density_vacuum(t: float, k: Channel, q: Channel, sp: SingleParticleSet) -> float:
     """Waiting-time density from the empty chain (analytic limit formulas).
 
@@ -683,27 +717,12 @@ def wtd_point(
     state: GaussianState,
     sp: SingleParticleSet,
 ) -> WtdPoint:
-    """Single density evaluation carrying its conditioning diagnostic.
+    """Single density evaluation carrying its conditioning diagnostic: a curve of one time.
 
     Points whose condition estimate exceeds COND_THRESHOLD are flagged
     "ill_conditioned".
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if state.kind == "vacuum":
-        return WtdPoint(t, wtd_density_vacuum(t, k, q, sp), 1.0)
-    ts = np.array([t], dtype=float)
-    blocks = _build_blocks(ts, state, sp)
-    value = _assemble(blocks, ts, _pair_plan(((k, q),), _boundary_occupations(state)))[0, 0]
-    return _point(t, float(value), float(blocks.cond[0]))
-
-
-def _point(t: float, value: float, cond: float) -> WtdPoint:
-    """The point of an assembled density: clamped, and flagged by its value and condition."""
-    flag = _clamp_flag(value)
-    if cond > COND_THRESHOLD:
-        flag = flag + "," + "ill_conditioned" if flag else "ill_conditioned"
-    return WtdPoint(t, max(value, 0.0), cond, flag)
+    return wtd_curve(k, q, state, sp, _times(t)).points[0]
 
 
 def wtd_density(
@@ -730,13 +749,9 @@ def wtd_density_matrix(t, state: GaussianState, sp: SingleParticleSet) -> np.nda
     """
     ts = _times(t)
     order = tuple(sp.channels[label] for label in CHANNEL_ORDER)
+    plan, rows, cols = _matrix_plan(order, _boundary_occupations(state))
     out = np.zeros((ts.size, 4, 4))
-    if state.kind == "vacuum":
-        pairs = [(order[a], order[b]) for b in range(4) for a in range(4)]
-        out[:] = _vacuum_densities(ts, sp, pairs).reshape(-1, 4, 4).transpose(0, 2, 1)
-    else:
-        plan, rows, cols = _matrix_plan(order, _boundary_occupations(state))
-        out[:, rows, cols] = _clamped(_assemble(_build_blocks(ts, state, sp), ts, plan))
+    out[:, rows, cols] = _clamped(_densities(ts, state, sp, plan)[0])
     return out if np.ndim(t) else out[0]
 
 
@@ -747,38 +762,12 @@ def wtd_curve(
     sp: SingleParticleSet,
     grid,
 ) -> WtdCurve:
-    """Sample the density over a time grid, points evaluated in parallel.
+    """Sample the density over a time grid, evaluated as one stack, in grid order.
 
-    Points are independent; grids of at least 8 points are distributed over
-    a pool of min(4, os.cpu_count()) threads and reassembled in grid order
-    (see the module's thread policy), smaller grids or a single core run
-    serially.  A worker builds one point's blocks; the densities of all
-    points are then assembled as one stack, so each point is
-    ``wtd_point``'s, bitwise.  The propagator and the per-state factors are
-    built once, before the pool starts, and shared by all workers.  From
-    the vacuum the whole grid is one stack of boundary columns.
+    Each point is ``wtd_point``'s, bitwise; at large L the blocks of the
+    points are built in parallel (see the module's thread policy).
     """
-    grid = validate_grid(grid)
-    if state.kind == "vacuum":
-        values = _vacuum_densities(grid, sp, ((k, q),))[:, 0]
-        points = tuple(WtdPoint(float(t), float(v), 1.0) for t, v in zip(grid, values))
-        return WtdCurve(from_channel=q, to_channel=k, points=points, state_kind=state.kind)
-    sp.propagator
-    _state_eigenbasis(state, sp)
-
-    def one(t: float) -> _Blocks:
-        return _build_blocks(np.array([t]), state, sp)
-
-    workers = min(4, os.cpu_count() or 1)
-    if workers <= 1 or grid.size < 8:
-        parts = [one(t) for t in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, grid))
-    fields = _Blocks.__dataclass_fields__
-    blocks = _Blocks(**{name: np.concatenate([getattr(b, name) for b in parts]) for name in fields})
-    values = _assemble(blocks, grid, _pair_plan(((k, q),), _boundary_occupations(state)))[:, 0]
-    points = tuple(
-        _point(float(t), float(v), float(c)) for t, v, c in zip(grid, values, blocks.cond)
-    )
+    ts = validate_grid(grid)
+    values, cond = _densities(ts, state, sp, _pair_plan(((k, q),), _boundary_occupations(state)))
+    points = tuple(_point(float(t), float(v), float(c)) for t, v, c in zip(ts, values[:, 0], cond))
     return WtdCurve(from_channel=q, to_channel=k, points=points, state_kind=state.kind)

@@ -13,6 +13,7 @@ import fermiwait.tracedet
 import fermiwait.wtd
 from fermiwait.cli import _bundled_openblas, main
 from fermiwait.config import ConfigError, RunConfig
+from fermiwait.model import CHANNEL_ORDER
 
 
 def write_config(path, body):
@@ -340,24 +341,28 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_corrupted_density_is_caught(self, tmp_path, monkeypatch):
-        real = fermiwait.wtd.wtd_density
+        real = fermiwait.wtd.wtd_density_matrix
 
-        def skewed(t, k, q, state, sp):
-            return 1.001 * real(t, k, q, state, sp)
+        def skewed(t, state, sp):
+            return 1.001 * real(t, state, sp)
 
-        monkeypatch.setattr(fermiwait.wtd, "wtd_density", skewed)
+        monkeypatch.setattr(fermiwait.wtd, "wtd_density_matrix", skewed)
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+        entries = json.loads((tmp_path / "verify.json").read_text())["entries"]
+        failed = [e["name"] for e in entries if not e["passed"]]
+        assert failed == ["wtd_equivalence_steady", "wtd_equivalence_vacuum"]
 
     def test_nan_density_is_caught(self, tmp_path, monkeypatch):
-        real = fermiwait.wtd.wtd_density
+        real = fermiwait.wtd.wtd_density_matrix
 
-        def nan_for_one_pair(t, k, q, state, sp):
-            if state.kind == "steady" and (k.label, q.label) == ("L-", "1+"):
-                return float("nan")
-            return real(t, k, q, state, sp)
+        def nan_for_one_pair(t, state, sp):
+            out = real(t, state, sp)
+            if state.kind == "steady":
+                out[..., CHANNEL_ORDER.index("L-"), CHANNEL_ORDER.index("1+")] = np.nan
+            return out
 
-        monkeypatch.setattr(fermiwait.wtd, "wtd_density", nan_for_one_pair)
+        monkeypatch.setattr(fermiwait.wtd, "wtd_density_matrix", nan_for_one_pair)
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
         entries = json.loads((tmp_path / "verify.json").read_text())["entries"]

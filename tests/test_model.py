@@ -231,8 +231,8 @@ class TestMemo:
         assert sp.memo(states[0], (), lambda: -1) == -1
 
     def test_threads_never_mix_up_states(self, sv_spec):
-        # wtd_curve's workers share one set's memo; more threads than cores,
-        # a short switch interval and constant eviction.
+        # Threads evaluating densities on one set share its memo; more threads
+        # than cores, a short switch interval and constant eviction.
         sp = derive_single_particle(sv_spec)
         states = [vacuum_state(2) for _ in range(2 * MEMO_ENTRIES)]
         errors = []

@@ -79,8 +79,9 @@ def quad_vec_semiinfinite(
 ):
     """The cutoff loop of ``integrate_semiinfinite`` run on scipy's quad_vec.
 
-    The reference for the in-repo Gauss-Kronrod pass: f is called with one
-    float per node, and every call counts as an evaluation.
+    The reference for the in-repo Gauss-Kronrod pass: f takes a 1-D array
+    of nodes, quad_vec calls it with one node at a time, and every call
+    counts as an evaluation.
     """
     from scipy.integrate import quad_vec
 
@@ -94,7 +95,7 @@ def quad_vec_semiinfinite(
     def counted(t):
         nonlocal calls
         calls += 1
-        return f(t)
+        return f(np.array([t]))[0]
 
     value, abs_err, start = 0.0, 0.0, 0.0
     for _ in range(8):
@@ -129,7 +130,7 @@ QUADRATURE_CASES = {
         dict(decay_rate=0.5, amplitude=1e-8, poly_degree=2),
     ),
     "array_valued": (
-        lambda t: 0.25 * np.exp(-0.25 * t) * np.array([1.0, t, t * t]),
+        lambda t: 0.25 * np.exp(-0.25 * t)[:, None] * np.stack((t**0, t, t * t), axis=1),
         dict(decay_rate=0.25, poly_degree=2),
     ),
 }
@@ -166,9 +167,10 @@ class TestAgainstQuadVec:
         state = steady_state(spec) if kind == "steady" else vacuum_state(L)
         gamma = sp.gamma_total
 
-        def moments_at(t):
-            m = wtd_density_matrix(t, state, sp)
-            return np.stack((m, gamma * t * m, (gamma * t) ** 2 * m))
+        def moments_at(ts):
+            m = wtd_density_matrix(ts, state, sp)
+            s = (gamma * ts)[:, None, None]
+            return np.stack((m, s * m, s * s * m), axis=1)
 
         res = channel_stats(state, sp).quadrature
         ref = quad_vec_semiinfinite(
@@ -239,10 +241,10 @@ class TestQuadrature:
         g = 0.5
         calls = 0
 
-        def f(t):
+        def f(ts):
             nonlocal calls
-            calls += 1
-            return t * t * g * np.exp(-g * t)
+            calls += ts.size
+            return ts * ts * g * np.exp(-g * ts)
 
         # amplitude 1e-8 puts the first cutoff at (2 + 2) / g = 8, far short.
         res = integrate_semiinfinite(f, 1e-8, decay_rate=g, amplitude=1e-8, poly_degree=2)
@@ -254,7 +256,7 @@ class TestQuadrature:
     def test_array_valued_integrand(self):
         g = 0.25
         res = integrate_semiinfinite(
-            lambda t: g * np.exp(-g * t) * np.array([1.0, t, t * t]),
+            lambda t: g * np.exp(-g * t)[:, None] * np.stack((t**0, t, t * t), axis=1),
             1e-8,
             decay_rate=g,
             poly_degree=2,
@@ -264,7 +266,7 @@ class TestQuadrature:
     def test_non_finite_integrand_is_an_error(self):
         with pytest.raises(QuadratureError, match="non-finite integrand"):
             integrate_semiinfinite(
-                lambda t: np.inf if t > 3.0 else np.exp(-t), 1e-8, decay_rate=1.0
+                lambda t: np.where(t > 3.0, np.inf, np.exp(-t)), 1e-8, decay_rate=1.0
             )
 
     def test_subdivision_cap_is_an_error(self):
@@ -309,7 +311,7 @@ class TestConditionalMoments:
         k, q = sv_channels["L-"], sv_channels["1+"]
         p = channel_stats(st, sv_sp).p_kq[cell("L-", "1+")]
         res = integrate_semiinfinite(
-            lambda t: wtd_density(t, k, q, st, sv_sp) / p,
+            lambda ts: np.array([wtd_density(t, k, q, st, sv_sp) for t in ts]) / p,
             1e-8,
             decay_rate=sv_sp.gamma_total,
         )
@@ -377,6 +379,13 @@ class TestNatd:
             m = wtd_density_matrix(t, st, sv_sp)
             mixture = float(m.sum(axis=0) @ p_q)
             assert abs(direct - mixture) < 1e-12
+
+    def test_stack_is_bitwise_single(self, sv_spec, sv_sp):
+        st = steady_state(sv_spec)
+        grid = np.linspace(0.0, 50.0, 26)
+        stack = natd(grid, st, sv_sp)
+        assert stack.shape == grid.shape
+        assert np.array_equal(stack, [natd(float(t), st, sv_sp) for t in grid])
 
     def test_total_expectation_consistency(self):
         spec = generic_spec(2)

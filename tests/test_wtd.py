@@ -1,3 +1,7 @@
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
@@ -295,12 +299,14 @@ class TestAgainstFullBlocks:
 
 @pytest.fixture
 def kernel_forms(monkeypatch):
-    """Counts of the factorizations the kernel makes, by form."""
+    """Counts of the factorizations the kernel makes, by form (block-build workers included)."""
     calls = {"eigenbasis": 0, "lu": 0}
+    lock = threading.Lock()
 
     def counted(form, fn):
         def wrapper(*args):
-            calls[form] += 1
+            with lock:
+                calls[form] += 1
             return fn(*args)
 
         return wrapper
@@ -559,7 +565,7 @@ class TestStackedTimes:
 
     @pytest.mark.parametrize("kind", ["steady", "vacuum"])
     def test_curve_points_are_single_points(self, kind):
-        # The curve builds blocks point by point and assembles them as one stack.
+        # The curve is one stack of the whole grid.
         spec = generic_spec(3)
         sp = derive_single_particle(spec)
         state = steady_state(spec) if kind == "steady" else vacuum_state(3)
@@ -577,3 +583,70 @@ class TestStackedTimes:
             wtd_density_matrix(np.array([1.0, -1.0]), st, sv_sp)
         with pytest.raises(ValueError, match="1-D"):
             wtd_density_matrix(np.ones((2, 2)), st, sv_sp)
+
+
+class TestBlockPool:
+    """The tasks of ``_build_blocks`` give the same blocks on the pool as serially, bitwise."""
+
+    @staticmethod
+    def _pooled_and_serial(monkeypatch, ts, state, sp):
+        pools = []
+
+        class CountedPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(wtdmod, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(wtdmod, "POOL_MIN_SITES", sp.L)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = wtdmod._build_blocks(ts, state, sp)
+        assert pools == [{"max_workers": 2}]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = wtdmod._build_blocks(ts, state, sp)
+        assert len(pools) == 1
+        for name in ("m", "log_prefactor", "phase", "cond"):
+            assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
+        return pooled
+
+    def test_eigenbasis_parts_with_a_refused_cholesky(self, monkeypatch, kernel_forms):
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        ts = np.linspace(0.0, 60.0, 11)
+        clean = wtdmod._build_blocks(ts, st, sp)
+        real = wtdmod.cholesky_logdet
+        seen = []
+        monkeypatch.setattr(wtdmod, "cholesky_logdet", lambda a: seen.append(a.copy()) or real(a))
+        wtdmod._build_blocks(ts[4:5], st, sp)
+        poisoned = seen[0][0]
+
+        def refuse_one(a):
+            if any(np.array_equal(m, poisoned) for m in a):
+                raise NotPositiveDefiniteError("forced")
+            return real(a)
+
+        monkeypatch.setattr(wtdmod, "cholesky_logdet", refuse_one)
+        monkeypatch.setattr(wtdmod, "STACK_BYTES", 3 * 16 * 3**2)  # four parts of up to 3 times
+        kernel_forms.update(eigenbasis=0, lu=0)
+        blocks = self._pooled_and_serial(monkeypatch, ts, st, sp)
+        # Each run factorizes three parts and, its part refused, two times of
+        # the poisoned part alone; the poisoned time takes the LU form inside
+        # its part's task.
+        assert kernel_forms == {"eigenbasis": 2 * (3 + 2), "lu": 2}
+        others = np.arange(ts.size) != 4
+        for name in ("m", "log_prefactor", "phase", "cond"):
+            assert np.array_equal(getattr(blocks, name)[others], getattr(clean, name)[others])
+        assert np.allclose(blocks.m[4], clean.m[4], rtol=1e-10, atol=1e-14)
+
+    def test_small_occupation_lu_times_are_tasks(self, monkeypatch, kernel_forms):
+        spec = tight_binding_spec(4, gamma=0.5, f1=1.0, fL=0.2)
+        sp = derive_single_particle(spec)
+        state = _lowest_occupation_state(np.random.default_rng(3), 4, 0.5 * C_MIN_EIGENVALUE)
+        switch = wtdmod._state_eigenbasis(state, sp).lu_until
+        ts = switch * np.array([0.0, 0.2, 0.5, 0.9, 1.1, 2.0, 3.0, 5.0, 8.0])
+        monkeypatch.setattr(wtdmod, "STACK_BYTES", 3 * 16 * 4**2)
+        kernel_forms.update(eigenbasis=0, lu=0)
+        # Four LU-form times and two parts of eigenbasis times: six tasks.
+        self._pooled_and_serial(monkeypatch, ts, state, sp)
+        assert kernel_forms == {"eigenbasis": 2 * 2, "lu": 2 * 4}

@@ -19,10 +19,8 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import glob
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,7 +36,7 @@ from .fock import (
     VerificationReport,
     verify_tracedet,
 )
-from .linalg import LinalgError
+from .linalg import OPENBLAS, LinalgError
 from .model import (
     CHANNEL_ORDER,
     MIN_CLICK_WEIGHT,
@@ -365,27 +363,41 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _bundled_openblas():
-    """(library handle, symbol suffix) of each OpenBLAS bundled with numpy and scipy."""
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for owner in ("numpy", "scipy"):
-        for lib in glob.glob(os.path.join(site, f"{owner}.libs", "*openblas*")):
-            yield ctypes.CDLL(lib), "64_" if "64_" in os.path.basename(lib) else ""
-
-
 def _pin_blas_threads() -> None:
-    """Run the bundled OpenBLAS libraries on one thread each.
+    """Run numpy's bundled OpenBLAS, the package's one BLAS and LAPACK, on one thread.
 
     The one level of parallelism is the pool of ``wtd._build_blocks`` over
     the parts of a stack of times; BLAS threads under it would only contend
-    for the same cores.  Does nothing where the scipy-openblas symbols are
-    absent.
+    for the same cores.  ``linalg.OPENBLAS`` is the library that numpy's
+    matrix products and the package's LAPACK bindings both call.
     """
-    for handle, suffix in _bundled_openblas():
-        setter = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+    setter = OPENBLAS.scipy_openblas_set_num_threads64_
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+
+
+#: glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory for reuse rather than hand it back.
+
+    The temporaries of one part of a stack of times are about
+    ``wtd.STACK_BYTES`` each, near glibc's default thresholds for serving an
+    allocation by mmap and for trimming the heap: at those defaults every
+    part faults its pages in afresh (1,920 minor faults per 48-time block
+    build at L = 64, which then takes 0.25 rather than 0.18 ms a time), and
+    pool workers faulting at once contend for the address space.  Up to 32 MiB per allocation now comes
+    from the heap, and up to 64 MiB of free heap is kept.  Does nothing
+    without glibc.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _pin_blas_threads()
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-
-from .linalg import Propagator
+from .linalg import Propagator, expm
 from .model import ChainSpec, Channel, CHANNEL_ORDER, channels
 from . import tracedet
 
@@ -392,7 +390,7 @@ def verify_tracedet(
         c_ops = build_fermions(L)
         for _ in range(draws):
             coeffs = [_random_coeff(rng, L) for _ in range(4)]
-            many = [sla.expm(quadratic_form_operator(x, c_ops)) for x in coeffs]
+            many = list(expm(np.stack([quadratic_form_operator(x, c_ops) for x in coeffs])))
 
             for n in (1, 2, 3, 4):
                 chain = tracedet.QuadraticFormChain(coeffs[:n])

@@ -5,16 +5,70 @@ carried as :class:`LogDet` (log-magnitude plus unit phase) because the
 determinants appearing downstream grow or shrink exponentially with chain
 size and time; they are only ever exponentiated after being combined with
 other log-scale terms.
+
+One LAPACK provider.  Besides numpy's own linalg gufuncs, the kernels call
+seven LAPACK routines (``zgees``, ``ztrsyl``, ``zgetrf``, ``zgetrs``,
+``zgecon``, ``zpocon``, ``ztrtrs``) directly from the OpenBLAS bundled
+with numpy (``numpy.libs/libscipy_openblas64_*.so``), which exports them as
+``scipy_<name>_64_``: Fortran calling convention, 64-bit integers, and the
+hidden length of each character argument passed last.  ``OPENBLAS`` is the
+one handle on that library, so numpy's matrix products and these routines
+run on the same BLAS, pinned once (``cli._pin_blas_threads``).  There is
+one set of bindings and no second provider: if the library or one of the
+symbols is missing, importing this module raises an ImportError naming the
+library path and the symbol.  ctypes releases the GIL for the length of
+each call, so threads calling these routines overlap.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
+
+
+def _openblas_path() -> str:
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))
+    return found[0] if found else os.path.join(libs, "libscipy_openblas64_*.so")
+
+
+OPENBLAS_PATH = _openblas_path()
+try:
+    OPENBLAS = ctypes.CDLL(OPENBLAS_PATH)
+except OSError as exc:
+    raise ImportError(f"cannot load numpy's bundled OpenBLAS {OPENBLAS_PATH}: {exc}") from None
+
+
+def _lapack(name: str, chars: int, pointers: int):
+    """The routine ``name`` of OPENBLAS: ``chars`` character arguments first, then ``pointers``."""
+    symbol = f"scipy_{name}_64_"
+    try:
+        fn = getattr(OPENBLAS, symbol)
+    except AttributeError:
+        raise ImportError(f"{OPENBLAS_PATH} exports no LAPACK symbol {symbol}") from None
+    fn.argtypes = [ctypes.c_char_p] * chars + [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * chars
+    fn.restype = None
+    return fn
+
+
+_zgees = _lapack("zgees", 2, 13)
+_ztrsyl = _lapack("ztrsyl", 2, 11)
+_zgetrf = _lapack("zgetrf", 0, 6)
+_zgetrs = _lapack("zgetrs", 1, 8)
+_zgecon = _lapack("zgecon", 1, 8)
+_zpocon = _lapack("zpocon", 1, 8)
+_ztrtrs = _lapack("ztrtrs", 3, 7)
+
+
+def _int(value: int):
+    """A LAPACK integer argument."""
+    return ctypes.byref(ctypes.c_int64(value))
 
 
 class LinalgError(Exception):
@@ -31,6 +85,12 @@ class SingularMatrixError(LinalgError):
         super().__init__(f"matrix is exactly singular (zero pivot at index {pivot})")
 
 
+def _check_info(name: str, info: ctypes.c_int64) -> None:
+    """A negative LAPACK info flags an illegal argument: a defect of this module."""
+    if info.value < 0:
+        raise LinalgError(f"{name}: illegal value in argument {-info.value}")
+
+
 @dataclass(frozen=True)
 class LogDet:
     """Determinant in polar log form: det = exp(log_abs) * phase, |phase| = 1."""
@@ -44,39 +104,74 @@ class LogDet:
 
 
 class LUFactors(NamedTuple):
-    """Partial-pivoting LU factorization, reusable for solves."""
+    """Partial-pivoting LU factorization, reusable for solves.
+
+    ``lu`` is Fortran-ordered; ``piv`` holds LAPACK's 1-based row interchanges.
+    """
 
     lu: np.ndarray
     piv: np.ndarray
 
 
 class CholeskyFactor(NamedTuple):
-    """Lower-triangular factor R of a Hermitian positive definite a = R R^dag."""
+    """Lower-triangular factors R of Hermitian positive definite matrices a = R R^dag.
+
+    ``lower`` is one factor (n, n) or a stack of them (..., n, n).
+    """
 
     lower: np.ndarray
 
 
 def _as_square(a, name="matrix") -> np.ndarray:
+    """``a`` as a complex square matrix or stack of them (..., n, n), all entries finite."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with Pade approximation.
+#: Coefficients b_0 ... b_13 of the degree-13 Pade approximant to e^x.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+#: Largest 1-norm at which the degree-13 approximant has backward error
+#: below the unit roundoff (theta_13 of Higham 2005).
+_THETA13 = 5.371920351148152
 
-    Uses the standard double-precision order/scaling constants.  Raises
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of one matrix or a stack (..., n, n), by scaling and squaring.
+
+    The degree-13 Pade approximant r13 of Higham (SIAM J. Matrix Anal.
+    Appl. 26, 2005) is evaluated at a / 2^s and squared s times, with
+    s = max(0, ceil(log2(||a||_1 / theta_13))).  A stack takes one sequence
+    of batched products, one batched solve and max(s) batched squarings,
+    each matrix keeping its own s: a matrix of small norm in a stack of
+    large ones is not overscaled, and comes out as it would alone.  Raises
     :class:`LinalgError` if the squaring phase overflows.
     """
     a = _as_square(a)
-    e = sla.expm(a)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a * np.exp2(-s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    e = np.linalg.solve(v - u, v + u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(s.max(initial=0))):
+            e = np.where((s > k)[..., None, None], e @ e, e)
     if not np.all(np.isfinite(e)):
-        raise LinalgError(
-            f"overflow in matrix exponential (input 1-norm {np.linalg.norm(a, 1):.3e})"
-        )
+        raise LinalgError(f"overflow in matrix exponential (input 1-norm {norm.max(initial=0.0):.3e})")
     return e
 
 
@@ -142,29 +237,44 @@ class Propagator:
 
 
 def lu_logdet(a) -> tuple[LUFactors, LogDet]:
-    """LU-factorize ``a`` and assemble its determinant in log space.
+    """LU-factorize ``a`` (LAPACK zgetrf) and assemble its determinant in log space.
 
     The determinant is the product of the U pivots times the permutation
     sign; accumulating log-magnitudes and phase angles separately keeps it
     exact even when the plain determinant would over/underflow.
     """
     a = _as_square(a)
-    lu, piv, info = lapack.zgetrf(a)
-    if info > 0:
-        raise SingularMatrixError(info - 1)
+    if a.ndim != 2:
+        raise ValueError(f"lu_logdet takes one matrix, got shape {a.shape}")
+    n = a.shape[0]
+    lu = np.array(a, order="F")
+    piv = np.empty(n, dtype=np.int64)
+    info = ctypes.c_int64()
+    _zgetrf(_int(n), _int(n), lu.ctypes.data, _int(max(1, n)), piv.ctypes.data, ctypes.byref(info))
+    _check_info("zgetrf", info)
+    if info.value > 0:
+        raise SingularMatrixError(info.value - 1)
     diag = np.diagonal(lu)
-    sign = 1.0 if np.count_nonzero(piv != np.arange(len(piv))) % 2 == 0 else -1.0
+    sign = 1.0 if np.count_nonzero(piv != np.arange(1, n + 1)) % 2 == 0 else -1.0
     log_abs = float(np.sum(np.log(np.abs(diag))))
     phase = sign * np.exp(1j * np.sum(np.angle(diag)))
     return LUFactors(lu, piv), LogDet(log_abs, complex(phase))
 
 
 def solve_factored(factors: LUFactors, b) -> np.ndarray:
-    """Solve A X = B from an existing factorization."""
+    """Solve A X = B from an existing factorization (LAPACK zgetrs)."""
     b = np.asarray(b, dtype=complex)
-    x, info = lapack.zgetrs(factors.lu, factors.piv, b.reshape(b.shape[0], -1))
-    if info != 0:
-        raise LinalgError(f"zgetrs failed with info = {info}")
+    n = factors.lu.shape[0]
+    if b.shape[0] != n:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, the matrix {n}")
+    x = np.array(b.reshape(n, -1), order="F")
+    info = ctypes.c_int64()
+    _zgetrs(
+        b"N", _int(n), _int(x.shape[1]), factors.lu.ctypes.data, _int(max(1, n)),
+        factors.piv.ctypes.data, x.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1,
+    )
+    if info.value != 0:
+        raise LinalgError(f"zgetrs failed with info = {info.value}")
     return x.reshape(b.shape)
 
 
@@ -188,53 +298,136 @@ def cholesky_logdet(a: np.ndarray) -> tuple[CholeskyFactor, np.ndarray]:
     return CholeskyFactor(lower), log_det
 
 
+def _factor_stack(factor: CholeskyFactor) -> np.ndarray:
+    """The factors as a C-contiguous complex (n, L, L) array.
+
+    The transpose of a C-ordered factor R is the Fortran-ordered upper
+    factor U = R^T of conj(a) = U^dag U, which LAPACK reads without a copy.
+    """
+    lower = np.ascontiguousarray(factor.lower, dtype=complex)
+    if lower.ndim != 3 or lower.shape[1] != lower.shape[2]:
+        raise ValueError(f"Cholesky factors must be a stack (n, L, L), got shape {lower.shape}")
+    return lower
+
+
 def half_solve(factor: CholeskyFactor, b) -> np.ndarray:
-    """R^-1 B for a = R R^dag, so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
+    """R_m^-1 B_m for each a_m = R_m R_m^dag of a stack, so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
 
-    Solves (R^T)^T X = B: the transpose of numpy's C-ordered factor is
-    Fortran-ordered, so LAPACK reads it without a copy.
+    ``factor.lower`` is a stack (n, L, L) and ``b`` a stack (n, L, k); the
+    result is a C-contiguous stack (n, L, k).  Each time solves
+    (R^T)^T X = B with LAPACK ztrtrs on the Fortran-ordered view R^T of the
+    factor.  The integer arguments and base addresses are made once and
+    only the two matrix pointers advance from one time to the next.
     """
-    x, info = lapack.ztrtrs(factor.lower.T, b, lower=0, trans=1)
-    if info != 0:
-        raise LinalgError(f"ztrtrs failed with info = {info}")
-    return x
+    lower = _factor_stack(factor)
+    n, size = lower.shape[:2]
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 3 or b.shape[:2] != (n, size):
+        raise ValueError(f"right-hand sides must be a stack ({n}, {size}, k), got shape {b.shape}")
+    k = b.shape[2]
+    x = np.array(b.transpose(0, 2, 1), order="C")  # x[m] is B_m in Fortran order
+    info = ctypes.c_int64()
+    uplo, trans, diag = ctypes.c_char_p(b"U"), ctypes.c_char_p(b"T"), ctypes.c_char_p(b"N")
+    one = ctypes.c_size_t(1)  # hidden length of each character argument
+    n_arg, k_arg, info_arg = _int(size), _int(k), ctypes.byref(info)
+    a0, a_step = lower.ctypes.data, lower.strides[0]
+    x0, x_step = x.ctypes.data, x.strides[0]
+    for m in range(n):
+        _ztrtrs(
+            uplo, trans, diag, n_arg, k_arg, a0 + m * a_step, n_arg,
+            x0 + m * x_step, n_arg, info_arg, one, one, one,
+        )
+        if info.value != 0:
+            raise LinalgError(f"ztrtrs failed with info = {info.value} at stack index {m}")
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
 
 
-def condition_estimate(factors: LUFactors | CholeskyFactor, anorm: float) -> float:
-    """1-norm condition number estimate from LU or Cholesky factors (LAPACK gecon/pocon).
+def condition_estimate(factors: LUFactors | CholeskyFactor, anorm):
+    """1-norm condition number estimates from LU or Cholesky factors (LAPACK gecon/pocon).
 
-    For a = R R^dag the estimate is taken on conj(a) = U^dag U with U = R^T,
-    which has the same condition number and 1-norm: R^T is the
-    Fortran-ordered view of numpy's C-ordered factor, so LAPACK reads it
-    without a copy.
+    For LU factors of one matrix with 1-norm ``anorm`` the result is a float.
+    For a stack (n, L, L) of Cholesky factors ``anorm`` holds the n 1-norms
+    and the result is an (n,) array; the work arrays, integer arguments and
+    base address are made once, as in :func:`half_solve`.  For a = R R^dag
+    the estimate is taken on conj(a) = U^dag U with U = R^T, which has the
+    same condition number and 1-norm.  A failed or zero estimate reads inf.
     """
-    if isinstance(factors, CholeskyFactor):
-        rcond, info = lapack.zpocon(factors.lower.T, anorm, uplo="U")
-    else:
-        rcond, info = lapack.zgecon(factors.lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0:
-        return np.inf
-    return 1.0 / rcond
+    info, rcond = ctypes.c_int64(), ctypes.c_double()
+    if isinstance(factors, LUFactors):
+        n = factors.lu.shape[0]
+        work, rwork = np.empty(2 * n, dtype=complex), np.empty(2 * n)
+        _zgecon(
+            b"1", _int(n), factors.lu.ctypes.data, _int(max(1, n)),
+            ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
+            work.ctypes.data, rwork.ctypes.data, ctypes.byref(info), 1,
+        )
+        return np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
+    lower = _factor_stack(factors)
+    n, size = lower.shape[:2]
+    anorm = np.asarray(anorm, dtype=float)
+    if anorm.shape != (n,):
+        raise ValueError(f"need one 1-norm per factor, got shape {anorm.shape} for {n} factors")
+    work, rwork = np.empty(2 * size, dtype=complex), np.empty(size)
+    norm, uplo, one = ctypes.c_double(), ctypes.c_char_p(b"U"), ctypes.c_size_t(1)
+    size_arg, norm_arg, rcond_arg, info_arg = _int(size), ctypes.byref(norm), ctypes.byref(rcond), ctypes.byref(info)
+    a0, a_step = lower.ctypes.data, lower.strides[0]
+    w0, r0 = work.ctypes.data, rwork.ctypes.data
+    out = np.empty(n)
+    for m in range(n):
+        norm.value = anorm[m]
+        _zpocon(uplo, size_arg, a0 + m * a_step, size_arg, norm_arg, rcond_arg, w0, r0, info_arg, one)
+        out[m] = np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
+    return out
+
+
+def _schur(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form w = U T U^dag (LAPACK zgees), T and U Fortran-ordered.
+
+    The workspace is sized by zgees's own query, so the blocked code paths
+    are taken.
+    """
+    n = w.shape[0]
+    t = np.array(w, order="F")
+    u = np.empty((n, n), dtype=complex, order="F")
+    lam = np.empty(n, dtype=complex)
+    rwork = np.empty(n)
+    sdim, info = ctypes.c_int64(), ctypes.c_int64()
+
+    def call(work: np.ndarray, lwork: int) -> None:
+        _zgees(
+            b"V", b"N", None, _int(n), t.ctypes.data, _int(max(1, n)), ctypes.byref(sdim),
+            lam.ctypes.data, u.ctypes.data, _int(max(1, n)), work.ctypes.data, _int(lwork),
+            rwork.ctypes.data, None, ctypes.byref(info), 1, 1,
+        )
+        _check_info("zgees", info)
+
+    query = np.empty(1, dtype=complex)
+    call(query, -1)
+    lwork = max(1, int(query[0].real))
+    call(np.empty(lwork, dtype=complex), lwork)
+    if info.value > 0:
+        raise LinalgError(f"zgees did not converge (info = {info.value})")
+    return t, u
 
 
 def lyapunov_solve(w, f) -> np.ndarray:
     """Solve W C + C W^dag = F for Hermitian C (Bartels & Stewart, CACM 1972).
 
     With the complex Schur form W = U T U^dag the equation becomes
-    T Y + Y T^dag = U^dag F U, solved by LAPACK ``trsyl``, and C = U Y U^dag:
+    T Y + Y T^dag = U^dag F U, solved by LAPACK ``ztrsyl``, and C = U Y U^dag:
     O(n^3) for any W, defective or not.  Every eigenvalue pair sum
     lam_a + conj(lam_b) (from the diagonal of T) must be nonzero, as it is
     when the spectrum of W lies strictly in the right half plane; a vanishing
     pair, such as a mode that couples to no bath, is a named error, read
-    from the diagonal of T and from ``trsyl``'s own check.  The residual is
+    from the diagonal of T and from ``ztrsyl``'s own check.  The residual is
     checked last.
     """
     w = _as_square(w, "W")
     f = _as_square(f, "F")
-    if w.shape != f.shape:
+    if w.ndim != 2 or w.shape != f.shape:
         raise ValueError(f"shape mismatch: W {w.shape} vs F {f.shape}")
 
-    t, u = sla.schur(w, output="complex")
+    t, u = _schur(w)
     lam = np.diagonal(t)
     denom = lam[:, None] + lam[None, :].conj()
     bad = np.abs(denom) < 1e-14 * max(1.0, float(np.abs(lam).max()))
@@ -245,13 +438,20 @@ def lyapunov_solve(w, f) -> np.ndarray:
             f"lam[{a}]={lam[a]:.6g} and conj(lam[{b}])={np.conj(lam[b]):.6g} sum to ~0"
         )
 
-    y, scale, info = lapack.ztrsyl(t, t, u.conj().T @ f @ u, tranb="C")
-    if info != 0:  # 1: trsyl perturbed a pair sum below eps * max|T|
+    n = w.shape[0]
+    y = np.array(u.conj().T @ f @ u, order="F")
+    scale, info = ctypes.c_double(), ctypes.c_int64()
+    _ztrsyl(
+        b"N", b"C", _int(1), _int(n), _int(n), t.ctypes.data, _int(n), t.ctypes.data, _int(n),
+        y.ctypes.data, _int(n), ctypes.byref(scale), ctypes.byref(info), 1, 1,
+    )
+    _check_info("ztrsyl", info)
+    if info.value != 0:  # 1: trsyl perturbed a pair sum below eps * max|T|
         raise LinalgError(
             "no unique Lyapunov solution: an eigenvalue pair sum is below "
-            f"ztrsyl's perturbation floor (info = {info})"
+            f"ztrsyl's perturbation floor (info = {info.value})"
         )
-    c = u @ (y / scale) @ u.conj().T
+    c = u @ (y / scale.value) @ u.conj().T
     c = 0.5 * (c + c.conj().T)
     resid = np.linalg.norm(w @ c + c @ w.conj().T - f)
     fnorm = np.linalg.norm(f)

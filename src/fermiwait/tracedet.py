@@ -33,7 +33,7 @@ class QuadraticFormChain:
 
     Built from the coefficient matrices X_k: each is exponentiated once,
     and its inverse is taken as e^{-X_k} rather than by inversion, for
-    accuracy.
+    accuracy.  All e^{X_k} and e^{-X_k} come from one stacked expm call.
     """
 
     def __init__(self, matrices: Sequence[np.ndarray]):
@@ -46,8 +46,8 @@ class QuadraticFormChain:
                 raise ValueError(
                     f"all factors must be square of equal dimension, got {m.shape}"
                 )
-        self.exps = [expm(m) for m in mats]
-        self.inv_exps = [expm(-m) for m in mats]
+        both = expm(np.stack(mats + [-m for m in mats]))
+        self.exps, self.inv_exps = list(both[: len(mats)]), list(both[len(mats) :])
 
     @property
     def dim(self) -> int:

@@ -76,15 +76,16 @@ one and ``wtd_curve`` one stack of the whole grid.  On the eigenbasis form
 the B matrices of a part of the stack are built as one (n, L, L) array and
 factorized by one call of numpy's batched Cholesky; the right-hand sides,
 the Gram blocks and the assembly of the densities are batched as well.
-What has no batched LAPACK routine runs time by time: the condition
-estimate (``zpocon``), the eight-column triangular solve (``ztrtrs``; numpy
-has no batched triangular solve, and a row-by-row batched substitution
-saves about a microsecond a time at L <= 5 but costs three to four times
-the per-time call from L = 50 on), and every time on the LU form.  If the
-batched Cholesky refuses a matrix, the part is factorized again time by
-time, so only the refused times take the LU form.  One part holds at most
-``STACK_BYTES`` of L x L matrices, so a quadrature round at L = 200-400
-does not grow the memory.
+What has no batched LAPACK routine takes the whole part in one call that
+loops over its times inside ``linalg``: the condition estimate
+(``zpocon``) and the eight-column triangular solve (``ztrtrs``; numpy has
+no batched triangular solve, and a row-by-row batched substitution saves
+about a microsecond a time at L <= 5 but costs three to four times the
+per-time call from L = 50 on).  Every time on the LU form is its own
+call.  If the batched Cholesky refuses a matrix, the part is factorized
+again time by time, so only the refused times take the LU form.  One part
+holds at most ``STACK_BYTES`` of L x L matrices, so a quadrature round at
+L = 200-400 does not grow the memory.
 
 Starting from the vacuum (C = 0) the densities are analytic:
 
@@ -98,19 +99,21 @@ fallback one propagator per time.
 
 Thread policy.  The pool of ``_build_blocks`` over the parts of a stack
 is the one level of parallelism; it runs from ``POOL_MIN_SITES`` sites on.
-The command line pins the bundled OpenBLAS libraries of numpy and scipy to
-one thread (``cli.main``), so BLAS threads never nest under the pool's
-workers.  Importing or calling the library never changes the process-wide
-BLAS setting: library callers that bypass ``cli.main`` keep their
-process's setting, and to get the same behaviour they set
-``OPENBLAS_NUM_THREADS=1`` before numpy is first imported, or cap the
-threads at run time (for example with threadpoolctl), otherwise pool
-workers and BLAS threads contend for the same cores.  The pool overlaps
-only code that releases the GIL: numpy's linalg gufuncs (the Cholesky
-factorization, ``eig``, ``inv``) and large elementwise operations do,
-while scipy's f2py LAPACK wrappers (``zgetrf``, ``zgetrs``, ``zgecon``,
-``ztrtrs``, ``zpocon``) hold it.  The factorization of the eigenbasis form
-is therefore numpy's; the O(L^2) calls that hold the GIL come after it.
+The command line pins numpy's bundled OpenBLAS, the one BLAS and LAPACK
+of the package (``linalg.OPENBLAS``), to one thread (``cli.main``), so
+BLAS threads never nest under the pool's workers, and keeps freed memory
+in the heap (``cli._keep_freed_memory``), so the workers do not fault
+their temporaries' pages in afresh at every part.  Importing or calling
+the library never changes the process-wide BLAS setting: library callers
+that bypass ``cli.main`` keep their process's setting, and to get the
+same behaviour they set ``OPENBLAS_NUM_THREADS=1`` before numpy is first
+imported, or cap the threads at run time (for example with
+threadpoolctl), otherwise pool workers and BLAS threads contend for the
+same cores.  The pool overlaps only code that releases the GIL: numpy's
+linalg gufuncs (the Cholesky factorization, ``eig``, ``inv``), large
+elementwise operations and every LAPACK call of ``linalg`` do, the
+per-time ``zpocon`` and ``ztrtrs`` calls included, since ctypes releases
+the GIL for each call.  What holds it is the Python between those calls.
 """
 
 from __future__ import annotations
@@ -174,8 +177,10 @@ C_MIN_EIGENVALUE = 1e-3
 STACK_BYTES = 1 << 17
 
 #: Smallest chain whose blocks are built on the thread pool.  Below it the
-#: per-time work holding the GIL outweighs what the pool overlaps: on two
-#: cores, pool/serial time per node was 1.25 at L = 5, 1.06 at 112, 0.90 at 128.
+#: Python between the LAPACK calls, which holds the GIL, outweighs what the
+#: pool overlaps: on two cores, with every LAPACK call releasing the GIL,
+#: pool/serial time per node was 1.06-1.12 at L = 64, 1.01-1.08 at 100,
+#: 0.90-1.06 at 128, 0.72-1.07 at 160 and 0.60-1.01 at 200 (three runs).
 POOL_MIN_SITES = 128
 
 DEFAULT_GRID_POINTS = 400
@@ -423,12 +428,9 @@ def _eigen_blocks(
     # Gram matrix holds every quadratic form the blocks need.
     f = ds_bar * (e.s @ (ds * e.vinv_n_b)) - inv_db * e.zvinv_g_b
     cols = np.concatenate((e.vh_b * inv_db, e.vh_b * ds_bar, e.zvinv_b * inv_db, f), axis=2)
-    half = np.empty_like(cols)
-    cond = np.empty(ts.size)
-    for i in range(ts.size):
-        factor = CholeskyFactor(lower[i])
-        cond[i] = condition_estimate(factor, float(anorm[i]))
-        half[i] = half_solve(factor, cols[i])
+    factor = CholeskyFactor(lower)
+    cond = condition_estimate(factor, anorm)
+    half = half_solve(factor, cols)
     gram = half[:, :, :6].conj().transpose(0, 2, 1) @ half
     m = gram[:, _GRAM_ROWS, _GRAM_COLS]
     m[:, _INJ_SAME] += e.k_g

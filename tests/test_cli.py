@@ -11,7 +11,7 @@ import pytest
 import fermiwait.config
 import fermiwait.tracedet
 import fermiwait.wtd
-from fermiwait.cli import _bundled_openblas, main
+from fermiwait.cli import main
 from fermiwait.config import ConfigError, RunConfig
 from fermiwait.model import CHANNEL_ORDER
 
@@ -91,43 +91,98 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
 
-def _openblas_symbol(handle, suffix, name, argtypes, restype):
-    fn = getattr(handle, f"scipy_openblas_{name}{suffix}", None)
-    if fn is not None:
-        fn.argtypes, fn.restype = argtypes, restype
-    return fn
+def _run_python(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this checkout's package.
+
+    Returns the lines of its standard output that start with "@", the
+    prefix of the lines ``code`` prints for the test, without the prefix.
+    """
+    src = os.path.dirname(os.path.dirname(fermiwait.wtd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return [line[1:] for line in out.stdout.splitlines() if line.startswith("@")]
 
 
 class TestThreadPolicy:
     def test_main_pins_bundled_openblas_to_one_thread(self, tmp_path):
-        libs = [
-            (_openblas_symbol(h, s, "set_num_threads", [ctypes.c_int], None),
-             _openblas_symbol(h, s, "get_num_threads", [], ctypes.c_int))
-            for h, s in _bundled_openblas()
-        ]
-        libs = [(set_, get) for set_, get in libs if set_ is not None and get is not None]
-        if not libs:
-            pytest.skip("no bundled scipy-openblas found")
-        for set_, _ in libs:
-            set_(2)
+        # A process of its own: this one also maps scipy's OpenBLAS, which
+        # the tests use for reference values.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("reads /proc/self/maps")
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
-        assert main(["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]) == 0
-        assert [get() for _, get in libs] == [1] * len(libs)
+        argv = ["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]
+        out = _run_python(f"""
+            import ctypes
+            from fermiwait.cli import main
+            from fermiwait.linalg import OPENBLAS
+            get = OPENBLAS.scipy_openblas_get_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put = OPENBLAS.scipy_openblas_set_num_threads64_
+            put.argtypes, put.restype = [ctypes.c_int], None
+            put(2)
+            rc = main({argv!r})
+            with open("/proc/self/maps") as fh:
+                mapped = sorted({{line.split()[-1] for line in fh if "scipy.libs" in line}})
+            print("@" + str(rc), get(), *mapped)
+        """)
+        assert out == ["0 1"]
+
+
+class TestAllocator:
+    def test_main_serves_large_arrays_from_the_heap(self, tmp_path):
+        # A 1 MiB array is above glibc's default mmap threshold; after main
+        # it comes from the heap, so it adds no mmapped block.
+        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("needs glibc >= 2.33")
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        argv = ["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]
+        out = _run_python(f"""
+            import ctypes
+            import numpy as np
+            from fermiwait.cli import main
+
+            class Info(ctypes.Structure):
+                _fields_ = [(name, ctypes.c_size_t) for name in (
+                    "arena", "ordblks", "smblks", "hblks", "hblkhd",
+                    "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+            mallinfo = ctypes.CDLL(None).mallinfo2
+            mallinfo.argtypes, mallinfo.restype = [], Info
+            rc = main({argv!r})
+            before = mallinfo().hblks
+            block = np.ones(1 << 20, dtype=np.uint8)
+            print("@" + str(rc), mallinfo().hblks - before)
+        """)
+        assert out == ["0 0"]
 
 
 class TestImportGraph:
-    def test_cli_import_leaves_heavy_scipy_modules_out(self):
-        # The command line needs scipy.linalg only; scipy.integrate would
-        # also load optimize, special and sparse and add about a third of a
-        # second to every command's start-up.
-        heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
-        src = os.path.dirname(os.path.dirname(fermiwait.wtd.__file__))
-        code = f"import sys, fermiwait.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.split() == []
+    def test_cli_and_every_subcommand_load_no_scipy(self, tmp_path):
+        # The package's one LAPACK provider is numpy's bundled OpenBLAS;
+        # importing scipy.linalg alone cost about 0.3 s of every start-up.
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        runs = [
+            ["wtd", "--from", "1+", "--to", "L-"],
+            ["stats"],
+            ["natd"],
+            ["verify"],
+        ]
+        out = _run_python(f"""
+            import sys
+            import fermiwait.cli
+
+            def scipy_modules():
+                return [m for m in sys.modules if m.startswith("scipy")]
+
+            print("@import", *scipy_modules())
+            for argv in {runs!r}:
+                rc = fermiwait.cli.main(argv + ["--config", {cfg!r}, "--out", {str(tmp_path)!r}])
+                print("@" + argv[0], rc, *scipy_modules())
+        """)
+        assert out == ["import", "wtd 0", "stats 0", "natd 0", "verify 0"]
 
 
 class TestWtdCommand:

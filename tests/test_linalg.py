@@ -1,15 +1,27 @@
+import ctypes
+import glob
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from fermiwait import linalg
 from fermiwait.fock import FockOracle
 from fermiwait.linalg import (
     PROPAGATOR_COND_MAX,
+    CholeskyFactor,
     LinalgError,
     Propagator,
     SingularMatrixError,
+    cholesky_logdet,
+    condition_estimate,
     expm,
+    half_solve,
     lu_logdet,
     lyapunov_solve,
     solve_factored,
@@ -66,6 +78,197 @@ class TestExpm:
         a[0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             expm(a)
+
+    @staticmethod
+    def generators(rng, norms, n):
+        """i H - D with H Hermitian, 0 <= D <= 1 diagonal: one matrix per 1-norm."""
+        h = np.array([random_complex(rng, n) for _ in norms])
+        h = 1j * (h + h.conj().transpose(0, 2, 1))
+        h *= (np.asarray(norms) / np.abs(h).sum(axis=-2).max(axis=-1))[:, None, None]
+        damp = np.minimum(norms, 1.0)[:, None] * rng.uniform(0.0, 1.0, (len(norms), n))
+        return h - damp[:, :, None] * np.eye(n)
+
+    def test_matches_scipy_from_small_to_large_norms(self):
+        # Both are scaling and squaring, and each squaring doubles the
+        # rounding error of the phases: both land about 1e-16 * ||a||_1 from
+        # a 40-digit reference, so above ||a||_1 = 400 the bound grows with
+        # the norm (worst of 40 seeds at ||a||_1 = 1e3: 1.6e-13).
+        rng = np.random.default_rng(21)
+        norms = np.logspace(-3, 3, 13)
+        for n in (1, 2, 3, 4):
+            a = self.generators(rng, norms, n)
+            stacked = expm(a)
+            for i, norm in enumerate(norms):
+                want = sla.expm(a[i])
+                bound = max(1e-13, 2.5e-16 * norm) * np.max(np.abs(want))
+                assert np.max(np.abs(stacked[i] - want)) <= bound
+
+    def test_stack_equals_calls_per_matrix(self):
+        # Each matrix keeps its own scaling, so a stack whose norms span six
+        # decades gives every matrix bitwise what it gets alone.
+        rng = np.random.default_rng(23)
+        a = self.generators(rng, np.logspace(-3, 3, 13), 3)
+        stacked = expm(a)
+        assert all(np.array_equal(stacked[i], expm(a[i])) for i in range(a.shape[0]))
+
+    def test_stack_shape_is_kept(self):
+        rng = np.random.default_rng(22)
+        a = random_complex(rng, 3).reshape(1, 3, 3) * np.ones((2, 4, 1, 1))
+        assert expm(a).shape == (2, 4, 3, 3)
+
+    def test_overflow_is_a_linalg_error(self):
+        with pytest.raises(LinalgError, match="overflow"):
+            expm(800.0 * np.eye(2))
+        with pytest.raises(LinalgError, match="overflow"):
+            expm(np.stack([np.zeros((2, 2)), 800.0 * np.eye(2)]))
+
+
+def cholesky_stack(rng, n, size):
+    """Factors of a stack of n well-conditioned Hermitian positive definite matrices, and their 1-norms."""
+    m = np.array([random_complex(rng, size) for _ in range(n)])
+    a = m @ m.conj().transpose(0, 2, 1) + size * np.eye(size)
+    factor, _ = cholesky_logdet(a)
+    return factor, np.abs(a).sum(axis=1).max(axis=1)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS and the one scipy bundles on one thread each, restored after.
+
+    The bitwise comparisons need it: OpenBLAS's zgetrs, for one, takes
+    another code path on more than one thread.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    libs = [(linalg.OPENBLAS, "64_")]
+    for path in glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so")):
+        libs.append((ctypes.CDLL(path), "64_" if "64_" in os.path.basename(path) else ""))
+    pins = []
+    for lib, suffix in libs:
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        pins.append((put, get()))
+        put(1)
+    yield
+    for put, threads in pins:
+        put(threads)
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestLapackBindings:
+    """Each binding to numpy's OpenBLAS against scipy's f2py wrapper of the same routine."""
+
+    SIZES = (1, 2, 5, 17, 64)
+
+    def test_ztrtrs_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(30)
+        for size in self.SIZES:
+            factor, _ = cholesky_stack(rng, 3, size)
+            b = np.array([random_complex(rng, size)[:, : min(size, 8)] for _ in range(3)])
+            x = half_solve(factor, b)
+            assert x.flags.c_contiguous
+            for i in range(3):
+                want, info = lapack.ztrtrs(factor.lower[i].T, b[i], lower=0, trans=1)
+                assert info == 0
+                assert np.array_equal(x[i], want)
+
+    def test_zpocon_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(31)
+        for size in self.SIZES:
+            factor, anorm = cholesky_stack(rng, 3, size)
+            cond = condition_estimate(factor, anorm)
+            for i in range(3):
+                rcond, info = lapack.zpocon(factor.lower[i].T, float(anorm[i]), uplo="U")
+                assert info == 0
+                assert cond[i] == 1.0 / rcond
+
+    def test_lu_bindings_match_scipy_bitwise(self):
+        rng = np.random.default_rng(32)
+        for size in self.SIZES:
+            a = random_complex(rng, size)
+            factors, _ = lu_logdet(a)
+            lu, piv, info = lapack.zgetrf(a)
+            assert info == 0
+            assert np.array_equal(factors.lu, lu)
+            assert np.array_equal(factors.piv, piv + 1)  # LAPACK's 1-based pivots
+            b = random_complex(rng, size)[:, : min(size, 6)]
+            want, info = lapack.zgetrs(lu, piv, b)
+            assert np.array_equal(solve_factored(factors, b), want)
+            want, info = lapack.zgetrs(lu, piv, b[:, :1])
+            assert np.array_equal(solve_factored(factors, b[:, 0]), want[:, 0])
+            anorm = float(np.abs(a).sum(axis=0).max())
+            rcond, info = lapack.zgecon(lu, anorm, norm="1")
+            assert condition_estimate(factors, anorm) == 1.0 / rcond
+
+    def test_schur_and_trsyl_match_scipy_bitwise(self):
+        rng = np.random.default_rng(33)
+        for size in self.SIZES:
+            w = random_complex(rng, size) + (size + 1.0) * np.eye(size)
+            b = random_complex(rng, size)
+            f = b @ b.conj().T
+            t, u = sla.schur(w, output="complex")
+            assert all(np.array_equal(x, y) for x, y in zip(linalg._schur(w), (t, u)))
+            y, scale, info = lapack.ztrsyl(t, t, u.conj().T @ f @ u, tranb="C")
+            assert info == 0
+            want = u @ (y / scale) @ u.conj().T
+            assert np.array_equal(lyapunov_solve(w, f), 0.5 * (want + want.conj().T))
+
+    def test_stacked_calls_equal_calls_per_time(self):
+        rng = np.random.default_rng(34)
+        for size in (2, 5, 40):
+            factor, anorm = cholesky_stack(rng, 6, size)
+            b = np.array([random_complex(rng, size)[:, :2] for _ in range(6)])
+            x, cond = half_solve(factor, b), condition_estimate(factor, anorm)
+            for i in range(6):
+                one = CholeskyFactor(factor.lower[i : i + 1])
+                assert np.array_equal(half_solve(one, b[i : i + 1])[0], x[i])
+                assert condition_estimate(one, anorm[i : i + 1])[0] == cond[i]
+
+    def test_stack_shapes_are_checked(self):
+        factor, anorm = cholesky_stack(np.random.default_rng(35), 2, 3)
+        with pytest.raises(ValueError, match="stack"):
+            half_solve(CholeskyFactor(factor.lower[0]), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="stack"):
+            half_solve(factor, np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match="1-norm"):
+            condition_estimate(factor, anorm[:1])
+
+    @staticmethod
+    def import_error(patch: str) -> str:
+        """The ImportError message of importing fermiwait.linalg after ``patch``, in a fresh interpreter."""
+        code = textwrap.dedent(patch) + textwrap.dedent("""
+            try:
+                import fermiwait.linalg
+            except ImportError as exc:
+                print(exc)
+        """)
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        return out.stdout
+
+    def test_missing_symbol_is_a_named_import_error(self):
+        message = self.import_error("""
+            import ctypes
+            lookup = ctypes.CDLL.__getattr__
+            def hide(self, name):
+                if name == "scipy_ztrtrs_64_":
+                    raise AttributeError(name)
+                return lookup(self, name)
+            ctypes.CDLL.__getattr__ = hide
+        """)
+        assert "scipy_ztrtrs_64_" in message
+        assert linalg.OPENBLAS_PATH in message
+
+    def test_missing_library_is_a_named_import_error(self):
+        message = self.import_error("""
+            import glob
+            glob.glob = lambda pattern: []
+        """)
+        assert "numpy.libs" in message and "libscipy_openblas64_" in message
 
 
 class TestPropagator:

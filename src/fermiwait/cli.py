@@ -234,8 +234,9 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     waiting-time equivalence sweep, the steady-state covariance
     cross-check and normalization audits.  Each comparison is one
     recorded draw of its entry, and a NaN deviation fails the entry.
-    Also returns the run's diagnostics: the oracle's sector dimension and
-    propagator path, and the quadrature record of each normalization pass.
+    Also returns the run's diagnostics: the oracle's sector dimension (of
+    its steady-state solve), the dimension and path of its no-click
+    propagator, and the quadrature record of each normalization pass.
     """
     report = verify_tracedet(seed=seed, draws=20, sizes=(2, 3))
     tol = cfg.tol_oracle
@@ -277,7 +278,8 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
 
     diagnostics = {
         "oracle": {
-            "sector_dimension": oracle.parts.no_click.shape[0],
+            "sector_dimension": oracle.parts.full.shape[0],
+            "propagator_dimension": oracle.dim,
             "propagator": "eig" if oracle.propagator.uses_eig else "expm",
         },
         "quadrature": {},

@@ -1,20 +1,29 @@
-"""Brute-force many-body reference on the N_ket = N_bra sector of Fock space.
+"""Brute-force many-body reference for the L x L closed forms.
 
 Fermion operators are realized by a Jordan-Wigner chain of Pauli matrices
 with site 1 as the leftmost tensor factor; every module shares this
-ordering.  Density matrices are 2^L x 2^L, but every superoperator acts on
-the sector of entries rho[I, J] whose ket and bra hold the same particle
-number: a number-conserving h with single-site jumps conserves
-N_ket - N_bra (Buca & Prosen, NJP 14, 073007, 2012), the trace reads only
-that sector, and every state the oracle builds (steady, Gaussian, vacuum and
-each of these after a jump) lies in it.  Dropping the other blocks is exact.
-Sector vectors list the (ket, bra) pairs in row-major order, so a sandwich
-A rho B has the entries A[I, I'] B[J', J].
+ordering.  Density matrices are 2^L x 2^L.
 
-Everything here scales as C(2L, L) (the sector dimension) and exists to
-verify the L x L closed forms at small L, not to be fast.  The one hard cap
-is L <= 6 (sector dimension 924); the command line stops at L = 4 (dimension
-70) unless ``--allow-large-oracle`` is given.
+The waiting-time density P(t, k|q) = tr(J_k e^{L0 t} J_q rho) / tr(J_q rho)
+never forms a superoperator: the no-click generator is
+L0 rho = -i (H_eff rho - rho H_eff^dag), so the no-click evolution is the
+sandwich G rho G^dag with G = e^{-i H_eff t}, a 2^L x 2^L propagator (32 at
+L = 5, 64 at L = 6), and each jump is the sandwich rate * a rho a^dag.
+
+What still scales as C(2L, L) is the steady state.  The full generator is
+built on the sector of entries rho[I, J] whose ket and bra hold the same
+particle number: a number-conserving h with single-site jumps conserves
+N_ket - N_bra (Buca & Prosen, NJP 14, 073007, 2012), the trace reads only
+that sector, and the steady state lies in it, so dropping the other blocks
+is exact.  The steady state is the null vector of that sector generator,
+from its SVD.  The no-click part and the four jumps are built on the same
+sector only to assert the sum rule full = no_click + jumps, which
+cross-checks H_eff.  Sector vectors list the (ket, bra) pairs in row-major
+order, so a sandwich A rho B has the entries A[I, I'] B[J', J].
+
+Everything here exists to verify the L x L closed forms at small L, not to
+be fast.  The one hard cap is L <= 6 (sector dimension 924); the command
+line stops at L = 4 (dimension 70) unless ``--allow-large-oracle`` is given.
 """
 
 from __future__ import annotations
@@ -89,7 +98,10 @@ class LiouvillianParts:
     """Full generator, its no-click part and the four jumps, on the sector.
 
     Entry s of a sector vector is rho[ket[s], bra[s]].  ``c_ops`` are the
-    2^L fermion operators the superoperators were built from.
+    2^L fermion operators the superoperators were built from, ``h_eff`` the
+    2^L effective Hamiltonian that ``no_click`` is built from, and
+    ``jump_ops[label]`` the 2^L operator a of each channel, whose jump
+    superoperator is rate * (rho -> a rho a^dag).
     """
 
     full: np.ndarray
@@ -98,6 +110,8 @@ class LiouvillianParts:
     ket: np.ndarray
     bra: np.ndarray
     c_ops: list[np.ndarray]
+    h_eff: np.ndarray
+    jump_ops: dict[str, np.ndarray]
 
 
 def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
@@ -130,19 +144,9 @@ def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
         full = full + ch[site + "-"].rate * dissipator(op)
         full = full + ch[site + "+"].rate * dissipator(op.conj().T)
 
-    jumps = {
-        "1-": ch["1-"].rate * sandwich(c1, c1.conj().T),
-        "1+": ch["1+"].rate * sandwich(c1.conj().T, c1),
-        "L-": ch["L-"].rate * sandwich(cL, cL.conj().T),
-        "L+": ch["L+"].rate * sandwich(cL.conj().T, cL),
-    }
-
-    h_eff = h_many - 0.5j * (
-        ch["1-"].rate * (c1.conj().T @ c1)
-        + ch["1+"].rate * (c1 @ c1.conj().T)
-        + ch["L-"].rate * (cL.conj().T @ cL)
-        + ch["L+"].rate * (cL @ cL.conj().T)
-    )
+    jump_ops = {"1-": c1, "1+": c1.conj().T, "L-": cL, "L+": cL.conj().T}
+    jumps = {label: ch[label].rate * sandwich(a, a.conj().T) for label, a in jump_ops.items()}
+    h_eff = h_many - 0.5j * sum(ch[label].rate * (a.conj().T @ a) for label, a in jump_ops.items())
     no_click = -1j * (sandwich(h_eff, eye) - sandwich(eye, h_eff.conj().T))
 
     recomposed = no_click + sum(jumps.values())
@@ -150,7 +154,8 @@ def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
     if np.max(np.abs(full - recomposed)) > 1e-12 * scale:
         raise AssertionError("generator decomposition full = no_click + jumps failed")
     return LiouvillianParts(
-        full=full, no_click=no_click, jumps=jumps, ket=ket, bra=bra, c_ops=c_ops
+        full=full, no_click=no_click, jumps=jumps, ket=ket, bra=bra, c_ops=c_ops,
+        h_eff=h_eff, jump_ops=jump_ops,
     )
 
 
@@ -164,41 +169,43 @@ def _as_label(k) -> str:
 class FockOracle:
     """Cached many-body machinery for one chain spec.
 
-    Builds the fermion operators, the sector Liouvillian parts and the
-    no-click propagator once; the per-call work of :meth:`wtd` is then two
-    jump applications and one propagator action.  Density matrices go in
-    and come out as full 2^L x 2^L arrays.
+    Builds the fermion operators, the sector Liouvillian parts and the 2^L
+    no-click propagator e^{-i H_eff t} once.  The per-call work of
+    :meth:`wtd` is two jump sandwiches, one propagator matrix and one
+    sandwich G rho G^dag, all 2^L x 2^L.  The C(2L, L) sector generator
+    serves only :meth:`steady_state`, through its SVD.  Density matrices go
+    in and come out as full 2^L x 2^L arrays.
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
         self.parts = build_liouvillian(spec)
         self.c_ops = self.parts.c_ops
-        self.propagator = Propagator(self.parts.no_click)
+        self.propagator = Propagator(-1j * self.parts.h_eff)
         self.dim = 2**spec.L
-        self._diagonal = self.parts.ket == self.parts.bra
-
-    def _tr(self, vec: np.ndarray) -> complex:
-        return complex(np.sum(vec[self._diagonal]))
+        ch = channels(spec)
+        self._jumps = {label: (ch[label].rate, a) for label, a in self.parts.jump_ops.items()}
 
     def wtd(self, t: float, k, q, rho: np.ndarray) -> float:
         """Waiting-time density between a click in q (at 0) and k (at t).
 
-        Direct evaluation: apply jump q to rho, evolve with the no-click
-        generator for time t, apply jump k, take traces.
+        Direct evaluation: apply jump q to rho as rate_q * a_q rho a_q^dag,
+        evolve with G rho G^dag for G = e^{-i H_eff t}, and read
+        rate_k * tr(a_k rho(t) a_k^dag) over tr of the jumped state.
         """
         if t < 0:
             raise ValueError("time must be nonnegative")
-        jk = self.parts.jumps[_as_label(k)]
-        jq = self.parts.jumps[_as_label(q)]
-        v = jq @ np.asarray(rho, dtype=complex)[self.parts.ket, self.parts.bra]
-        denom = self._tr(v)
+        rate_k, a_k = self._jumps[_as_label(k)]
+        rate_q, a_q = self._jumps[_as_label(q)]
+        jumped = rate_q * (a_q @ np.asarray(rho, dtype=complex) @ a_q.conj().T)
+        denom = np.trace(jumped)
         if abs(denom) < 1e-14:
             raise ValueError(
                 f"jump {_as_label(q)} is impossible from this state (tr J_q rho = 0)"
             )
-        num = self._tr(jk @ self.propagator.apply(t, v))
-        val = num / denom
+        g = self.propagator.matrix(t)
+        num = rate_k * np.trace(a_k @ g @ jumped @ g.conj().T @ a_k.conj().T)
+        val = complex(num / denom)
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise AssertionError(f"waiting-time density has imaginary part {val.imag:.3e}")
         return float(val.real)
@@ -374,7 +381,10 @@ def verify_tracedet(
     through the finite-alpha factorization and checks the conjugation,
     Sylvester and Sherman-Morrison lemmas the derivations rest on.  Each
     comparison is one recorded draw of its entry; a NaN deviation fails
-    the entry.
+    the entry.  Each draw builds one four-factor chain: the bare chains of
+    one to four factors and the three-factor chain of the insertion
+    formulas are its prefixes, so they share its exponentials, and every
+    formula on the three-factor chain shares its D and T.
     """
     rng = np.random.default_rng(seed)
     report = VerificationReport(seed=seed)
@@ -392,12 +402,13 @@ def verify_tracedet(
             coeffs = [_random_coeff(rng, L) for _ in range(4)]
             many = list(expm(np.stack([quadratic_form_operator(x, c_ops) for x in coeffs])))
 
-            for n in (1, 2, 3, 4):
-                chain = tracedet.QuadraticFormChain(coeffs[:n])
+            chain = tracedet.QuadraticFormChain(coeffs)
+            prefixes = {n: chain.prefix(n) for n in (1, 2, 3, 4)}
+            for n, head in prefixes.items():
                 lhs = complex(np.trace(np.linalg.multi_dot(many[:n]) if n > 1 else many[0]))
-                bare[n].record(_rel_dev(lhs, tracedet.bss_trace(chain).value))
+                bare[n].record(_rel_dev(lhs, tracedet.bss_trace(head).value))
 
-            chain3 = tracedet.QuadraticFormChain(coeffs[:3])
+            chain3 = prefixes[3]
             exps3 = many[:3]
             i, ip, j, jp = rng.integers(0, L, size=4)
             lhs = complex(np.trace(

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import LogDet, expm, lu_logdet, solve_factored
+from .linalg import LogDet, LUFactors, expm, lu_logdet, solve_factored
 
 TWO_INSERT_KINDS = ("adjacent", "split_mp", "split_pp", "split_mm", "split_pm")
 
@@ -34,6 +34,10 @@ class QuadraticFormChain:
     Built from the coefficient matrices X_k: each is exponentiated once,
     and its inverse is taken as e^{-X_k} rather than by inversion, for
     accuracy.  All e^{X_k} and e^{-X_k} come from one stacked expm call.
+    The product P, the LU factorization of 1 + P with D = det(1 + P), and
+    T = P (1 + P)^{-1} are each computed on first use and then kept, so the
+    formulas below share them.  :meth:`prefix` gives the chain of the first
+    n factors on the same exponentials, with no further expm call.
     """
 
     def __init__(self, matrices: Sequence[np.ndarray]):
@@ -47,7 +51,19 @@ class QuadraticFormChain:
                     f"all factors must be square of equal dimension, got {m.shape}"
                 )
         both = expm(np.stack(mats + [-m for m in mats]))
-        self.exps, self.inv_exps = list(both[: len(mats)]), list(both[len(mats) :])
+        self._reset(list(both[: len(mats)]), list(both[len(mats) :]))
+
+    def _reset(self, exps: list[np.ndarray], inv_exps: list[np.ndarray]):
+        self.exps, self.inv_exps = exps, inv_exps
+        self._product = self._factors = self._kernel = None
+
+    def prefix(self, n: int) -> "QuadraticFormChain":
+        """The chain of the first n factors, sharing their exponentials."""
+        if not 1 <= n <= len(self):
+            raise ValueError(f"prefix length must lie in [1, {len(self)}], got {n}")
+        head = object.__new__(QuadraticFormChain)
+        head._reset(self.exps[:n], self.inv_exps[:n])
+        return head
 
     @property
     def dim(self) -> int:
@@ -57,10 +73,28 @@ class QuadraticFormChain:
         return len(self.exps)
 
     def product(self) -> np.ndarray:
-        p = self.exps[0]
-        for m in self.exps[1:]:
-            p = p @ m
-        return p
+        """P = e^{X_1} e^{X_2} ... in chain order, computed once."""
+        if self._product is None:
+            p = self.exps[0]
+            for m in self.exps[1:]:
+                p = p @ m
+            self._product = p
+        return self._product
+
+    def _one_plus_product(self) -> tuple[LUFactors, LogDet]:
+        if self._factors is None:
+            self._factors = lu_logdet(np.eye(self.dim, dtype=complex) + self.product())
+        return self._factors
+
+    def det(self) -> LogDet:
+        """D = det(1 + P), computed once."""
+        return self._one_plus_product()[1]
+
+    def kernel(self) -> np.ndarray:
+        """T = P (1 + P)^{-1}, computed once."""
+        if self._kernel is None:
+            self._kernel = solve_factored(self._one_plus_product()[0], self.product())
+        return self._kernel
 
 
 def _check_index(chain: QuadraticFormChain, *indices: int):
@@ -69,26 +103,15 @@ def _check_index(chain: QuadraticFormChain, *indices: int):
             raise IndexError(f"mode index {i} out of range for dimension {chain.dim}")
 
 
-def _d_and_t(chain: QuadraticFormChain) -> tuple[LogDet, np.ndarray]:
-    p = chain.product()
-    eye = np.eye(chain.dim, dtype=complex)
-    factors, logdet = lu_logdet(eye + p)
-    t = solve_factored(factors, p)
-    return logdet, t
-
-
 def bss_trace(chain: QuadraticFormChain) -> LogDet:
     """Fock-space trace of the ordered product, as det(1 + prod_k e^{X_k})."""
-    p = chain.product()
-    _, logdet = lu_logdet(np.eye(chain.dim, dtype=complex) + p)
-    return logdet
+    return chain.det()
 
 
 def trace_one_insert(i: int, i_prime: int, chain: QuadraticFormChain) -> complex:
     """Fock trace of c_i^dag c_{i'} times the ordered product: D * T[i', i]."""
     _check_index(chain, i, i_prime)
-    logdet, t = _d_and_t(chain)
-    return logdet.value * t[i_prime, i]
+    return chain.det().value * chain.kernel()[i_prime, i]
 
 
 def trace_two_insert_chain(
@@ -119,8 +142,7 @@ def trace_two_insert_chain(
 
     u, v, _w = chain.exps
     ui, vi, wi = chain.inv_exps
-    logdet, t = _d_and_t(chain)
-    d = logdet.value
+    d, t = chain.det().value, chain.kernel()
     delta_ii = 1.0 if i == ip else 0.0
 
     # Building blocks shared by several kinds.
@@ -169,7 +191,7 @@ def conjugation_residual(chain: QuadraticFormChain) -> float:
         raise ValueError("identity is stated for three factors")
     ui, vi, wi = chain.inv_exps
     u = chain.exps[0]
-    _, t = _d_and_t(chain)
+    t = chain.kernel()
     lhs = ui @ t @ wi @ vi
     rhs = np.eye(chain.dim, dtype=complex) - ui @ t @ u
     return float(np.max(np.abs(lhs - rhs)))
@@ -191,5 +213,4 @@ def trace_one_insert_alpha_route(
     e_alpha = eye.copy()
     e_alpha[i, i] = np.exp(alpha)
     _, det_with = lu_logdet(eye + e_alpha @ p)
-    _, det_without = lu_logdet(eye + p)
-    return (det_with.value - det_without.value) / (np.expm1(alpha))
+    return (det_with.value - chain.det().value) / (np.expm1(alpha))

@@ -109,7 +109,11 @@ that bypass ``cli.main`` keep their process's setting, and to get the
 same behaviour they set ``OPENBLAS_NUM_THREADS=1`` before numpy is first
 imported, or cap the threads at run time (for example with
 threadpoolctl), otherwise pool workers and BLAS threads contend for the
-same cores.  The pool overlaps only code that releases the GIL: numpy's
+same cores.  Such callers also keep glibc's default allocator thresholds;
+to get the command line's allocator behaviour they set
+``MALLOC_MMAP_THRESHOLD_=33554432`` and ``MALLOC_TRIM_THRESHOLD_=67108864``
+(the values of ``cli._keep_freed_memory``) in the environment before the
+process starts.  The pool overlaps only code that releases the GIL: numpy's
 linalg gufuncs (the Cholesky factorization, ``eig``, ``inv``), large
 elementwise operations and every LAPACK call of ``linalg`` do, the
 per-time ``zpocon`` and ``ztrtrs`` calls included, since ctypes releases

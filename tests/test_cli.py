@@ -374,7 +374,11 @@ class TestVerifyCommand:
         assert payload["passed"] is True
         assert [e["name"] for e in payload["entries"]] == VERIFY_ENTRY_NAMES
         assert (tmp_path / "verify.txt").exists()
-        assert payload["oracle"] == {"sector_dimension": 6, "propagator": "eig"}
+        assert payload["oracle"] == {
+            "sector_dimension": 6,
+            "propagator_dimension": 4,
+            "propagator": "eig",
+        }
         assert set(payload["quadrature"]) == {"steady", "vacuum"}
         for quad in payload["quadrature"].values():
             assert quad["evaluations"] > 0

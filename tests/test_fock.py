@@ -72,12 +72,11 @@ class TestLiouvillian:
         assert np.max(np.abs(parts.full - recomposed)) < 1e-13
 
     def test_no_click_evolution_loses_norm(self, sv_oracle):
-        parts = sv_oracle.parts
-        rho = sv_oracle.steady_state()[parts.ket, parts.bra]
+        rho = sv_oracle.steady_state()
         norms = []
         for t in (0.0, 1.0, 5.0, 20.0):
-            v = sv_oracle.propagator.apply(t, rho)
-            norms.append(np.sum(v[parts.ket == parts.bra]).real)
+            g = sv_oracle.propagator.matrix(t)
+            norms.append(np.trace(g @ rho @ g.conj().T).real)
         assert norms[0] == pytest.approx(1.0, abs=1e-10)
         assert all(-1e-10 <= n <= 1.0 + 1e-10 for n in norms)
         assert norms[1] > norms[2] > norms[3]
@@ -86,10 +85,11 @@ class TestLiouvillian:
         monkeypatch.setattr(linalg, "PROPAGATOR_COND_MAX", 1.0)
         other = FockOracle(sv_spec)
         assert sv_oracle.propagator.uses_eig and not other.propagator.uses_eig
-        rho = sv_oracle.steady_state()[sv_oracle.parts.ket, sv_oracle.parts.bra]
+        rho = sv_oracle.steady_state()
         for t in (0.3, 2.7):
-            a = sv_oracle.propagator.apply(t, rho)
-            b = other.propagator.apply(t, rho)
+            ga, gb = sv_oracle.propagator.matrix(t), other.propagator.matrix(t)
+            a = ga @ rho @ ga.conj().T
+            b = gb @ rho @ gb.conj().T
             assert np.max(np.abs(a - b)) < 1e-11
 
 
@@ -127,6 +127,28 @@ class TestOracleWtd:
                     limit=400,
                 )[0]
             assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_verify_chain_wtd_matches_sector_expm(self):
+        # The verify_L5 benchmark chain: oracle.wtd (2^L sandwich) against
+        # tr(J_k e^{L0 t} J_q rho) / tr(J_q rho) on the C(2L, L) sector.
+        oracle = FockOracle(tight_binding_spec(5))
+        parts = oracle.parts
+        diagonal = parts.ket == parts.bra
+        states = (oracle.steady_state(), oracle.vacuum_density())
+        for t in (0.4, 6.0, 75.0):
+            evolve = sla.expm(parts.no_click * t)
+            for rho in states:
+                vec = rho[parts.ket, parts.bra]
+                for ql in CHANNEL_ORDER:
+                    jumped = parts.jumps[ql] @ vec
+                    denom = np.sum(jumped[diagonal])
+                    if abs(denom) <= 1e-12:
+                        continue
+                    after = evolve @ jumped
+                    for kl in CHANNEL_ORDER:
+                        ref = (np.sum((parts.jumps[kl] @ after)[diagonal]) / denom).real
+                        val = oracle.wtd(t, kl, ql, rho)
+                        assert abs(val - ref) <= 1e-12 * max(abs(val), abs(ref), 1.0)
 
 
 class TestOracleSteadyState:

@@ -168,6 +168,33 @@ class TestSupportingIdentities:
         assert "one_insertion" in failed
 
 
+class TestChainSharing:
+    def test_prefixes_and_cached_kernel_match_fresh_chains_bitwise(self):
+        rng = np.random.default_rng(7)
+        for L in (2, 3):
+            coeffs = [random_coeff(rng, L) for _ in range(4)]
+            chain = QuadraticFormChain(coeffs)
+            for n in (1, 2, 3, 4):
+                assert bss_trace(chain.prefix(n)) == bss_trace(QuadraticFormChain(coeffs[:n]))
+            idx = (L - 1, 0, 1, L - 1)
+            formulas = [
+                bss_trace,
+                lambda c: trace_one_insert(0, L - 1, c),
+                *(lambda c, k=kind: trace_two_insert_chain(k, idx, c) for kind in TWO_INSERT_KINDS),
+                conjugation_residual,
+                lambda c: trace_one_insert_alpha_route(1, c, 1.0),
+            ]
+            shared = chain.prefix(3)
+            for _ in range(2):  # the second pass reads the cached D and T
+                for formula in formulas:
+                    assert formula(shared) == formula(QuadraticFormChain(coeffs[:3]))
+
+    def test_prefix_length_checked(self):
+        chain = QuadraticFormChain([np.zeros((2, 2))] * 2)
+        with pytest.raises(ValueError, match="prefix length"):
+            chain.prefix(3)
+
+
 class TestVerificationEntry:
     def test_record_keeps_the_largest_deviation_and_any_nan(self):
         entry = VerificationEntry("identity", 1e-9)

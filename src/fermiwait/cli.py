@@ -127,8 +127,7 @@ def cmd_wtd(args) -> int:
     spec = cfg.chain_spec()
     k = _parse_channel(args.to, spec)
     q = _parse_channel(getattr(args, "from"), spec)
-    sp = derive_single_particle(spec)
-    state = cfg.initial(spec)
+    sp, state = wtdmod.prepare(spec, lambda: cfg.initial(spec))
     grid = wtdmod.default_time_grid(spec, points=cfg.points, t_max=cfg.t_max)
     curve = wtdmod.wtd_curve(k, q, state, sp, grid)
     out = Path(cfg.out_dir) / f"wtd_{k.label}_given_{q.label}.csv"
@@ -147,8 +146,7 @@ def cmd_natd(args) -> int:
     if cfg.initial_state != "steady":
         raise ConfigError("state.initial: net activity distribution needs 'steady'")
     spec = cfg.chain_spec()
-    sp = derive_single_particle(spec)
-    state = cfg.initial(spec)
+    sp, state = wtdmod.prepare(spec, lambda: cfg.initial(spec))
     grid = wtdmod.default_time_grid(spec, points=cfg.points, t_max=cfg.t_max)
     rows = zip(grid, statsmod.natd(grid, state, sp).tolist())
     out = Path(cfg.out_dir) / "natd.csv"
@@ -158,8 +156,7 @@ def cmd_natd(args) -> int:
 
 
 def _stats_payload(cfg: RunConfig, spec: ChainSpec) -> tuple[dict, bool]:
-    sp = derive_single_particle(spec)
-    state = cfg.initial(spec)
+    sp, state = wtdmod.prepare(spec, lambda: cfg.initial(spec))
     tol = cfg.tol_quadrature
     table = statsmod.channel_stats(state, sp, tol)
 
@@ -368,10 +365,12 @@ def cmd_bench(args) -> int:
 def _pin_blas_threads() -> None:
     """Run numpy's bundled OpenBLAS, the package's one BLAS and LAPACK, on one thread.
 
-    The one level of parallelism is the pool of ``wtd._build_blocks`` over
-    the parts of a stack of times; BLAS threads under it would only contend
-    for the same cores.  ``linalg.OPENBLAS`` is the library that numpy's
-    matrix products and the package's LAPACK bindings both call.
+    The package's parallelism is its own two phases (``wtd`` thread
+    policy): the propagator built beside the initial state in
+    ``wtd.prepare``, then the pool of ``wtd._build_blocks`` over the parts
+    of a stack of times.  BLAS threads under either would only contend for
+    the same cores.  ``linalg.OPENBLAS`` is the library that numpy's matrix
+    products and the package's LAPACK bindings both call.
     """
     setter = OPENBLAS.scipy_openblas_set_num_threads64_
     setter.argtypes, setter.restype = [ctypes.c_int], None

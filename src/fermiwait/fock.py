@@ -15,8 +15,9 @@ built on the sector of entries rho[I, J] whose ket and bra hold the same
 particle number: a number-conserving h with single-site jumps conserves
 N_ket - N_bra (Buca & Prosen, NJP 14, 073007, 2012), the trace reads only
 that sector, and the steady state lies in it, so dropping the other blocks
-is exact.  The steady state is the null vector of that sector generator,
-from its SVD.  The no-click part and the four jumps are built on the same
+is exact.  The steady state is the null vector of that sector generator:
+its uniqueness is read from the singular values, the vector from one LU
+solve.  The no-click part and the four jumps are built on the same
 sector only to assert the sum rule full = no_click + jumps, which
 cross-checks H_eff.  Sector vectors list the (ket, bra) pairs in row-major
 order, so a sandwich A rho B has the entries A[I, I'] B[J', J].
@@ -173,8 +174,9 @@ class FockOracle:
     no-click propagator e^{-i H_eff t} once.  The per-call work of
     :meth:`wtd` is two jump sandwiches, one propagator matrix and one
     sandwich G rho G^dag, all 2^L x 2^L.  The C(2L, L) sector generator
-    serves only :meth:`steady_state`, through its SVD.  Density matrices go
-    in and come out as full 2^L x 2^L arrays.
+    serves only :meth:`steady_state`, through its singular values and one
+    LU solve.  Density matrices go in and come out as full 2^L x 2^L
+    arrays.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -211,14 +213,31 @@ class FockOracle:
         return float(val.real)
 
     def steady_state(self) -> np.ndarray:
-        """Unique trace-1 fixed point of the full generator, from its sector null space."""
-        u, s, vh = np.linalg.svd(self.parts.full)
+        """Unique trace-1 fixed point of the full generator, from its sector null space.
+
+        The null space must be one-dimensional: the second-smallest singular
+        value of the sector generator (singular values only) must exceed
+        1e-10.  The null vector is then one LU solve of the generator with
+        the row of the first diagonal entry rho[I, I] replaced by the trace
+        functional, right-hand side that row's unit vector.  The trace
+        functional is the generator's left null vector, so the replaced
+        equation follows from the others, and the solution is the null
+        vector with trace 1.
+        """
+        full = self.parts.full
+        s = np.linalg.svd(full, compute_uv=False)
         if s[-2] <= 1e-10:
             raise ValueError(
                 f"degenerate null space: second-smallest singular value {s[-2]:.3e}"
             )
+        diagonal = self.parts.ket == self.parts.bra
+        row = int(np.argmax(diagonal))
+        a = full.copy()
+        a[row] = diagonal
+        rhs = np.zeros(full.shape[0], dtype=complex)
+        rhs[row] = 1.0
         rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[self.parts.ket, self.parts.bra] = vh[-1].conj()
+        rho[self.parts.ket, self.parts.bra] = np.linalg.solve(a, rhs)
         rho = 0.5 * (rho + rho.conj().T)
         tr = np.trace(rho).real
         if abs(tr) < 1e-12:

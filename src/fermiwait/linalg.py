@@ -7,17 +7,29 @@ size and time; they are only ever exponentiated after being combined with
 other log-scale terms.
 
 One LAPACK provider.  Besides numpy's own linalg gufuncs, the kernels call
-seven LAPACK routines (``zgees``, ``ztrsyl``, ``zgetrf``, ``zgetrs``,
-``zgecon``, ``zpocon``, ``ztrtrs``) directly from the OpenBLAS bundled
-with numpy (``numpy.libs/libscipy_openblas64_*.so``), which exports them as
+seven LAPACK routines directly from the OpenBLAS bundled with numpy
+(``numpy.libs/libscipy_openblas64_*.so``), which exports them as
 ``scipy_<name>_64_``: Fortran calling convention, 64-bit integers, and the
-hidden length of each character argument passed last.  ``OPENBLAS`` is the
-one handle on that library, so numpy's matrix products and these routines
-run on the same BLAS, pinned once (``cli._pin_blas_threads``).  There is
-one set of bindings and no second provider: if the library or one of the
-symbols is missing, importing this module raises an ImportError naming the
-library path and the symbol.  ctypes releases the GIL for the length of
-each call, so threads calling these routines overlap.
+hidden length of each character argument passed last.  They are
+
+- ``zgees`` (complex Schur form) and ``ztrsyl3`` (blocked triangular
+  Sylvester solve, which hands blocks of one to ``ztrsyl``) in
+  :func:`lyapunov_solve`;
+- ``zgetrf``, ``zgetrs`` and ``zgecon`` (LU factors, solves and condition
+  estimate) in :func:`lu_logdet`, :func:`solve_factored` and
+  :func:`condition_estimate`;
+- ``ztrtrs`` and ``zpocon`` (triangular solve and condition estimate on
+  Cholesky factors) in :func:`half_solve` and :func:`condition_estimate`.
+
+Character arguments and their hidden lengths are ctypes objects made once
+at import; integer arguments are made once per call and shared by every
+argument that takes the same value.  ``OPENBLAS`` is the one handle on that
+library, so numpy's matrix products and these routines run on the same
+BLAS, pinned once (``cli._pin_blas_threads``).  There is one set of
+bindings and no second provider: if the library or one of the symbols is
+missing, importing this module raises an ImportError naming the library
+path and the symbol.  ctypes releases the GIL for the length of each call,
+so threads calling these routines overlap.
 """
 
 from __future__ import annotations
@@ -58,12 +70,16 @@ def _lapack(name: str, chars: int, pointers: int):
 
 
 _zgees = _lapack("zgees", 2, 13)
-_ztrsyl = _lapack("ztrsyl", 2, 11)
+_ztrsyl3 = _lapack("ztrsyl3", 2, 13)
 _zgetrf = _lapack("zgetrf", 0, 6)
 _zgetrs = _lapack("zgetrs", 1, 8)
 _zgecon = _lapack("zgecon", 1, 8)
 _zpocon = _lapack("zpocon", 1, 8)
 _ztrtrs = _lapack("ztrtrs", 3, 7)
+
+#: The character arguments the bindings pass, and their hidden length.
+_N, _C, _T, _U, _V, _NORM1 = (ctypes.c_char_p(c) for c in (b"N", b"C", b"T", b"U", b"V", b"1"))
+_ONE = ctypes.c_size_t(1)
 
 
 def _int(value: int):
@@ -203,7 +219,9 @@ class Propagator:
         except np.linalg.LinAlgError:  # exactly defective
             return
         cond = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
-        resid = np.linalg.norm(self.g @ v - v * w) / max(np.linalg.norm(self.g), 1e-300)
+        resid = self.g @ v
+        resid -= v * w  # in place: one n x n temporary besides g V
+        resid = np.linalg.norm(resid) / max(np.linalg.norm(self.g), 1e-300)
         if cond < PROPAGATOR_COND_MAX and resid < 1e-10:
             self._eig = (w, v, vinv)
 
@@ -250,7 +268,8 @@ def lu_logdet(a) -> tuple[LUFactors, LogDet]:
     lu = np.array(a, order="F")
     piv = np.empty(n, dtype=np.int64)
     info = ctypes.c_int64()
-    _zgetrf(_int(n), _int(n), lu.ctypes.data, _int(max(1, n)), piv.ctypes.data, ctypes.byref(info))
+    n_arg = _int(n)
+    _zgetrf(n_arg, n_arg, lu.ctypes.data, _int(max(1, n)), piv.ctypes.data, ctypes.byref(info))
     _check_info("zgetrf", info)
     if info.value > 0:
         raise SingularMatrixError(info.value - 1)
@@ -269,9 +288,10 @@ def solve_factored(factors: LUFactors, b) -> np.ndarray:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, the matrix {n}")
     x = np.array(b.reshape(n, -1), order="F")
     info = ctypes.c_int64()
+    lda = _int(max(1, n))
     _zgetrs(
-        b"N", _int(n), _int(x.shape[1]), factors.lu.ctypes.data, _int(max(1, n)),
-        factors.piv.ctypes.data, x.ctypes.data, _int(max(1, n)), ctypes.byref(info), 1,
+        _N, _int(n), _int(x.shape[1]), factors.lu.ctypes.data, lda,
+        factors.piv.ctypes.data, x.ctypes.data, lda, ctypes.byref(info), _ONE,
     )
     if info.value != 0:
         raise LinalgError(f"zgetrs failed with info = {info.value}")
@@ -327,15 +347,13 @@ def half_solve(factor: CholeskyFactor, b) -> np.ndarray:
     k = b.shape[2]
     x = np.array(b.transpose(0, 2, 1), order="C")  # x[m] is B_m in Fortran order
     info = ctypes.c_int64()
-    uplo, trans, diag = ctypes.c_char_p(b"U"), ctypes.c_char_p(b"T"), ctypes.c_char_p(b"N")
-    one = ctypes.c_size_t(1)  # hidden length of each character argument
     n_arg, k_arg, info_arg = _int(size), _int(k), ctypes.byref(info)
     a0, a_step = lower.ctypes.data, lower.strides[0]
     x0, x_step = x.ctypes.data, x.strides[0]
     for m in range(n):
         _ztrtrs(
-            uplo, trans, diag, n_arg, k_arg, a0 + m * a_step, n_arg,
-            x0 + m * x_step, n_arg, info_arg, one, one, one,
+            _U, _T, _N, n_arg, k_arg, a0 + m * a_step, n_arg,
+            x0 + m * x_step, n_arg, info_arg, _ONE, _ONE, _ONE,
         )
         if info.value != 0:
             raise LinalgError(f"ztrtrs failed with info = {info.value} at stack index {m}")
@@ -357,9 +375,9 @@ def condition_estimate(factors: LUFactors | CholeskyFactor, anorm):
         n = factors.lu.shape[0]
         work, rwork = np.empty(2 * n, dtype=complex), np.empty(2 * n)
         _zgecon(
-            b"1", _int(n), factors.lu.ctypes.data, _int(max(1, n)),
+            _NORM1, _int(n), factors.lu.ctypes.data, _int(max(1, n)),
             ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
-            work.ctypes.data, rwork.ctypes.data, ctypes.byref(info), 1,
+            work.ctypes.data, rwork.ctypes.data, ctypes.byref(info), _ONE,
         )
         return np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
     lower = _factor_stack(factors)
@@ -368,14 +386,14 @@ def condition_estimate(factors: LUFactors | CholeskyFactor, anorm):
     if anorm.shape != (n,):
         raise ValueError(f"need one 1-norm per factor, got shape {anorm.shape} for {n} factors")
     work, rwork = np.empty(2 * size, dtype=complex), np.empty(size)
-    norm, uplo, one = ctypes.c_double(), ctypes.c_char_p(b"U"), ctypes.c_size_t(1)
+    norm = ctypes.c_double()
     size_arg, norm_arg, rcond_arg, info_arg = _int(size), ctypes.byref(norm), ctypes.byref(rcond), ctypes.byref(info)
     a0, a_step = lower.ctypes.data, lower.strides[0]
     w0, r0 = work.ctypes.data, rwork.ctypes.data
     out = np.empty(n)
     for m in range(n):
         norm.value = anorm[m]
-        _zpocon(uplo, size_arg, a0 + m * a_step, size_arg, norm_arg, rcond_arg, w0, r0, info_arg, one)
+        _zpocon(_U, size_arg, a0 + m * a_step, size_arg, norm_arg, rcond_arg, w0, r0, info_arg, _ONE)
         out[m] = np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
     return out
 
@@ -392,12 +410,13 @@ def _schur(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam = np.empty(n, dtype=complex)
     rwork = np.empty(n)
     sdim, info = ctypes.c_int64(), ctypes.c_int64()
+    n_arg = _int(n)
 
     def call(work: np.ndarray, lwork: int) -> None:
         _zgees(
-            b"V", b"N", None, _int(n), t.ctypes.data, _int(max(1, n)), ctypes.byref(sdim),
-            lam.ctypes.data, u.ctypes.data, _int(max(1, n)), work.ctypes.data, _int(lwork),
-            rwork.ctypes.data, None, ctypes.byref(info), 1, 1,
+            _V, _N, None, n_arg, t.ctypes.data, n_arg, ctypes.byref(sdim),
+            lam.ctypes.data, u.ctypes.data, n_arg, work.ctypes.data, _int(lwork),
+            rwork.ctypes.data, None, ctypes.byref(info), _ONE, _ONE,
         )
         _check_info("zgees", info)
 
@@ -410,17 +429,51 @@ def _schur(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, u
 
 
+def _trsyl(t: np.ndarray, y: np.ndarray) -> float:
+    """Overwrite the Fortran-ordered y with the solution X of T X + X T^dag = scale * y.
+
+    LAPACK ztrsyl3, the blocked solver built on level-3 BLAS, which solves
+    with ztrsyl directly when T is a single block (n <= 24 in LAPACK's block
+    size rule).  Its scaling workspace is sized by its own query.  Returns
+    scale (<= 1, below 1 only to avoid overflow).  A pair sum below
+    ztrsyl's perturbation floor eps * max|T| is a named error.
+    """
+    n_arg = _int(t.shape[0])
+    one, scale, info = _int(1), ctypes.c_double(), ctypes.c_int64()
+
+    def call(swork: np.ndarray, ldswork: int) -> None:
+        _ztrsyl3(
+            _N, _C, one, n_arg, n_arg, t.ctypes.data, n_arg, t.ctypes.data, n_arg,
+            y.ctypes.data, n_arg, ctypes.byref(scale), swork.ctypes.data, _int(ldswork),
+            ctypes.byref(info), _ONE, _ONE,
+        )
+        _check_info("ztrsyl3", info)
+
+    query = np.zeros(2)
+    call(query, -1)
+    rows, cols = max(2, int(query[0])), max(1, int(query[1]))
+    call(np.empty((cols, rows)), rows)  # Fortran (rows, cols)
+    if info.value != 0:  # 1: trsyl perturbed a pair sum below eps * max|T|
+        raise LinalgError(
+            "no unique Lyapunov solution: an eigenvalue pair sum is below "
+            f"ztrsyl's perturbation floor (info = {info.value})"
+        )
+    return scale.value
+
+
 def lyapunov_solve(w, f) -> np.ndarray:
     """Solve W C + C W^dag = F for Hermitian C (Bartels & Stewart, CACM 1972).
 
     With the complex Schur form W = U T U^dag the equation becomes
-    T Y + Y T^dag = U^dag F U, solved by LAPACK ``ztrsyl``, and C = U Y U^dag:
-    O(n^3) for any W, defective or not.  Every eigenvalue pair sum
-    lam_a + conj(lam_b) (from the diagonal of T) must be nonzero, as it is
-    when the spectrum of W lies strictly in the right half plane; a vanishing
-    pair, such as a mode that couples to no bath, is a named error, read
-    from the diagonal of T and from ``ztrsyl``'s own check.  The residual is
-    checked last.
+    T Y + Y T^dag = U^dag F U, solved by LAPACK ``ztrsyl3`` (``_trsyl``), and
+    C = U Y U^dag: O(n^3) for any W, defective or not.  Every eigenvalue
+    pair sum lam_a + conj(lam_b) (from the diagonal of T) must be nonzero, as
+    it is when the spectrum of W lies strictly in the right half plane; a
+    vanishing pair, such as a mode that couples to no bath, is a named
+    error, read from the diagonal of T and from the solver's own check.
+    The residual is checked last.  At most four n x n matrices are live at
+    once: U is conjugated in place, never copied, and each factor is
+    dropped as soon as the next step no longer reads it.
     """
     w = _as_square(w, "W")
     f = _as_square(f, "F")
@@ -428,9 +481,8 @@ def lyapunov_solve(w, f) -> np.ndarray:
         raise ValueError(f"shape mismatch: W {w.shape} vs F {f.shape}")
 
     t, u = _schur(w)
-    lam = np.diagonal(t)
-    denom = lam[:, None] + lam[None, :].conj()
-    bad = np.abs(denom) < 1e-14 * max(1.0, float(np.abs(lam).max()))
+    lam = np.diagonal(t).copy()  # not a view, which would keep T alive
+    bad = np.abs(lam[:, None] + lam[None, :].conj()) < 1e-14 * max(1.0, float(np.abs(lam).max()))
     if np.any(bad):
         a, b = np.argwhere(bad)[0]
         raise LinalgError(
@@ -438,22 +490,26 @@ def lyapunov_solve(w, f) -> np.ndarray:
             f"lam[{a}]={lam[a]:.6g} and conj(lam[{b}])={np.conj(lam[b]):.6g} sum to ~0"
         )
 
-    n = w.shape[0]
-    y = np.array(u.conj().T @ f @ u, order="F")
-    scale, info = ctypes.c_double(), ctypes.c_int64()
-    _ztrsyl(
-        b"N", b"C", _int(1), _int(n), _int(n), t.ctypes.data, _int(n), t.ctypes.data, _int(n),
-        y.ctypes.data, _int(n), ctypes.byref(scale), ctypes.byref(info), 1, 1,
-    )
-    _check_info("ztrsyl", info)
-    if info.value != 0:  # 1: trsyl perturbed a pair sum below eps * max|T|
-        raise LinalgError(
-            "no unique Lyapunov solution: an eigenvalue pair sum is below "
-            f"ztrsyl's perturbation floor (info = {info.value})"
-        )
-    c = u @ (y / scale.value) @ u.conj().T
-    c = 0.5 * (c + c.conj().T)
-    resid = np.linalg.norm(w @ c + c @ w.conj().T - f)
+    np.conjugate(u, out=u)
+    y = u.T @ f  # U^dag F
+    np.conjugate(u, out=u)
+    y = y @ u
+    y = np.asfortranarray(y)
+    scale = _trsyl(t, y)
+    del t
+    y /= scale
+    c = u @ y  # U Y U^dag
+    del y
+    np.conjugate(u, out=u)
+    c = c @ u.T
+    del u
+    c += c.conj().T
+    c *= 0.5
+
+    r = w @ c  # W C + C W^dag - F, with C W^dag = (W C)^dag as C is Hermitian
+    r += r.conj().T
+    r -= f
+    resid = np.linalg.norm(r)
     fnorm = np.linalg.norm(f)
     if resid > 1e-10 * max(fnorm, 1e-300):
         raise LinalgError(

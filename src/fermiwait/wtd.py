@@ -97,27 +97,33 @@ only the boundary columns G[:, b], O(L^2) per time; on the eigen-propagator
 a whole stack is V (e^{w t} o V^-1[:, b]) in one product, on the expm
 fallback one propagator per time.
 
-Thread policy.  The pool of ``_build_blocks`` over the parts of a stack
-is the one level of parallelism; it runs from ``POOL_MIN_SITES`` sites on.
-The command line pins numpy's bundled OpenBLAS, the one BLAS and LAPACK
-of the package (``linalg.OPENBLAS``), to one thread (``cli.main``), so
-BLAS threads never nest under the pool's workers, and keeps freed memory
-in the heap (``cli._keep_freed_memory``), so the workers do not fault
-their temporaries' pages in afresh at every part.  Importing or calling
-the library never changes the process-wide BLAS setting: library callers
-that bypass ``cli.main`` keep their process's setting, and to get the
-same behaviour they set ``OPENBLAS_NUM_THREADS=1`` before numpy is first
-imported, or cap the threads at run time (for example with
-threadpoolctl), otherwise pool workers and BLAS threads contend for the
-same cores.  Such callers also keep glibc's default allocator thresholds;
-to get the command line's allocator behaviour they set
-``MALLOC_MMAP_THRESHOLD_=33554432`` and ``MALLOC_TRIM_THRESHOLD_=67108864``
-(the values of ``cli._keep_freed_memory``) in the environment before the
-process starts.  The pool overlaps only code that releases the GIL: numpy's
-linalg gufuncs (the Cholesky factorization, ``eig``, ``inv``), large
-elementwise operations and every LAPACK call of ``linalg`` do, the
-per-time ``zpocon`` and ``ztrtrs`` calls included, since ctypes releases
-the GIL for each call.  What holds it is the Python between those calls.
+Thread policy.  There are two parallel phases, one after the other and
+never nested, and both run from ``POOL_MIN_SITES`` sites on with the
+worker count of ``_pool_workers``: ``prepare`` builds the propagator on
+one worker thread while the calling thread solves for the initial state,
+and the pool of ``_build_blocks`` runs over the parts of a stack.  Below
+that size no thread starts.  The command line pins numpy's bundled
+OpenBLAS, the one BLAS and LAPACK of the package (``linalg.OPENBLAS``), to
+one thread (``cli.main``), so BLAS threads never nest under either phase's
+threads, and keeps freed memory in the heap (``cli._keep_freed_memory``),
+so the workers do not fault their temporaries' pages in afresh at every
+part.  With one BLAS thread each phase's results are bitwise those of
+running its steps in order.  Importing or calling the library never
+changes the process-wide BLAS setting: library callers that bypass
+``cli.main`` keep their process's setting, and to get the same behaviour
+they set ``OPENBLAS_NUM_THREADS=1`` before numpy is first imported, or cap
+the threads at run time (for example with threadpoolctl), otherwise the
+phases' threads and BLAS threads contend for the same cores.  Such callers
+also keep glibc's default allocator thresholds; to get the command line's
+allocator behaviour they set ``MALLOC_MMAP_THRESHOLD_=33554432`` and
+``MALLOC_TRIM_THRESHOLD_=67108864`` (the values of
+``cli._keep_freed_memory``) in the environment before the process starts.
+Threads overlap only code that releases the GIL: numpy's linalg gufuncs
+(the Cholesky factorization, ``eig``, ``inv``), large elementwise
+operations and every LAPACK call of ``linalg`` do, the Schur form and
+Sylvester solve of the steady state and the per-time ``zpocon`` and
+``ztrtrs`` calls included, since ctypes releases the GIL for each call.
+What holds it is the Python between those calls.
 """
 
 from __future__ import annotations
@@ -125,6 +131,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -180,7 +187,9 @@ C_MIN_EIGENVALUE = 1e-3
 #: it costs more per time than one time alone.
 STACK_BYTES = 1 << 17
 
-#: Smallest chain whose blocks are built on the thread pool.  Below it the
+#: Smallest chain that runs on threads, in either of the two parallel
+#: phases (``_pool_workers``): the propagator built beside the initial state
+#: (``prepare``) and the block build (``_build_blocks``).  Below it the
 #: Python between the LAPACK calls, which holds the GIL, outweighs what the
 #: pool overlaps: on two cores, with every LAPACK call releasing the GIL,
 #: pool/serial time per node was 1.06-1.12 at L = 64, 1.01-1.08 at 100,
@@ -481,6 +490,42 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> dict:
     }
 
 
+def _pool_workers(L: int) -> int:
+    """Threads a parallel phase runs on for a chain of L sites; 1 means no thread starts.
+
+    min(4, os.cpu_count()) from POOL_MIN_SITES sites on, 1 below.
+    """
+    return min(4, os.cpu_count() or 1) if L >= POOL_MIN_SITES else 1
+
+
+def prepare(
+    spec: ChainSpec, initial: Callable[[], GaussianState]
+) -> tuple[SingleParticleSet, GaussianState]:
+    """The single-particle set of ``spec`` and the initial state ``initial()``.
+
+    Building the propagator (``SingleParticleSet.propagator``, an
+    eigendecomposition and an inverse) and the initial state (for a steady
+    state, the Schur form and the Sylvester solve) are independent O(L^3)
+    steps.  When ``_pool_workers`` allows threads, the propagator is built on
+    one worker thread while this thread calls ``initial()``; both spend
+    their time in LAPACK, which releases the GIL, so they overlap.  Each
+    step runs as it would alone, so with BLAS on one thread the results are
+    bitwise those of the serial order.  Otherwise no thread starts:
+    ``initial()`` runs and the propagator is built on its first use.  An
+    error of ``initial()`` is raised in preference to one of the
+    propagator, as the serial order meets it first, and only after the
+    worker thread has ended.
+    """
+    sp = derive_single_particle(spec)
+    if _pool_workers(sp.L) == 1:
+        return sp, initial()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        built = pool.submit(lambda: sp.propagator)
+        state = initial()
+    built.result()
+    return sp, state
+
+
 def _state_eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | None:
     """The per-state factors, built once per (state, sp) and kept in ``sp.memo``."""
     return sp.memo(state, ("eigenbasis",), lambda: _eigenbasis(state.C, sp))
@@ -492,8 +537,8 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
     One task per part of at most STACK_BYTES of L x L matrices of the
     eigenbasis times, in which a time whose B the Cholesky factorization
     refuses takes the LU form, and one per LU-form time.  With more than one
-    task and core, from POOL_MIN_SITES sites on, the tasks run on a pool of
-    min(4, os.cpu_count()) threads; the blocks are bitwise the same.
+    task and more than one worker (``_pool_workers``), the tasks run on a
+    pool of that many threads; the blocks are bitwise the same.
     """
     basis = _state_eigenbasis(state, sp)
     on_eig = np.zeros(ts.size, dtype=bool) if basis is None else ts >= basis.lu_until
@@ -510,8 +555,8 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
             pieces, lu = [(idx[ok], blocks)], idx[~ok]
         return pieces + [([i], _lu_blocks(float(ts[i]), state.C, sp)) for i in lu]
 
-    workers = min(4, os.cpu_count() or 1)
-    if len(tasks) > 1 and workers > 1 and sp.L >= POOL_MIN_SITES:
+    workers = _pool_workers(sp.L)
+    if len(tasks) > 1 and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run, tasks))
     else:

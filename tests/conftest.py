@@ -1,6 +1,11 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
+from fermiwait import linalg
 from fermiwait.model import ChainSpec, build_tight_binding, channels, derive_single_particle
 from fermiwait.fock import FockOracle
 
@@ -69,3 +74,27 @@ def rel_dev(a, b, floor=1e-4):
 def random_hermitian(rng, L):
     m = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
     return 0.5 * (m + m.conj().T)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS and the one scipy bundles on one thread each, restored after.
+
+    The bitwise comparisons need it: OpenBLAS's zgetrs, for one, takes
+    another code path on more than one thread.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    libs = [(linalg.OPENBLAS, "64_")]
+    for path in glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so")):
+        libs.append((ctypes.CDLL(path), "64_" if "64_" in os.path.basename(path) else ""))
+    pins = []
+    for lib, suffix in libs:
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        pins.append((put, get()))
+        put(1)
+    yield
+    for put, threads in pins:
+        put(threads)

@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
 
 import fermiwait.config
+import fermiwait.model
 import fermiwait.tracedet
 import fermiwait.wtd
 from fermiwait.cli import main
 from fermiwait.config import ConfigError, RunConfig
+from fermiwait.linalg import LinalgError
 from fermiwait.model import CHANNEL_ORDER
 
 
@@ -242,6 +245,37 @@ class TestWtdCommand:
         rc = main(["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)])
         assert rc == 1
         assert "h_file" in capsys.readouterr().err
+
+
+class TestSetupErrors:
+    """From wtd.POOL_MIN_SITES sites a failing setup step exits as in the serial order."""
+
+    @pytest.mark.parametrize("failing", ["steady", "propagator", "both"])
+    def test_error_surfaces_as_in_serial_order(self, tmp_path, capsys, monkeypatch, failing):
+        body = DEFAULT_CONFIG.replace("L = 2", f"L = {fermiwait.wtd.POOL_MIN_SITES}")
+        if failing != "propagator":
+            body = body.replace("gamma1 = 0.1", "gamma1 = 0.0")
+        if failing != "steady":
+
+            def broken(g):
+                raise LinalgError("eigendecomposition failed")
+
+            monkeypatch.setattr(fermiwait.model, "Propagator", broken)
+        cfg = write_config(tmp_path / "run.ini", body)
+        argv = ["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+        overlapped = main(argv), capsys.readouterr().err
+        assert len(started) == 1 and not started[0].is_alive()
+        monkeypatch.setattr(fermiwait.wtd, "POOL_MIN_SITES", 10**9)
+        serial = main(argv), capsys.readouterr().err
+        assert len(started) == 1
+        assert overlapped == serial
+        if failing == "propagator":
+            assert overlapped == (2, "numerical failure: eigendecomposition failed\n")
+        else:
+            assert overlapped[0] == 1 and "gamma1 > 0" in overlapped[1]
 
 
 class TestNatdCommand:

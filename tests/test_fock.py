@@ -171,6 +171,24 @@ class TestOracleSteadyState:
         ref = steady_state(spec).C
         assert np.max(np.abs(oracle.covariance(oracle.steady_state()) - ref)) < 1e-8
 
+    @pytest.mark.parametrize("make_spec", [generic_spec, tight_binding_spec])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_lu_null_vector_matches_svd(self, oracle_cache, make_spec, L):
+        oracle = oracle_cache(make_spec(L))
+        vh = np.linalg.svd(oracle.parts.full)[2]
+        want = np.zeros((oracle.dim, oracle.dim), dtype=complex)
+        want[oracle.parts.ket, oracle.parts.bra] = vh[-1].conj()
+        want = 0.5 * (want + want.conj().T)
+        want /= np.trace(want).real
+        assert np.max(np.abs(oracle.steady_state() - want)) <= 1e-12
+
+    def test_degenerate_null_space_is_rejected(self):
+        # Without baths every function of the conserved particle number and
+        # energy is a fixed point.
+        spec = ChainSpec(h=build_tight_binding(3, 1.0, 1.0), gamma1=0.0, gammaL=0.0, f1=0.5, fL=0.5)
+        with pytest.raises(ValueError, match="degenerate null space"):
+            FockOracle(spec).steady_state()
+
 
 class TestGaussianDensity:
     def test_half_filling_is_maximally_mixed(self, sv_oracle):

@@ -1,10 +1,9 @@
-import ctypes
-import glob
 import os
 import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -27,18 +26,6 @@ from fermiwait.linalg import (
     solve_factored,
 )
 from fermiwait.model import ChainSpec, build_tight_binding, derive_single_particle, steady_state
-
-
-def brute_force_det(a):
-    """Cofactor expansion along the first row; independent of LU."""
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0 + 0.0j
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1) ** j * a[0, j] * brute_force_det(minor)
-    return total
 
 
 def random_complex(rng, n, scale=1.0):
@@ -131,30 +118,6 @@ def cholesky_stack(rng, n, size):
     return factor, np.abs(a).sum(axis=1).max(axis=1)
 
 
-@pytest.fixture
-def one_blas_thread():
-    """numpy's OpenBLAS and the one scipy bundles on one thread each, restored after.
-
-    The bitwise comparisons need it: OpenBLAS's zgetrs, for one, takes
-    another code path on more than one thread.
-    """
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    libs = [(linalg.OPENBLAS, "64_")]
-    for path in glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so")):
-        libs.append((ctypes.CDLL(path), "64_" if "64_" in os.path.basename(path) else ""))
-    pins = []
-    for lib, suffix in libs:
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        pins.append((put, get()))
-        put(1)
-    yield
-    for put, threads in pins:
-        put(threads)
-
-
 @pytest.mark.usefixtures("one_blas_thread")
 class TestLapackBindings:
     """Each binding to numpy's OpenBLAS against scipy's f2py wrapper of the same routine."""
@@ -202,6 +165,9 @@ class TestLapackBindings:
             assert condition_estimate(factors, anorm) == 1.0 / rcond
 
     def test_schur_and_trsyl_match_scipy_bitwise(self):
+        # scipy wraps no ztrsyl3.  While T is one block (n <= 24) ztrsyl3
+        # solves with ztrsyl itself, so the solve is bitwise scipy's ztrsyl
+        # there; at n = 64 the blocked solve agrees to roundoff.
         rng = np.random.default_rng(33)
         for size in self.SIZES:
             w = random_complex(rng, size) + (size + 1.0) * np.eye(size)
@@ -212,7 +178,12 @@ class TestLapackBindings:
             y, scale, info = lapack.ztrsyl(t, t, u.conj().T @ f @ u, tranb="C")
             assert info == 0
             want = u @ (y / scale) @ u.conj().T
-            assert np.array_equal(lyapunov_solve(w, f), 0.5 * (want + want.conj().T))
+            want = 0.5 * (want + want.conj().T)
+            got = lyapunov_solve(w, f)
+            if size <= 24:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_stacked_calls_equal_calls_per_time(self):
         rng = np.random.default_rng(34)
@@ -331,13 +302,14 @@ class TestLuLogdet:
         assert ld.log_abs == pytest.approx(np.log(6.0), rel=1e-14)
         assert ld.phase == pytest.approx(1.0, abs=1e-14)
 
-    def test_against_cofactor_expansion(self):
+    def test_against_extended_precision_determinant(self):
         rng = np.random.default_rng(3)
-        for _ in range(4):
-            a = random_complex(rng, 8)
-            _, ld = lu_logdet(a)
-            ref = brute_force_det(a)
-            assert abs(ld.value - ref) < 1e-10 * abs(ref)
+        with mpmath.workdps(30):
+            for _ in range(4):
+                a = random_complex(rng, 8)
+                _, ld = lu_logdet(a)
+                ref = complex(mpmath.det(mpmath.matrix(a.tolist())))
+                assert abs(ld.value - ref) < 1e-10 * abs(ref)
 
     def test_phase_is_unit_modulus(self):
         rng = np.random.default_rng(4)
@@ -454,6 +426,22 @@ class TestLyapunov:
         w = np.array([[5e-14 + 1j, 1e4], [0.0, 1.0]], dtype=complex)
         with pytest.raises(LinalgError, match="pair sum"):
             lyapunov_solve(w, np.eye(2, dtype=complex))
+
+    def test_random_large_spec_matches_scipy(self):
+        # A random Hermitian h on 200 sites with random baths, against
+        # scipy's Bartels-Stewart solve.  Both have a forward error up to
+        # about n eps ||F|| / (2 min Re lam(W)), the slowest decay rate.
+        rng = np.random.default_rng(36)
+        L = 200
+        m = random_complex(rng, L)
+        g1, gL = rng.uniform(0.1, 1.0, 2)
+        f1, fL = rng.uniform(0.0, 1.0, 2)
+        spec = ChainSpec(h=0.5 * (m + m.conj().T), gamma1=g1, gammaL=gL, f1=f1, fL=fL)
+        sp = derive_single_particle(spec)
+        want = sla.solve_continuous_lyapunov(sp.W, sp.F)
+        slowest = float(np.linalg.eigvals(sp.W).real.min())
+        tol = L * np.finfo(float).eps * np.max(np.abs(sp.F)) / (2.0 * slowest)
+        assert np.max(np.abs(steady_state(spec).C - want)) <= tol
 
     def test_equilibrium_chain_is_exact_at_large_size(self):
         # Equal bath occupations f: C = f * 1 for any h.  The slowest modes

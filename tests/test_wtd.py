@@ -650,3 +650,41 @@ class TestBlockPool:
         # Four LU-form times and two parts of eigenbasis times: six tasks.
         self._pooled_and_serial(monkeypatch, ts, state, sp)
         assert kernel_forms == {"eigenbasis": 2 * 2, "lu": 2 * 4}
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+class TestPrepare:
+    """``prepare`` builds the propagator beside the initial state from POOL_MIN_SITES sites on."""
+
+    @staticmethod
+    def _started_threads(monkeypatch) -> list:
+        started = []
+        real = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
+        return started
+
+    def test_overlapped_equals_serial_bitwise(self, monkeypatch):
+        spec = tight_binding_spec(wtdmod.POOL_MIN_SITES, f1=0.8, fL=0.1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = self._started_threads(monkeypatch)
+        sp, state = wtdmod.prepare(spec, lambda: steady_state(spec))
+        assert len(started) == 1 and not started[0].is_alive()
+        assert "propagator" in vars(sp)  # built by the worker, before prepare returned
+        serial_sp, serial_state = derive_single_particle(spec), steady_state(spec)
+        assert np.array_equal(state.C, serial_state.C)
+        for got, want in zip(sp.propagator.eig, serial_sp.propagator.eig):
+            assert np.array_equal(got, want)
+        k, q = sp.channels["L-"], sp.channels["1+"]
+        grid = np.linspace(0.0, 512.0, 6)
+        got = wtd_curve(k, q, state, sp, grid).values
+        assert np.array_equal(got, wtd_curve(k, q, serial_state, serial_sp, grid).values)
+
+    def test_no_thread_below_pool_min_sites(self, monkeypatch):
+        spec = tight_binding_spec(wtdmod.POOL_MIN_SITES - 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = self._started_threads(monkeypatch)
+        sp, state = wtdmod.prepare(spec, lambda: steady_state(spec))
+        assert started == []
+        assert "propagator" not in vars(sp)  # built on first use, as without prepare
+        assert np.array_equal(state.C, steady_state(spec).C)
+

@@ -14,8 +14,8 @@ from .model import (
     GaussianState,
     SingleParticleSet,
     build_tight_binding,
+    can_click,
     channels,
-    click_weight,
     derive_single_particle,
     steady_state,
     vacuum_state,

@@ -37,16 +37,7 @@ from .fock import (
     verify_tracedet,
 )
 from .linalg import OPENBLAS, LinalgError
-from .model import (
-    CHANNEL_ORDER,
-    MIN_CLICK_WEIGHT,
-    ChainSpec,
-    channels,
-    click_weight,
-    derive_single_particle,
-    steady_state,
-    vacuum_state,
-)
+from .model import CHANNEL_ORDER, ChainSpec, can_click, channels, occupation_factor, vacuum_state
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -127,8 +118,8 @@ def cmd_wtd(args) -> int:
     spec = cfg.chain_spec()
     k = _parse_channel(args.to, spec)
     q = _parse_channel(getattr(args, "from"), spec)
-    sp, state = wtdmod.prepare(spec, lambda: cfg.initial(spec))
-    grid = wtdmod.default_time_grid(spec, points=cfg.points, t_max=cfg.t_max)
+    sp, state = wtdmod.prepare(spec, cfg.initial)
+    grid = wtdmod.default_time_grid(sp, points=cfg.points, t_max=cfg.t_max)
     curve = wtdmod.wtd_curve(k, q, state, sp, grid)
     out = Path(cfg.out_dir) / f"wtd_{k.label}_given_{q.label}.csv"
     _write_csv(
@@ -146,8 +137,8 @@ def cmd_natd(args) -> int:
     if cfg.initial_state != "steady":
         raise ConfigError("state.initial: net activity distribution needs 'steady'")
     spec = cfg.chain_spec()
-    sp, state = wtdmod.prepare(spec, lambda: cfg.initial(spec))
-    grid = wtdmod.default_time_grid(spec, points=cfg.points, t_max=cfg.t_max)
+    sp, state = wtdmod.prepare(spec, cfg.initial)
+    grid = wtdmod.default_time_grid(sp, points=cfg.points, t_max=cfg.t_max)
     rows = zip(grid, statsmod.natd(grid, state, sp).tolist())
     out = Path(cfg.out_dir) / "natd.csv"
     _write_csv(out, cfg, "t,density", rows)
@@ -155,8 +146,8 @@ def cmd_natd(args) -> int:
     return EXIT_OK
 
 
-def _stats_payload(cfg: RunConfig, spec: ChainSpec) -> tuple[dict, bool]:
-    sp, state = wtdmod.prepare(spec, lambda: cfg.initial(spec))
+def _stats_payload(cfg: RunConfig) -> tuple[dict, bool]:
+    sp, state = wtdmod.prepare(cfg.chain_spec(), cfg.initial)
     tol = cfg.tol_quadrature
     table = statsmod.channel_stats(state, sp, tol)
 
@@ -204,8 +195,7 @@ def cmd_stats(args) -> int:
                 raise ConfigError(f"--sweep-L: chain needs at least 2 sites, got {L}")
             run_cfg = dataclasses.replace(cfg, L=L).validate()
             suffix = f"_L{L}"
-        spec = run_cfg.chain_spec()
-        payload, audits_ok = _stats_payload(run_cfg, spec)
+        payload, audits_ok = _stats_payload(run_cfg)
         out = Path(cfg.out_dir) / f"stats{suffix}.json"
         _write_json(out, payload)
         print(f"wrote {out}")
@@ -233,24 +223,25 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     recorded draw of its entry, and a NaN deviation fails the entry.
     Also returns the run's diagnostics: the oracle's sector dimension (of
     its steady-state solve), the dimension and path of its no-click
-    propagator, and the quadrature record of each normalization pass.
+    propagator, and the quadrature record of each normalization pass.  The
+    steady state is built first, so a chain without one fails before any
+    check runs.
     """
+    spec = cfg.chain_spec()
+    sp, st = wtdmod.prepare(spec, dataclasses.replace(cfg, initial_state="steady").initial)
     report = verify_tracedet(seed=seed, draws=20, sizes=(2, 3))
     tol = cfg.tol_oracle
     covariance = report.add("steady_covariance", 1e-8)
     equivalence = {s: report.add(f"wtd_equivalence_{s}", tol) for s in ("steady", "vacuum")}
     normalization = {s: report.add(f"normalization_{s}", AUDIT_TOL) for s in ("steady", "vacuum")}
 
-    spec = cfg.chain_spec()
     oracle = FockOracle(spec)
-    sp = derive_single_particle(spec)
     ch = sp.channels
     rng = np.random.default_rng(seed)
     gamma_min = min(g for g in (spec.gamma1, spec.gammaL) if g > 0)
     times = rng.uniform(0.0, 20.0 / gamma_min, size=10)
     floor = 1e-12 / tol  # |a-b| <= tol*max(|a|,|b|, floor) == rel tol or 1e-12 abs
 
-    st = steady_state(spec)
     rho_ss = oracle.steady_state()
     covariance.record(np.max(np.abs(st.C - oracle.covariance(rho_ss))))
 
@@ -265,7 +256,7 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
                 for a in range(4):
                     entry.record(abs(float(at_one[a, b])))
                 continue
-            if click_weight(q, state) <= MIN_CLICK_WEIGHT:
+            if not can_click(q, occupation_factor(q, state.boundary_occupations)):
                 continue
             for a, kl in enumerate(CHANNEL_ORDER):
                 for t, m in zip(times, stack):
@@ -327,12 +318,8 @@ def cmd_bench(args) -> int:
         raise ConfigError("--sizes: the scaling slope needs at least two distinct chain sizes")
     rows = []
     for L in sizes:
-        spec = dataclasses.replace(cfg, L=L).validate().chain_spec()
-        sp = derive_single_particle(spec)
-        try:
-            state = steady_state(spec)
-        except ValueError as exc:
-            raise ConfigError(f"baths: {exc}") from exc
+        run_cfg = dataclasses.replace(cfg, L=L, initial_state="steady").validate()
+        sp, state = wtdmod.prepare(run_cfg.chain_spec(), run_cfg.initial)
         k, q = sp.channels["L-"], sp.channels["1+"]
         t_probe = L / 2.0
         wtdmod.wtd_density(t_probe, k, q, state, sp)  # warm up caches/BLAS

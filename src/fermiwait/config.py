@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChainSpec, GaussianState, build_tight_binding, steady_state, vacuum_state
+from .model import ChainSpec, GaussianState, SingleParticleSet, build_tight_binding, vacuum_state
 
 
 class ConfigError(Exception):
@@ -184,11 +184,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
 
-    def initial(self, spec: ChainSpec) -> GaussianState:
+    def initial(self, sp: SingleParticleSet) -> GaussianState:
+        """The configured initial state of the chain of ``sp``, a steady one from its W and F."""
         if self.initial_state == "vacuum":
-            return vacuum_state(spec.L)
+            return vacuum_state(sp.L)
         try:
-            return steady_state(spec)
+            return sp.steady_state()
         except ValueError as exc:
             # e.g. a decoupled bath: a config-level problem, not a numerical one
             raise ConfigError(f"state.initial = steady: {exc}") from exc

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from .linalg import Propagator, expm
-from .model import ChainSpec, Channel, CHANNEL_ORDER, channels
+from .model import ChainSpec, Channel, CHANNEL_ORDER, can_click, channels
 from . import tracedet
 
 ORACLE_MAX_SITES = 6
@@ -186,27 +186,27 @@ class FockOracle:
         self.propagator = Propagator(-1j * self.parts.h_eff)
         self.dim = 2**spec.L
         ch = channels(spec)
-        self._jumps = {label: (ch[label].rate, a) for label, a in self.parts.jump_ops.items()}
+        self._jumps = {label: (ch[label], a) for label, a in self.parts.jump_ops.items()}
 
     def wtd(self, t: float, k, q, rho: np.ndarray) -> float:
         """Waiting-time density between a click in q (at 0) and k (at t).
 
         Direct evaluation: apply jump q to rho as rate_q * a_q rho a_q^dag,
         evolve with G rho G^dag for G = e^{-i H_eff t}, and read
-        rate_k * tr(a_k rho(t) a_k^dag) over tr of the jumped state.
+        rate_k * tr(a_k rho(t) a_k^dag) over tr of the jumped state.  A q that
+        cannot click from rho (``model.can_click``) is an error.
         """
         if t < 0:
             raise ValueError("time must be nonnegative")
-        rate_k, a_k = self._jumps[_as_label(k)]
-        rate_q, a_q = self._jumps[_as_label(q)]
-        jumped = rate_q * (a_q @ np.asarray(rho, dtype=complex) @ a_q.conj().T)
+        k_ch, a_k = self._jumps[_as_label(k)]
+        q_ch, a_q = self._jumps[_as_label(q)]
+        sandwich = a_q @ np.asarray(rho, dtype=complex) @ a_q.conj().T  # tr: q's occupation factor
+        if not can_click(q_ch, float(np.trace(sandwich).real)):
+            raise ValueError(f"jump {q_ch.label} is impossible from this state")
+        jumped = q_ch.rate * sandwich
         denom = np.trace(jumped)
-        if abs(denom) < 1e-14:
-            raise ValueError(
-                f"jump {_as_label(q)} is impossible from this state (tr J_q rho = 0)"
-            )
         g = self.propagator.matrix(t)
-        num = rate_k * np.trace(a_k @ g @ jumped @ g.conj().T @ a_k.conj().T)
+        num = k_ch.rate * np.trace(a_k @ g @ jumped @ g.conj().T @ a_k.conj().T)
         val = complex(num / denom)
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
             raise AssertionError(f"waiting-time density has imaginary part {val.imag:.3e}")

@@ -202,7 +202,7 @@ class Propagator:
     """exp(g t) for any t >= 0 from one eigendecomposition of g, or expm per call.
 
     With g = V diag(w) V^-1, exp(g t) = V diag(e^{w t}) V^-1 costs one matrix
-    product (``matrix``) or two matrix-vector products (``apply``) per time.
+    product per time (``matrix``).
     g is generally non-normal; if V is ill-conditioned beyond
     PROPAGATOR_COND_MAX (near an exceptional point) or the decomposition
     residual is poor, every call falls back to scaling-and-squaring
@@ -243,15 +243,6 @@ class Propagator:
             return expm(self.g * t)
         w, v, vinv = self._eig
         return (v * np.exp(w * t)) @ vinv
-
-    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        """exp(g t) @ vec for a vector or a block of columns."""
-        if t == 0.0:
-            return np.array(vec, dtype=complex)
-        if self._eig is None:
-            return expm(self.g * t) @ vec
-        w, v, vinv = self._eig
-        return v @ (np.exp(w * t) * (vinv @ vec).T).T
 
 
 def lu_logdet(a) -> tuple[LUFactors, LogDet]:

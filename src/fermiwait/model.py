@@ -11,11 +11,12 @@ scalar:
     Q = W - F                                           no-click generator
     gamma_total = gamma_1 f_1 + gamma_L f_L             uniform decay rate
 
-Gaussian states are carried by their covariance matrix C_ij = <c_j^dag c_i>;
-the exponent matrix of the Gibbs form is never materialized.  The no-click
-propagator e^{-Qt} comes from one eigendecomposition of Q per
-SingleParticleSet (``SingleParticleSet.propagator``), and data derived from
-one set and one state is kept on the set (``SingleParticleSet.memo``).
+Gaussian states are carried by their covariance matrix C_ij = <c_j^dag c_i>,
+decomposed once (``GaussianState.eig``); the exponent matrix of the Gibbs
+form is never materialized.  One SingleParticleSet per chain serves its
+steady state, the no-click propagator e^{-Qt} from one eigendecomposition of
+Q (``propagator``) and the data derived from it and one state (``memo``).
+:func:`can_click` is the one predicate for "can channel q click".
 """
 
 from __future__ import annotations
@@ -114,11 +115,20 @@ MEMO_ENTRIES = 16
 #: Channels whose click weight is at or below this never click from the state.
 MIN_CLICK_WEIGHT = 1e-14
 
+#: Occupation factor at or below which a click in q is impossible and
+#: densities conditioned on it are undefined.
+MIN_OCCUPATION_FACTOR = 1e-14
 
-def click_weight(q: Channel, state: GaussianState) -> float:
-    """Jump expectation of q: rate times occupation (extraction) or hole (injection)."""
-    n = float(np.real(state.C[q.site_index, q.site_index]))
-    return q.rate * (n if q.sign == "-" else 1.0 - n)
+
+def occupation_factor(q: Channel, c_diag: tuple[float, float]) -> float:
+    """C_jj for q = j-, 1 - C_jj for q = j+, from the bath-site occupations ``c_diag``."""
+    c = c_diag[0 if q.site == 1 else 1]
+    return c if q.sign == "-" else 1.0 - c
+
+
+def can_click(q: Channel, factor: float) -> bool:
+    """Whether q can click at occupation ``factor``: weight and factor above their thresholds."""
+    return q.rate * factor > MIN_CLICK_WEIGHT and factor > MIN_OCCUPATION_FACTOR
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,13 @@ class SingleParticleSet:
         """e^{-Qt} for every t, from one eigendecomposition of Q (built on first use)."""
         return Propagator(-self.Q)
 
+    def steady_state(self) -> GaussianState:
+        """Steady-state covariance: the fixed point W C + C W^dag = F of this set's W and F."""
+        ch = self.channels
+        if min(ch["1-"].rate + ch["1+"].rate, ch["L-"].rate + ch["L+"].rate) <= 0:
+            raise ValueError("steady state requires gamma1 > 0 and gammaL > 0")
+        return GaussianState(C=lyapunov_solve(self.W, self.F), kind="steady")
+
     def memo(self, state: GaussianState, key: tuple, build):
         """``build()``, computed once per (state, key) and kept on this set.
 
@@ -177,11 +194,14 @@ class GaussianState:
 
     ``kind`` is "steady", "vacuum" or "custom".  The vacuum has C = 0
     exactly; the density kernel dispatches on ``kind == "vacuum"`` to the
-    analytic vacuum formulas, which never read C.
+    analytic vacuum formulas, which never read C.  C is decomposed once, by
+    ``eigh``, to check that its spectrum lies in [0, 1]; ``eig`` keeps the
+    eigenvalues (ascending) and eigenvectors for the density kernel.
     """
 
     C: np.ndarray
     kind: str = "custom"
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("steady", "vacuum", "custom"):
@@ -189,17 +209,23 @@ class GaussianState:
         c = np.asarray(self.C, dtype=complex)
         if np.linalg.norm(c - c.conj().T) > 1e-10 * max(1.0, np.linalg.norm(c)):
             raise ValueError("covariance matrix must be Hermitian")
-        evals = np.linalg.eigvalsh(c)
-        if evals.min() < -1e-10 or evals.max() > 1.0 + 1e-10:
+        evals, vecs = np.linalg.eigh(c)
+        if evals[0] < -1e-10 or evals[-1] > 1.0 + 1e-10:
             raise ValueError(
                 f"covariance eigenvalues must lie in [0, 1], got range "
-                f"[{evals.min():.3e}, {evals.max():.3e}]"
+                f"[{evals[0]:.3e}, {evals[-1]:.3e}]"
             )
         object.__setattr__(self, "C", c)
+        object.__setattr__(self, "eig", (evals, vecs))
 
     @property
     def L(self) -> int:
         return self.C.shape[0]
+
+    @property
+    def boundary_occupations(self) -> tuple[float, float]:
+        """Real C_jj at the two bath sites, site 1 first."""
+        return float(self.C[0, 0].real), float(self.C[-1, -1].real)
 
 
 def build_tight_binding(L: int, V: float, J: float) -> np.ndarray:
@@ -237,11 +263,8 @@ def derive_single_particle(spec: ChainSpec) -> SingleParticleSet:
 
 
 def steady_state(spec: ChainSpec) -> GaussianState:
-    """Steady-state covariance: the fixed point W C + C W^dag = F."""
-    if spec.gamma1 <= 0 or spec.gammaL <= 0:
-        raise ValueError("steady state requires gamma1 > 0 and gammaL > 0")
-    sp = derive_single_particle(spec)
-    return GaussianState(C=lyapunov_solve(sp.W, sp.F), kind="steady")
+    """Steady-state covariance of ``spec``: ``derive_single_particle(spec).steady_state()``."""
+    return derive_single_particle(spec).steady_state()
 
 
 def vacuum_state(L: int) -> GaussianState:

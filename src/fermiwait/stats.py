@@ -50,11 +50,11 @@ import numpy as np
 
 from .model import (
     CHANNEL_ORDER,
-    MIN_CLICK_WEIGHT,
     Channel,
     GaussianState,
     SingleParticleSet,
-    click_weight,
+    can_click,
+    occupation_factor,
 )
 from .wtd import wtd_density_matrix
 
@@ -343,11 +343,12 @@ def integrate_semiinfinite(
 def jump_frequencies(state: GaussianState, sp: SingleParticleSet) -> np.ndarray:
     """Relative click frequencies p(q) in CHANNEL_ORDER, normalized to 1.
 
-    Each raw weight is the channel's click weight; channels at or below
-    MIN_CLICK_WEIGHT never click and get exactly 0.
+    Each raw weight is the channel's click weight; channels that cannot
+    click (``model.can_click``) get exactly 0.
     """
-    raw = np.array([click_weight(sp.channels[label], state) for label in CHANNEL_ORDER])
-    raw[raw <= MIN_CLICK_WEIGHT] = 0.0
+    c_diag = state.boundary_occupations
+    factors = [(q, occupation_factor(q, c_diag)) for q in map(sp.channels.get, CHANNEL_ORDER)]
+    raw = np.array([q.rate * f if can_click(q, f) else 0.0 for q, f in factors])
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("no channel has a nonzero click frequency")
@@ -483,7 +484,7 @@ def normalization_audit(
     tolerance means lost tail mass or a broken density.  ``t_cut``
     deliberately truncates the integral (the audit then reports < 1).
     """
-    if click_weight(q, state) <= MIN_CLICK_WEIGHT:
+    if not can_click(q, occupation_factor(q, state.boundary_occupations)):
         raise ValueError(
             f"channel {q.label} never clicks from the {state.kind} state; audit undefined"
         )

@@ -148,11 +148,13 @@ from .linalg import (
 )
 from .model import (
     CHANNEL_ORDER,
+    MIN_OCCUPATION_FACTOR,
     ChainSpec,
     Channel,
     GaussianState,
     SingleParticleSet,
     derive_single_particle,
+    occupation_factor,
 )
 
 #: Roundoff window: densities above -CLAMP_WINDOW are clamped to zero.
@@ -164,11 +166,6 @@ IMAG_TOL = 1e-9
 #: Condition estimate of the factorized matrix (B or A) above which points
 #: are flagged.
 COND_THRESHOLD = 1e12
-
-#: Occupation factor (C_jj for q = j-, 1 - C_jj for q = j+) at or below
-#: which a click in q is impossible and densities conditioned on it are
-#: undefined.
-MIN_OCCUPATION_FACTOR = 1e-14
 
 #: Smallest eigenvalue of C from which the eigenbasis kernel is used at
 #: every time.  Below it cond(B) grows like 1 / min(C) and the blocks lose
@@ -249,21 +246,21 @@ def validate_grid(grid) -> np.ndarray:
 
 
 def default_time_grid(
-    spec: ChainSpec, points: int = DEFAULT_GRID_POINTS, t_max: float | None = None
+    sp: SingleParticleSet, points: int = DEFAULT_GRID_POINTS, t_max: float | None = None
 ) -> np.ndarray:
     """Uniform grid covering both the bath decay and ballistic traversal scales.
 
     t_max defaults to max(20 / Gamma, 4 L / J_eff) with J_eff the largest
-    off-diagonal magnitude of h.
+    off-diagonal magnitude of h, read from the set: off the diagonal W is
+    i h, whose magnitudes are bitwise those of h.
     """
     if t_max is None:
-        sp = derive_single_particle(spec)
         candidates = []
         if sp.gamma_total > 0:
             candidates.append(20.0 / sp.gamma_total)
-        j_eff = float(np.max(np.abs(spec.h - np.diag(np.diagonal(spec.h)))))
+        j_eff = float(np.max(np.abs(sp.W - np.diag(np.diagonal(sp.W)))))
         if j_eff > 0:
-            candidates.append(4.0 * spec.L / j_eff)
+            candidates.append(4.0 * sp.L / j_eff)
         if not candidates:
             raise ValueError(
                 "cannot pick a default horizon: no injection decay rate and no hopping"
@@ -345,13 +342,13 @@ def _times(t) -> np.ndarray:
     return ts
 
 
-def _eigenbasis(c: np.ndarray, sp: SingleParticleSet) -> _Eigenbasis | None:
-    """The per-state factors, or None where the fallback must be used."""
+def _eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | None:
+    """The per-state factors, from the state's own decomposition of C, or None for the fallback."""
     eig = sp.propagator.eig
     if eig is None:
         return None
     w, v, vinv = eig
-    occ, u = np.linalg.eigh(c)
+    occ, u = state.eig
     growth = max(float(w.real.max()), 0.0)
     lu_until = 0.0
     if occ[0] < C_MIN_EIGENVALUE:
@@ -499,36 +496,38 @@ def _pool_workers(L: int) -> int:
 
 
 def prepare(
-    spec: ChainSpec, initial: Callable[[], GaussianState]
+    spec: ChainSpec, initial: Callable[[SingleParticleSet], GaussianState]
 ) -> tuple[SingleParticleSet, GaussianState]:
-    """The single-particle set of ``spec`` and the initial state ``initial()``.
+    """The single-particle set ``sp`` of ``spec`` and the initial state ``initial(sp)``.
 
-    Building the propagator (``SingleParticleSet.propagator``, an
-    eigendecomposition and an inverse) and the initial state (for a steady
-    state, the Schur form and the Sylvester solve) are independent O(L^3)
-    steps.  When ``_pool_workers`` allows threads, the propagator is built on
-    one worker thread while this thread calls ``initial()``; both spend
+    The one path from a chain to what a run computes on: the set is built
+    once, and ``initial`` reads it (``RunConfig.initial``), as do the time
+    grid and every density.  Building the propagator
+    (``SingleParticleSet.propagator``, an eigendecomposition and an inverse)
+    and the initial state (for a steady state, the Schur form and the
+    Sylvester solve) are independent O(L^3) steps.  When ``_pool_workers`` allows threads, the propagator is built on
+    one worker thread while this thread calls ``initial(sp)``; both spend
     their time in LAPACK, which releases the GIL, so they overlap.  Each
     step runs as it would alone, so with BLAS on one thread the results are
     bitwise those of the serial order.  Otherwise no thread starts:
-    ``initial()`` runs and the propagator is built on its first use.  An
-    error of ``initial()`` is raised in preference to one of the
+    ``initial(sp)`` runs and the propagator is built on its first use.  An
+    error of ``initial(sp)`` is raised in preference to one of the
     propagator, as the serial order meets it first, and only after the
     worker thread has ended.
     """
     sp = derive_single_particle(spec)
     if _pool_workers(sp.L) == 1:
-        return sp, initial()
+        return sp, initial(sp)
     with ThreadPoolExecutor(max_workers=1) as pool:
         built = pool.submit(lambda: sp.propagator)
-        state = initial()
+        state = initial(sp)
     built.result()
     return sp, state
 
 
 def _state_eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | None:
     """The per-state factors, built once per (state, sp) and kept in ``sp.memo``."""
-    return sp.memo(state, ("eigenbasis",), lambda: _eigenbasis(state.C, sp))
+    return sp.memo(state, ("eigenbasis",), lambda: _eigenbasis(state, sp))
 
 
 def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -> _Blocks:
@@ -573,17 +572,6 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
     return _Blocks(**out)
 
 
-def _boundary_occupations(state: GaussianState) -> tuple[float, float]:
-    """Real C_jj at the two bath sites."""
-    return float(state.C[0, 0].real), float(state.C[-1, -1].real)
-
-
-def _occupation_factor(c_diag: tuple[float, float], q: Channel) -> float:
-    """C_jj for q = j-, 1 - C_jj for q = j+: the weight of a click in q."""
-    c = c_diag[_slot(q)]
-    return c if q.sign == "-" else 1.0 - c
-
-
 @dataclass(frozen=True)
 class _Pairs:
     """A set of (k, q) densities for one pair of boundary occupations.
@@ -619,7 +607,7 @@ def _pair_plan(pairs: tuple, c_diag: tuple[float, float]) -> _Pairs:
         dtype=int,
     ).reshape(-1, 4, 3)
     k_minus = np.array([k.sign == "-" for k, _ in pairs], dtype=bool)
-    denom = np.array([_occupation_factor(c_diag, q) for _, q in pairs], dtype=float)
+    denom = np.array([occupation_factor(q, c_diag) for _, q in pairs], dtype=float)
     impossible = denom <= MIN_OCCUPATION_FACTOR
     rates = np.array([k.rate for k, _ in pairs], dtype=float)
     return _Pairs(
@@ -635,11 +623,11 @@ def _pair_plan(pairs: tuple, c_diag: tuple[float, float]) -> _Pairs:
 
 @functools.lru_cache(maxsize=64)
 def _matrix_plan(order: tuple, c_diag: tuple[float, float]) -> tuple[_Pairs, tuple, tuple]:
-    """The density-matrix pairs whose q can click, with their rows and columns."""
+    """The pairs, rows and columns of each q above the occupation half of ``model.can_click``."""
     cells = [
         (a, b)
         for b, q in enumerate(order)
-        if _occupation_factor(c_diag, q) > MIN_OCCUPATION_FACTOR
+        if occupation_factor(q, c_diag) > MIN_OCCUPATION_FACTOR
         for a in range(4)
     ]
     rows, cols = zip(*cells) if cells else ((), ())
@@ -695,15 +683,16 @@ def _boundary_columns(ts: np.ndarray, sp: SingleParticleSet) -> np.ndarray:
 
     On the eigen-propagator the stack is V (e^{w t} o V^-1[:, b]) in one
     product, and exactly the unit vectors at t = 0; on the expm fallback it
-    takes one propagator per time.
+    reads the columns of one propagator matrix per time.
     """
-    e = np.zeros((sp.L, 2))
-    e[_boundary(sp.L)] = np.eye(2)
+    b = _boundary(sp.L)
     eig = sp.propagator.eig
     if eig is None:
-        return np.stack([sp.propagator.apply(float(t), e) for t in ts])
+        return np.stack([sp.propagator.matrix(float(t))[:, b] for t in ts])
+    e = np.zeros((sp.L, 2))
+    e[b] = np.eye(2)
     w, v, vinv = eig
-    cols = v @ (np.exp(ts[:, None] * w)[:, :, None] * vinv[:, _boundary(sp.L)])
+    cols = v @ (np.exp(ts[:, None] * w)[:, :, None] * vinv[:, b])
     cols[ts == 0.0] = e
     return cols
 
@@ -800,7 +789,7 @@ def wtd_density_matrix(t, state: GaussianState, sp: SingleParticleSet) -> np.nda
     """
     ts = _times(t)
     order = tuple(sp.channels[label] for label in CHANNEL_ORDER)
-    plan, rows, cols = _matrix_plan(order, _boundary_occupations(state))
+    plan, rows, cols = _matrix_plan(order, state.boundary_occupations)
     out = np.zeros((ts.size, 4, 4))
     out[:, rows, cols] = _clamped(_densities(ts, state, sp, plan)[0])
     return out if np.ndim(t) else out[0]
@@ -819,6 +808,6 @@ def wtd_curve(
     points are built in parallel (see the module's thread policy).
     """
     ts = validate_grid(grid)
-    values, cond = _densities(ts, state, sp, _pair_plan(((k, q),), _boundary_occupations(state)))
+    values, cond = _densities(ts, state, sp, _pair_plan(((k, q),), state.boundary_occupations))
     points = tuple(_point(float(t), float(v), float(c)) for t, v, c in zip(ts, values[:, 0], cond))
     return WtdCurve(from_channel=q, to_channel=k, points=points, state_kind=state.kind)

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+import fermiwait.cli
 import fermiwait.config
 import fermiwait.model
 import fermiwait.tracedet
@@ -276,6 +277,68 @@ class TestSetupErrors:
             assert overlapped == (2, "numerical failure: eigendecomposition failed\n")
         else:
             assert overlapped[0] == 1 and "gamma1 > 0" in overlapped[1]
+
+
+#: Every subcommand, with the arguments that run it on a small chain.
+COMMANDS = {
+    "wtd": ["wtd", "--from", "1+", "--to", "L-"],
+    "natd": ["natd"],
+    "stats": ["stats"],
+    "verify": ["verify", "--seed", "3"],
+    "bench": ["bench", "--sizes", "4,8", "--repeats", "1"],
+}
+
+
+class TestSetupPath:
+    """Every subcommand reaches its chain's set and initial state through ``wtd.prepare``."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_one_set_per_chain_and_one_decomposition_per_state(
+        self, tmp_path, monkeypatch, command
+    ):
+        sets, states, decomposed = [], [], []
+
+        def derive(spec, real=fermiwait.model.derive_single_particle):
+            sets.append(spec)
+            return real(spec)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fermiwait") and hasattr(module, "derive_single_particle"):
+                monkeypatch.setattr(module, "derive_single_particle", derive)
+        for name in ("eigh", "eigvalsh"):
+
+            def decompose(a, *args, real=getattr(np.linalg, name), **kwargs):
+                decomposed.append(a)
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, decompose)
+        state_class = fermiwait.model.GaussianState
+
+        def post_init(state, real=state_class.__post_init__):
+            real(state)
+            states.append(state)
+
+        monkeypatch.setattr(state_class, "__post_init__", post_init)
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        assert main(COMMANDS[command] + ["--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(sets) == (2 if command == "bench" else 1)  # bench runs sizes 4 and 8
+        # verify also checks the vacuum; bench has one steady state per size
+        assert len(states) == (2 if command in ("verify", "bench") else 1)
+        assert [sum(a is st.C for a in decomposed) for st in states] == [1] * len(states)
+
+    def test_decoupled_bath_fails_alike_in_every_command(self, tmp_path, capsys, monkeypatch):
+        body = DEFAULT_CONFIG.replace("gamma1 = 0.1", "gamma1 = 0.0")
+        cfg = write_config(tmp_path / "run.ini", body)
+        started = []
+        monkeypatch.setattr(fermiwait.cli, "verify_tracedet", lambda **_: started.append("suite"))
+        monkeypatch.setattr(fermiwait.cli, "FockOracle", lambda spec: started.append("oracle"))
+        errors = []
+        for argv in COMMANDS.values():
+            assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1
+            errors.append(capsys.readouterr().err)
+        message = "error: state.initial = steady: steady state requires gamma1 > 0 and gammaL > 0\n"
+        assert errors == [message] * len(COMMANDS)
+        assert started == []  # verify failed before its tracedet suite and its oracle
 
 
 class TestNatdCommand:

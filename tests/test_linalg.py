@@ -256,15 +256,6 @@ class TestPropagator:
             dev = np.max(np.abs(prop.matrix(t) - sla.expm(-sp.Q * t)))
             assert dev <= 1e-12 * max(1.0, t / 400.0)
 
-    def test_apply_matches_matrix(self):
-        rng = np.random.default_rng(11)
-        g = random_complex(rng, 6) - 3.0 * np.eye(6)
-        prop = Propagator(g)
-        vec = random_complex(rng, 6)[:, :2]
-        for t in (0.0, 0.4, 3.0):
-            assert np.max(np.abs(prop.apply(t, vec) - prop.matrix(t) @ vec)) < 1e-13
-            assert np.max(np.abs(prop.apply(t, vec[:, 0]) - prop.matrix(t) @ vec[:, 0])) < 1e-13
-
     def test_zero_time_is_exact_identity(self):
         rng = np.random.default_rng(12)
         prop = Propagator(random_complex(rng, 4))

@@ -434,16 +434,31 @@ class TestNormalizationAudit:
         with pytest.raises(ValueError, match="vacuum"):
             normalization_audit(sv_channels["L-"], vacuum_state(2), sv_sp)
 
-    def test_accepts_exactly_the_defined_table_columns(self, sv_spec, sv_sp, sv_channels):
-        for state in (steady_state(sv_spec), vacuum_state(2)):
-            table = channel_stats(state, sv_sp)
+    def test_accepts_exactly_the_defined_table_columns(self, sv_spec, sv_sp):
+        # The last input: site 1 holds 5e-15, at or below the occupation
+        # threshold, while its extraction rate 10 lifts the click weight
+        # above the weight threshold; the channel cannot click.
+        spec = ChainSpec(
+            h=build_tight_binding(2, 1.0, 1.0), gamma1=10.0, gammaL=0.1, f1=0.0, fL=0.5
+        )
+        near_empty = GaussianState(C=np.diag([5e-15, 0.5]).astype(complex))
+        inputs = [
+            (steady_state(sv_spec), sv_sp),
+            (vacuum_state(2), sv_sp),
+            (near_empty, derive_single_particle(spec)),
+        ]
+        for state, sp in inputs:
+            table = channel_stats(state, sp)
             for b, ql in enumerate(CHANNEL_ORDER):
                 try:
-                    normalization_audit(sv_channels[ql], state, sv_sp)
+                    normalization_audit(sp.channels[ql], state, sp)
                     accepted = True
                 except ValueError:
                     accepted = False
                 assert accepted == bool(np.all(~np.isnan(table.p_kq[:, b]))), (state.kind, ql)
+        assert np.all(np.isnan(table.p_kq[:, CHANNEL_ORDER.index("1-")]))
+        with pytest.raises(ValueError, match="never clicks"):
+            normalization_audit(sp.channels["1-"], near_empty, sp)
 
 
 class TestChannelStatsTable:

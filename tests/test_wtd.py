@@ -207,14 +207,14 @@ class TestNumericalHygiene:
 class TestGrids:
     def test_default_horizon_covers_decay_and_traversal(self):
         spec = tight_binding_spec(5)
-        grid = default_time_grid(spec)
+        grid = default_time_grid(derive_single_particle(spec))
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(max(20.0 / 0.1, 4 * 5 / 1.0))
         assert len(grid) == 400
 
     def test_traversal_scale_dominates_for_long_chains(self):
         spec = tight_binding_spec(60)
-        assert default_time_grid(spec)[-1] == pytest.approx(240.0)
+        assert default_time_grid(derive_single_particle(spec))[-1] == pytest.approx(240.0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -558,7 +558,7 @@ class TestStackedTimes:
         with pytest.raises(WtdNumericsError, match="impossible") as single:
             wtd_density(1.0, *pair[0], dead, sv_sp)
         blocks = wtdmod._build_blocks(self.TIMES, dead, sv_sp)
-        plan = wtdmod._pair_plan(pair, wtdmod._boundary_occupations(dead))
+        plan = wtdmod._pair_plan(pair, dead.boundary_occupations)
         with pytest.raises(WtdNumericsError) as stacked:
             wtdmod._assemble(blocks, self.TIMES, plan)
         assert str(stacked.value) == str(single.value)
@@ -667,7 +667,7 @@ class TestPrepare:
         spec = tight_binding_spec(wtdmod.POOL_MIN_SITES, f1=0.8, fL=0.1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         started = self._started_threads(monkeypatch)
-        sp, state = wtdmod.prepare(spec, lambda: steady_state(spec))
+        sp, state = wtdmod.prepare(spec, lambda sp: sp.steady_state())
         assert len(started) == 1 and not started[0].is_alive()
         assert "propagator" in vars(sp)  # built by the worker, before prepare returned
         serial_sp, serial_state = derive_single_particle(spec), steady_state(spec)
@@ -683,7 +683,7 @@ class TestPrepare:
         spec = tight_binding_spec(wtdmod.POOL_MIN_SITES - 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         started = self._started_threads(monkeypatch)
-        sp, state = wtdmod.prepare(spec, lambda: steady_state(spec))
+        sp, state = wtdmod.prepare(spec, lambda sp: sp.steady_state())
         assert started == []
         assert "propagator" not in vars(sp)  # built on first use, as without prepare
         assert np.array_equal(state.C, steady_state(spec).C)

@@ -32,18 +32,14 @@ from .wtd import (
     wtd_curve,
     wtd_density,
     wtd_density_matrix,
-    wtd_density_vacuum,
 )
 from .stats import (
     ChannelStats,
     QuadratureResult,
-    channel_probability,
     channel_stats,
     integrate_semiinfinite,
     jump_frequencies,
     natd,
-    natd_moments,
-    normalization_audit,
 )
 from .fock import (
     FockOracle,

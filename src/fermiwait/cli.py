@@ -36,7 +36,7 @@ from .fock import (
     VerificationReport,
     verify_tracedet,
 )
-from .linalg import OPENBLAS, LinalgError
+from .linalg import LinalgError, set_blas_threads
 from .model import CHANNEL_ORDER, ChainSpec, can_click, channels, occupation_factor, vacuum_state
 
 EXIT_OK = 0
@@ -349,21 +349,6 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS, the package's one BLAS and LAPACK, on one thread.
-
-    The package's parallelism is its own two phases (``wtd`` thread
-    policy): the propagator built beside the initial state in
-    ``wtd.prepare``, then the pool of ``wtd._build_blocks`` over the parts
-    of a stack of times.  BLAS threads under either would only contend for
-    the same cores.  ``linalg.OPENBLAS`` is the library that numpy's matrix
-    products and the package's LAPACK bindings both call.
-    """
-    setter = OPENBLAS.scipy_openblas_set_num_threads64_
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    setter(1)
-
-
 #: glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -447,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _pin_blas_threads()
+    # The package's parallelism is its own two phases (``wtd`` thread policy);
+    # BLAS threads under them would only contend for the same cores.
+    set_blas_threads(1)
     _keep_freed_memory()
     parser = build_parser()
     try:

@@ -39,6 +39,7 @@ imaginary part of each entry, interleaved.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -101,8 +102,8 @@ class RunConfig:
         if self.L < 2:
             raise ConfigError(f"model.L: chain needs at least 2 sites, got {self.L}")
         for name, v in (("baths.gamma1", self.gamma1), ("baths.gammaL", self.gammaL)):
-            if v < 0:
-                raise ConfigError(f"{name}: must be >= 0, got {v}")
+            if not 0.0 <= v < math.inf:
+                raise ConfigError(f"{name}: must be finite and >= 0, got {v}")
         for name, v in (("baths.f1", self.f1), ("baths.fL", self.fL)):
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name}: must lie in [0, 1], got {v}")
@@ -110,8 +111,8 @@ class RunConfig:
             raise ConfigError(
                 f"state.initial: expected 'steady' or 'vacuum', got {self.initial_state!r}"
             )
-        if self.t_max is not None and self.t_max <= 0:
-            raise ConfigError(f"grid.t_max: must be positive, got {self.t_max}")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ConfigError(f"grid.t_max: must be finite and positive, got {self.t_max}")
         if self.points < 2:
             raise ConfigError(f"grid.points: must be >= 2, got {self.points}")
         for name, v in (

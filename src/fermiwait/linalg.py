@@ -25,11 +25,12 @@ Character arguments and their hidden lengths are ctypes objects made once
 at import; integer arguments are made once per call and shared by every
 argument that takes the same value.  ``OPENBLAS`` is the one handle on that
 library, so numpy's matrix products and these routines run on the same
-BLAS, pinned once (``cli._pin_blas_threads``).  There is one set of
-bindings and no second provider: if the library or one of the symbols is
-missing, importing this module raises an ImportError naming the library
-path and the symbol.  ctypes releases the GIL for the length of each call,
-so threads calling these routines overlap.
+BLAS; :func:`blas_threads` reads its thread count and
+:func:`set_blas_threads` sets it (``cli.main`` pins it to one).  There is
+one set of bindings and no second provider: if the library or one of the
+symbols is missing, importing this module raises an ImportError naming the
+library path and the symbol.  ctypes releases the GIL for the length of
+each call, so threads calling these routines overlap.
 """
 
 from __future__ import annotations
@@ -57,16 +58,34 @@ except OSError as exc:
     raise ImportError(f"cannot load numpy's bundled OpenBLAS {OPENBLAS_PATH}: {exc}") from None
 
 
-def _lapack(name: str, chars: int, pointers: int):
-    """The routine ``name`` of OPENBLAS: ``chars`` character arguments first, then ``pointers``."""
-    symbol = f"scipy_{name}_64_"
+def _symbol(symbol: str, argtypes: list, restype):
+    """The function ``symbol`` of OPENBLAS, with its ctypes signature."""
     try:
         fn = getattr(OPENBLAS, symbol)
     except AttributeError:
-        raise ImportError(f"{OPENBLAS_PATH} exports no LAPACK symbol {symbol}") from None
-    fn.argtypes = [ctypes.c_char_p] * chars + [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * chars
-    fn.restype = None
+        raise ImportError(f"{OPENBLAS_PATH} exports no symbol {symbol}") from None
+    fn.argtypes, fn.restype = argtypes, restype
     return fn
+
+
+def _lapack(name: str, chars: int, pointers: int):
+    """The routine ``name`` of OPENBLAS: ``chars`` character arguments first, then ``pointers``."""
+    args = [ctypes.c_char_p] * chars + [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * chars
+    return _symbol(f"scipy_{name}_64_", args, None)
+
+
+_get_num_threads = _symbol("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+_set_num_threads = _symbol("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)
+
+
+def blas_threads() -> int:
+    """Threads that OPENBLAS, numpy's BLAS and this module's LAPACK, runs on."""
+    return _get_num_threads()
+
+
+def set_blas_threads(threads: int) -> None:
+    """Run OPENBLAS on ``threads`` threads, for the whole process."""
+    _set_num_threads(threads)
 
 
 _zgees = _lapack("zgees", 2, 13)

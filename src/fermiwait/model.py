@@ -21,6 +21,7 @@ Q (``propagator``) and the data derived from it and one state (``memo``).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,8 +61,9 @@ class ChainSpec:
             raise ValueError("h must be Hermitian within 1e-12")
         object.__setattr__(self, "h", h)
         for name in ("gamma1", "gammaL"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         for name in ("f1", "fL"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -167,22 +169,23 @@ class SingleParticleSet:
             raise ValueError("steady state requires gamma1 > 0 and gammaL > 0")
         return GaussianState(C=lyapunov_solve(self.W, self.F), kind="steady")
 
-    def memo(self, state: GaussianState, key: tuple, build):
-        """``build()``, computed once per (state, key) and kept on this set.
+    def memo(self, state: GaussianState, build):
+        """``build()``, computed once per state and kept on this set.
 
-        For data derived from this set and one state, shared by every point,
-        curve and pass as the propagator is.  An entry holds its state, so
-        the state's id cannot be reused while the entry lives; beyond
-        MEMO_ENTRIES entries the oldest is dropped.  Two threads missing the
-        same entry at once both build it, and the later one is kept.
+        For data derived from this set and one state (the density kernel's
+        per-state factors), shared by every point, curve and pass as the
+        propagator is.  An entry holds its state, so the state's id cannot
+        be reused while the entry lives; beyond MEMO_ENTRIES entries the
+        oldest is dropped.  Two threads missing the same entry at once both
+        build it, and the later one is kept.
         """
-        full_key = (id(state), key)
-        hit = self._memo.get(full_key)
+        key = id(state)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit[1]
         value = build()
         with self._memo_lock:
-            self._memo[full_key] = (state, value)
+            self._memo[key] = (state, value)
             while len(self._memo) > MEMO_ENTRIES:
                 del self._memo[next(iter(self._memo))]
         return value
@@ -193,8 +196,8 @@ class GaussianState:
     """Gaussian fermionic state held as a covariance matrix C_ij = <c_j^dag c_i>.
 
     ``kind`` is "steady", "vacuum" or "custom".  The vacuum has C = 0
-    exactly; the density kernel dispatches on ``kind == "vacuum"`` to the
-    analytic vacuum formulas, which never read C.  C is decomposed once, by
+    exactly; the density kernel dispatches on ``kind == "vacuum"`` to its
+    analytic boundary blocks, which never read C.  C is decomposed once, by
     ``eigh``, to check that its spectrum lies in [0, 1]; ``eig`` keeps the
     eigenvalues (ascending) and eigenvectors for the density kernel.
     """
@@ -270,8 +273,8 @@ def steady_state(spec: ChainSpec) -> GaussianState:
 def vacuum_state(L: int) -> GaussianState:
     """Empty-chain initial state, C = 0.
 
-    Its densities come from the analytic vacuum formulas, dispatched on
-    ``kind == "vacuum"``.
+    Its densities come from analytic boundary blocks, dispatched on
+    ``kind == "vacuum"``, through the same assembly as every other state.
     """
     if L < 2:
         raise ValueError("chain needs L >= 2 sites")

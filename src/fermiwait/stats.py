@@ -7,12 +7,14 @@ The pass integrates the time moments
 
 of all sixteen channel pairs together, from the 4 x 4 table that
 ``wtd_density_matrix`` builds out of one set of L x L blocks per node.
-Channel probabilities are M_0, conditional means and variances follow from
-M_1 / M_0 and M_2 / M_0, the net activity (NATD) moments are the
-click-frequency mixtures of the column sums of M_1 and M_2, and the
-normalization audit is a column sum of M_0.  The pass runs once per
-(state, single-particle set, tol, t_cut) and is kept on the set, so reading
-several entries or columns does not repeat it.
+``channel_stats`` runs the pass and is its one reader: channel
+probabilities are M_0, conditional means and variances follow from
+M_1 / M_0 and M_2 / M_0, and the table it returns reads the net activity
+(NATD) moments, the click-frequency mixtures of the column sums of M_1 and
+M_2 (``ChannelStats.natd_moments``), and the normalization audit, a column
+sum of M_0 (``ChannelStats.normalization``).  Nothing keeps the pass: a
+caller that reads several statistics of one state calls ``channel_stats``
+once and reads them all from its table.
 
 The improper integral is certified, not extrapolated.  Every density carries
 the uniform decay envelope rate * e^{-Gamma t} * (bounded matrix factor), so
@@ -41,7 +43,6 @@ above a few 1e-10, where the relative target is the smaller), and the pass's
 
 from __future__ import annotations
 
-import copy
 import heapq
 import sys
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ import numpy as np
 
 from .model import (
     CHANNEL_ORDER,
-    Channel,
     GaussianState,
     SingleParticleSet,
     can_click,
@@ -96,6 +96,7 @@ class ChannelStats:
     relative click frequencies.  ``moments[n, a, b]`` is the raw integral
     of t^n P(t, a|b), and ``quadrature`` accounts for the pass that
     produced it.  Columns of channels that never click are NaN throughout.
+    ``state_kind`` is the kind of the state the pass started from.
     """
 
     p_kq: np.ndarray
@@ -104,13 +105,16 @@ class ChannelStats:
     p_q: np.ndarray
     moments: np.ndarray
     quadrature: QuadratureResult
+    state_kind: str
     order: tuple[str, ...] = CHANNEL_ORDER
 
     def natd_moments(self) -> tuple[float, float]:
         """Mean and variance of the time between consecutive clicks.
 
-        Only meaningful for the steady state, where p_q is stationary.
+        Defined for the steady state only, where p_q is stationary.
         """
+        if self.state_kind != "steady":
+            raise ValueError("net activity distribution is defined for the steady state")
         clicks = self.p_q > 0.0
         m1, m2 = (float(self.p_q[clicks] @ self.moments[n][:, clicks].sum(0)) for n in (1, 2))
         return m1, max(m2 - m1**2, 0.0)
@@ -292,8 +296,8 @@ def integrate_semiinfinite(
     of degree ``poly_degree``, the highest power of t among the components)
     and the cutoff is extended, integrating only the added interval, until
     the bound drops below tol / 10.  Passing ``t_cut`` pins the cutoff,
-    bypassing the extension loop (useful to demonstrate that the audit
-    catches truncation).
+    bypassing the extension loop: a truncated pass, whose tail bound and
+    normalization show the lost mass (``channel_stats(..., t_cut=...)``).
 
     f takes a 1-D array of nodes and returns one row per node (a scalar
     row for a scalar integrand); it is called once per refinement round
@@ -355,25 +359,20 @@ def jump_frequencies(state: GaussianState, sp: SingleParticleSet) -> np.ndarray:
     return raw / total
 
 
-def _moment_pass(
+def channel_stats(
     state: GaussianState,
     sp: SingleParticleSet,
-    tol: float,
+    tol: float = DEFAULT_TOL,
     t_cut: float | None = None,
 ) -> ChannelStats:
-    """The one quadrature pass over [P, tP, t^2 P], read into the tables.
+    """Full 4x4 tables of channel probabilities and conditional moments, from one pass.
 
-    Run once per (state, sp, tol, t_cut) and kept in ``sp.memo``, so the
-    readers below share it.  The returned tables are that shared entry.
+    The one quadrature pass over [P, tP, t^2 P].  Columns for channels that
+    never click from this state are NaN, as are moment entries of pairs
+    with probability below EPS_PROBABILITY.  ``t_cut`` pins the cutoff
+    (``integrate_semiinfinite``), so a truncated pass shows its lost mass in
+    its normalization and tail bound.
     """
-    return sp.memo(
-        state, ("moments", tol, t_cut), lambda: _run_moment_pass(state, sp, tol, t_cut)
-    )
-
-
-def _run_moment_pass(
-    state: GaussianState, sp: SingleParticleSet, tol: float, t_cut: float | None
-) -> ChannelStats:
     p_q = jump_frequencies(state, sp)
     gamma = sp.gamma_total
 
@@ -413,37 +412,14 @@ def _run_moment_pass(
         raise QuadratureError(f"variance {np.min(var[ok]):.3e} is negative beyond tolerance")
     var[ok] = np.maximum(var[ok], 0.0)
     return ChannelStats(
-        p_kq=p_kq, mean=mean, variance=var, p_q=p_q, moments=moments, quadrature=res
+        p_kq=p_kq,
+        mean=mean,
+        variance=var,
+        p_q=p_q,
+        moments=moments,
+        quadrature=res,
+        state_kind=state.kind,
     )
-
-
-def channel_stats(
-    state: GaussianState,
-    sp: SingleParticleSet,
-    tol: float = DEFAULT_TOL,
-) -> ChannelStats:
-    """Full 4x4 tables of channel probabilities and conditional moments.
-
-    Columns for channels that never click from this state are NaN, as are
-    moment entries of pairs with probability below EPS_PROBABILITY.  The
-    result is the caller's own copy of the shared pass.
-    """
-    return copy.deepcopy(_moment_pass(state, sp, tol))
-
-
-def channel_probability(
-    k: Channel,
-    q: Channel,
-    state: GaussianState,
-    sp: SingleParticleSet,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Probability that a click in q is followed by one in k, any time later.
-
-    One entry of :func:`channel_stats`, NaN when q never clicks.
-    """
-    table = _moment_pass(state, sp, tol)
-    return float(table.p_kq[CHANNEL_ORDER.index(k.label), CHANNEL_ORDER.index(q.label)])
 
 
 def natd(t, state: GaussianState, sp: SingleParticleSet):
@@ -460,32 +436,3 @@ def natd(t, state: GaussianState, sp: SingleParticleSet):
     m = wtd_density_matrix(t, state, sp)
     density = np.array([column_sums @ p_q for column_sums in m.reshape(-1, 4, 4).sum(axis=1)])
     return density if np.ndim(t) else float(density[0])
-
-
-def natd_moments(
-    state: GaussianState, sp: SingleParticleSet, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
-    """Mean and variance of the time between consecutive clicks (steady state)."""
-    if state.kind != "steady":
-        raise ValueError("net activity distribution is defined for the steady state")
-    return _moment_pass(state, sp, tol).natd_moments()
-
-
-def normalization_audit(
-    q: Channel,
-    state: GaussianState,
-    sp: SingleParticleSet,
-    tol: float = DEFAULT_TOL,
-    t_cut: float | None = None,
-) -> float:
-    """Total probability sum_k p(k|q); should be 1 for any admissible q.
-
-    The returned value is the diagnostic: a deficit beyond quadrature
-    tolerance means lost tail mass or a broken density.  ``t_cut``
-    deliberately truncates the integral (the audit then reports < 1).
-    """
-    if not can_click(q, occupation_factor(q, state.boundary_occupations)):
-        raise ValueError(
-            f"channel {q.label} never clicks from the {state.kind} state; audit undefined"
-        )
-    return _moment_pass(state, sp, tol, t_cut).normalization()[q.label]

@@ -13,9 +13,9 @@ yields the occupation kernel T = G C A^{-1} Gd of the no-click propagation.
 The channels act on the bath sites b = (1, L) only, so a density reads
 nothing but the 2 x 2 boundary entries of seven blocks (``_Blocks``), and the
 scalar prefactor combines exp(-Gamma t) and log|det A| before a single
-exponentiation.  One function (``_assemble``) turns the blocks into any set
-of the sixteen densities, so a density matrix and a single density agree
-bitwise.
+exponentiation.  One function (``_assemble``) turns the blocks into the
+table of all sixteen densities, and every density is an entry of that
+table, so a density matrix and a single density agree bitwise.
 
 Eigenbasis kernel.  With the eigendecomposition G = V D V^-1 of the shared
 propagator (``SingleParticleSet.propagator``), the Hermitian matrices
@@ -69,10 +69,11 @@ for it: B (``zpocon``) on the eigenbasis form, A (``zgecon``) on the LU
 form.
 
 Stacks of times.  Every density runs through one evaluator
-(``_densities``) on a 1-D array of n times: ``wtd_density_matrix`` takes one
-time or such a stack and returns a (4, 4) or an (n, 4, 4) array, matrix m of
-a stack equal to the call at t[m] alone bitwise; ``wtd_point`` is a stack of
-one and ``wtd_curve`` one stack of the whole grid.  On the eigenbasis form
+(``_densities``) on a 1-D array of n times, which returns the (n, 4, 4)
+table: ``wtd_density_matrix`` takes one time or such a stack and returns a
+(4, 4) or an (n, 4, 4) array, matrix m of a stack equal to the call at t[m]
+alone bitwise; ``wtd_curve`` reads entry (k, q) of one stack of the whole
+grid, and ``wtd_density`` is the curve of one time.  On the eigenbasis form
 the B matrices of a part of the stack are built as one (n, L, L) array and
 factorized by one call of numpy's batched Cholesky; the right-hand sides,
 the Gram blocks and the assembly of the densities are batched as well.
@@ -87,15 +88,17 @@ again time by time, so only the refused times take the LU form.  One part
 holds at most ``STACK_BYTES`` of L x L matrices, so a quadrature round at
 L = 200-400 does not grow the memory.
 
-Starting from the vacuum (C = 0) the densities are analytic:
+Starting from the vacuum (C = 0), A = 1: T and the three extraction blocks
+vanish, and the injection blocks are (Gd G)[b, b], G[b, b] and Gd[b, b].
+These need only the boundary columns G[:, b]; on the eigen-propagator a
+whole stack is V (e^{w t} o V^-1[:, b]) in one product, on the expm
+fallback one propagator per time.  Through the same assembly they give
 
     P(t, i-|j+) = rate_i- * e^{-Gamma t} * |G_ij|^2
     P(t, i+|j+) = rate_i+ * e^{-Gamma t} * [(Gd G)_jj - |G_ij|^2]
 
-and densities conditioned on an extraction vanish identically.  These need
-only the boundary columns G[:, b], O(L^2) per time; on the eigen-propagator
-a whole stack is V (e^{w t} o V^-1[:, b]) in one product, on the expm
-fallback one propagator per time.
+and densities conditioned on an extraction are zero, as the extraction
+columns of every state whose boundary site is empty.
 
 Thread policy.  There are two parallel phases, one after the other and
 never nested, and both run from ``POOL_MIN_SITES`` sites on with the
@@ -108,16 +111,13 @@ one thread (``cli.main``), so BLAS threads never nest under either phase's
 threads, and keeps freed memory in the heap (``cli._keep_freed_memory``),
 so the workers do not fault their temporaries' pages in afresh at every
 part.  With one BLAS thread each phase's results are bitwise those of
-running its steps in order.  Importing or calling the library never
-changes the process-wide BLAS setting: library callers that bypass
-``cli.main`` keep their process's setting, and to get the same behaviour
-they set ``OPENBLAS_NUM_THREADS=1`` before numpy is first imported, or cap
-the threads at run time (for example with threadpoolctl), otherwise the
-phases' threads and BLAS threads contend for the same cores.  Such callers
-also keep glibc's default allocator thresholds; to get the command line's
-allocator behaviour they set ``MALLOC_MMAP_THRESHOLD_=33554432`` and
-``MALLOC_TRIM_THRESHOLD_=67108864`` (the values of
-``cli._keep_freed_memory``) in the environment before the process starts.
+running its steps in order.  The library never changes the BLAS setting;
+while BLAS runs on more than one thread (``linalg.blas_threads``) no phase
+starts a thread, so a library caller gets BLAS's threads or the phases',
+never both.  ``linalg.set_blas_threads(1)`` gives it the command line's
+choice, and ``MALLOC_MMAP_THRESHOLD_=33554432`` and
+``MALLOC_TRIM_THRESHOLD_=67108864`` in the environment before the process
+starts give it the command line's allocator thresholds.
 Threads overlap only code that releases the GIL: numpy's linalg gufuncs
 (the Cholesky factorization, ``eig``, ``inv``), large elementwise
 operations and every LAPACK call of ``linalg`` do, the Schur form and
@@ -128,7 +128,6 @@ What holds it is the Python between those calls.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections.abc import Callable
@@ -140,6 +139,7 @@ import numpy as np
 from .linalg import (
     CholeskyFactor,
     NotPositiveDefiniteError,
+    blas_threads,
     cholesky_logdet,
     condition_estimate,
     half_solve,
@@ -234,15 +234,25 @@ class WtdCurve:
         return np.array([p.value for p in self.points])
 
 
-def validate_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("time grid must be a nonempty 1-D array")
-    if grid[0] < 0:
-        raise ValueError("time grid must start at t >= 0")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
+def validate_times(t, grid: bool = False) -> np.ndarray:
+    """A scalar or 1-D array of times as a 1-D float array, each finite and t >= 0.
+
+    A curve's grid (``grid=True``) must also be nonempty and strictly
+    increasing.
+    """
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    ts = ts.reshape(-1)
+    if not np.isfinite(ts).all():
+        raise ValueError("times must be finite")
+    if (ts < 0).any():
+        raise ValueError("times must be nonnegative (t >= 0)")
+    if grid and ts.size == 0:
+        raise ValueError("time grid must be nonempty")
+    if grid and (ts[1:] <= ts[:-1]).any():
         raise ValueError("time grid must be strictly increasing")
-    return grid
+    return ts
 
 
 def default_time_grid(
@@ -266,8 +276,8 @@ def default_time_grid(
                 "cannot pick a default horizon: no injection decay rate and no hopping"
             )
         t_max = max(candidates)
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     return np.linspace(0.0, t_max, points)
@@ -317,10 +327,6 @@ def _boundary(L: int) -> slice:
     return slice(None, None, L - 1)
 
 
-def _slot(ch: Channel) -> int:
-    return 0 if ch.site == 1 else 1
-
-
 def _hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -329,17 +335,6 @@ def _chunks(n: int, bytes_per_time: int) -> list[slice]:
     """Split a stack of n times into parts of at most STACK_BYTES (at least one time each)."""
     step = max(1, STACK_BYTES // bytes_per_time)
     return [slice(start, start + step) for start in range(0, n, step)]
-
-
-def _times(t) -> np.ndarray:
-    """A scalar or 1-D array of times as a 1-D float array, checked nonnegative."""
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError("times must be a scalar or a 1-D array")
-    ts = ts.reshape(-1)
-    if np.any(ts < 0):
-        raise ValueError("time must be nonnegative")
-    return ts
 
 
 def _eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | None:
@@ -490,9 +485,13 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> dict:
 def _pool_workers(L: int) -> int:
     """Threads a parallel phase runs on for a chain of L sites; 1 means no thread starts.
 
-    min(4, os.cpu_count()) from POOL_MIN_SITES sites on, 1 below.
+    min(4, os.cpu_count()) from POOL_MIN_SITES sites on, 1 below, and 1
+    while BLAS runs on more than one thread, so the phases' threads never
+    stack on BLAS threads.
     """
-    return min(4, os.cpu_count() or 1) if L >= POOL_MIN_SITES else 1
+    if L < POOL_MIN_SITES or blas_threads() > 1:
+        return 1
+    return min(4, os.cpu_count() or 1)
 
 
 def prepare(
@@ -527,7 +526,27 @@ def prepare(
 
 def _state_eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | None:
     """The per-state factors, built once per (state, sp) and kept in ``sp.memo``."""
-    return sp.memo(state, ("eigenbasis",), lambda: _eigenbasis(state, sp))
+    return sp.memo(state, lambda: _eigenbasis(state, sp))
+
+
+def _vacuum_blocks(ts: np.ndarray, sp: SingleParticleSet) -> dict:
+    """The blocks at the times ``ts`` from the vacuum, from the boundary columns of G alone.
+
+    With C = 0, A = 1: T and the three extraction blocks are 0, and the
+    injection blocks are (Gd G)[b, b], G[b, b] and Gd[b, b].
+    """
+    g = _boundary_columns(ts, sp)
+    g_b = g[:, _boundary(sp.L)]
+    m = np.zeros((ts.size, 7, 2, 2), dtype=complex)
+    m[:, _INJ_SAME] = g.conj().transpose(0, 2, 1) @ g
+    m[:, _INJ_LEFT] = g_b
+    m[:, _INJ_RIGHT] = g_b.conj().transpose(0, 2, 1)
+    return {
+        "m": m,
+        "log_prefactor": -sp.gamma_total * ts,
+        "phase": np.ones(ts.size, dtype=complex),
+        "cond": np.ones(ts.size),
+    }
 
 
 def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -> _Blocks:
@@ -535,18 +554,25 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
 
     One task per part of at most STACK_BYTES of L x L matrices of the
     eigenbasis times, in which a time whose B the Cholesky factorization
-    refuses takes the LU form, and one per LU-form time.  With more than one
-    task and more than one worker (``_pool_workers``), the tasks run on a
-    pool of that many threads; the blocks are bitwise the same.
+    refuses takes the LU form, and one per LU-form time; from the vacuum,
+    one task per part of at most STACK_BYTES of boundary columns.  With more
+    than one task and more than one worker (``_pool_workers``), the tasks
+    run on a pool of that many threads; the blocks are bitwise the same.
     """
-    basis = _state_eigenbasis(state, sp)
-    on_eig = np.zeros(ts.size, dtype=bool) if basis is None else ts >= basis.lu_until
-    eig = np.flatnonzero(on_eig)
-    tasks = [eig[part] for part in _chunks(eig.size, 16 * sp.L**2)]
-    tasks += [np.array([i]) for i in np.flatnonzero(~on_eig)]
+    vacuum = state.kind == "vacuum"
+    if vacuum:
+        tasks = [np.arange(ts.size)[part] for part in _chunks(ts.size, 32 * sp.L)]
+    else:
+        basis = _state_eigenbasis(state, sp)
+        on_eig = np.zeros(ts.size, dtype=bool) if basis is None else ts >= basis.lu_until
+        eig = np.flatnonzero(on_eig)
+        tasks = [eig[part] for part in _chunks(eig.size, 16 * sp.L**2)]
+        tasks += [np.array([i]) for i in np.flatnonzero(~on_eig)]
 
     def run(idx: np.ndarray) -> list[tuple]:
         """(indices into ts, blocks at those times) of one task."""
+        if vacuum:
+            return [(idx, _vacuum_blocks(ts[idx], sp))]
         pieces, lu = [], idx
         if on_eig[idx[0]]:
             blocks, ok = _eigen_blocks(ts[idx], basis, sp.gamma_total)
@@ -560,110 +586,91 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
             done = list(pool.map(run, tasks))
     else:
         done = [run(idx) for idx in tasks]
+    pieces = [piece for task in done for piece in task]
+    if len(pieces) == 1 and len(pieces[0][0]) == ts.size:
+        return _Blocks(**pieces[0][1])  # one piece of every time, in order
     out = {
         "m": np.empty((ts.size, 7, 2, 2), dtype=complex),
         "log_prefactor": np.empty(ts.size),
         "phase": np.empty(ts.size, dtype=complex),
         "cond": np.empty(ts.size),
     }
-    for idx, blocks in (piece for task in done for piece in task):
+    for idx, blocks in pieces:
         for name, value in blocks.items():
             out[name][idx] = value
     return _Blocks(**out)
 
 
-@dataclass(frozen=True)
-class _Pairs:
-    """A set of (k, q) densities for one pair of boundary occupations.
+def _entry_index() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each of the sixteen densities reads the blocks, and how it combines them.
 
-    ``entries`` (4, P) holds, for each pair, the flat index into a time's
-    seven blocks (``_Blocks.m`` as 28 numbers) of T[i, i], the diagonal
-    factor [j, j] and the left [i, j] and right [j, i] exchange factors of
-    q's sign.
+    Entry [a, b] is (k | q) = (CHANNEL_ORDER[a] | CHANNEL_ORDER[b]).  Entry
+    [r, a, b] of the (4, 4, 4) index is the flat index into a time's seven
+    blocks (``_Blocks.m`` as 28 numbers) of T[i, i] (r = 0), the diagonal
+    factor [j, j] (r = 1) and the left [i, j] (r = 2) and right [j, i]
+    (r = 3) exchange factors of q's sign, i and j the slots of k and q.
+    ``k_minus`` (4, 4): k is an extraction, so the bracket takes T, else
+    1 - T; ``plus_cross`` (4, 4): the exchange term enters with a plus sign.
     """
-
-    pairs: tuple
-    entries: np.ndarray
-    k_minus: np.ndarray  # (P,) k is an extraction: the bracket takes T, else 1 - T
-    plus_cross: np.ndarray  # (P,) the exchange term enters with a plus sign
-    denom: np.ndarray  # (P,) occupation factor of q
-    impossible: np.ndarray  # (P,) a click in q is impossible
-    coef: np.ndarray  # (P,) rate_k / denom, 0 where a click in q is impossible
-
-
-@functools.lru_cache(maxsize=256)
-def _pair_plan(pairs: tuple, c_diag: tuple[float, float]) -> _Pairs:
-    """The plan of ``pairs`` for the boundary occupations ``c_diag``, built once and cached."""
-    index = np.array(
-        [
-            [
-                (_T, i, i),
-                (_INJ_SAME, j, j) if inj else (_EXT_SAME, j, j),
-                (_INJ_LEFT, i, j) if inj else (_EXT_LEFT, i, j),
-                (_INJ_RIGHT, j, i) if inj else (_EXT_RIGHT, j, i),
-            ]
-            for i, j, inj in ((_slot(k), _slot(q), q.sign == "+") for k, q in pairs)
-        ],
-        dtype=int,
-    ).reshape(-1, 4, 3)
-    k_minus = np.array([k.sign == "-" for k, _ in pairs], dtype=bool)
-    denom = np.array([occupation_factor(q, c_diag) for _, q in pairs], dtype=float)
-    impossible = denom <= MIN_OCCUPATION_FACTOR
-    rates = np.array([k.rate for k, _ in pairs], dtype=float)
-    return _Pairs(
-        pairs=pairs,
-        entries=np.ravel_multi_index(tuple(index.transpose(2, 1, 0)), (7, 2, 2)),
-        k_minus=k_minus,
-        plus_cross=k_minus == np.array([q.sign == "+" for _, q in pairs], dtype=bool),
-        denom=denom,
-        impossible=impossible,
-        coef=np.divide(rates, denom, out=np.zeros_like(rates), where=~impossible),
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _matrix_plan(order: tuple, c_diag: tuple[float, float]) -> tuple[_Pairs, tuple, tuple]:
-    """The pairs, rows and columns of each q above the occupation half of ``model.can_click``."""
-    cells = [
-        (a, b)
-        for b, q in enumerate(order)
-        if occupation_factor(q, c_diag) > MIN_OCCUPATION_FACTOR
-        for a in range(4)
-    ]
-    rows, cols = zip(*cells) if cells else ((), ())
-    return _pair_plan(tuple((order[a], order[b]) for a, b in cells), c_diag), rows, cols
-
-
-def _assemble(blocks: _Blocks, ts: np.ndarray, plan: _Pairs) -> np.ndarray:
-    """Each (k, q) density of ``plan`` at every time, (n, P), before clamping.
-
-    Raises :class:`WtdNumericsError` where a click in q is impossible or the
-    bracket keeps an imaginary residue: for the first time of the stack with
-    a failing pair, and its first failing pair, the error a call with that
-    time alone raises.  Values below zero are left to the caller, which
-    clamps them to 0 (``_clamped``) and may flag them (``_clamp_flag``).
-    """
-    entries = np.take(blocks.m.reshape(ts.size, 28), plan.entries, axis=1)
-    t_diag, diag, left, right = entries.transpose(1, 0, 2)
-    cross = left * right
-    bracket = diag * np.where(plan.k_minus, t_diag, 1.0 - t_diag)
-    bracket = np.where(plan.plus_cross, bracket + cross, bracket - cross)
-    rotated = blocks.phase[:, None] * bracket
-    bad = plan.impossible | (np.abs(rotated.imag) > IMAG_TOL * np.abs(rotated) + 1e-12)
-    if bad.any():
-        n0 = int(np.flatnonzero(bad.any(axis=1))[0])
-        p0 = int(np.flatnonzero(bad[n0])[0])
-        k, q = plan.pairs[p0]
-        if plan.impossible[p0]:
-            raise WtdNumericsError(
-                f"conditioning on channel {q.label} is impossible: occupation factor "
-                f"{plan.denom[p0]:.3e}; vacuum-like states must use the vacuum path"
+    slot = {label: 0 if label.startswith("1") else 1 for label in CHANNEL_ORDER}
+    index, k_minus, q_plus = [], [], []
+    for kl in CHANNEL_ORDER:
+        for ql in CHANNEL_ORDER:
+            i, j, inj = slot[kl], slot[ql], ql.endswith("+")
+            index.append(
+                [
+                    (_T, i, i),
+                    (_INJ_SAME if inj else _EXT_SAME, j, j),
+                    (_INJ_LEFT if inj else _EXT_LEFT, i, j),
+                    (_INJ_RIGHT if inj else _EXT_RIGHT, j, i),
+                ]
             )
+            k_minus.append(kl.endswith("-"))
+            q_plus.append(inj)
+    index = np.array(index).reshape(4, 4, 4, 3).transpose(3, 2, 0, 1)
+    entries = np.ravel_multi_index(tuple(index), (7, 2, 2))
+    k_minus = np.array(k_minus).reshape(4, 4)
+    return entries, k_minus, k_minus == np.array(q_plus).reshape(4, 4)
+
+
+_ENTRIES, _K_MINUS, _PLUS_CROSS = _entry_index()
+
+
+def _assemble(
+    blocks: _Blocks, ts: np.ndarray, sp: SingleParticleSet, c_diag: tuple[float, float]
+) -> np.ndarray:
+    """All sixteen densities at every time, (n, 4, 4) in CHANNEL_ORDER, before clamping.
+
+    The rates are those of ``sp.channels``.  Column q is 0 wherever q's
+    occupation factor (from the boundary occupations ``c_diag``) is at or
+    below MIN_OCCUPATION_FACTOR, the occupation half of ``model.can_click``.
+    Raises :class:`WtdNumericsError` where any other entry keeps an
+    imaginary residue: for the first time of the stack with a failing
+    entry, and its first failing entry, the error a call with that time
+    alone raises.  Values below zero are left to the caller, which clamps
+    them to 0 (``_clamped``) and may flag them (``_clamp_flag``).
+    """
+    order = [sp.channels[label] for label in CHANNEL_ORDER]
+    rates = np.array([k.rate for k in order])
+    denom = np.array([occupation_factor(q, c_diag) for q in order])
+    possible = denom > MIN_OCCUPATION_FACTOR
+    coef = np.divide(rates[:, None], denom, out=np.zeros((4, 4)), where=possible)
+
+    entries = blocks.m.reshape(ts.size, 28)[:, _ENTRIES]
+    t_diag, diag, left, right = entries.transpose(1, 0, 2, 3)
+    cross = left * right
+    bracket = diag * np.where(_K_MINUS, t_diag, 1.0 - t_diag)
+    bracket = np.where(_PLUS_CROSS, bracket + cross, bracket - cross)
+    rotated = blocks.phase[:, None, None] * bracket
+    bad = possible & (np.abs(rotated.imag) > IMAG_TOL * np.abs(rotated) + 1e-12)
+    if bad.any():
+        n0, a, b = np.argwhere(bad)[0]
         raise WtdNumericsError(
-            f"imaginary residue {rotated[n0, p0].imag:.3e} in density at "
-            f"t={ts[n0]:.6g}, ({k.label}|{q.label})"
+            f"imaginary residue {rotated[n0, a, b].imag:.3e} in density at "
+            f"t={ts[n0]:.6g}, ({CHANNEL_ORDER[a]}|{CHANNEL_ORDER[b]})"
         )
-    return plan.coef * np.exp(blocks.log_prefactor)[:, None] * rotated.real
+    values = coef * np.exp(blocks.log_prefactor)[:, None, None] * rotated.real
+    return np.where(possible, values, 0.0)
 
 
 def _clamped(values: np.ndarray) -> np.ndarray:
@@ -697,40 +704,16 @@ def _boundary_columns(ts: np.ndarray, sp: SingleParticleSet) -> np.ndarray:
     return cols
 
 
-def _vacuum_densities(ts: np.ndarray, sp: SingleParticleSet, pairs) -> np.ndarray:
-    """Vacuum densities (n, len(pairs)) of each (k, q) at every time, from G[:, b].
-
-    Evaluated in stacks of at most STACK_BYTES of boundary columns.
-    """
-    out = np.zeros((ts.size, len(pairs)))
-    for part in _chunks(ts.size, 32 * sp.L):
-        g_cols = _boundary_columns(ts[part], sp)
-        decay = np.exp(-sp.gamma_total * ts[part])
-        norm = np.sum(g_cols.real**2 + g_cols.imag**2, axis=1)  # (Gd G)_jj
-        for p, (k, q) in enumerate(pairs):
-            if q.sign == "-":
-                continue
-            hop = np.abs(g_cols[:, k.site_index, _slot(q)]) ** 2
-            if k.sign == "-":
-                out[part, p] = k.rate * decay * hop
-            else:
-                out[part, p] = np.maximum(k.rate * decay * (norm[:, _slot(q)] - hop), 0.0)
-    return out
-
-
 def _densities(
-    ts: np.ndarray, state: GaussianState, sp: SingleParticleSet, plan: _Pairs
+    ts: np.ndarray, state: GaussianState, sp: SingleParticleSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each (k, q) density of ``plan`` at every time, (n, P) before clamping, and (n,) conditions.
+    """The (n, 4, 4) table of every density at every time, before clamping, and (n,) conditions.
 
-    The one evaluator behind every density: from the vacuum the analytic
-    limit formulas (condition 1), otherwise the blocks of the whole stack
+    The one evaluator behind every density: the blocks of the whole stack
     (``_build_blocks``) assembled at once (``_assemble``).
     """
-    if state.kind == "vacuum":
-        return _vacuum_densities(ts, sp, plan.pairs), np.ones(ts.size)
     blocks = _build_blocks(ts, state, sp)
-    return _assemble(blocks, ts, plan), blocks.cond
+    return _assemble(blocks, ts, sp, state.boundary_occupations), blocks.cond
 
 
 def _point(t: float, value: float, cond: float) -> WtdPoint:
@@ -741,30 +724,6 @@ def _point(t: float, value: float, cond: float) -> WtdPoint:
     return WtdPoint(t, max(value, 0.0), cond, flag)
 
 
-def wtd_density_vacuum(t: float, k: Channel, q: Channel, sp: SingleParticleSet) -> float:
-    """Waiting-time density from the empty chain (analytic limit formulas).
-
-    Densities conditioned on an extraction are identically zero: there is
-    nothing to extract from the vacuum.
-    """
-    return float(_vacuum_densities(_times(t), sp, ((k, q),))[0, 0])
-
-
-def wtd_point(
-    t: float,
-    k: Channel,
-    q: Channel,
-    state: GaussianState,
-    sp: SingleParticleSet,
-) -> WtdPoint:
-    """Single density evaluation carrying its conditioning diagnostic: a curve of one time.
-
-    Points whose condition estimate exceeds COND_THRESHOLD are flagged
-    "ill_conditioned".
-    """
-    return wtd_curve(k, q, state, sp, _times(t)).points[0]
-
-
 def wtd_density(
     t: float,
     k: Channel,
@@ -772,8 +731,8 @@ def wtd_density(
     state: GaussianState,
     sp: SingleParticleSet,
 ) -> float:
-    """Waiting-time density P(t, k | q) for a Gaussian initial state."""
-    return wtd_point(t, k, q, state, sp).value
+    """Waiting-time density P(t, k | q) for a Gaussian initial state: the curve of one time."""
+    return wtd_curve(k, q, state, sp, [t]).points[0].value
 
 
 def wtd_density_matrix(t, state: GaussianState, sp: SingleParticleSet) -> np.ndarray:
@@ -787,11 +746,7 @@ def wtd_density_matrix(t, state: GaussianState, sp: SingleParticleSet) -> np.nda
     factorizations across the stack, makes this the cheap way to evaluate
     mixtures, column sums and quadrature rounds.
     """
-    ts = _times(t)
-    order = tuple(sp.channels[label] for label in CHANNEL_ORDER)
-    plan, rows, cols = _matrix_plan(order, state.boundary_occupations)
-    out = np.zeros((ts.size, 4, 4))
-    out[:, rows, cols] = _clamped(_densities(ts, state, sp, plan)[0])
+    out = _clamped(_densities(validate_times(t), state, sp)[0])
     return out if np.ndim(t) else out[0]
 
 
@@ -802,12 +757,24 @@ def wtd_curve(
     sp: SingleParticleSet,
     grid,
 ) -> WtdCurve:
-    """Sample the density over a time grid, evaluated as one stack, in grid order.
+    """Sample the density over a time grid: entry (k, q) of one stack, in grid order.
 
-    Each point is ``wtd_point``'s, bitwise; at large L the blocks of the
-    points are built in parallel (see the module's thread policy).
+    The rates of k and q are read from ``sp.channels`` by label.  Each point
+    is that of a curve of its time alone, bitwise; points whose condition
+    estimate exceeds COND_THRESHOLD are flagged "ill_conditioned".  At
+    large L the blocks of the points are built in parallel (see the
+    module's thread policy).  Conditioning on a q that cannot click from a
+    state other than the vacuum raises :class:`WtdNumericsError`; from the
+    vacuum, densities conditioned on an extraction are zero.
     """
-    ts = validate_grid(grid)
-    values, cond = _densities(ts, state, sp, _pair_plan(((k, q),), state.boundary_occupations))
-    points = tuple(_point(float(t), float(v), float(c)) for t, v, c in zip(ts, values[:, 0], cond))
+    ts = validate_times(grid, grid=True)
+    factor = occupation_factor(q, state.boundary_occupations)
+    if state.kind != "vacuum" and factor <= MIN_OCCUPATION_FACTOR:
+        raise WtdNumericsError(
+            f"conditioning on channel {q.label} is impossible: occupation factor "
+            f"{factor:.3e}; vacuum-like states must use the vacuum path"
+        )
+    table, cond = _densities(ts, state, sp)
+    values = table[:, CHANNEL_ORDER.index(k.label), CHANNEL_ORDER.index(q.label)]
+    points = tuple(_point(float(t), float(v), float(c)) for t, v, c in zip(ts, values, cond))
     return WtdCurve(from_channel=q, to_channel=k, points=points, state_kind=state.kind)

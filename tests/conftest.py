@@ -81,19 +81,20 @@ def one_blas_thread():
     """numpy's OpenBLAS and the one scipy bundles on one thread each, restored after.
 
     The bitwise comparisons need it: OpenBLAS's zgetrs, for one, takes
-    another code path on more than one thread.
+    another code path on more than one thread.  So does the block pool,
+    which starts no thread while numpy's OpenBLAS runs on more than one.
     """
     site = os.path.dirname(os.path.dirname(np.__file__))
-    libs = [(linalg.OPENBLAS, "64_")]
+    pins = [(linalg.set_blas_threads, linalg.blas_threads())]
     for path in glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so")):
-        libs.append((ctypes.CDLL(path), "64_" if "64_" in os.path.basename(path) else ""))
-    pins = []
-    for lib, suffix in libs:
+        lib = ctypes.CDLL(path)
+        suffix = "64_" if "64_" in os.path.basename(path) else ""
         get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
         put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
         pins.append((put, get()))
+    for put, _ in pins:
         put(1)
     yield
     for put, threads in pins:

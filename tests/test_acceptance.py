@@ -20,8 +20,8 @@ from fermiwait.model import (
     vacuum_state,
 )
 from fermiwait.fock import FockOracle, verify_tracedet
-from fermiwait.stats import channel_probability, natd, natd_moments, normalization_audit
-from fermiwait.wtd import wtd_density, wtd_density_vacuum
+from fermiwait.stats import channel_stats, natd
+from fermiwait.wtd import wtd_curve, wtd_density
 
 from conftest import generic_spec, tight_binding_spec
 
@@ -113,12 +113,14 @@ def test_criterion_3_normalization():
             ch = channels(spec)
             for state in (steady_state(spec), vacuum_state(L)):
                 occ = np.real(np.diagonal(state.C))
+                totals = channel_stats(state, sp, tol=1e-8).normalization()
                 for ql in CHANNEL_ORDER:
                     q = ch[ql]
                     weight = occ[q.site_index] if q.sign == "-" else 1.0 - occ[q.site_index]
+                    total = totals[ql]
                     if q.rate * weight <= 1e-14 or (state.kind == "vacuum" and q.sign == "-"):
+                        assert total is None, (L, ql, state.kind, total)
                         continue
-                    total = normalization_audit(q, state, sp, tol=1e-8)
                     assert abs(total - 1.0) <= 1e-6, (L, ql, state.kind, total)
                     audits += 1
     print(f"\nACCEPTANCE 3 normalization: PASS ({audits} audits within 1e-6)")
@@ -145,7 +147,7 @@ def test_criterion_4_two_site_analytic_activity():
         worst = max(worst, abs(natd(float(t), st, sp) - analytic(t)))
     assert worst <= 1e-8
 
-    mean, _ = natd_moments(st, sp)
+    mean, _ = channel_stats(st, sp).natd_moments()
     expect = 1.0 / gamma + gamma / (4 * hop**2)
     assert expect == pytest.approx(10.025)
     assert mean == pytest.approx(expect, abs=1e-4)
@@ -163,7 +165,7 @@ def test_criterion_5a_vacuum_peak_time_scales_linearly():
         sp = derive_single_particle(spec)
         ch = channels(spec)
         ts = np.arange(0.0, 1.5 * L, 0.02)
-        vals = np.array([wtd_density_vacuum(t, ch["L-"], ch["1+"], sp) for t in ts])
+        vals = wtd_curve(ch["L-"], ch["1+"], vacuum_state(L), sp, ts).values
         peak = None
         for i in range(1, len(vals) - 1):
             if vals[i] > vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] > 1e-6:
@@ -200,8 +202,8 @@ def test_criterion_5c_vacuum_transmission_exponentially_suppressed():
     for L in sizes:
         spec = tight_binding_spec(int(L))
         sp = derive_single_particle(spec)
-        ch = channels(spec)
-        ps.append(channel_probability(ch["L-"], ch["1+"], vacuum_state(int(L)), sp))
+        table = channel_stats(vacuum_state(int(L)), sp)
+        ps.append(table.p_kq[CHANNEL_ORDER.index("L-"), CHANNEL_ORDER.index("1+")])
     slope, r2 = linear_fit_r2(sizes, np.log(ps))
     assert slope < 0.0
     assert r2 > 0.95
@@ -216,8 +218,8 @@ def test_criterion_5d_steady_transmission_plateau():
     for L in (10, 20, 40):
         spec = tight_binding_spec(L)
         sp = derive_single_particle(spec)
-        ch = channels(spec)
-        vals.append(channel_probability(ch["L-"], ch["1+"], steady_state(spec), sp))
+        table = channel_stats(steady_state(spec), sp)
+        vals.append(table.p_kq[CHANNEL_ORDER.index("L-"), CHANNEL_ORDER.index("1+")])
     variation = (max(vals) - min(vals)) / np.mean(vals)
     assert variation < 0.10
     print(
@@ -231,7 +233,7 @@ def test_criterion_5e_activity_moments_flat_in_size():
     for L in (2, 5, 10, 20):
         spec = tight_binding_spec(L)
         sp = derive_single_particle(spec)
-        mean, var = natd_moments(steady_state(spec), sp)
+        mean, var = channel_stats(steady_state(spec), sp).natd_moments()
         means.append(mean)
         sds.append(np.sqrt(var))
     spread = (max(means) - min(means)) / np.mean(means)
@@ -264,9 +266,7 @@ def test_criterion_6_vacuum_limit_consistency():
         ts = np.linspace(0.1, 3.0 * L, 25)
         pairs = (("L-", "1+"), ("1+", "1+"))
         exact = {
-            (kl, ql): np.array(
-                [wtd_density_vacuum(float(t), ch[kl], ch[ql], sp) for t in ts]
-            )
+            (kl, ql): wtd_curve(ch[kl], ch[ql], vacuum_state(L), sp, ts).values
             for kl, ql in pairs
         }
         errors = []

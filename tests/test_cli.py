@@ -94,6 +94,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "key, old, new",
+        [
+            ("grid.t_max", "t_max = 30.0", "t_max = nan"),
+            ("grid.t_max", "t_max = 30.0", "t_max = inf"),
+            ("baths.gamma1", "gamma1 = 0.1", "gamma1 = nan"),
+            ("baths.gammaL", "gammaL = 0.1", "gammaL = inf"),
+        ],
+    )
+    def test_non_finite_value_exits_one_naming_the_key(self, tmp_path, capsys, key, old, new):
+        # t_max = nan used to exit 2 on non-finite matrix entries, and
+        # gamma1 = nan from the vacuum on a missing default horizon.
+        body = DEFAULT_CONFIG.replace(old, new).replace("initial = steady", "initial = vacuum")
+        cfg = write_config(tmp_path / "run.ini", body)
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_file(cfg)
+        argv = ["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert key in capsys.readouterr().err
+
 
 def _run_python(code: str) -> list[str]:
     """Run ``code`` in a fresh interpreter on this checkout's package.
@@ -119,18 +139,13 @@ class TestThreadPolicy:
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
         argv = ["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]
         out = _run_python(f"""
-            import ctypes
             from fermiwait.cli import main
-            from fermiwait.linalg import OPENBLAS
-            get = OPENBLAS.scipy_openblas_get_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            put = OPENBLAS.scipy_openblas_set_num_threads64_
-            put.argtypes, put.restype = [ctypes.c_int], None
-            put(2)
+            from fermiwait.linalg import blas_threads, set_blas_threads
+            set_blas_threads(2)
             rc = main({argv!r})
             with open("/proc/self/maps") as fh:
                 mapped = sorted({{line.split()[-1] for line in fh if "scipy.libs" in line}})
-            print("@" + str(rc), get(), *mapped)
+            print("@" + str(rc), blas_threads(), *mapped)
         """)
         assert out == ["0 1"]
 

@@ -56,6 +56,15 @@ class TestChainSpec:
         with pytest.raises(ValueError, match="gamma1"):
             ChainSpec(h=h, gamma1=-0.1, gammaL=0.1, f1=0.5, fL=0.0)
 
+    @pytest.mark.parametrize("name", ["gamma1", "gammaL"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, name, value):
+        # nan < 0 is False: a NaN rate used to pass.
+        rates = dict(gamma1=0.1, gammaL=0.1)
+        rates[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChainSpec(h=build_tight_binding(2, 1.0, 1.0), f1=0.5, fL=0.0, **rates)
+
     def test_channel_rates(self):
         spec = ChainSpec(
             h=build_tight_binding(3, 1.0, 1.0), gamma1=0.4, gammaL=0.6, f1=0.25, fL=0.75
@@ -207,7 +216,7 @@ class TestGaussianState:
 
 
 class TestMemo:
-    def test_one_build_per_state_and_key(self, sv_spec):
+    def test_one_build_per_state(self, sv_spec):
         sp = derive_single_particle(sv_spec)
         a, b = steady_state(sv_spec), vacuum_state(2)
         builds = []
@@ -215,20 +224,19 @@ class TestMemo:
         def build(tag):
             return lambda: builds.append(tag) or tag
 
-        assert sp.memo(a, ("k",), build("a")) == "a"
-        assert sp.memo(a, ("k",), build("again")) == "a"
-        assert sp.memo(b, ("k",), build("b")) == "b"
-        assert sp.memo(a, ("other",), build("a2")) == "a2"
-        assert sp.memo(a, ("k",), build("none")) is sp.memo(a, ("k",), build("none"))
-        assert builds == ["a", "b", "a2"]
+        assert sp.memo(a, build("a")) == "a"
+        assert sp.memo(a, build("again")) == "a"
+        assert sp.memo(b, build("b")) == "b"
+        assert sp.memo(a, build("none")) is sp.memo(a, build("none"))
+        assert builds == ["a", "b"]
 
     def test_oldest_entry_is_dropped(self, sv_spec):
         sp = derive_single_particle(sv_spec)
         states = [vacuum_state(2) for _ in range(MEMO_ENTRIES + 1)]
         for i, st in enumerate(states):
-            sp.memo(st, (), lambda i=i: i)
-        assert sp.memo(states[-1], (), lambda: -1) == MEMO_ENTRIES
-        assert sp.memo(states[0], (), lambda: -1) == -1
+            sp.memo(st, lambda i=i: i)
+        assert sp.memo(states[-1], lambda: -1) == MEMO_ENTRIES
+        assert sp.memo(states[0], lambda: -1) == -1
 
     def test_threads_never_mix_up_states(self, sv_spec):
         # Threads evaluating densities on one set share its memo; more threads
@@ -242,7 +250,7 @@ class TestMemo:
             try:
                 for _ in range(3000):
                     i = rng.randrange(len(states))
-                    got = sp.memo(states[i], ("index",), lambda: i)
+                    got = sp.memo(states[i], lambda: i)
                     if got != i:
                         errors.append((i, got))
             except Exception as exc:  # reported below, not lost with the thread

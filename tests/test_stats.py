@@ -8,8 +8,10 @@ from fermiwait.model import (
     ChainSpec,
     GaussianState,
     build_tight_binding,
+    can_click,
     channels,
     derive_single_particle,
+    occupation_factor,
     steady_state,
     vacuum_state,
 )
@@ -17,13 +19,10 @@ from fermiwait.stats import (
     DEFAULT_TOL,
     ChannelStats,
     QuadratureError,
-    channel_probability,
     channel_stats,
     integrate_semiinfinite,
     jump_frequencies,
     natd,
-    natd_moments,
-    normalization_audit,
 )
 from fermiwait.wtd import wtd_density, wtd_density_matrix
 
@@ -33,6 +32,18 @@ from conftest import generic_spec, tight_binding_spec
 def cell(kl, ql):
     """(row, column) of the pair (kl | ql) in the CHANNEL_ORDER tables."""
     return CHANNEL_ORDER.index(kl), CHANNEL_ORDER.index(ql)
+
+
+@pytest.fixture(scope="module")
+def sv_tables(sv_spec, sv_sp):
+    """The default-tolerance tables of the reference chain's steady state and vacuum.
+
+    One pass per state, shared by every test that only reads them.
+    """
+    return {
+        "steady": channel_stats(steady_state(sv_spec), sv_sp),
+        "vacuum": channel_stats(vacuum_state(2), sv_sp),
+    }
 
 
 def exact_moments(oracle, rho):
@@ -280,36 +291,32 @@ class TestQuadrature:
 
 
 class TestChannelProbability:
-    def test_blocked_channel_has_zero_probability(self, sv_spec, sv_sp, sv_channels):
-        st = steady_state(sv_spec)
+    def test_blocked_channel_has_zero_probability(self, sv_tables):
         for ql in ("1+", "L-"):
-            p = channel_probability(sv_channels["1-"], sv_channels[ql], st, sv_sp)
-            assert p == 0.0
+            assert sv_tables["steady"].p_kq[cell("1-", ql)] == 0.0
 
-    def test_against_integrated_brute_force(self, sv_spec, sv_sp, sv_channels, sv_oracle):
-        st = steady_state(sv_spec)
+    def test_against_integrated_brute_force(self, sv_tables, sv_oracle):
         rho = sv_oracle.steady_state()
-        p = channel_probability(sv_channels["L-"], sv_channels["1+"], st, sv_sp)
+        p = sv_tables["steady"].p_kq[cell("L-", "1+")]
         ref = quad(
             lambda t: sv_oracle.wtd(t, "L-", "1+", rho), 0.0, 400.0, limit=400
         )[0]
         assert p == pytest.approx(ref, abs=1e-6)
 
-    def test_probabilities_bounded(self, sv_spec, sv_sp, sv_channels):
-        st = steady_state(sv_spec)
-        table = channel_stats(st, sv_sp)
+    def test_probabilities_bounded(self, sv_tables):
+        table = sv_tables["steady"]
         for ql in ("1+", "L-"):
             for kl in CHANNEL_ORDER:
                 assert 0.0 <= table.p_kq[cell(kl, ql)] <= 1.0
-        p = channel_probability(sv_channels["L+"], sv_channels["L-"], st, sv_sp)
-        assert p == table.p_kq[cell("L+", "L-")]
+        # The probabilities are the zeroth moments, clipped to [0, 1].
+        assert np.array_equal(table.p_kq, np.clip(table.moments[0], 0.0, 1.0), equal_nan=True)
 
 
 class TestConditionalMoments:
-    def test_bayes_normalization(self, sv_spec, sv_sp, sv_channels):
+    def test_bayes_normalization(self, sv_spec, sv_sp, sv_channels, sv_tables):
         st = steady_state(sv_spec)
         k, q = sv_channels["L-"], sv_channels["1+"]
-        p = channel_stats(st, sv_sp).p_kq[cell("L-", "1+")]
+        p = sv_tables["steady"].p_kq[cell("L-", "1+")]
         res = integrate_semiinfinite(
             lambda ts: np.array([wtd_density(t, k, q, st, sv_sp) for t in ts]) / p,
             1e-8,
@@ -317,10 +324,9 @@ class TestConditionalMoments:
         )
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_mean_against_brute_force(self, sv_spec, sv_sp, sv_channels, sv_oracle):
-        st = steady_state(sv_spec)
+    def test_mean_against_brute_force(self, sv_tables, sv_oracle):
         rho = sv_oracle.steady_state()
-        table = channel_stats(st, sv_sp)
+        table = sv_tables["steady"]
         mean, var = table.mean[cell("L-", "1+")], table.variance[cell("L-", "1+")]
         p_ref = quad(lambda t: sv_oracle.wtd(t, "L-", "1+", rho), 0, 400, limit=400)[0]
         m_ref = quad(
@@ -338,8 +344,8 @@ class TestConditionalMoments:
             for kl in ("1+", "L-"):
                 assert table.variance[cell(kl, ql)] >= 0.0
 
-    def test_impossible_sequence_rejected(self, sv_spec, sv_sp):
-        table = channel_stats(steady_state(sv_spec), sv_sp)
+    def test_impossible_sequence_rejected(self, sv_tables):
+        table = sv_tables["steady"]
         assert table.p_kq[cell("1-", "1+")] == 0.0
         assert np.isnan(table.mean[cell("1-", "1+")])
         assert np.isnan(table.variance[cell("1-", "1+")])
@@ -365,9 +371,8 @@ class TestNatd:
                 analytic_natd(t), abs=1e-8
             )
 
-    def test_mean_matches_analytic_value(self, sv_spec, sv_sp):
-        st = steady_state(sv_spec)
-        mean, var = natd_moments(st, sv_sp)
+    def test_mean_matches_analytic_value(self, sv_tables):
+        mean, var = sv_tables["steady"].natd_moments()
         assert mean == pytest.approx(1.0 / 0.1 + 0.1 / 4.0, abs=1e-4)
         assert var >= 0.0
 
@@ -392,7 +397,7 @@ class TestNatd:
         sp = derive_single_particle(spec)
         st = steady_state(spec)
         table = channel_stats(st, sp)
-        mean, _ = natd_moments(st, sp)
+        mean, _ = table.natd_moments()
         mix = 0.0
         for b in range(4):
             for a in range(4):
@@ -401,40 +406,34 @@ class TestNatd:
                 mix += table.p_q[b] * table.p_kq[a, b] * table.mean[a, b]
         assert mean == pytest.approx(mix, abs=1e-6)
 
-    def test_requires_steady_state(self, sv_sp):
+    def test_requires_steady_state(self, sv_sp, sv_tables):
         with pytest.raises(ValueError, match="steady"):
             natd(1.0, vacuum_state(2), sv_sp)
         with pytest.raises(ValueError, match="steady"):
-            natd_moments(vacuum_state(2), sv_sp)
+            sv_tables["vacuum"].natd_moments()
 
 
 class TestNormalizationAudit:
-    def test_steady_and_vacuum_audits(self, sv_spec, sv_sp, sv_channels):
-        st = steady_state(sv_spec)
+    def test_steady_and_vacuum_audits(self, sv_tables):
         for ql in ("1+", "L-"):
-            assert normalization_audit(sv_channels[ql], st, sv_sp) == pytest.approx(
-                1.0, abs=1e-6
-            )
-        vac = vacuum_state(2)
-        assert normalization_audit(sv_channels["1+"], vac, sv_sp) == pytest.approx(
-            1.0, abs=1e-6
-        )
+            assert sv_tables["steady"].normalization()[ql] == pytest.approx(1.0, abs=1e-6)
+        assert sv_tables["vacuum"].normalization()["1+"] == pytest.approx(1.0, abs=1e-6)
 
-    def test_truncation_is_detected(self, sv_spec, sv_sp, sv_channels):
-        st = steady_state(sv_spec)
-        full = normalization_audit(sv_channels["1+"], st, sv_sp)
-        truncated = normalization_audit(sv_channels["1+"], st, sv_sp, t_cut=104.0)
+    def test_truncation_is_detected(self, sv_spec, sv_sp, sv_tables):
+        full = sv_tables["steady"].normalization()["1+"]
+        cut = channel_stats(steady_state(sv_spec), sv_sp, t_cut=104.0)
+        truncated = cut.normalization()["1+"]
         assert truncated < full
         assert truncated < 1.0 - 1e-6
+        assert cut.quadrature.t_cut == 104.0
+        assert cut.quadrature.truncation_tail_bound > 1e-6
 
-    def test_silent_channel_rejected(self, sv_spec, sv_sp, sv_channels):
-        st = steady_state(sv_spec)
-        with pytest.raises(ValueError, match="never clicks"):
-            normalization_audit(sv_channels["1-"], st, sv_sp)
-        with pytest.raises(ValueError, match="vacuum"):
-            normalization_audit(sv_channels["L-"], vacuum_state(2), sv_sp)
+    def test_silent_channel_rejected(self, sv_tables):
+        # A channel that never clicks has no audit: None, not a number.
+        assert sv_tables["steady"].normalization()["1-"] is None
+        assert sv_tables["vacuum"].normalization()["L-"] is None
 
-    def test_accepts_exactly_the_defined_table_columns(self, sv_spec, sv_sp):
+    def test_accepts_exactly_the_defined_table_columns(self, sv_spec, sv_sp, sv_tables):
         # The last input: site 1 holds 5e-15, at or below the occupation
         # threshold, while its extraction rate 10 lifts the click weight
         # above the weight threshold; the channel cannot click.
@@ -442,29 +441,25 @@ class TestNormalizationAudit:
             h=build_tight_binding(2, 1.0, 1.0), gamma1=10.0, gammaL=0.1, f1=0.0, fL=0.5
         )
         near_empty = GaussianState(C=np.diag([5e-15, 0.5]).astype(complex))
+        near_sp = derive_single_particle(spec)
         inputs = [
-            (steady_state(sv_spec), sv_sp),
-            (vacuum_state(2), sv_sp),
-            (near_empty, derive_single_particle(spec)),
+            (steady_state(sv_spec), sv_sp, sv_tables["steady"]),
+            (vacuum_state(2), sv_sp, sv_tables["vacuum"]),
+            (near_empty, near_sp, channel_stats(near_empty, near_sp)),
         ]
-        for state, sp in inputs:
-            table = channel_stats(state, sp)
+        for state, sp, table in inputs:
+            audits = table.normalization()
             for b, ql in enumerate(CHANNEL_ORDER):
-                try:
-                    normalization_audit(sp.channels[ql], state, sp)
-                    accepted = True
-                except ValueError:
-                    accepted = False
-                assert accepted == bool(np.all(~np.isnan(table.p_kq[:, b]))), (state.kind, ql)
+                q = sp.channels[ql]
+                clicks = can_click(q, occupation_factor(q, state.boundary_occupations))
+                defined = bool(np.all(~np.isnan(table.p_kq[:, b])))
+                assert clicks == defined == (audits[ql] is not None), (state.kind, ql)
         assert np.all(np.isnan(table.p_kq[:, CHANNEL_ORDER.index("1-")]))
-        with pytest.raises(ValueError, match="never clicks"):
-            normalization_audit(sp.channels["1-"], near_empty, sp)
 
 
 class TestChannelStatsTable:
-    def test_reference_point_table(self, sv_spec, sv_sp):
-        st = steady_state(sv_spec)
-        table = channel_stats(st, sv_sp)
+    def test_reference_point_table(self, sv_tables):
+        table = sv_tables["steady"]
         assert isinstance(table, ChannelStats)
         i_1p = CHANNEL_ORDER.index("1+")
         i_lm = CHANNEL_ORDER.index("L-")
@@ -474,9 +469,8 @@ class TestChannelStatsTable:
             assert np.all(np.isnan(table.p_kq[:, col]))
         assert np.all(np.isnan(table.variance) | (table.variance >= 0.0))
 
-    def test_vacuum_table_has_injection_columns_only(self, sv_spec, sv_sp):
-        vac = vacuum_state(2)
-        table = channel_stats(vac, sv_sp)
+    def test_vacuum_table_has_injection_columns_only(self, sv_tables):
+        table = sv_tables["vacuum"]
         assert np.nansum(table.p_kq[:, CHANNEL_ORDER.index("1+")]) == pytest.approx(
             1.0, abs=1e-6
         )
@@ -523,7 +517,7 @@ class TestExactTable:
         if kind == "steady":
             clicks = p_q > 0.0
             m1, m2 = (p_q[clicks] @ exact[n][:, clicks].sum(axis=0) for n in (1, 2))
-            mean, var = natd_moments(state, sp)
+            mean, var = table.natd_moments()
             assert close(mean, m1)
             assert close(var, m2 - m1**2)
 
@@ -582,33 +576,3 @@ class TestVacuumLyapunov:
                 assert abs(table.p_kq[a, b] - p) <= 1e-8
                 assert abs(table.moments[1, a, b] - m1) <= 1e-7 * max(abs(m1), 1.0)
         assert np.all(np.isnan(table.p_kq[:, [CHANNEL_ORDER.index("1-"), CHANNEL_ORDER.index("L-")]]))
-
-
-class TestMomentPassReuse:
-    def test_one_pass_serves_every_reader(self, monkeypatch):
-        import fermiwait.stats as statsmod
-
-        cutoffs = []
-        real = statsmod.integrate_semiinfinite
-
-        def counted(*args, **kwargs):
-            cutoffs.append(kwargs["t_cut"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(statsmod, "integrate_semiinfinite", counted)
-        spec = generic_spec(2)
-        sp = derive_single_particle(spec)
-        st = steady_state(spec)
-        table = channel_stats(st, sp)
-        for ql in CHANNEL_ORDER:
-            normalization_audit(sp.channels[ql], st, sp)
-        channel_probability(sp.channels["L-"], sp.channels["1+"], st, sp)
-        natd_moments(st, sp)
-        assert cutoffs == [None]
-        normalization_audit(sp.channels["1+"], st, sp, t_cut=50.0)
-        natd_moments(st, sp, tol=1e-6)
-        assert cutoffs == [None, 50.0, None]
-        # Each channel_stats caller owns its arrays; the shared pass is untouched.
-        table.p_kq[:] = 0.0
-        assert channel_stats(st, sp).p_kq[cell("L-", "1+")] > 0.0
-        assert len(cutoffs) == 3

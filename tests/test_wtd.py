@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 
 import fermiwait.wtd as wtdmod
-from fermiwait.linalg import LinalgError, NotPositiveDefiniteError, expm
+from fermiwait.linalg import LinalgError, NotPositiveDefiniteError, expm, set_blas_threads
 from fermiwait.model import (
     CHANNEL_ORDER,
     ChainSpec,
@@ -23,12 +23,10 @@ from fermiwait.wtd import (
     COND_THRESHOLD,
     WtdNumericsError,
     default_time_grid,
-    validate_grid,
+    validate_times,
     wtd_curve,
     wtd_density,
     wtd_density_matrix,
-    wtd_density_vacuum,
-    wtd_point,
 )
 
 from conftest import generic_spec, random_hermitian, rel_dev, tight_binding_spec
@@ -96,46 +94,63 @@ class TestZeroRateChannels:
 
 class TestVacuumPath:
     def test_distant_click_needs_travel_time(self, sv_sp, sv_channels):
-        assert wtd_density_vacuum(0.0, sv_channels["L-"], sv_channels["1+"], sv_sp) == 0.0
+        vac = vacuum_state(2)
+        assert wtd_density(0.0, sv_channels["L-"], sv_channels["1+"], vac, sv_sp) == 0.0
 
     def test_repeat_injection_starts_at_zero(self, sv_sp, sv_channels):
-        assert wtd_density_vacuum(0.0, sv_channels["1+"], sv_channels["1+"], sv_sp) == (
+        vac = vacuum_state(2)
+        assert wtd_density(0.0, sv_channels["1+"], sv_channels["1+"], vac, sv_sp) == (
             pytest.approx(0.0, abs=1e-14)
         )
 
     def test_extraction_conditioning_vanishes(self, sv_sp, sv_channels):
+        vac = vacuum_state(2)
         for kl in CHANNEL_ORDER:
-            assert wtd_density_vacuum(1.0, sv_channels[kl], sv_channels["1-"], sv_sp) == 0.0
+            assert wtd_density(1.0, sv_channels[kl], sv_channels["1-"], vac, sv_sp) == 0.0
+        assert np.all(wtd_density_matrix(1.0, vac, sv_sp)[:, [0, 2]] == 0.0)
 
     def test_matches_regularized_general_path(self, sv_spec, sv_sp, sv_channels):
         lam_state = GaussianState(C=1e-10 * np.eye(2), kind="custom")
+        vac = vacuum_state(2)
         for t in (0.5, 1.0, 2.0, 5.0):
-            exact = wtd_density_vacuum(t, sv_channels["L-"], sv_channels["1+"], sv_sp)
+            exact = wtd_density(t, sv_channels["L-"], sv_channels["1+"], vac, sv_sp)
             reg = wtd_density(t, sv_channels["L-"], sv_channels["1+"], lam_state, sv_sp)
             assert rel_dev(reg, exact) < 1e-6
 
     def test_regularized_path_converges_monotonically(self, sv_sp, sv_channels):
         ts = (0.5, 1.0, 2.0, 5.0)
+        k, q = sv_channels["L-"], sv_channels["1+"]
+        exact = [wtd_density(t, k, q, vacuum_state(2), sv_sp) for t in ts]
         errors = []
         for lam in (1e-4, 1e-6, 1e-8):
             state = GaussianState(C=lam * np.eye(2), kind="custom")
-            errs = [
-                rel_dev(
-                    wtd_density(t, sv_channels["L-"], sv_channels["1+"], state, sv_sp),
-                    wtd_density_vacuum(t, sv_channels["L-"], sv_channels["1+"], sv_sp),
-                )
-                for t in ts
-            ]
+            errs = [rel_dev(wtd_density(t, k, q, state, sv_sp), e) for t, e in zip(ts, exact)]
             errors.append(max(errs))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] <= 1e-6
 
-    def test_vacuum_kind_dispatches_to_exact_limit(self, sv_sp, sv_channels):
-        vac = vacuum_state(2)
-        for t in (0.3, 1.7):
-            a = wtd_density(t, sv_channels["1+"], sv_channels["1+"], vac, sv_sp)
-            b = wtd_density_vacuum(t, sv_channels["1+"], sv_channels["1+"], sv_sp)
-            assert a == b
+    def test_vacuum_kind_dispatches_to_exact_limit(self):
+        # From the vacuum, P(t, i-|j+) = rate e^{-Gamma t} |G_ij|^2 and
+        # P(t, i+|j+) = rate e^{-Gamma t} [(Gd G)_jj - |G_ij|^2], G = e^{-Qt}.
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        vac = vacuum_state(3)
+        for t in (0.3, 1.7, 6.0):
+            g = expm(-sp.Q * t)
+            m = wtd_density_matrix(t, vac, sp)
+            for a, kl in enumerate(CHANNEL_ORDER):
+                k = sp.channels[kl]
+                for b, ql in enumerate(CHANNEL_ORDER):
+                    j = sp.channels[ql].site_index
+                    hop = abs(g[k.site_index, j]) ** 2
+                    if ql.endswith("-"):
+                        want = 0.0
+                    elif kl.endswith("-"):
+                        want = k.rate * np.exp(-sp.gamma_total * t) * hop
+                    else:
+                        norm = np.sum(np.abs(g[:, j]) ** 2)
+                        want = k.rate * np.exp(-sp.gamma_total * t) * (norm - hop)
+                    assert abs(m[a, b] - want) <= 1e-13 * max(abs(want), 1e-3), (t, kl, ql)
 
 
 class TestSymmetry:
@@ -194,12 +209,19 @@ class TestNumericalHygiene:
         with pytest.raises(ValueError, match="nonnegative"):
             wtd_density(-1.0, sv_channels["1+"], sv_channels["1+"], st, sv_sp)
 
+    def test_non_finite_time_rejected(self, sv_sp, sv_channels):
+        # From the vacuum a NaN time used to come back as a NaN density.
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                wtd_density(t, sv_channels["L-"], sv_channels["1+"], vacuum_state(2), sv_sp)
+
     def test_condition_flagging(self, sv_spec, sv_sp, sv_channels, monkeypatch):
         st = steady_state(sv_spec)
-        p = wtd_point(1.0, sv_channels["L-"], sv_channels["1+"], st, sv_sp)
+        k, q = sv_channels["L-"], sv_channels["1+"]
+        (p,) = wtd_curve(k, q, st, sv_sp, [1.0]).points
         assert p.flag == "" and p.cond_estimate >= 1.0
         monkeypatch.setattr("fermiwait.wtd.COND_THRESHOLD", 0.5)
-        forced = wtd_point(1.0, sv_channels["L-"], sv_channels["1+"], st, sv_sp)
+        (forced,) = wtd_curve(k, q, st, sv_sp, [1.0]).points
         assert "ill_conditioned" in forced.flag
         assert forced.value == p.value
 
@@ -218,11 +240,16 @@ class TestGrids:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
-            validate_grid([0.0, 1.0, 1.0])
+            validate_times([0.0, 1.0, 1.0], grid=True)
         with pytest.raises(ValueError, match=">= 0"):
-            validate_grid([-1.0, 1.0])
+            validate_times([-1.0, 1.0], grid=True)
         with pytest.raises(ValueError, match="nonempty"):
-            validate_grid([])
+            validate_times([], grid=True)
+        with pytest.raises(ValueError, match="finite"):
+            validate_times([0.0, np.nan], grid=True)
+        # A stack of times need not be a grid.
+        assert validate_times([2.0, 1.0]).tolist() == [2.0, 1.0]
+        assert validate_times([]).size == 0
 
 
 class TestCurves:
@@ -240,7 +267,7 @@ class TestCurves:
         st = steady_state(sv_spec)
         grid = np.linspace(0.0, 20.0, 40)
         k, q = sv_channels["L-"], sv_channels["1+"]
-        serial = [wtd_point(float(t), k, q, st, sv_sp).value for t in grid]
+        serial = [wtd_density(float(t), k, q, st, sv_sp) for t in grid]
         assert np.array_equal(wtd_curve(k, q, st, sv_sp, grid).values, serial)
 
     def test_vacuum_curve_is_clean(self, sv_sp, sv_channels):
@@ -376,7 +403,7 @@ class TestGrowingModes:
         sp = derive_single_particle(spec)
         st = steady_state(spec)
         for t in (1.0, 40.0, 400.0):
-            p = wtd_point(t, sp.channels["L+"], sp.channels["1-"], st, sp)
+            (p,) = wtd_curve(sp.channels["L+"], sp.channels["1-"], st, sp, [t]).points
             assert p.flag == "" and p.cond_estimate < 1e3
 
 
@@ -554,13 +581,11 @@ class TestStackedTimes:
 
     def test_impossible_click_raises_the_single_time_error(self, sv_sp, sv_channels):
         dead = GaussianState(C=np.diag([0.0, 0.0]).astype(complex), kind="custom")
-        pair = ((sv_channels["1+"], sv_channels["1-"]),)
+        k, q = sv_channels["1+"], sv_channels["1-"]
         with pytest.raises(WtdNumericsError, match="impossible") as single:
-            wtd_density(1.0, *pair[0], dead, sv_sp)
-        blocks = wtdmod._build_blocks(self.TIMES, dead, sv_sp)
-        plan = wtdmod._pair_plan(pair, dead.boundary_occupations)
+            wtd_density(1.0, k, q, dead, sv_sp)
         with pytest.raises(WtdNumericsError) as stacked:
-            wtdmod._assemble(blocks, self.TIMES, plan)
+            wtd_curve(k, q, dead, sv_sp, self.TIMES)
         assert str(stacked.value) == str(single.value)
 
     @pytest.mark.parametrize("kind", ["steady", "vacuum"])
@@ -572,7 +597,9 @@ class TestStackedTimes:
         k, q = sp.channels["L-"], sp.channels["1+"]
         grid = np.linspace(0.0, 60.0, 24)
         curve = wtd_curve(k, q, state, sp, grid)
-        assert curve.points == tuple(wtd_point(float(t), k, q, state, sp) for t in grid)
+        single = tuple(wtd_curve(k, q, state, sp, [t]).points[0] for t in grid)
+        assert curve.points == single
+        assert curve.values.tolist() == [wtd_density(t, k, q, state, sp) for t in grid]
 
     def test_time_arguments(self, sv_spec, sv_sp):
         st = steady_state(sv_spec)
@@ -585,6 +612,7 @@ class TestStackedTimes:
             wtd_density_matrix(np.ones((2, 2)), st, sv_sp)
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 class TestBlockPool:
     """The tasks of ``_build_blocks`` give the same blocks on the pool as serially, bitwise."""
 
@@ -650,6 +678,13 @@ class TestBlockPool:
         # Four LU-form times and two parts of eigenbasis times: six tasks.
         self._pooled_and_serial(monkeypatch, ts, state, sp)
         assert kernel_forms == {"eigenbasis": 2 * 2, "lu": 2 * 4}
+
+
+    def test_no_pool_on_top_of_blas_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert wtdmod._pool_workers(wtdmod.POOL_MIN_SITES) == 2
+        set_blas_threads(2)  # the fixture restores the count
+        assert wtdmod._pool_workers(wtdmod.POOL_MIN_SITES) == 1
 
 
 @pytest.mark.usefixtures("one_blas_thread")

@@ -282,6 +282,8 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
     cfg = _load_config(args)
     if cfg.L > (ORACLE_MAX_SITES if args.allow_large_oracle else VERIFY_DEFAULT_MAX_SITES):
         print(
@@ -316,6 +318,8 @@ def cmd_bench(args) -> int:
         raise ConfigError("--sizes: all chain sizes must be >= 2")
     if len(set(sizes)) < 2:
         raise ConfigError("--sizes: the scaling slope needs at least two distinct chain sizes")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats: expected a positive integer, got {args.repeats}")
     rows = []
     for L in sizes:
         run_cfg = dataclasses.replace(cfg, L=L, initial_state="steady").validate()
@@ -340,8 +344,8 @@ def cmd_bench(args) -> int:
     out = Path(cfg.out_dir) / "bench.csv"
     _write_csv(out, cfg, "L,seconds_per_point", rows)
     print(f"wrote {out}")
-    if slope > 3.5:
-        print("error: scaling slope exceeds 3.5", file=sys.stderr)
+    if not slope <= 3.5:  # a NaN slope fails too
+        print(f"error: scaling slope {slope:.3f} exceeds 3.5 or is not a number", file=sys.stderr)
         return EXIT_AUDIT
     return EXIT_OK
 

@@ -148,15 +148,6 @@ class LUFactors(NamedTuple):
     piv: np.ndarray
 
 
-class CholeskyFactor(NamedTuple):
-    """Lower-triangular factors R of Hermitian positive definite matrices a = R R^dag.
-
-    ``lower`` is one factor (n, n) or a stack of them (..., n, n).
-    """
-
-    lower: np.ndarray
-
-
 def _as_square(a, name="matrix") -> np.ndarray:
     """``a`` as a complex square matrix or stack of them (..., n, n), all entries finite."""
     a = np.asarray(a, dtype=complex)
@@ -308,11 +299,12 @@ def solve_factored(factors: LUFactors, b) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def cholesky_logdet(a: np.ndarray) -> tuple[CholeskyFactor, np.ndarray]:
+def cholesky_logdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky-factorize a stack (..., n, n) of Hermitian positive definite matrices.
 
-    Returns the lower factors and log det of each matrix, an array of the
-    stack's shape.  Reads the lower triangles only.  Uses numpy's gufunc,
+    Returns the lower factors R of a = R R^dag, an array of the stack's
+    shape, and log det of each matrix, an array of the stack's leading
+    shape.  Reads the lower triangles only.  Uses numpy's gufunc,
     which factorizes the whole stack in one call and releases the GIL, so
     threads factorizing different matrices overlap.  Raises
     :class:`NotPositiveDefiniteError` when any matrix of the stack is not
@@ -325,31 +317,32 @@ def cholesky_logdet(a: np.ndarray) -> tuple[CholeskyFactor, np.ndarray]:
     log_det = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1).real), axis=-1)
     if not np.all(np.isfinite(log_det)):
         raise NotPositiveDefiniteError("log det is not finite")
-    return CholeskyFactor(lower), log_det
+    return lower, log_det
 
 
-def _factor_stack(factor: CholeskyFactor) -> np.ndarray:
-    """The factors as a C-contiguous complex (n, L, L) array.
+def _factor_stack(lower) -> np.ndarray:
+    """The lower Cholesky factors as a C-contiguous complex (n, L, L) array.
 
     The transpose of a C-ordered factor R is the Fortran-ordered upper
     factor U = R^T of conj(a) = U^dag U, which LAPACK reads without a copy.
     """
-    lower = np.ascontiguousarray(factor.lower, dtype=complex)
+    lower = np.ascontiguousarray(lower, dtype=complex)
     if lower.ndim != 3 or lower.shape[1] != lower.shape[2]:
         raise ValueError(f"Cholesky factors must be a stack (n, L, L), got shape {lower.shape}")
     return lower
 
 
-def half_solve(factor: CholeskyFactor, b) -> np.ndarray:
+def half_solve(lower, b) -> np.ndarray:
     """R_m^-1 B_m for each a_m = R_m R_m^dag of a stack, so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
 
-    ``factor.lower`` is a stack (n, L, L) and ``b`` a stack (n, L, k); the
+    ``lower`` is the stack (n, L, L) of lower factors R that
+    :func:`cholesky_logdet` returns and ``b`` a stack (n, L, k); the
     result is a C-contiguous stack (n, L, k).  Each time solves
     (R^T)^T X = B with LAPACK ztrtrs on the Fortran-ordered view R^T of the
     factor.  The integer arguments and base addresses are made once and
     only the two matrix pointers advance from one time to the next.
     """
-    lower = _factor_stack(factor)
+    lower = _factor_stack(lower)
     n, size = lower.shape[:2]
     b = np.asarray(b, dtype=complex)
     if b.ndim != 3 or b.shape[:2] != (n, size):
@@ -370,12 +363,13 @@ def half_solve(factor: CholeskyFactor, b) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1))
 
 
-def condition_estimate(factors: LUFactors | CholeskyFactor, anorm):
+def condition_estimate(factors: LUFactors | np.ndarray, anorm):
     """1-norm condition number estimates from LU or Cholesky factors (LAPACK gecon/pocon).
 
     For LU factors of one matrix with 1-norm ``anorm`` the result is a float.
-    For a stack (n, L, L) of Cholesky factors ``anorm`` holds the n 1-norms
-    and the result is an (n,) array; the work arrays, integer arguments and
+    Any other ``factors`` is a stack (n, L, L) of lower Cholesky factors, as
+    :func:`cholesky_logdet` returns them; ``anorm`` holds the n 1-norms and
+    the result is an (n,) array; the work arrays, integer arguments and
     base address are made once, as in :func:`half_solve`.  For a = R R^dag
     the estimate is taken on conj(a) = U^dag U with U = R^T, which has the
     same condition number and 1-norm.  A failed or zero estimate reads inf.

@@ -210,6 +210,8 @@ class GaussianState:
         if self.kind not in ("steady", "vacuum", "custom"):
             raise ValueError(f"unknown state kind {self.kind!r}")
         c = np.asarray(self.C, dtype=complex)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("covariance matrix must be finite")
         if np.linalg.norm(c - c.conj().T) > 1e-10 * max(1.0, np.linalg.norm(c)):
             raise ValueError("covariance matrix must be Hermitian")
         evals, vecs = np.linalg.eigh(c)

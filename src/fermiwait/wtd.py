@@ -60,7 +60,9 @@ A^{-1} [Gd, Gd G, 1][:, b] multiplied by C and the boundary rows of G and
 - when C has an eigenvalue below ``C_MIN_EIGENVALUE``, until G has grown
   by 1 / min(C) (for all t if no mode grows): the eigenbasis form loses
   about 1 / min(C) units of roundoff there, the LU form about e^{2 g t};
-- when the Cholesky factorization of B fails.
+- when the Cholesky factorization of B refuses the time: a part of a stack
+  whose factorization is refused runs again one time at a time, and only
+  a time refused alone takes the LU form (``_build_blocks``).
 
 The imaginary-residue check, the clamp window and its flags and the
 impossible-click rejection are the same on both forms.  ``cond_estimate``
@@ -83,10 +85,11 @@ loops over its times inside ``linalg``: the condition estimate
 no batched triangular solve, and a row-by-row batched substitution saves
 about a microsecond a time at L <= 5 but costs three to four times the
 per-time call from L = 50 on).  Every time on the LU form is its own
-call.  If the batched Cholesky refuses a matrix, the part is factorized
-again time by time, so only the refused times take the LU form.  One part
-holds at most ``STACK_BYTES`` of L x L matrices, so a quadrature round at
-L = 200-400 does not grow the memory.
+part.  A part that the batched Cholesky refuses is evaluated again one
+time at a time, and a time refused alone takes the LU form, so only the
+refused times leave the eigenbasis form.  One part holds at most
+``STACK_BYTES`` of L x L matrices, so a quadrature round at L = 200-400
+does not grow the memory.
 
 Starting from the vacuum (C = 0), A = 1: T and the three extraction blocks
 vanish, and the injection blocks are (Gd G)[b, b], G[b, b] and Gd[b, b].
@@ -132,12 +135,11 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .linalg import (
-    CholeskyFactor,
     NotPositiveDefiniteError,
     blas_threads,
     cholesky_logdet,
@@ -179,7 +181,7 @@ C_MIN_EIGENVALUE = 1e-3
 #: Bytes of the L x L complex matrices (for the vacuum, of the L x 2
 #: boundary columns) that one stack of times holds at once.  Longer stacks
 #: are evaluated in parts, so memory does not grow with the stack: 128 KiB
-#: is 8192 two-site matrices, 20 at L = 20 and one from L = 65 on.  Larger
+#: is 2048 two-site matrices, 20 at L = 20 and one from L = 65 on.  Larger
 #: parts gain nothing: once the batched elementwise work leaves the cache
 #: it costs more per time than one time alone.
 STACK_BYTES = 1 << 17
@@ -371,31 +373,6 @@ def _eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | No
     )
 
 
-def _factorize(bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Cholesky factors and log det of a stack of B, and the mask of times it took.
-
-    The stack is factorized in one call; only if that call refuses a matrix
-    is it factorized again time by time, to find the refused ones.  The
-    mask is None when every time took.
-    """
-    n = bmat.shape[0]
-    try:
-        factor, log_det = cholesky_logdet(bmat)
-        return factor.lower, log_det, None
-    except NotPositiveDefiniteError:
-        ok = np.zeros(n, dtype=bool)
-        if n == 1:
-            return bmat, np.zeros(1), ok
-    lower, log_det = np.empty_like(bmat), np.zeros(n)
-    for i in range(n):
-        try:
-            factor, one = cholesky_logdet(bmat[i : i + 1])
-        except NotPositiveDefiniteError:
-            continue
-        lower[i], log_det[i], ok[i] = factor.lower[0], one[0], True
-    return lower, log_det, ok
-
-
 def _gram_index() -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the Gram matrix that hold each block, in ``_Blocks.m`` order."""
     corners = ((2, 2), (4, 6), (2, 4), (4, 2), (0, 0), (2, 0), (0, 2))
@@ -407,14 +384,11 @@ def _gram_index() -> tuple[np.ndarray, np.ndarray]:
 _GRAM_ROWS, _GRAM_COLS = _gram_index()
 
 
-def _eigen_blocks(
-    ts: np.ndarray, e: _Eigenbasis, gamma_total: float
-) -> tuple[dict, np.ndarray | None]:
-    """The blocks at the times ``ts`` on the eigenbasis form, and the mask of times it took.
+def _eigen_blocks(ts: np.ndarray, e: _Eigenbasis, gamma_total: float) -> _Blocks:
+    """The blocks at the times ``ts`` on the eigenbasis form.
 
-    Times whose B the Cholesky factorization refuses are left out of the
-    blocks (their mask entry is False) for the LU form to take; the mask is
-    None when every time took.
+    The B matrices of all the times are factorized in one call, which
+    raises :class:`NotPositiveDefiniteError` if it refuses any of them.
     """
     wt = ts[:, None] * e.w
     grow = np.maximum(wt.real, 0.0)  # log d_b
@@ -423,32 +397,27 @@ def _eigen_blocks(
     ds_bar = ds.conj()
     bmat = e.z * (inv_db * inv_db.transpose(0, 2, 1))
     bmat += e.s * (ds_bar * ds.transpose(0, 2, 1))
-    lower, log_det_b, ok = _factorize(bmat)
-    if ok is not None:
-        ts, grow, inv_db, ds, ds_bar = ts[ok], grow[ok], inv_db[ok], ds[ok], ds_bar[ok]
-        bmat, lower, log_det_b = bmat[ok], lower[ok], log_det_b[ok]
+    lower, log_det_b = cholesky_logdet(bmat)
     anorm = np.abs(bmat).sum(axis=1).max(axis=1)
 
     # R^-1 [X, Y, U, F] for B = R R^dag: the only solve, eight columns; its
     # Gram matrix holds every quadratic form the blocks need.
     f = ds_bar * (e.s @ (ds * e.vinv_n_b)) - inv_db * e.zvinv_g_b
     cols = np.concatenate((e.vh_b * inv_db, e.vh_b * ds_bar, e.zvinv_b * inv_db, f), axis=2)
-    factor = CholeskyFactor(lower)
-    cond = condition_estimate(factor, anorm)
-    half = half_solve(factor, cols)
+    cond = condition_estimate(lower, anorm)
+    half = half_solve(lower, cols)
     gram = half[:, :, :6].conj().transpose(0, 2, 1) @ half
     m = gram[:, _GRAM_ROWS, _GRAM_COLS]
     m[:, _INJ_SAME] += e.k_g
-    blocks = {
-        "m": m,
-        "log_prefactor": -gamma_total * ts + log_det_b + 2.0 * grow.sum(axis=1) + e.log_det_ratio,
-        "phase": np.ones(ts.size, dtype=complex),
-        "cond": cond,
-    }
-    return blocks, ok
+    return _Blocks(
+        m=m,
+        log_prefactor=-gamma_total * ts + log_det_b + 2.0 * grow.sum(axis=1) + e.log_det_ratio,
+        phase=np.ones(ts.size, dtype=complex),
+        cond=cond,
+    )
 
 
-def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> dict:
+def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     """The blocks at one time on the LU form, as a stack of one."""
     b = _boundary(sp.L)
     g = sp.propagator.matrix(t)
@@ -474,12 +443,12 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> dict:
         left[:, 4:],
         c_cols[b, :2],
     )
-    return {
-        "m": np.stack(m)[None],
-        "log_prefactor": np.array([-sp.gamma_total * t + logdet.log_abs]),
-        "phase": np.array([logdet.phase]),
-        "cond": np.array([cond]),
-    }
+    return _Blocks(
+        m=np.stack(m)[None],
+        log_prefactor=np.array([-sp.gamma_total * t + logdet.log_abs]),
+        phase=np.array([logdet.phase]),
+        cond=np.array([cond]),
+    )
 
 
 def _pool_workers(L: int) -> int:
@@ -504,15 +473,15 @@ def prepare(
     grid and every density.  Building the propagator
     (``SingleParticleSet.propagator``, an eigendecomposition and an inverse)
     and the initial state (for a steady state, the Schur form and the
-    Sylvester solve) are independent O(L^3) steps.  When ``_pool_workers`` allows threads, the propagator is built on
-    one worker thread while this thread calls ``initial(sp)``; both spend
-    their time in LAPACK, which releases the GIL, so they overlap.  Each
-    step runs as it would alone, so with BLAS on one thread the results are
-    bitwise those of the serial order.  Otherwise no thread starts:
-    ``initial(sp)`` runs and the propagator is built on its first use.  An
-    error of ``initial(sp)`` is raised in preference to one of the
-    propagator, as the serial order meets it first, and only after the
-    worker thread has ended.
+    Sylvester solve) are independent O(L^3) steps.  When ``_pool_workers``
+    allows threads, the propagator is built on one worker thread while this
+    thread calls ``initial(sp)``; both spend their time in LAPACK, which
+    releases the GIL, so they overlap.  Each step runs as it would alone, so
+    with BLAS on one thread the results are bitwise those of the serial
+    order.  Otherwise no thread starts: ``initial(sp)`` runs and the
+    propagator is built on its first use.  An error of ``initial(sp)`` is
+    raised in preference to one of the propagator, as the serial order meets
+    it first, and only after the worker thread has ended.
     """
     sp = derive_single_particle(spec)
     if _pool_workers(sp.L) == 1:
@@ -524,12 +493,7 @@ def prepare(
     return sp, state
 
 
-def _state_eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | None:
-    """The per-state factors, built once per (state, sp) and kept in ``sp.memo``."""
-    return sp.memo(state, lambda: _eigenbasis(state, sp))
-
-
-def _vacuum_blocks(ts: np.ndarray, sp: SingleParticleSet) -> dict:
+def _vacuum_blocks(ts: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     """The blocks at the times ``ts`` from the vacuum, from the boundary columns of G alone.
 
     With C = 0, A = 1: T and the three extraction blocks are 0, and the
@@ -541,44 +505,47 @@ def _vacuum_blocks(ts: np.ndarray, sp: SingleParticleSet) -> dict:
     m[:, _INJ_SAME] = g.conj().transpose(0, 2, 1) @ g
     m[:, _INJ_LEFT] = g_b
     m[:, _INJ_RIGHT] = g_b.conj().transpose(0, 2, 1)
-    return {
-        "m": m,
-        "log_prefactor": -sp.gamma_total * ts,
-        "phase": np.ones(ts.size, dtype=complex),
-        "cond": np.ones(ts.size),
-    }
+    return _Blocks(
+        m=m,
+        log_prefactor=-sp.gamma_total * ts,
+        phase=np.ones(ts.size, dtype=complex),
+        cond=np.ones(ts.size),
+    )
 
 
 def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -> _Blocks:
-    """The blocks at every time of ``ts``: eigenbasis form where it applies, LU form otherwise.
+    """The blocks at every time of the nonempty stack ``ts``, from one task per part.
 
-    One task per part of at most STACK_BYTES of L x L matrices of the
-    eigenbasis times, in which a time whose B the Cholesky factorization
-    refuses takes the LU form, and one per LU-form time; from the vacuum,
-    one task per part of at most STACK_BYTES of boundary columns.  With more
-    than one task and more than one worker (``_pool_workers``), the tasks
-    run on a pool of that many threads; the blocks are bitwise the same.
+    From the vacuum, a part is at most STACK_BYTES of boundary columns.
+    Otherwise the eigenbasis times (``_Eigenbasis.lu_until``) are split into
+    parts of at most STACK_BYTES of L x L matrices, and every other time is
+    a part of its own on the LU form.  A part whose Cholesky factorization
+    is refused runs again through the same task one time at a time, and a
+    single refused time takes the LU form.  With more than one part and
+    more than one worker (``_pool_workers``), the tasks run on a pool of
+    that many threads; the blocks are bitwise the same.
     """
     vacuum = state.kind == "vacuum"
     if vacuum:
         tasks = [np.arange(ts.size)[part] for part in _chunks(ts.size, 32 * sp.L)]
     else:
-        basis = _state_eigenbasis(state, sp)
+        basis = sp.memo(state, lambda: _eigenbasis(state, sp))
         on_eig = np.zeros(ts.size, dtype=bool) if basis is None else ts >= basis.lu_until
         eig = np.flatnonzero(on_eig)
         tasks = [eig[part] for part in _chunks(eig.size, 16 * sp.L**2)]
         tasks += [np.array([i]) for i in np.flatnonzero(~on_eig)]
 
-    def run(idx: np.ndarray) -> list[tuple]:
+    def run(idx: np.ndarray) -> list[tuple[np.ndarray, _Blocks]]:
         """(indices into ts, blocks at those times) of one task."""
         if vacuum:
             return [(idx, _vacuum_blocks(ts[idx], sp))]
-        pieces, lu = [], idx
         if on_eig[idx[0]]:
-            blocks, ok = _eigen_blocks(ts[idx], basis, sp.gamma_total)
-            ok = np.ones(idx.size, dtype=bool) if ok is None else ok
-            pieces, lu = [(idx[ok], blocks)], idx[~ok]
-        return pieces + [([i], _lu_blocks(float(ts[i]), state.C, sp)) for i in lu]
+            try:
+                return [(idx, _eigen_blocks(ts[idx], basis, sp.gamma_total))]
+            except NotPositiveDefiniteError:
+                if idx.size > 1:
+                    return [piece for i in idx for piece in run(np.array([i]))]
+        return [(idx, _lu_blocks(float(ts[idx[0]]), state.C, sp))]
 
     workers = _pool_workers(sp.L)
     if len(tasks) > 1 and workers > 1:
@@ -587,18 +554,15 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
     else:
         done = [run(idx) for idx in tasks]
     pieces = [piece for task in done for piece in task]
-    if len(pieces) == 1 and len(pieces[0][0]) == ts.size:
-        return _Blocks(**pieces[0][1])  # one piece of every time, in order
-    out = {
-        "m": np.empty((ts.size, 7, 2, 2), dtype=complex),
-        "log_prefactor": np.empty(ts.size),
-        "phase": np.empty(ts.size, dtype=complex),
-        "cond": np.empty(ts.size),
-    }
-    for idx, blocks in pieces:
-        for name, value in blocks.items():
-            out[name][idx] = value
-    return _Blocks(**out)
+    if len(pieces) == 1:
+        return pieces[0][1]  # one piece of every time, in order
+    merged = {}
+    for field in fields(_Blocks):
+        first = getattr(pieces[0][1], field.name)
+        merged[field.name] = np.empty((ts.size, *first.shape[1:]), dtype=first.dtype)
+        for idx, blocks in pieces:
+            merged[field.name][idx] = getattr(blocks, field.name)
+    return _Blocks(**merged)
 
 
 def _entry_index() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -712,6 +676,8 @@ def _densities(
     The one evaluator behind every density: the blocks of the whole stack
     (``_build_blocks``) assembled at once (``_assemble``).
     """
+    if ts.size == 0:
+        return np.zeros((0, 4, 4)), np.zeros(0)
     blocks = _build_blocks(ts, state, sp)
     return _assemble(blocks, ts, sp, state.boundary_occupations), blocks.cond
 

@@ -540,6 +540,12 @@ class TestVerifyCommand:
         failed = [e["name"] for e in entries if not e["passed"]]
         assert failed == ["wtd_equivalence_steady"]
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
+
     def test_oversized_oracle_is_refused(self, tmp_path, capsys):
         body = DEFAULT_CONFIG.replace("L = 2", "L = 5")
         cfg = write_config(tmp_path / "run.ini", body)
@@ -582,6 +588,15 @@ class TestBenchCommand:
         assert main(argv + ["--repeats", "1"]) == 1
         captured = capsys.readouterr()
         assert "--sizes" in captured.err and "'4,x'" in captured.err
+        assert "ms per density point" not in captured.out
+
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_is_validation_error(self, tmp_path, capsys, repeats):
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        argv = ["bench", "--config", cfg, "--out", str(tmp_path), "--sizes", "2,3"]
+        assert main(argv + ["--repeats", repeats]) == 1
+        captured = capsys.readouterr()
+        assert "--repeats" in captured.err
         assert "ms per density point" not in captured.out
 
     def test_custom_hamiltonian_sizes_must_match(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from fermiwait import linalg
 from fermiwait.fock import FockOracle
 from fermiwait.linalg import (
     PROPAGATOR_COND_MAX,
-    CholeskyFactor,
     LinalgError,
     Propagator,
     SingularMatrixError,
@@ -132,7 +131,7 @@ class TestLapackBindings:
             x = half_solve(factor, b)
             assert x.flags.c_contiguous
             for i in range(3):
-                want, info = lapack.ztrtrs(factor.lower[i].T, b[i], lower=0, trans=1)
+                want, info = lapack.ztrtrs(factor[i].T, b[i], lower=0, trans=1)
                 assert info == 0
                 assert np.array_equal(x[i], want)
 
@@ -142,7 +141,7 @@ class TestLapackBindings:
             factor, anorm = cholesky_stack(rng, 3, size)
             cond = condition_estimate(factor, anorm)
             for i in range(3):
-                rcond, info = lapack.zpocon(factor.lower[i].T, float(anorm[i]), uplo="U")
+                rcond, info = lapack.zpocon(factor[i].T, float(anorm[i]), uplo="U")
                 assert info == 0
                 assert cond[i] == 1.0 / rcond
 
@@ -192,14 +191,14 @@ class TestLapackBindings:
             b = np.array([random_complex(rng, size)[:, :2] for _ in range(6)])
             x, cond = half_solve(factor, b), condition_estimate(factor, anorm)
             for i in range(6):
-                one = CholeskyFactor(factor.lower[i : i + 1])
+                one = factor[i : i + 1]
                 assert np.array_equal(half_solve(one, b[i : i + 1])[0], x[i])
                 assert condition_estimate(one, anorm[i : i + 1])[0] == cond[i]
 
     def test_stack_shapes_are_checked(self):
         factor, anorm = cholesky_stack(np.random.default_rng(35), 2, 3)
         with pytest.raises(ValueError, match="stack"):
-            half_solve(CholeskyFactor(factor.lower[0]), np.zeros((3, 2)))
+            half_solve(factor[0], np.zeros((3, 2)))
         with pytest.raises(ValueError, match="stack"):
             half_solve(factor, np.zeros((2, 4, 2)))
         with pytest.raises(ValueError, match="1-norm"):

@@ -210,6 +210,11 @@ class TestGaussianState:
         with pytest.raises(ValueError, match="Hermitian"):
             GaussianState(C=c)
 
+    @pytest.mark.parametrize("c", [np.full((2, 2), np.nan), np.diag([0.5, np.inf])], ids=["nan", "inf"])
+    def test_rejects_non_finite_covariance(self, c):
+        with pytest.raises(ValueError, match="covariance matrix must be finite"):
+            GaussianState(C=c)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             GaussianState(C=0.5 * np.eye(2), kind="thermal")

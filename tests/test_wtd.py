@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -407,6 +408,10 @@ class TestGrowingModes:
             assert p.flag == "" and p.cond_estimate < 1e3
 
 
+#: The stack of times of ``TestStackedTimes``.
+STACK_TIMES = np.array([0.0, 0.3, 1.7, 4.0, 9.5, 23.0, 61.0])
+
+
 class TestFormSelection:
     def test_each_side_of_the_smallest_occupation(self, kernel_forms):
         # f <= 1/2 on both baths: no mode of G grows, so the lowest
@@ -439,18 +444,25 @@ class TestFormSelection:
         assert kernel_forms == {"eigenbasis": 1, "lu": 1}
 
     def test_failed_cholesky_takes_the_lu_form(self, monkeypatch, kernel_forms):
+        # A refused stack runs again one time at a time, and each refused
+        # time takes the LU form.
         spec = generic_spec(3)
         st = steady_state(spec)
-        clean = wtd_density_matrix(2.0, st, derive_single_particle(spec))
+        cases = [
+            (ts, wtd_density_matrix(ts, st, derive_single_particle(spec))) for ts in (2.0, STACK_TIMES)
+        ]
 
         def refuse(a):
             raise NotPositiveDefiniteError("forced")
 
         monkeypatch.setattr(wtdmod, "cholesky_logdet", refuse)
-        kernel_forms.update(eigenbasis=0, lu=0)
-        forced = wtd_density_matrix(2.0, st, derive_single_particle(spec))
-        assert kernel_forms["lu"] == 1
-        assert np.all(np.abs(forced - clean) <= 1e-12 * np.max(clean))
+        for ts, clean in cases:
+            kernel_forms.update(eigenbasis=0, lu=0)
+            forced = wtd_density_matrix(ts, st, derive_single_particle(spec))
+            assert kernel_forms["lu"] == np.size(ts)
+            scale = np.max(clean, axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(forced - clean) <= 1e-12 * scale)
+        _assert_stack_is_bitwise_single(STACK_TIMES, st, derive_single_particle(spec))
 
 
 class TestExceptionalPoint:
@@ -489,7 +501,7 @@ def _assert_stack_is_bitwise_single(ts, state, sp):
 class TestStackedTimes:
     """Matrix m of wtd_density_matrix(ts) is the matrix of ts[m] alone, bitwise."""
 
-    TIMES = np.array([0.0, 0.3, 1.7, 4.0, 9.5, 23.0, 61.0])
+    TIMES = STACK_TIMES
 
     def test_eigenbasis_form(self, kernel_forms):
         spec = generic_spec(3)
@@ -503,7 +515,7 @@ class TestStackedTimes:
         spec = tight_binding_spec(4, gamma=0.5, f1=1.0, fL=0.2)
         sp = derive_single_particle(spec)
         state = _lowest_occupation_state(np.random.default_rng(3), 4, 0.5 * C_MIN_EIGENVALUE)
-        switch = wtdmod._state_eigenbasis(state, sp).lu_until
+        switch = wtdmod._eigenbasis(state, sp).lu_until
         assert switch > 0.0
         ts = switch * np.array([0.0, 0.2, 0.9, 1.1, 3.0, 8.0])
         kernel_forms.update(eigenbasis=0, lu=0)
@@ -565,10 +577,8 @@ class TestStackedTimes:
         bad_t = self.TIMES[4]
 
         def rotated(ts, e, gamma_total):
-            blocks, ok = real(ts, e, gamma_total)
-            times = ts if ok is None else ts[ok]
-            blocks["phase"] = np.where(times == bad_t, 1j, 1.0 + 0.0j)
-            return blocks, ok
+            phase = np.where(ts == bad_t, 1j, 1.0 + 0.0j)
+            return dataclasses.replace(real(ts, e, gamma_total), phase=phase)
 
         monkeypatch.setattr(wtdmod, "_eigen_blocks", rotated)
         with pytest.raises(WtdNumericsError) as single:
@@ -671,7 +681,7 @@ class TestBlockPool:
         spec = tight_binding_spec(4, gamma=0.5, f1=1.0, fL=0.2)
         sp = derive_single_particle(spec)
         state = _lowest_occupation_state(np.random.default_rng(3), 4, 0.5 * C_MIN_EIGENVALUE)
-        switch = wtdmod._state_eigenbasis(state, sp).lu_until
+        switch = wtdmod._eigenbasis(state, sp).lu_until
         ts = switch * np.array([0.0, 0.2, 0.5, 0.9, 1.1, 2.0, 3.0, 5.0, 8.0])
         monkeypatch.setattr(wtdmod, "STACK_BYTES", 3 * 16 * 4**2)
         kernel_forms.update(eigenbasis=0, lu=0)

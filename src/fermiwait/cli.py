@@ -365,9 +365,9 @@ def _keep_freed_memory() -> None:
     allocation by mmap and for trimming the heap: at those defaults every
     part faults its pages in afresh (1,920 minor faults per 48-time block
     build at L = 64, which then takes 0.25 rather than 0.18 ms a time), and
-    pool workers faulting at once contend for the address space.  Up to 32 MiB per allocation now comes
-    from the heap, and up to 64 MiB of free heap is kept.  Does nothing
-    without glibc.
+    pool workers faulting at once contend for the address space.  Up to
+    32 MiB per allocation now comes from the heap, and up to 64 MiB of free
+    heap is kept.  Does nothing without glibc.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:

@@ -19,7 +19,7 @@ hidden length of each character argument passed last.  They are
   estimate) in :func:`lu_logdet`, :func:`solve_factored` and
   :func:`condition_estimate`;
 - ``ztrtrs`` and ``zpocon`` (triangular solve and condition estimate on
-  Cholesky factors) in :func:`half_solve` and :func:`condition_estimate`.
+  Cholesky factors), both in :func:`cholesky_half_solve`.
 
 Character arguments and their hidden lengths are ctypes objects made once
 at import; integer arguments are made once per call and shared by every
@@ -299,107 +299,74 @@ def solve_factored(factors: LUFactors, b) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def cholesky_logdet(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky-factorize a stack (..., n, n) of Hermitian positive definite matrices.
+def condition_estimate(factors: LUFactors, anorm: float) -> float:
+    """1-norm condition estimate from the LU factors of a matrix of 1-norm ``anorm`` (zgecon).
 
-    Returns the lower factors R of a = R R^dag, an array of the stack's
-    shape, and log det of each matrix, an array of the stack's leading
-    shape.  Reads the lower triangles only.  Uses numpy's gufunc,
-    which factorizes the whole stack in one call and releases the GIL, so
-    threads factorizing different matrices overlap.  Raises
-    :class:`NotPositiveDefiniteError` when any matrix of the stack is not
-    numerically positive definite, including non-finite input.
+    A failed or zero estimate reads inf.
     """
+    n = factors.lu.shape[0]
+    info, rcond = ctypes.c_int64(), ctypes.c_double()
+    work, rwork = np.empty(2 * n, dtype=complex), np.empty(2 * n)
+    _zgecon(
+        _NORM1, _int(n), factors.lu.ctypes.data, _int(max(1, n)),
+        ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
+        work.ctypes.data, rwork.ctypes.data, ctypes.byref(info), _ONE,
+    )
+    return np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
+
+
+def cholesky_half_solve(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R^-1 B, log det a and cond(a) for each a = R R^dag of a stack.
+
+    ``a`` is a stack (n, L, L) of Hermitian positive definite matrices and
+    ``b`` a stack (n, L, k), so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
+    Returns the C-contiguous (n, L, k) R^-1 B and the (n,) log determinants
+    and 1-norm condition estimates (inf where the estimate fails or is not
+    positive).  One call of numpy's batched Cholesky, which reads the lower
+    triangles and releases the GIL, factorizes the stack;
+    :class:`NotPositiveDefiniteError` is raised if any matrix is not
+    numerically positive definite, a non-finite lower triangle included.
+    Then one loop calls LAPACK ztrtrs and zpocon on the Fortran-ordered view
+    U = R^T of each factor, the upper factor of conj(a) = U^dag U, which has
+    a's condition number and 1-norm; only the matrix pointers change per
+    step.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"matrices must be a stack (n, L, L), got shape {a.shape}")
+    n, size = a.shape[:2]
+    if b.ndim != 3 or b.shape[:2] != (n, size):
+        raise ValueError(f"right-hand sides must be a stack ({n}, {size}, k), got shape {b.shape}")
     try:
-        lower = np.linalg.cholesky(a)
+        lower = np.ascontiguousarray(np.linalg.cholesky(a))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from None
     log_det = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1).real), axis=-1)
     if not np.all(np.isfinite(log_det)):
         raise NotPositiveDefiniteError("log det is not finite")
-    return lower, log_det
-
-
-def _factor_stack(lower) -> np.ndarray:
-    """The lower Cholesky factors as a C-contiguous complex (n, L, L) array.
-
-    The transpose of a C-ordered factor R is the Fortran-ordered upper
-    factor U = R^T of conj(a) = U^dag U, which LAPACK reads without a copy.
-    """
-    lower = np.ascontiguousarray(lower, dtype=complex)
-    if lower.ndim != 3 or lower.shape[1] != lower.shape[2]:
-        raise ValueError(f"Cholesky factors must be a stack (n, L, L), got shape {lower.shape}")
-    return lower
-
-
-def half_solve(lower, b) -> np.ndarray:
-    """R_m^-1 B_m for each a_m = R_m R_m^dag of a stack, so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
-
-    ``lower`` is the stack (n, L, L) of lower factors R that
-    :func:`cholesky_logdet` returns and ``b`` a stack (n, L, k); the
-    result is a C-contiguous stack (n, L, k).  Each time solves
-    (R^T)^T X = B with LAPACK ztrtrs on the Fortran-ordered view R^T of the
-    factor.  The integer arguments and base addresses are made once and
-    only the two matrix pointers advance from one time to the next.
-    """
-    lower = _factor_stack(lower)
-    n, size = lower.shape[:2]
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 3 or b.shape[:2] != (n, size):
-        raise ValueError(f"right-hand sides must be a stack ({n}, {size}, k), got shape {b.shape}")
-    k = b.shape[2]
+    anorm = np.abs(a).sum(axis=1).max(axis=1)
     x = np.array(b.transpose(0, 2, 1), order="C")  # x[m] is B_m in Fortran order
-    info = ctypes.c_int64()
-    n_arg, k_arg, info_arg = _int(size), _int(k), ctypes.byref(info)
+    work, rwork = np.empty(2 * size, dtype=complex), np.empty(size)
+    info, norm, rcond = ctypes.c_int64(), ctypes.c_double(), ctypes.c_double()
+    size_arg, k_arg, info_arg = _int(size), _int(b.shape[2]), ctypes.byref(info)
+    norm_arg, rcond_arg = ctypes.byref(norm), ctypes.byref(rcond)
+    w0, r0 = work.ctypes.data, rwork.ctypes.data
     a0, a_step = lower.ctypes.data, lower.strides[0]
     x0, x_step = x.ctypes.data, x.strides[0]
+    cond = np.empty(n)
     for m in range(n):
+        factor = a0 + m * a_step
         _ztrtrs(
-            _U, _T, _N, n_arg, k_arg, a0 + m * a_step, n_arg,
-            x0 + m * x_step, n_arg, info_arg, _ONE, _ONE, _ONE,
+            _U, _T, _N, size_arg, k_arg, factor, size_arg,
+            x0 + m * x_step, size_arg, info_arg, _ONE, _ONE, _ONE,
         )
         if info.value != 0:
             raise LinalgError(f"ztrtrs failed with info = {info.value} at stack index {m}")
-    return np.ascontiguousarray(x.transpose(0, 2, 1))
-
-
-def condition_estimate(factors: LUFactors | np.ndarray, anorm):
-    """1-norm condition number estimates from LU or Cholesky factors (LAPACK gecon/pocon).
-
-    For LU factors of one matrix with 1-norm ``anorm`` the result is a float.
-    Any other ``factors`` is a stack (n, L, L) of lower Cholesky factors, as
-    :func:`cholesky_logdet` returns them; ``anorm`` holds the n 1-norms and
-    the result is an (n,) array; the work arrays, integer arguments and
-    base address are made once, as in :func:`half_solve`.  For a = R R^dag
-    the estimate is taken on conj(a) = U^dag U with U = R^T, which has the
-    same condition number and 1-norm.  A failed or zero estimate reads inf.
-    """
-    info, rcond = ctypes.c_int64(), ctypes.c_double()
-    if isinstance(factors, LUFactors):
-        n = factors.lu.shape[0]
-        work, rwork = np.empty(2 * n, dtype=complex), np.empty(2 * n)
-        _zgecon(
-            _NORM1, _int(n), factors.lu.ctypes.data, _int(max(1, n)),
-            ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
-            work.ctypes.data, rwork.ctypes.data, ctypes.byref(info), _ONE,
-        )
-        return np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
-    lower = _factor_stack(factors)
-    n, size = lower.shape[:2]
-    anorm = np.asarray(anorm, dtype=float)
-    if anorm.shape != (n,):
-        raise ValueError(f"need one 1-norm per factor, got shape {anorm.shape} for {n} factors")
-    work, rwork = np.empty(2 * size, dtype=complex), np.empty(size)
-    norm = ctypes.c_double()
-    size_arg, norm_arg, rcond_arg, info_arg = _int(size), ctypes.byref(norm), ctypes.byref(rcond), ctypes.byref(info)
-    a0, a_step = lower.ctypes.data, lower.strides[0]
-    w0, r0 = work.ctypes.data, rwork.ctypes.data
-    out = np.empty(n)
-    for m in range(n):
         norm.value = anorm[m]
-        _zpocon(_U, size_arg, a0 + m * a_step, size_arg, norm_arg, rcond_arg, w0, r0, info_arg, _ONE)
-        out[m] = np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
-    return out
+        _zpocon(_U, size_arg, factor, size_arg, norm_arg, rcond_arg, w0, r0, info_arg, _ONE)
+        cond[m] = np.inf if info.value != 0 or not rcond.value > 0.0 else 1.0 / rcond.value
+    return np.ascontiguousarray(x.transpose(0, 2, 1)), log_det, cond
 
 
 def _schur(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

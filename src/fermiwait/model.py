@@ -195,11 +195,12 @@ class SingleParticleSet:
 class GaussianState:
     """Gaussian fermionic state held as a covariance matrix C_ij = <c_j^dag c_i>.
 
-    ``kind`` is "steady", "vacuum" or "custom".  The vacuum has C = 0
-    exactly; the density kernel dispatches on ``kind == "vacuum"`` to its
-    analytic boundary blocks, which never read C.  C is decomposed once, by
-    ``eigh``, to check that its spectrum lies in [0, 1]; ``eig`` keeps the
-    eigenvalues (ascending) and eigenvectors for the density kernel.
+    C is L x L with L >= 2.  ``kind`` is "steady", "vacuum" or "custom".  A
+    vacuum must have C = 0 exactly: the density kernel dispatches on
+    ``kind == "vacuum"`` to its analytic boundary blocks, which never read
+    C.  C is decomposed once, by ``eigh``, to check that its spectrum lies
+    in [0, 1]; ``eig`` keeps the eigenvalues (ascending) and eigenvectors
+    for the density kernel.
     """
 
     C: np.ndarray
@@ -210,8 +211,12 @@ class GaussianState:
         if self.kind not in ("steady", "vacuum", "custom"):
             raise ValueError(f"unknown state kind {self.kind!r}")
         c = np.asarray(self.C, dtype=complex)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
+            raise ValueError(f"covariance matrix must be L x L with L >= 2, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("covariance matrix must be finite")
+        if self.kind == "vacuum" and np.any(c != 0):
+            raise ValueError("a vacuum state must have C = 0")
         if np.linalg.norm(c - c.conj().T) > 1e-10 * max(1.0, np.linalg.norm(c)):
             raise ValueError("covariance matrix must be Hermitian")
         evals, vecs = np.linalg.eigh(c)
@@ -278,6 +283,4 @@ def vacuum_state(L: int) -> GaussianState:
     Its densities come from analytic boundary blocks, dispatched on
     ``kind == "vacuum"``, through the same assembly as every other state.
     """
-    if L < 2:
-        raise ValueError("chain needs L >= 2 sites")
     return GaussianState(C=np.zeros((L, L), dtype=complex), kind="vacuum")

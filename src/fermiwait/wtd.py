@@ -76,18 +76,18 @@ table: ``wtd_density_matrix`` takes one time or such a stack and returns a
 (4, 4) or an (n, 4, 4) array, matrix m of a stack equal to the call at t[m]
 alone bitwise; ``wtd_curve`` reads entry (k, q) of one stack of the whole
 grid, and ``wtd_density`` is the curve of one time.  On the eigenbasis form
-the B matrices of a part of the stack are built as one (n, L, L) array and
-factorized by one call of numpy's batched Cholesky; the right-hand sides,
-the Gram blocks and the assembly of the densities are batched as well.
-What has no batched LAPACK routine takes the whole part in one call that
-loops over its times inside ``linalg``: the condition estimate
-(``zpocon``) and the eight-column triangular solve (``ztrtrs``; numpy has
-no batched triangular solve, and a row-by-row batched substitution saves
-about a microsecond a time at L <= 5 but costs three to four times the
-per-time call from L = 50 on).  Every time on the LU form is its own
-part.  A part that the batched Cholesky refuses is evaluated again one
-time at a time, and a time refused alone takes the LU form, so only the
-refused times leave the eigenbasis form.  One part holds at most
+the B matrices and right-hand sides of a part of the stack are built as
+(n, L, L) and (n, L, 8) arrays and handed to one call,
+``linalg.cholesky_half_solve``: one batched Cholesky factorization of the
+part, then one loop over its times that makes the eight-column triangular
+solve (``ztrtrs``) and the condition estimate (``zpocon``) of each time
+(numpy has no batched triangular solve, and a row-by-row batched
+substitution saves about a microsecond a time at L <= 5 but costs three to
+four times the per-time call from L = 50 on).  The Gram blocks and the
+assembly of the densities are batched as well.  Every time on the LU form
+is its own part.  A part that the batched Cholesky refuses is evaluated
+again one time at a time, and a time refused alone takes the LU form, so
+only the refused times leave the eigenbasis form.  One part holds at most
 ``STACK_BYTES`` of L x L matrices, so a quadrature round at L = 200-400
 does not grow the memory.
 
@@ -142,9 +142,8 @@ import numpy as np
 from .linalg import (
     NotPositiveDefiniteError,
     blas_threads,
-    cholesky_logdet,
+    cholesky_half_solve,
     condition_estimate,
-    half_solve,
     lu_logdet,
     solve_factored,
 )
@@ -387,8 +386,8 @@ _GRAM_ROWS, _GRAM_COLS = _gram_index()
 def _eigen_blocks(ts: np.ndarray, e: _Eigenbasis, gamma_total: float) -> _Blocks:
     """The blocks at the times ``ts`` on the eigenbasis form.
 
-    The B matrices of all the times are factorized in one call, which
-    raises :class:`NotPositiveDefiniteError` if it refuses any of them.
+    The B matrices of all the times go to one ``cholesky_half_solve`` call,
+    which raises :class:`NotPositiveDefiniteError` if it refuses any of them.
     """
     wt = ts[:, None] * e.w
     grow = np.maximum(wt.real, 0.0)  # log d_b
@@ -397,15 +396,12 @@ def _eigen_blocks(ts: np.ndarray, e: _Eigenbasis, gamma_total: float) -> _Blocks
     ds_bar = ds.conj()
     bmat = e.z * (inv_db * inv_db.transpose(0, 2, 1))
     bmat += e.s * (ds_bar * ds.transpose(0, 2, 1))
-    lower, log_det_b = cholesky_logdet(bmat)
-    anorm = np.abs(bmat).sum(axis=1).max(axis=1)
 
     # R^-1 [X, Y, U, F] for B = R R^dag: the only solve, eight columns; its
     # Gram matrix holds every quadratic form the blocks need.
     f = ds_bar * (e.s @ (ds * e.vinv_n_b)) - inv_db * e.zvinv_g_b
     cols = np.concatenate((e.vh_b * inv_db, e.vh_b * ds_bar, e.zvinv_b * inv_db, f), axis=2)
-    cond = condition_estimate(lower, anorm)
-    half = half_solve(lower, cols)
+    half, log_det_b, cond = cholesky_half_solve(bmat, cols)
     gram = half[:, :, :6].conj().transpose(0, 2, 1) @ half
     m = gram[:, _GRAM_ROWS, _GRAM_COLS]
     m[:, _INJ_SAME] += e.k_g
@@ -676,6 +672,8 @@ def _densities(
     The one evaluator behind every density: the blocks of the whole stack
     (``_build_blocks``) assembled at once (``_assemble``).
     """
+    if state.L != sp.L:
+        raise ValueError(f"state has {state.L} sites, the single-particle set {sp.L}")
     if ts.size == 0:
         return np.zeros((0, 4, 4)), np.zeros(0)
     blocks = _build_blocks(ts, state, sp)

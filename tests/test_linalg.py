@@ -15,11 +15,11 @@ from fermiwait.linalg import (
     PROPAGATOR_COND_MAX,
     LinalgError,
     Propagator,
+    NotPositiveDefiniteError,
     SingularMatrixError,
-    cholesky_logdet,
+    cholesky_half_solve,
     condition_estimate,
     expm,
-    half_solve,
     lu_logdet,
     lyapunov_solve,
     solve_factored,
@@ -109,12 +109,10 @@ class TestExpm:
             expm(np.stack([np.zeros((2, 2)), 800.0 * np.eye(2)]))
 
 
-def cholesky_stack(rng, n, size):
-    """Factors of a stack of n well-conditioned Hermitian positive definite matrices, and their 1-norms."""
+def hpd_stack(rng, n, size):
+    """A stack of n well-conditioned Hermitian positive definite matrices."""
     m = np.array([random_complex(rng, size) for _ in range(n)])
-    a = m @ m.conj().transpose(0, 2, 1) + size * np.eye(size)
-    factor, _ = cholesky_logdet(a)
-    return factor, np.abs(a).sum(axis=1).max(axis=1)
+    return m @ m.conj().transpose(0, 2, 1) + size * np.eye(size)
 
 
 @pytest.mark.usefixtures("one_blas_thread")
@@ -126,22 +124,26 @@ class TestLapackBindings:
     def test_ztrtrs_matches_scipy_bitwise(self):
         rng = np.random.default_rng(30)
         for size in self.SIZES:
-            factor, _ = cholesky_stack(rng, 3, size)
+            a = hpd_stack(rng, 3, size)
             b = np.array([random_complex(rng, size)[:, : min(size, 8)] for _ in range(3)])
-            x = half_solve(factor, b)
+            x, log_det, _ = cholesky_half_solve(a, b)
             assert x.flags.c_contiguous
+            factor = np.linalg.cholesky(a)
             for i in range(3):
                 want, info = lapack.ztrtrs(factor[i].T, b[i], lower=0, trans=1)
                 assert info == 0
                 assert np.array_equal(x[i], want)
+                assert abs(log_det[i] - np.linalg.slogdet(a[i])[1]) <= 1e-12 * max(1.0, abs(log_det[i]))
 
     def test_zpocon_matches_scipy_bitwise(self):
         rng = np.random.default_rng(31)
         for size in self.SIZES:
-            factor, anorm = cholesky_stack(rng, 3, size)
-            cond = condition_estimate(factor, anorm)
+            a = hpd_stack(rng, 3, size)
+            _, _, cond = cholesky_half_solve(a, np.zeros((3, size, 1)))
+            factor = np.linalg.cholesky(a)
             for i in range(3):
-                rcond, info = lapack.zpocon(factor[i].T, float(anorm[i]), uplo="U")
+                anorm = float(np.abs(a[i]).sum(axis=0).max())
+                rcond, info = lapack.zpocon(factor[i].T, anorm, uplo="U")
                 assert info == 0
                 assert cond[i] == 1.0 / rcond
 
@@ -187,22 +189,20 @@ class TestLapackBindings:
     def test_stacked_calls_equal_calls_per_time(self):
         rng = np.random.default_rng(34)
         for size in (2, 5, 40):
-            factor, anorm = cholesky_stack(rng, 6, size)
+            a = hpd_stack(rng, 6, size)
             b = np.array([random_complex(rng, size)[:, :2] for _ in range(6)])
-            x, cond = half_solve(factor, b), condition_estimate(factor, anorm)
+            stacked = cholesky_half_solve(a, b)
             for i in range(6):
-                one = factor[i : i + 1]
-                assert np.array_equal(half_solve(one, b[i : i + 1])[0], x[i])
-                assert condition_estimate(one, anorm[i : i + 1])[0] == cond[i]
+                one = cholesky_half_solve(a[i : i + 1], b[i : i + 1])
+                for got, want in zip(one, stacked):
+                    assert np.array_equal(got[0], want[i])
 
     def test_stack_shapes_are_checked(self):
-        factor, anorm = cholesky_stack(np.random.default_rng(35), 2, 3)
+        a = hpd_stack(np.random.default_rng(35), 2, 3)
         with pytest.raises(ValueError, match="stack"):
-            half_solve(factor[0], np.zeros((3, 2)))
+            cholesky_half_solve(a[0], np.zeros((3, 2)))
         with pytest.raises(ValueError, match="stack"):
-            half_solve(factor, np.zeros((2, 4, 2)))
-        with pytest.raises(ValueError, match="1-norm"):
-            condition_estimate(factor, anorm[:1])
+            cholesky_half_solve(a, np.zeros((2, 4, 2)))
 
     @staticmethod
     def import_error(patch: str) -> str:
@@ -239,6 +239,32 @@ class TestLapackBindings:
             glob.glob = lambda pattern: []
         """)
         assert "numpy.libs" in message and "libscipy_openblas64_" in message
+
+
+class TestCholeskyRefusal:
+    """A stack with one matrix that is not positive definite is refused as a whole."""
+
+    def test_indefinite_member_is_refused(self):
+        a = hpd_stack(np.random.default_rng(36), 3, 4)
+        a[1] -= 2.0 * np.linalg.eigvalsh(a[1])[-1] * np.eye(4)  # every eigenvalue negative
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_half_solve(a, np.zeros((3, 4, 2)))
+
+    def test_nan_member_is_refused(self):
+        # numpy's Cholesky returns NaN factors without raising, so only the
+        # finite-log-det check refuses this stack.
+        a = hpd_stack(np.random.default_rng(37), 3, 4)
+        a[2, 1, 1] = np.nan
+        with pytest.raises(NotPositiveDefiniteError, match="log det"):
+            cholesky_half_solve(a, np.zeros((3, 4, 2)))
+
+    def test_nan_in_the_unread_triangle_reads_as_infinite_condition(self):
+        # The factorization reads the lower triangles only; the NaN 1-norm
+        # gives a NaN estimate, which must not pass for a well-conditioned one.
+        a = hpd_stack(np.random.default_rng(38), 2, 4)
+        a[1, 0, 3] = np.nan
+        _, _, cond = cholesky_half_solve(a, np.zeros((2, 4, 1)))
+        assert np.isfinite(cond[0]) and cond[1] == np.inf
 
 
 class TestPropagator:

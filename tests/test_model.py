@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 
@@ -214,6 +215,17 @@ class TestGaussianState:
     def test_rejects_non_finite_covariance(self, c):
         with pytest.raises(ValueError, match="covariance matrix must be finite"):
             GaussianState(C=c)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3,), (0, 0), (1, 1)], ids=["2x3", "1-D", "0x0", "1x1"]
+    )
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"L >= 2, got shape {shape}")):
+            GaussianState(C=np.zeros(shape))
+
+    def test_vacuum_must_be_empty(self, sv_spec):
+        with pytest.raises(ValueError, match="vacuum state must have C = 0"):
+            GaussianState(C=steady_state(sv_spec).C, kind="vacuum")
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -216,6 +216,14 @@ class TestNumericalHygiene:
             with pytest.raises(ValueError, match="finite"):
                 wtd_density(t, sv_channels["L-"], sv_channels["1+"], vacuum_state(2), sv_sp)
 
+    @pytest.mark.parametrize("kind", ["steady", "vacuum"])
+    def test_state_and_set_sizes_must_match(self, kind):
+        # A 3-site vacuum with a 4-site set used to return densities.
+        state = steady_state(generic_spec(3)) if kind == "steady" else vacuum_state(3)
+        sp = derive_single_particle(tight_binding_spec(4))
+        with pytest.raises(ValueError, match="state has 3 sites, the single-particle set 4"):
+            wtd_density_matrix(1.0, state, sp)
+
     def test_condition_flagging(self, sv_spec, sv_sp, sv_channels, monkeypatch):
         st = steady_state(sv_spec)
         k, q = sv_channels["L-"], sv_channels["1+"]
@@ -339,7 +347,9 @@ def kernel_forms(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(wtdmod, "cholesky_logdet", counted("eigenbasis", wtdmod.cholesky_logdet))
+    monkeypatch.setattr(
+        wtdmod, "cholesky_half_solve", counted("eigenbasis", wtdmod.cholesky_half_solve)
+    )
     monkeypatch.setattr(wtdmod, "lu_logdet", counted("lu", wtdmod.lu_logdet))
     return calls
 
@@ -452,10 +462,10 @@ class TestFormSelection:
             (ts, wtd_density_matrix(ts, st, derive_single_particle(spec))) for ts in (2.0, STACK_TIMES)
         ]
 
-        def refuse(a):
+        def refuse(a, b):
             raise NotPositiveDefiniteError("forced")
 
-        monkeypatch.setattr(wtdmod, "cholesky_logdet", refuse)
+        monkeypatch.setattr(wtdmod, "cholesky_half_solve", refuse)
         for ts, clean in cases:
             kernel_forms.update(eigenbasis=0, lu=0)
             forced = wtd_density_matrix(ts, st, derive_single_particle(spec))
@@ -527,18 +537,20 @@ class TestStackedTimes:
         spec = generic_spec(3)
         sp = derive_single_particle(spec)
         st = steady_state(spec)
-        real = wtdmod.cholesky_logdet
+        real = wtdmod.cholesky_half_solve
         seen = []
-        monkeypatch.setattr(wtdmod, "cholesky_logdet", lambda a: seen.append(a.copy()) or real(a))
+        monkeypatch.setattr(
+            wtdmod, "cholesky_half_solve", lambda a, b: seen.append(a.copy()) or real(a, b)
+        )
         wtd_density_matrix(self.TIMES[3], st, sp)
         (poisoned,) = seen
 
-        def refuse_one(a):
+        def refuse_one(a, b):
             if any(np.array_equal(m, poisoned[0]) for m in a):
                 raise NotPositiveDefiniteError("forced")
-            return real(a)
+            return real(a, b)
 
-        monkeypatch.setattr(wtdmod, "cholesky_logdet", refuse_one)
+        monkeypatch.setattr(wtdmod, "cholesky_half_solve", refuse_one)
         kernel_forms.update(eigenbasis=0, lu=0)
         stack = wtd_density_matrix(self.TIMES, st, sp)
         # The stack is refused, then each time is factorized alone: all but
@@ -653,18 +665,20 @@ class TestBlockPool:
         st = steady_state(spec)
         ts = np.linspace(0.0, 60.0, 11)
         clean = wtdmod._build_blocks(ts, st, sp)
-        real = wtdmod.cholesky_logdet
+        real = wtdmod.cholesky_half_solve
         seen = []
-        monkeypatch.setattr(wtdmod, "cholesky_logdet", lambda a: seen.append(a.copy()) or real(a))
+        monkeypatch.setattr(
+            wtdmod, "cholesky_half_solve", lambda a, b: seen.append(a.copy()) or real(a, b)
+        )
         wtdmod._build_blocks(ts[4:5], st, sp)
         poisoned = seen[0][0]
 
-        def refuse_one(a):
+        def refuse_one(a, b):
             if any(np.array_equal(m, poisoned) for m in a):
                 raise NotPositiveDefiniteError("forced")
-            return real(a)
+            return real(a, b)
 
-        monkeypatch.setattr(wtdmod, "cholesky_logdet", refuse_one)
+        monkeypatch.setattr(wtdmod, "cholesky_half_solve", refuse_one)
         monkeypatch.setattr(wtdmod, "STACK_BYTES", 3 * 16 * 3**2)  # four parts of up to 3 times
         kernel_forms.update(eigenbasis=0, lu=0)
         blocks = self._pooled_and_serial(monkeypatch, ts, st, sp)

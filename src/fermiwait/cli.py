@@ -21,9 +21,15 @@ import ctypes
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    # OpenBLAS reads its thread count once, when numpy loads it; a process
+    # that has not loaded it yet starts on one thread (see ``main``).
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -50,9 +56,14 @@ VERIFY_DEFAULT_MAX_SITES = 4
 
 
 def _load_config(args) -> RunConfig:
+    """The run's config, with its output directory made before any computing."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig().validate()
     if getattr(args, "out", None):
         cfg.out_dir = args.out
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path or one of its parents is a file
+        raise ConfigError(f"output.dir: {exc}") from None
     return cfg
 
 
@@ -61,7 +72,6 @@ def _config_comment_lines(cfg: RunConfig) -> list[str]:
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: str, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in _config_comment_lines(cfg):
             fh.write(line + "\n")
@@ -87,7 +97,6 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -295,7 +304,6 @@ def cmd_verify(args) -> int:
     report, diagnostics = run_verification(cfg, seed=args.seed)
     print(report.to_text())
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "verify.json", {"config": cfg.to_dict(), **report.to_dict(), **diagnostics}
     )
@@ -437,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # The package's parallelism is its own two phases (``wtd`` thread policy);
-    # BLAS threads under them would only contend for the same cores.
+    # BLAS threads under them would only contend for the same cores.  Importing
+    # this module pinned OpenBLAS before it loaded, unless numpy came first;
+    # this call pins it always.
     set_blas_threads(1)
     _keep_freed_memory()
     parser = build_parser()

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -164,9 +165,14 @@ class RunConfig:
         path = Path(self.h_file)
         if not path.is_absolute():
             path = base / path
-        if not path.exists():
-            raise ConfigError(f"model.h_file: file not found: {path}")
-        raw = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty file; checked below
+                raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        except (OSError, ValueError) as exc:  # unreadable, not numbers or ragged rows
+            raise ConfigError(f"model.h_file: cannot read {path}: {exc}") from None
+        if raw.size == 0:
+            raise ConfigError(f"model.h_file: no values in {path}")
         if raw.shape[1] != 2 * raw.shape[0]:
             raise ConfigError(
                 f"model.h_file: expected {raw.shape[0]} rows of {2 * raw.shape[0]} "

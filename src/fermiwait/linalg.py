@@ -26,7 +26,9 @@ at import; integer arguments are made once per call and shared by every
 argument that takes the same value.  ``OPENBLAS`` is the one handle on that
 library, so numpy's matrix products and these routines run on the same
 BLAS; :func:`blas_threads` reads its thread count and
-:func:`set_blas_threads` sets it (``cli.main`` pins it to one).  There is
+:func:`set_blas_threads` sets it (the command line pins it to one: through
+``OPENBLAS_NUM_THREADS`` before it loads when ``cli`` is imported before
+numpy, and in ``cli.main`` always).  There is
 one set of bindings and no second provider: if the library or one of the
 symbols is missing, importing this module raises an ImportError naming the
 library path and the symbol.  ctypes releases the GIL for the length of
@@ -153,7 +155,7 @@ def _as_square(a, name="matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -270,14 +272,17 @@ def lu_logdet(a) -> tuple[LUFactors, LogDet]:
     piv = np.empty(n, dtype=np.int64)
     info = ctypes.c_int64()
     n_arg = _int(n)
-    _zgetrf(n_arg, n_arg, lu.ctypes.data, _int(max(1, n)), piv.ctypes.data, ctypes.byref(info))
+    lda = n_arg if n else _int(1)
+    _zgetrf(n_arg, n_arg, lu.ctypes.data, lda, piv.ctypes.data, ctypes.byref(info))
     _check_info("zgetrf", info)
     if info.value > 0:
         raise SingularMatrixError(info.value - 1)
-    diag = np.diagonal(lu)
+    # Array methods and ufuncs rather than np.sum and np.angle, whose Python
+    # wrappers cost more than the reductions at small n; same arithmetic.
+    diag = lu.diagonal()
     sign = 1.0 if np.count_nonzero(piv != np.arange(1, n + 1)) % 2 == 0 else -1.0
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    phase = sign * np.exp(1j * np.sum(np.angle(diag)))
+    log_abs = float(np.log(np.abs(diag)).sum())
+    phase = sign * np.exp(1j * np.arctan2(diag.imag, diag.real).sum())
     return LUFactors(lu, piv), LogDet(log_abs, complex(phase))
 
 
@@ -289,9 +294,10 @@ def solve_factored(factors: LUFactors, b) -> np.ndarray:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, the matrix {n}")
     x = np.array(b.reshape(n, -1), order="F")
     info = ctypes.c_int64()
-    lda = _int(max(1, n))
+    n_arg = _int(n)
+    lda = n_arg if n else _int(1)
     _zgetrs(
-        _N, _int(n), _int(x.shape[1]), factors.lu.ctypes.data, lda,
+        _N, n_arg, _int(x.shape[1]), factors.lu.ctypes.data, lda,
         factors.piv.ctypes.data, x.ctypes.data, lda, ctypes.byref(info), _ONE,
     )
     if info.value != 0:
@@ -306,11 +312,13 @@ def condition_estimate(factors: LUFactors, anorm: float) -> float:
     """
     n = factors.lu.shape[0]
     info, rcond = ctypes.c_int64(), ctypes.c_double()
-    work, rwork = np.empty(2 * n, dtype=complex), np.empty(2 * n)
+    n_arg = _int(n)
+    work = np.empty(3 * n, dtype=complex)  # work(2n), then rwork(2n) in the last n slots
+    w0 = work.ctypes.data
     _zgecon(
-        _NORM1, _int(n), factors.lu.ctypes.data, _int(max(1, n)),
+        _NORM1, n_arg, factors.lu.ctypes.data, n_arg if n else _int(1),
         ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
-        work.ctypes.data, rwork.ctypes.data, ctypes.byref(info), _ONE,
+        w0, w0 + 32 * n, ctypes.byref(info), _ONE,
     )
     return np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
 

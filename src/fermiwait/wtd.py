@@ -110,10 +110,12 @@ one worker thread while the calling thread solves for the initial state,
 and the pool of ``_build_blocks`` runs over the parts of a stack.  Below
 that size no thread starts.  The command line pins numpy's bundled
 OpenBLAS, the one BLAS and LAPACK of the package (``linalg.OPENBLAS``), to
-one thread (``cli.main``), so BLAS threads never nest under either phase's
-threads, and keeps freed memory in the heap (``cli._keep_freed_memory``),
-so the workers do not fault their temporaries' pages in afresh at every
-part.  With one BLAS thread each phase's results are bitwise those of
+one thread: before the library loads when it can (importing ``cli`` before
+numpy sets ``OPENBLAS_NUM_THREADS=1``, so OpenBLAS never starts a worker
+thread), and in ``cli.main`` always.  So BLAS threads never nest under
+either phase's threads.  It also keeps freed memory in the heap
+(``cli._keep_freed_memory``), so the workers do not fault their
+temporaries' pages in afresh at every part.  With one BLAS thread each phase's results are bitwise those of
 running its steps in order.  The library never changes the BLAS setting;
 while BLAS runs on more than one thread (``linalg.blas_threads``) no phase
 starts a thread, so a library caller gets BLAS's threads or the phases',

@@ -115,17 +115,32 @@ class TestRunConfig:
         assert key in capsys.readouterr().err
 
 
+#: The variables OpenBLAS reads its thread count from.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS"
+)
+
+
+def _fresh_env() -> dict:
+    """This session's environment on this checkout's package, with no BLAS thread variable.
+
+    A variable inherited from the session would set the thread count the
+    command line has to set itself.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fermiwait.wtd.__file__))
+    return env
+
+
 def _run_python(code: str) -> list[str]:
     """Run ``code`` in a fresh interpreter on this checkout's package.
 
     Returns the lines of its standard output that start with "@", the
     prefix of the lines ``code`` prints for the test, without the prefix.
     """
-    src = os.path.dirname(os.path.dirname(fermiwait.wtd.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
+        env=_fresh_env(), capture_output=True, text=True, check=True, timeout=300,
     )
     return [line[1:] for line in out.stdout.splitlines() if line.startswith("@")]
 
@@ -148,6 +163,84 @@ class TestThreadPolicy:
             print("@" + str(rc), blas_threads(), *mapped)
         """)
         assert out == ["0 1"]
+
+
+class TestEarlyThreadPin:
+    """``import fermiwait.cli`` sets the one-thread policy before numpy loads OpenBLAS."""
+
+    def test_import_alone_starts_openblas_on_one_thread(self):
+        # OpenBLAS starts its worker threads when it loads; a later pin
+        # leaves them in the process.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("reads /proc/self/task")
+        out = _run_python("""
+            import os
+            import fermiwait.cli
+            from fermiwait.linalg import blas_threads
+            print("@" + str(len(os.listdir("/proc/self/task"))), blas_threads())
+        """)
+        assert out == ["1 1"]
+
+    def test_import_after_numpy_leaves_the_environment_alone(self):
+        out = _run_python("""
+            import os
+            import numpy
+            before = dict(os.environ)
+            import fermiwait.cli
+            print("@" + str(dict(os.environ) == before))
+        """)
+        assert out == ["True"]
+
+
+PUBLIC_NAMES = sorted([
+    "CHANNEL_ORDER", "ChainSpec", "Channel", "ChannelStats", "FockOracle", "GaussianState",
+    "LogDet", "QuadraticFormChain", "QuadratureResult", "SingleParticleSet", "WtdCurve",
+    "WtdPoint", "bss_trace", "build_fermions", "build_liouvillian", "build_tight_binding",
+    "can_click", "channel_stats", "channels", "default_time_grid", "derive_single_particle",
+    "expm", "fock", "integrate_semiinfinite", "jump_frequencies", "linalg", "lu_logdet",
+    "lyapunov_solve", "model", "natd", "stats", "steady_state", "trace_one_insert",
+    "tracedet", "vacuum_state", "verify_tracedet", "wtd", "wtd_curve", "wtd_density",
+    "wtd_density_matrix",
+])
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy_and_every_name_resolves(self):
+        out = _run_python("""
+            import sys
+            import fermiwait
+            print("@numpy", "numpy" in sys.modules)
+            print("@all", *sorted(fermiwait.__all__))
+            star = {}
+            exec("from fermiwait import *", star)
+            print("@star", *sorted(k for k in star if k != "__builtins__"))
+            print("@same", all(star[k] is getattr(fermiwait, k) for k in fermiwait.__all__))
+            print("@owned", fermiwait.wtd_curve is fermiwait.wtd.wtd_curve)
+        """)
+        names = " ".join(PUBLIC_NAMES)
+        assert out == ["numpy False", f"all {names}", f"star {names}", "same True", "owned True"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import fermiwait
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            fermiwait.no_such_name
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_command_line(self, tmp_path):
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "fermiwait", *argv], env=_fresh_env(),
+                capture_output=True, text=True, timeout=300,
+            )
+
+        shown = run("--help")
+        assert shown.returncode == 0
+        assert "{wtd,natd,stats,verify,bench}" in shown.stdout
+        done = run("stats", "--out", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert json.loads((tmp_path / "stats.json").read_text())["order"] == list(CHANNEL_ORDER)
 
 
 class TestAllocator:
@@ -261,6 +354,57 @@ class TestWtdCommand:
         rc = main(["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)])
         assert rc == 1
         assert "h_file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "h_file, text",
+        [
+            ("h.csv", "abc,0.0,-1.0,0.0\n-1.0,0.0,-1.0,0.0\n"),  # not a number
+            ("h.csv", "-1.0,0.0,-1.0,0.0\n-1.0,0.0\n"),  # ragged rows
+            ("h.csv", ""),  # empty
+            (".", None),  # a directory
+        ],
+        ids=["not-a-number", "ragged", "empty", "directory"],
+    )
+    def test_unreadable_hamiltonian_file_is_one_validation_error(
+        self, tmp_path, capsys, h_file, text
+    ):
+        if text is not None:
+            (tmp_path / h_file).write_text(text)
+        body = DEFAULT_CONFIG.replace("kind = tight_binding", f"kind = custom_h\nh_file = {h_file}")
+        cfg = write_config(tmp_path / "run.ini", body)
+        rc = main(["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.h_file: ")
+        assert err.count("\n") == 1
+
+
+class TestOutputDirectory:
+    """--out is made before any computing, and a path that cannot be a directory is refused."""
+
+    @pytest.mark.parametrize(
+        "command", [["wtd", "--from", "1+", "--to", "L-"], ["verify"]], ids=["wtd", "verify"]
+    )
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_is_refused_before_computing(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        def unreachable(*args):
+            raise AssertionError("prepare was reached")
+
+        monkeypatch.setattr(fermiwait.wtd, "prepare", unreachable)
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: output.dir: ")
+
+    def test_missing_out_is_made(self, tmp_path):
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        out = tmp_path / "a" / "b"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "verify.json").exists() and (out / "verify.txt").exists()
 
 
 class TestSetupErrors:

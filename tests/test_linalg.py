@@ -327,6 +327,16 @@ class TestLuLogdet:
                 ref = complex(mpmath.det(mpmath.matrix(a.tolist())))
                 assert abs(ld.value - ref) < 1e-10 * abs(ref)
 
+    def test_log_det_is_the_pivot_product_bitwise(self):
+        # The plain numpy expressions of the LU determinant, as reference.
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 5, 17, 64):
+            factors, ld = lu_logdet(random_complex(rng, size))
+            diag = np.diagonal(factors.lu)
+            swaps = np.count_nonzero(factors.piv != np.arange(1, size + 1))
+            assert ld.log_abs == float(np.sum(np.log(np.abs(diag))))
+            assert ld.phase == complex((-1.0) ** swaps * np.exp(1j * np.sum(np.angle(diag))))
+
     def test_phase_is_unit_modulus(self):
         rng = np.random.default_rng(4)
         for _ in range(5):

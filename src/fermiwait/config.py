@@ -131,10 +131,14 @@ class RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         parser.optionxform = str  # keys are case-sensitive ("L" stays "L")
         try:
-            parser.read_string(path.read_text(encoding="utf-8"))
+            parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         cfg = cls(source=str(path))

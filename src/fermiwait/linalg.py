@@ -19,7 +19,8 @@ hidden length of each character argument passed last.  They are
   estimate) in :func:`lu_logdet`, :func:`solve_factored` and
   :func:`condition_estimate`;
 - ``ztrtrs`` and ``zpocon`` (triangular solve and condition estimate on
-  Cholesky factors), both in :func:`cholesky_half_solve`.
+  Cholesky factors), both in :func:`cholesky_half_solve`, which calls them
+  only for stacks of more than ``BATCHED_SOLVE_MAX_SITES`` rows.
 
 Character arguments and their hidden lengths are ctypes objects made once
 at import; integer arguments are made once per call and shared by every
@@ -323,21 +324,45 @@ def condition_estimate(factors: LUFactors, anorm: float) -> float:
     return np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
 
 
+#: Largest L at which :func:`cholesky_half_solve` inverts a stack's
+#: Cholesky factors in one batched call instead of calling ztrtrs and zpocon
+#: once per time.  Microseconds per time on two cores, one BLAS thread,
+#: eight right-hand sides, min of 15 rounds; a stack holds wtd.STACK_BYTES
+#: of matrices (at most 135 times), "one" is a stack of one time:
+#:
+#:     L              2    4    6    7    8    9   10   11   12   16
+#:     loop, stack  6.1  6.8  7.7  8.4  9.0 10.1 10.6 11.1 11.3 13.9
+#:     inv, stack   1.4  2.0  3.1  4.0  4.3  5.8  6.9  8.6  9.0 15.3
+#:     loop, one   32.7 32.2 33.1 34.9 35.1 37.5 36.4 37.1 37.5 39.4
+#:     inv, one    31.1 31.2 32.3 34.4 33.1 36.6 37.4 37.6 38.6 43.4
+#:
+#: Up to 8 the inverse is about twice as fast on stacks and no slower on one
+#: time; from 9 on the stacked gain shrinks, from 10 on one time costs more,
+#: and from 16 on stacks do too.
+BATCHED_SOLVE_MAX_SITES = 8
+
+
 def cholesky_half_solve(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R^-1 B, log det a and cond(a) for each a = R R^dag of a stack.
 
     ``a`` is a stack (n, L, L) of Hermitian positive definite matrices and
     ``b`` a stack (n, L, k), so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
     Returns the C-contiguous (n, L, k) R^-1 B and the (n,) log determinants
-    and 1-norm condition estimates (inf where the estimate fails or is not
-    positive).  One call of numpy's batched Cholesky, which reads the lower
-    triangles and releases the GIL, factorizes the stack;
-    :class:`NotPositiveDefiniteError` is raised if any matrix is not
-    numerically positive definite, a non-finite lower triangle included.
-    Then one loop calls LAPACK ztrtrs and zpocon on the Fortran-ordered view
-    U = R^T of each factor, the upper factor of conj(a) = U^dag U, which has
-    a's condition number and 1-norm; only the matrix pointers change per
-    step.
+    and 1-norm condition numbers (inf where the number is NaN or not
+    positive, or LAPACK's estimate fails).  One call of numpy's batched
+    Cholesky, which reads the lower triangles and releases the GIL,
+    factorizes the stack; :class:`NotPositiveDefiniteError` is raised if any
+    matrix is not numerically positive definite, a non-finite lower triangle
+    included.  The rest depends on L alone, never on n, so matrix m of a
+    stack comes out bitwise as the call on it alone:
+
+    - up to ``BATCHED_SOLVE_MAX_SITES`` rows, one batched ``inv`` of the
+      factors gives R^-1, one batched product R^-1 B, and
+      ||a||_1 ||R^-dag R^-1||_1 the exact condition number;
+    - above, one loop calls LAPACK ztrtrs and zpocon (an estimate of the
+      condition number, from below) on the Fortran-ordered view U = R^T of
+      each factor, the upper factor of conj(a) = U^dag U, which has a's
+      condition number and 1-norm; only the matrix pointers change per step.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -354,6 +379,10 @@ def cholesky_half_solve(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(log_det)):
         raise NotPositiveDefiniteError("log det is not finite")
     anorm = np.abs(a).sum(axis=1).max(axis=1)
+    if size <= BATCHED_SOLVE_MAX_SITES:
+        r_inv = np.linalg.inv(lower)
+        cond = anorm * np.abs(r_inv.conj().transpose(0, 2, 1) @ r_inv).sum(axis=1).max(axis=1)
+        return r_inv @ b, log_det, np.where(cond > 0.0, cond, np.inf)
     x = np.array(b.transpose(0, 2, 1), order="C")  # x[m] is B_m in Fortran order
     work, rwork = np.empty(2 * size, dtype=complex), np.empty(size)
     info, norm, rcond = ctypes.c_int64(), ctypes.c_double(), ctypes.c_double()

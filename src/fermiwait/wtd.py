@@ -66,9 +66,10 @@ A^{-1} [Gd, Gd G, 1][:, b] multiplied by C and the boundary rows of G and
 
 The imaginary-residue check, the clamp window and its flags and the
 impossible-click rejection are the same on both forms.  ``cond_estimate``
-of a point is LAPACK's 1-norm condition estimate of the matrix factorized
-for it: B (``zpocon``) on the eigenbasis form, A (``zgecon``) on the LU
-form.
+of a point is the 1-norm condition number of the matrix factorized for it:
+on the eigenbasis form that of B, exact up to
+``linalg.BATCHED_SOLVE_MAX_SITES`` sites and LAPACK's estimate from below
+(``zpocon``) above; on the LU form LAPACK's estimate for A (``zgecon``).
 
 Stacks of times.  Every density runs through one evaluator
 (``_densities``) on a 1-D array of n times, which returns the (n, 4, 4)
@@ -79,17 +80,20 @@ grid, and ``wtd_density`` is the curve of one time.  On the eigenbasis form
 the B matrices and right-hand sides of a part of the stack are built as
 (n, L, L) and (n, L, 8) arrays and handed to one call,
 ``linalg.cholesky_half_solve``: one batched Cholesky factorization of the
-part, then one loop over its times that makes the eight-column triangular
-solve (``ztrtrs``) and the condition estimate (``zpocon``) of each time
-(numpy has no batched triangular solve, and a row-by-row batched
-substitution saves about a microsecond a time at L <= 5 but costs three to
-four times the per-time call from L = 50 on).  The Gram blocks and the
-assembly of the densities are batched as well.  Every time on the LU form
-is its own part.  A part that the batched Cholesky refuses is evaluated
-again one time at a time, and a time refused alone takes the LU form, so
-only the refused times leave the eigenbasis form.  One part holds at most
-``STACK_BYTES`` of L x L matrices, so a quadrature round at L = 200-400
-does not grow the memory.
+part, then, up to ``linalg.BATCHED_SOLVE_MAX_SITES`` sites, one batched
+inverse of the factors, one batched product with the eight columns and the
+exact condition number from the inverse, with no step per time; above, one
+loop over the times that makes the eight-column triangular solve
+(``ztrtrs``) and the condition estimate (``zpocon``) of each.  numpy has no
+batched triangular solve, and a row-by-row batched substitution is as fast
+on stacks but costs one Python step per row, which a single time pays in
+full, while the inverse has no row loop.  The path is chosen from L alone.
+The Gram blocks and the assembly of the densities are batched as well.
+Every time on the LU form is its own part.  A part that the batched
+Cholesky refuses is evaluated again one time at a time, and a time refused
+alone takes the LU form, so only the refused times leave the eigenbasis
+form.  One part holds at most ``STACK_BYTES`` of L x L matrices, so a
+quadrature round at L = 200-400 does not grow the memory.
 
 Starting from the vacuum (C = 0), A = 1: T and the three extraction blocks
 vanish, and the injection blocks are (Gd G)[b, b], G[b, b] and Gd[b, b].
@@ -115,14 +119,15 @@ numpy sets ``OPENBLAS_NUM_THREADS=1``, so OpenBLAS never starts a worker
 thread), and in ``cli.main`` always.  So BLAS threads never nest under
 either phase's threads.  It also keeps freed memory in the heap
 (``cli._keep_freed_memory``), so the workers do not fault their
-temporaries' pages in afresh at every part.  With one BLAS thread each phase's results are bitwise those of
-running its steps in order.  The library never changes the BLAS setting;
-while BLAS runs on more than one thread (``linalg.blas_threads``) no phase
-starts a thread, so a library caller gets BLAS's threads or the phases',
-never both.  ``linalg.set_blas_threads(1)`` gives it the command line's
-choice, and ``MALLOC_MMAP_THRESHOLD_=33554432`` and
-``MALLOC_TRIM_THRESHOLD_=67108864`` in the environment before the process
-starts give it the command line's allocator thresholds.
+temporaries' pages in afresh at every part.  With one BLAS thread each
+phase's results are bitwise those of running its steps in order.  The
+library never changes the BLAS setting; while BLAS runs on more than one
+thread (``linalg.blas_threads``) no phase starts a thread, so a library
+caller gets BLAS's threads or the phases', never both.
+``linalg.set_blas_threads(1)`` gives it the command line's choice, and
+``MALLOC_MMAP_THRESHOLD_=33554432`` and ``MALLOC_TRIM_THRESHOLD_=67108864``
+in the environment before the process starts give it the command line's
+allocator thresholds.
 Threads overlap only code that releases the GIL: numpy's linalg gufuncs
 (the Cholesky factorization, ``eig``, ``inv``), large elementwise
 operations and every LAPACK call of ``linalg`` do, the Schur form and
@@ -166,8 +171,10 @@ CLAMP_WINDOW = 1e-12
 #: Relative imaginary residue allowed before the result is rejected.
 IMAG_TOL = 1e-9
 
-#: Condition estimate of the factorized matrix (B or A) above which points
-#: are flagged.
+#: 1-norm condition number of the factorized matrix (B or A) above which
+#: points are flagged.  It is exact for B up to
+#: ``linalg.BATCHED_SOLVE_MAX_SITES`` sites, and LAPACK's estimate, a lower
+#: bound, for B above and for A.
 COND_THRESHOLD = 1e12
 
 #: Smallest eigenvalue of C from which the eigenbasis kernel is used at
@@ -209,8 +216,11 @@ class WtdPoint:
 
     ``flag`` is empty for a clean point, otherwise a comma-joined list of
     "clamped" (tiny negative rounded up to 0), "negative" (clamp window
-    exceeded) and/or "ill_conditioned" (``cond_estimate``, the condition
-    estimate of the matrix factorized for the point, above COND_THRESHOLD).
+    exceeded) and/or "ill_conditioned" (``cond_estimate``, the 1-norm
+    condition number of the matrix factorized for the point, above
+    COND_THRESHOLD).  For B on the eigenbasis form it is exact up to
+    ``linalg.BATCHED_SOLVE_MAX_SITES`` sites and LAPACK's lower-bound
+    estimate above; for A on the LU form it is LAPACK's estimate.
     """
 
     t: float
@@ -306,7 +316,7 @@ class _Blocks:
     m: np.ndarray  # (n, 7, 2, 2) complex
     log_prefactor: np.ndarray  # (n,): -Gamma t + log|det A|
     phase: np.ndarray  # (n,) complex
-    cond: np.ndarray  # (n,)
+    cond: np.ndarray  # (n,) 1-norm condition, exact or LAPACK's estimate (COND_THRESHOLD)
 
 
 @dataclass(frozen=True)

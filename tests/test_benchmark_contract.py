@@ -3,23 +3,28 @@
 The benchmark runs the command line, and beyond it imports a few library
 names (``perfbench/checks.py``) and wraps the Fock oracle's methods by name
 (``perfbench/tracer.py``).  Deleting or renaming one of them breaks the
-benchmark without failing any other test.
+benchmark without failing any other test.  The workloads' chain sizes must
+also fall on both sides of every size-selected path, so that each is timed.
 """
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import fermiwait.model
 import fermiwait.wtd
+from fermiwait import linalg
+from fermiwait.config import RunConfig
 from fermiwait.fock import FockOracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses looks the module up
     spec.loader.exec_module(module)
     return module
 
@@ -37,7 +42,23 @@ def test_wtd_density_signature():
 def test_traced_oracle_methods_are_the_class_own():
     # The tracer reads ``FockOracle.__dict__[meth]``: an inherited method
     # would raise a KeyError there.
-    methods = _tracer_module().FOCK_ORACLE_METHODS
+    methods = _perfbench_module("tracer").FOCK_ORACLE_METHODS
     assert len(methods) == 6
     for meth in methods:
         assert callable(FockOracle.__dict__[meth]), meth
+
+
+def test_both_sides_of_the_batched_solve_are_benchmarked(tmp_path):
+    # cholesky_half_solve takes one path up to BATCHED_SOLVE_MAX_SITES sites
+    # and another above; the benchmark must time both.
+    sites = {}
+    for name, workload in _perfbench_module("workloads").WORKLOADS.items():
+        config = RunConfig()
+        if workload.config is not None:
+            path = tmp_path / f"{name}.ini"
+            path.write_text(workload.config)
+            config = RunConfig.from_file(path)
+        sites[name] = config.L
+    assert sites == {"curve_L200": 200, "stats_L2": 2, "verify_L5": 5}
+    limit = linalg.BATCHED_SOLVE_MAX_SITES
+    assert max(sites["stats_L2"], sites["verify_L5"]) <= limit < sites["curve_L200"]

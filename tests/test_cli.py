@@ -378,6 +378,21 @@ class TestWtdCommand:
         assert err.startswith("error: model.h_file: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [(".", None), ("run.ini", b"[model]\nL = 2\n\xff\n")],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_config_file_is_one_validation_error(self, tmp_path, capsys, name, data):
+        if data is not None:
+            (tmp_path / name).write_bytes(data)
+        config = str(tmp_path / name)
+        rc = main(["wtd", "--config", config, "--from", "1+", "--to", "L-", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {config}: ")
+        assert err.count("\n") == 1
+
 
 class TestOutputDirectory:
     """--out is made before any computing, and a path that cannot be a directory is refused."""

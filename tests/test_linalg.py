@@ -120,10 +120,12 @@ class TestLapackBindings:
     """Each binding to numpy's OpenBLAS against scipy's f2py wrapper of the same routine."""
 
     SIZES = (1, 2, 5, 17, 64)
+    #: Sizes that cholesky_half_solve serves with ztrtrs and zpocon.
+    LOOP_SIZES = (9, 17, 64)
 
     def test_ztrtrs_matches_scipy_bitwise(self):
         rng = np.random.default_rng(30)
-        for size in self.SIZES:
+        for size in self.LOOP_SIZES:
             a = hpd_stack(rng, 3, size)
             b = np.array([random_complex(rng, size)[:, : min(size, 8)] for _ in range(3)])
             x, log_det, _ = cholesky_half_solve(a, b)
@@ -137,7 +139,7 @@ class TestLapackBindings:
 
     def test_zpocon_matches_scipy_bitwise(self):
         rng = np.random.default_rng(31)
-        for size in self.SIZES:
+        for size in self.LOOP_SIZES:
             a = hpd_stack(rng, 3, size)
             _, _, cond = cholesky_half_solve(a, np.zeros((3, size, 1)))
             factor = np.linalg.cholesky(a)
@@ -188,7 +190,7 @@ class TestLapackBindings:
 
     def test_stacked_calls_equal_calls_per_time(self):
         rng = np.random.default_rng(34)
-        for size in (2, 5, 40):
+        for size in (2, 5, 8, 9, 40):  # both sides of BATCHED_SOLVE_MAX_SITES
             a = hpd_stack(rng, 6, size)
             b = np.array([random_complex(rng, size)[:, :2] for _ in range(6)])
             stacked = cholesky_half_solve(a, b)
@@ -241,30 +243,85 @@ class TestLapackBindings:
         assert "numpy.libs" in message and "libscipy_openblas64_" in message
 
 
+@pytest.mark.usefixtures("one_blas_thread")
+class TestBatchedSolve:
+    """Up to BATCHED_SOLVE_MAX_SITES rows, cholesky_half_solve calls no LAPACK routine per time."""
+
+    SIZES = (1, 2, 5, 8)
+
+    def test_matches_the_lapack_routines(self):
+        rng = np.random.default_rng(39)
+        for size in self.SIZES:
+            a = hpd_stack(rng, 3, size)
+            b = np.array([random_complex(rng, size)[:, : min(size, 8)] for _ in range(3)])
+            x, log_det, cond = cholesky_half_solve(a, b)
+            assert x.flags.c_contiguous
+            factor = np.linalg.cholesky(a)
+            for i in range(3):
+                want, info = lapack.ztrtrs(factor[i].T, b[i], lower=0, trans=1)
+                assert info == 0
+                assert np.max(np.abs(x[i] - want)) <= 1e-13 * np.max(np.abs(want))
+                want_log_det = np.linalg.slogdet(a[i])[1]
+                assert abs(log_det[i] - want_log_det) <= 1e-12 * max(1.0, abs(want_log_det))
+                anorm = float(np.abs(a[i]).sum(axis=0).max())
+                rcond, info = lapack.zpocon(factor[i].T, anorm, uplo="U")
+                assert info == 0
+                # zpocon estimates the condition number from below.
+                assert cond[i] >= (1.0 - 1e-12) / rcond
+                exact = np.linalg.norm(a[i], 1) * np.linalg.norm(np.linalg.inv(a[i]), 1)
+                assert abs(cond[i] - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("size, calls", [(8, 0), (9, 5)])
+    def test_the_path_is_chosen_from_the_size(self, monkeypatch, size, calls):
+        counts = {"ztrtrs": 0, "zpocon": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(linalg, f"_{name}", counted(name, getattr(linalg, f"_{name}")))
+        a = hpd_stack(np.random.default_rng(40), 5, size)
+        cholesky_half_solve(a, np.zeros((5, size, 2)))
+        assert counts == {"ztrtrs": calls, "zpocon": calls}
+
+
 class TestCholeskyRefusal:
     """A stack with one matrix that is not positive definite is refused as a whole."""
 
+    SIZE = 4  # at most BATCHED_SOLVE_MAX_SITES: the batched path
+
     def test_indefinite_member_is_refused(self):
-        a = hpd_stack(np.random.default_rng(36), 3, 4)
-        a[1] -= 2.0 * np.linalg.eigvalsh(a[1])[-1] * np.eye(4)  # every eigenvalue negative
+        n = self.SIZE
+        a = hpd_stack(np.random.default_rng(36), 3, n)
+        a[1] -= 2.0 * np.linalg.eigvalsh(a[1])[-1] * np.eye(n)  # every eigenvalue negative
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky_half_solve(a, np.zeros((3, 4, 2)))
+            cholesky_half_solve(a, np.zeros((3, n, 2)))
 
     def test_nan_member_is_refused(self):
         # numpy's Cholesky returns NaN factors without raising, so only the
         # finite-log-det check refuses this stack.
-        a = hpd_stack(np.random.default_rng(37), 3, 4)
+        a = hpd_stack(np.random.default_rng(37), 3, self.SIZE)
         a[2, 1, 1] = np.nan
         with pytest.raises(NotPositiveDefiniteError, match="log det"):
-            cholesky_half_solve(a, np.zeros((3, 4, 2)))
+            cholesky_half_solve(a, np.zeros((3, self.SIZE, 2)))
 
     def test_nan_in_the_unread_triangle_reads_as_infinite_condition(self):
         # The factorization reads the lower triangles only; the NaN 1-norm
-        # gives a NaN estimate, which must not pass for a well-conditioned one.
-        a = hpd_stack(np.random.default_rng(38), 2, 4)
+        # gives a NaN condition, which must not pass for a well-conditioned one.
+        a = hpd_stack(np.random.default_rng(38), 2, self.SIZE)
         a[1, 0, 3] = np.nan
-        _, _, cond = cholesky_half_solve(a, np.zeros((2, 4, 1)))
+        _, _, cond = cholesky_half_solve(a, np.zeros((2, self.SIZE, 1)))
         assert np.isfinite(cond[0]) and cond[1] == np.inf
+
+
+class TestCholeskyRefusalAboveBatchedSizes(TestCholeskyRefusal):
+    """The same refusals where ztrtrs and zpocon serve the stack."""
+
+    SIZE = 12
 
 
 class TestPropagator:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 
 import fermiwait.wtd as wtdmod
+from fermiwait import linalg
 from fermiwait.linalg import LinalgError, NotPositiveDefiniteError, expm, set_blas_threads
 from fermiwait.model import (
     CHANNEL_ORDER,
@@ -331,6 +332,56 @@ class TestAgainstFullBlocks:
         # units of roundoff on the largest entry.
         atol = max(1e-14, 1e-14 * amp * np.max(np.abs(want)))
         assert np.all(np.abs(got - want) <= np.maximum(1e-10 * np.abs(want), atol))
+
+
+def _densities_and_flags(ts, state, sp):
+    """The (n, 4, 4) densities and the flags of every (k, q) curve, or the error message of q.
+
+    "clamped" is left out: it marks a density within roundoff of zero, whose
+    sign is itself roundoff.
+    """
+    flags = {}
+    for q in CHANNEL_ORDER:
+        for k in CHANNEL_ORDER:
+            try:
+                curve = wtd_curve(sp.channels[k], sp.channels[q], state, sp, ts)
+            except WtdNumericsError as exc:  # q cannot click from this state
+                flags[k, q] = str(exc)
+            else:
+                flags[k, q] = [set(p.flag.split(",")) - {"", "clamped"} for p in curve.points]
+    return wtd_density_matrix(ts, state, sp), flags
+
+
+class TestBatchedSolveAgainstLapackLoop:
+    """Up to linalg.BATCHED_SOLVE_MAX_SITES sites the Cholesky factors are inverted in one batched
+    call; the per-time LAPACK loop (the threshold at 0) agrees to roundoff, flags included."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        L=st_.integers(2, 8),
+        seed=st_.integers(0, 2**32 - 1),
+        gammas=st_.tuples(st_.floats(0.05, 2.0), st_.floats(0.05, 2.0)),
+        fs=st_.tuples(_occupation, _occupation),
+        kind=st_.sampled_from(["steady", "custom"]),
+        ts=st_.lists(st_.floats(0.0, 40.0), min_size=1, max_size=5, unique=True).map(sorted),
+    )
+    def test_densities_and_flags_agree(self, L, seed, gammas, fs, kind, ts):
+        rng = np.random.default_rng(seed)
+        spec = ChainSpec(
+            h=random_hermitian(rng, L), gamma1=gammas[0], gammaL=gammas[1], f1=fs[0], fL=fs[1]
+        )
+        sp = derive_single_particle(spec)
+        if kind == "steady":
+            state = steady_state(spec)
+        else:
+            u = np.linalg.qr(rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L)))[0]
+            state = GaussianState(C=(u * rng.uniform(0.05, 0.95, L)) @ u.conj().T)
+        got, got_flags = _densities_and_flags(ts, state, sp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "BATCHED_SOLVE_MAX_SITES", 0)
+            want, want_flags = _densities_and_flags(ts, state, sp)
+        assert got_flags == want_flags
+        assert np.all(np.abs(got - want) <= np.maximum(1e-10 * np.abs(want), 1e-12))
 
 
 @pytest.fixture

@@ -277,7 +277,7 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
         "oracle": {
             "sector_dimension": oracle.parts.full.shape[0],
             "propagator_dimension": oracle.dim,
-            "propagator": "eig" if oracle.propagator.uses_eig else "expm",
+            "propagator": oracle.propagator.path,
         },
         "quadrature": {},
     }

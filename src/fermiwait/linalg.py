@@ -6,7 +6,18 @@ determinants appearing downstream grow or shrink exponentially with chain
 size and time; they are only ever exponentiated after being combined with
 other log-scale terms.
 
-One LAPACK provider.  Besides numpy's own linalg gufuncs, the kernels call
+The chain's generators W and Q are i h plus a diagonal at the two bath
+sites, so in the eigenbasis of the Hermitian h they are a real diagonal
+times i plus a rank-2 term.  :func:`secular_eig` finds their eigenpairs by
+Aberth-Ehrlich sweeps on the secular equation, O(L^2) each, and
+:func:`secular_lyapunov_solve` the steady state from them; the one O(L^3)
+decomposition of the setup is then numpy's ``eigh`` of h (in ``model``).
+Where they refuse, the LAPACK paths below are the fallbacks:
+:class:`Propagator` on numpy's ``eig`` and then :func:`expm`, the steady
+state on :func:`lyapunov_solve`.
+
+One LAPACK provider.  Besides numpy's own linalg gufuncs (``eigh``,
+``eig``, ``inv``, ``solve``, the batched Cholesky), the kernels call
 seven LAPACK routines directly from the OpenBLAS bundled with numpy
 (``numpy.libs/libscipy_openblas64_*.so``), which exports them as
 ``scipy_<name>_64_``: Fortran calling convention, 64-bit integers, and the
@@ -14,7 +25,7 @@ hidden length of each character argument passed last.  They are
 
 - ``zgees`` (complex Schur form) and ``ztrsyl3`` (blocked triangular
   Sylvester solve, which hands blocks of one to ``ztrsyl``) in
-  :func:`lyapunov_solve`;
+  :func:`lyapunov_solve`, the steady state's fallback;
 - ``zgetrf``, ``zgetrs`` and ``zgecon`` (LU factors, solves and condition
   estimate) in :func:`lu_logdet`, :func:`solve_factored` and
   :func:`condition_estimate`;
@@ -215,33 +226,38 @@ class Propagator:
     """exp(g t) for any t >= 0 from one eigendecomposition of g, or expm per call.
 
     With g = V diag(w) V^-1, exp(g t) = V diag(e^{w t}) V^-1 costs one matrix
-    product per time (``matrix``).
+    product per time (``matrix``).  The eigenpairs (w, V) are the caller's
+    ``eig`` when given (``path`` "given"), else LAPACK's ``eig`` of g
+    ("eig"); V^-1 is one ``inv`` of V either way.
     g is generally non-normal; if V is ill-conditioned beyond
     PROPAGATOR_COND_MAX (near an exceptional point) or the decomposition
-    residual is poor, every call falls back to scaling-and-squaring
-    (Moler & Van Loan, SIAM Rev. 2003).  The path is chosen from these two
-    measurements only.  At t = 0 both return the identity exactly.
+    residual is poor, given pairs fall back to LAPACK's, and LAPACK's to
+    scaling-and-squaring on every call (Moler & Van Loan, SIAM Rev. 2003;
+    ``path`` "expm").  The path is chosen from these two measurements only.
+    At t = 0 every path returns the identity exactly.
     """
 
-    def __init__(self, g):
+    def __init__(self, g, eig: tuple[np.ndarray, np.ndarray] | None = None):
         self.g = _as_square(g)
-        self._eig = None
-        w, v = np.linalg.eig(self.g)
+        self._eig = None if eig is None else self._checked(*eig)
+        self.path = "given"
+        if self._eig is None:
+            self._eig = self._checked(*np.linalg.eig(self.g))
+            self.path = "eig" if self._eig is not None else "expm"
+
+    def _checked(self, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(w, V, V^-1) if g V = V diag(w) passes both measurements, else None."""
         try:
             vinv = np.linalg.inv(v)
         except np.linalg.LinAlgError:  # exactly defective
-            return
+            return None
         cond = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
         resid = self.g @ v
         resid -= v * w  # in place: one n x n temporary besides g V
         resid = np.linalg.norm(resid) / max(np.linalg.norm(self.g), 1e-300)
         if cond < PROPAGATOR_COND_MAX and resid < 1e-10:
-            self._eig = (w, v, vinv)
-
-    @property
-    def uses_eig(self) -> bool:
-        """Whether calls use the eigendecomposition rather than expm."""
-        return self._eig is not None
+            return w, v, vinv
+        return None
 
     @property
     def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -489,14 +505,7 @@ def lyapunov_solve(w, f) -> np.ndarray:
         raise ValueError(f"shape mismatch: W {w.shape} vs F {f.shape}")
 
     t, u = _schur(w)
-    lam = np.diagonal(t).copy()  # not a view, which would keep T alive
-    bad = np.abs(lam[:, None] + lam[None, :].conj()) < 1e-14 * max(1.0, float(np.abs(lam).max()))
-    if np.any(bad):
-        a, b = np.argwhere(bad)[0]
-        raise LinalgError(
-            "no unique Lyapunov solution: eigenvalue pair "
-            f"lam[{a}]={lam[a]:.6g} and conj(lam[{b}])={np.conj(lam[b]):.6g} sum to ~0"
-        )
+    _check_pair_sums(np.diagonal(t))
 
     np.conjugate(u, out=u)
     y = u.T @ f  # U^dag F
@@ -517,10 +526,219 @@ def lyapunov_solve(w, f) -> np.ndarray:
     r = w @ c  # W C + C W^dag - F, with C W^dag = (W C)^dag as C is Hermitian
     r += r.conj().T
     r -= f
-    resid = np.linalg.norm(r)
-    fnorm = np.linalg.norm(f)
+    _check_residual(np.linalg.norm(r), np.linalg.norm(f))
+    return c
+
+
+def _check_pair_sums(lam: np.ndarray) -> None:
+    """A named error if some pair sum lam_a + conj(lam_b) is below 1e-14 max(1, max |lam|)."""
+    bad = np.abs(lam[:, None] + lam[None, :].conj()) < 1e-14 * max(1.0, float(np.abs(lam).max()))
+    if np.any(bad):
+        a, b = np.argwhere(bad)[0]
+        raise LinalgError(
+            "no unique Lyapunov solution: eigenvalue pair "
+            f"lam[{a}]={lam[a]:.6g} and conj(lam[{b}])={np.conj(lam[b]):.6g} sum to ~0"
+        )
+
+
+def _check_residual(resid: float, fnorm: float) -> None:
+    """A named error unless the Lyapunov residual norm is at most 1e-10 ||F||."""
     if resid > 1e-10 * max(fnorm, 1e-300):
         raise LinalgError(
             f"Lyapunov residual {resid:.3e} exceeds 1e-10 * ||F|| = {1e-10 * fnorm:.3e}"
         )
+
+
+#: Aberth-Ehrlich sweeps after which :func:`secular_eig` gives up.
+SECULAR_MAX_SWEEPS = 50
+
+#: The 2 x 2 identity as a row of entries 00, 01, 10, 11.
+_EYE2 = np.array([1.0, 0.0, 0.0, 1.0])
+
+
+def _pole_reciprocals(e, rows, near, far) -> np.ndarray:
+    """1 / (i (e_m - e_j) + near_m - far_j) for each m in ``rows`` and every j, 0 at j = m.
+
+    Built in one (n, L) buffer, real and imaginary parts apart, so that a
+    sweep holds about one such array at a time.
+    """
+    out = np.empty((rows.size, e.size), dtype=complex)
+    out.real = near.real[:, None] - np.real(far)
+    out.imag = np.subtract.outer(e[rows], e)
+    out.imag += near.imag[:, None] - np.imag(far)
+    own = (np.arange(rows.size), rows)
+    out[own] = 1.0
+    np.reciprocal(out, out=out)
+    out[own] = 0.0
+    return out
+
+
+def secular_eig(e, r, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of A = i diag(e) + r^dag diag(delta) r, a diagonal plus rank-2 matrix.
+
+    ``e`` holds L >= 2 real values in ascending order, ``r`` is 2 x L and
+    ``delta`` two reals.  Returns the eigenvalues lam and the unit
+    eigenvector columns Y, A Y = Y diag(lam), pair m in the slot of e[m].
+    A sweep costs O(L) per unconverged root, and the eigenvectors O(L^2);
+    nothing is O(L^3).
+
+    Eigenvalues.  det(lam - A) = prod_j (lam - i e_j) det(1 - diag(delta)
+    r (lam - i e)^-1 r^dag).  Root m is carried as its offset eps_m =
+    lam_m - i e_m from its own pole, so that a root near its pole, a weakly
+    coupled mode, keeps its relative accuracy, its decay rate Re eps_m
+    included.  With the pole split off the 2 x 2 determinant by the matrix
+    determinant lemma,
+
+        g_m(lam) = eps_m det(A_m) - r_m^dag adj(A_m) diag(delta) r_m,
+        A_m = 1 - diag(delta) sum_{j != m} r_j r_j^dag / (lam - i e_j),
+
+    is analytic there, and p'/p = sum_{j != m} 1 / (lam - i e_j) + g_m'/g_m
+    is the logarithmic derivative of the characteristic polynomial p.  One
+    Aberth-Ehrlich sweep (Aberth, Math. Comp. 27, 1973; Bini, Gemignani &
+    Pan, Numer. Math. 100, 2005) moves every unconverged root at once.  The
+    sweeps start from the first-order points eps_m = sum_b delta_b |r_bm|^2,
+    moved off the pole by (1 + i) / 2 times the coupling w_m = sum_b
+    |delta_b| |r_bm|^2.  A root is frozen once its step is at most
+    4 eps max(|eps_m|, w_m), or once |g_m| is within 8 eps of the size of
+    its two terms, where further steps are roundoff (near a double root
+    the first test is never met); a step from an exactly zero g_m could be
+    NaN.
+
+    Eigenvectors.  (lam - i e) y = r^dag c with c = diag(delta) r y, so
+    component j != m of y is r_j^dag c / (lam - i e_j), and c and y_m span
+    the null space of the bordered matrix [[A_m, -diag(delta) r_m],
+    [r_m^dag, -eps_m]], whose determinant is -g_m: the largest cross
+    product of two of its rows.  A root on its own pole (eps_m = 0 with
+    r_m != 0, as mirror symmetry makes it on odd chains) keeps its vector.
+
+    Refusals, each a :class:`LinalgError`: two values of e within L eps
+    max|e| (a repeated pole), a mode whose weight on every site of nonzero
+    delta is below eps (a dark mode, which the secular equation does not
+    see), no convergence within ``SECULAR_MAX_SWEEPS`` sweeps, or a
+    non-finite step.
+    """
+    e = np.asarray(e, dtype=float)
+    r = np.asarray(r, dtype=complex)
+    delta = np.asarray(delta, dtype=float)
+    size = e.size
+    if e.ndim != 1 or size < 2 or r.shape != (2, size) or delta.shape != (2,):
+        raise ValueError(f"need e (L,), r (2, L) and delta (2,), got {e.shape}, {r.shape}, {delta.shape}")
+    eps_mach = np.finfo(float).eps
+    gap = np.diff(e)
+    if gap.min() <= size * eps_mach * max(float(np.abs(e).max()), 1e-300):
+        m = int(np.argmin(gap))
+        raise LinalgError(f"repeated eigenvalue: e[{m}] = {e[m]:.6g} and e[{m + 1}] = {e[m + 1]:.6g}")
+    weight = np.abs(r) ** 2
+    coupling = np.abs(delta) @ weight
+    dark = coupling <= eps_mach**2 * np.abs(delta).sum()
+    if dark.any():
+        m = int(np.argmax(dark))
+        raise LinalgError(f"dark mode: mode {m} (e = {e[m]:.6g}) has no weight on a coupled boundary site")
+
+    # The 2 x 2 matrices of a stack are (n, 4) rows of entries 00, 01, 10, 11:
+    # M_m = inv @ outer, A_m = 1 - diag(delta) M_m, and
+    # r_m^dag adj(A_m) diag(delta) r_m = sum(A_m * quad[m]).
+    outer = np.stack([weight[0], r[0] * r[1].conj(), r[1] * r[0].conj(), weight[1], np.ones(size)], axis=1)
+    rows_delta = delta[[0, 0, 1, 1]]
+    quad = np.stack(
+        [delta[1] * weight[1], -delta[1] * r[0].conj() * r[1], -delta[0] * r[1].conj() * r[0], delta[0] * weight[0]],
+        axis=1,
+    )
+    eps = delta @ weight + 0.5 * (1.0 + 1.0j) * coupling
+    active = np.arange(size)
+    for _ in range(SECULAR_MAX_SWEEPS):
+        em = eps[active]
+        inv = _pole_reciprocals(e, active, em, 0.0)  # 1 / (lam_m - i e_j), 0 at j = m
+        resolvent = inv @ outer  # M_m, and the pole sum in the last column
+        dm = (inv * inv) @ outer[:, :4]  # -dM_m/dlam
+        del inv
+        a = _EYE2 - rows_delta * resolvent[:, :4]
+        da = rows_delta * dm  # dA_m/dlam
+        det = a[:, 0] * a[:, 3] - a[:, 1] * a[:, 2]
+        ddet = da[:, 0] * a[:, 3] + a[:, 0] * da[:, 3] - da[:, 1] * a[:, 2] - a[:, 1] * da[:, 2]
+        q = (a * quad[active]).sum(axis=1)
+        dq = (da * quad[active]).sum(axis=1)
+        g = em * det - q
+        newton = g / (g * resolvent[:, 4] + det + em * ddet - dq)
+        root_sum = _pole_reciprocals(e, active, em, eps).sum(axis=1)  # sum 1 / (lam_m - lam_j)
+        step = newton / (1.0 - newton * root_sum)
+        if not np.all(np.isfinite(step)):
+            raise LinalgError("secular equation: non-finite Aberth step")
+        eps[active] = em - step
+        small = np.abs(step) <= 4.0 * eps_mach * np.maximum(np.abs(eps[active]), coupling[active])
+        roundoff = np.abs(g) <= 8.0 * eps_mach * (np.abs(em * det) + np.abs(q))
+        active = active[~(small | roundoff)]
+        if active.size == 0:
+            break
+    else:
+        raise LinalgError(
+            f"secular equation: {active.size} roots unconverged after {SECULAR_MAX_SWEEPS} sweeps"
+        )
+
+    every = np.arange(size)
+    inv = _pole_reciprocals(e, every, eps, 0.0)
+    a = _EYE2 - rows_delta * (inv @ outer[:, :4])
+    bordered = np.empty((size, 3, 3), dtype=complex)
+    bordered[:, 0, :2], bordered[:, 1, :2] = a[:, :2], a[:, 2:]
+    bordered[:, :2, 2] = -delta * r.T
+    bordered[:, 2, :2] = r.T.conj()
+    bordered[:, 2, 2] = -eps
+    x, z = bordered[:, [0, 0, 1]], bordered[:, [1, 2, 2]]  # the row pairs 0 1, 0 2 and 1 2
+    crosses = x[..., [1, 2, 0]] * z[..., [2, 0, 1]] - x[..., [2, 0, 1]] * z[..., [1, 2, 0]]
+    null = crosses[every, np.argmax((np.abs(crosses) ** 2).sum(axis=2), axis=1)]  # (c_1, c_L, y_m)
+    y = r.conj().T @ null[:, :2].T
+    y *= inv.T
+    del inv
+    y[every, every] = null[:, 2]
+    y /= np.linalg.norm(y, axis=0)
+    return 1j * e + eps, y
+
+
+def secular_lyapunov_solve(e, r, delta, phi) -> np.ndarray:
+    """Solve A C + C A^dag = F for Hermitian C, A = i diag(e) + r^dag diag(delta) r, F = r^dag diag(phi) r.
+
+    With the eigenpairs A Y = Y diag(mu) of :func:`secular_eig` (whose
+    refusals it raises), C = Y M Y^dag and
+
+        M_ij = (X diag(phi) X^dag)_ij / (mu_i + conj(mu_j)),   X = Y^-1 r^dag,
+
+    at the cost of one two-column solve and two n x n products.  Re mu_i is
+    the real part of the Rayleigh quotient, sum_b delta_b |(r y_i)_b|^2 for
+    the unit y_i: exact for an eigenvector, and formed from the same boundary
+    amplitudes as the numerator, so a barely decaying mode's M_ii is a ratio
+    of two small numbers of the same origin.  The pair-sum error and the
+    residual check are those of :func:`lyapunov_solve`, and exactly singular
+    eigenvectors are a named error too; the residual is formed
+    in O(L^2) as
+
+        A C + C A^dag - F = i (e_i - e_j) C_ij + K + K^dag,
+        K = r^dag (diag(delta) r C - diag(phi) r / 2),
+
+    and ||F|| from r r^dag.  Y is conjugated in place; at most three n x n
+    matrices besides Y's LU factors are live at once.
+    """
+    e, r = np.asarray(e, dtype=float), np.asarray(r, dtype=complex)
+    delta, phi = np.asarray(delta, dtype=float), np.asarray(phi, dtype=float)
+    mu, y = secular_eig(e, r, delta)
+    mu = delta @ np.abs(r @ y) ** 2 + 1j * mu.imag
+    _check_pair_sums(mu)
+    try:
+        x = np.linalg.solve(y, r.conj().T)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        raise LinalgError("secular equation: the eigenvectors are exactly singular") from None
+    c = (x * phi) @ x.conj().T
+    c /= mu[:, None] + mu.conj()
+    c = y @ c  # Y M Y^dag
+    np.conjugate(y, out=y)
+    c = c @ y.T
+    del y
+    c += c.conj().T
+    c *= 0.5
+
+    k = r.conj().T @ (delta[:, None] * (r @ c) - 0.5 * phi[:, None] * r)
+    k += k.conj().T
+    k += c * (1j * e)[:, None]
+    k -= c * (1j * e)
+    rr = phi[:, None] * (r @ r.conj().T)  # ||F||^2 = tr((diag(phi) r r^dag)^2)
+    _check_residual(np.linalg.norm(k), float(np.sqrt(abs(np.trace(rr @ rr)))))
     return c

@@ -14,8 +14,20 @@ scalar:
 Gaussian states are carried by their covariance matrix C_ij = <c_j^dag c_i>,
 decomposed once (``GaussianState.eig``); the exponent matrix of the Gibbs
 form is never materialized.  One SingleParticleSet per chain serves its
-steady state, the no-click propagator e^{-Qt} from one eigendecomposition of
-Q (``propagator``) and the data derived from it and one state (``memo``).
+steady state, the no-click propagator e^{-Qt} (``propagator``) and the data
+derived from it and one state (``memo``).  Both the steady state and the
+propagator come from one Hermitian eigendecomposition h = U diag(E) U^dag
+(``h_eig``): with R = U[b, :] the rows of the two bath sites b, W and Q are
+U (iE + R^dag diag(delta) R) U^dag with delta = gamma_b / 2 for W and
+gamma_b (1/2 - f_b) for Q, diagonal plus rank 2, whose eigenpairs are
+``linalg.secular_eig``'s O(L^2) sweeps and whose Lyapunov equation is
+``linalg.secular_lyapunov_solve``.  Where those refuse (a repeated value of
+E, a mode dark to the baths, no convergence) the propagator falls back to
+LAPACK's ``eig`` of Q and the steady state to ``linalg.lyapunov_solve``.
+A nearest-neighbour chain never refuses but in floating point: its h is a
+Jacobi matrix, of simple spectrum and nonzero end components (Parlett, The
+Symmetric Eigenvalue Problem, sec. 7.9), and only a mode localized so
+strongly that its end amplitudes fall below roundoff reads as dark.
 :func:`can_click` is the one predicate for "can channel q click".
 """
 
@@ -28,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import Propagator, lyapunov_solve
+from .linalg import LinalgError, Propagator, lyapunov_solve, secular_eig, secular_lyapunov_solve
 
 HERMITICITY_TOL = 1e-12
 
@@ -37,8 +49,10 @@ HERMITICITY_TOL = 1e-12
 class ChainSpec:
     """Chain Hamiltonian plus the four bath parameters.
 
-    ``h`` must be Hermitian L x L with L >= 2 (the two baths attach to
-    distinct end sites).  ``gamma1``/``gammaL`` are bath coupling rates
+    ``h`` must be Hermitian within HERMITICITY_TOL, L x L with L >= 2 (the
+    two baths attach to distinct end sites); the spec keeps its Hermitian
+    part (h + h^dag) / 2, so that W, Q and the eigendecomposition of h all
+    describe one matrix.  ``gamma1``/``gammaL`` are bath coupling rates
     (nonnegative; the steady state additionally needs both positive) and
     ``f1``/``fL`` are the bath Fermi factors in [0, 1].
     """
@@ -59,7 +73,7 @@ class ChainSpec:
             raise ValueError("h contains non-finite entries")
         if np.linalg.norm(h - h.conj().T) > HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
             raise ValueError("h must be Hermitian within 1e-12")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", 0.5 * (h + h.conj().T))
         for name in ("gamma1", "gammaL"):
             v = getattr(self, name)
             if not 0.0 <= v < math.inf:
@@ -139,7 +153,8 @@ class SingleParticleSet:
 
     ``channels`` is the spec's :func:`channels` table; F and gamma_total are
     built from its injection rates, so every consumer reads the same rates.
-    The matrices, like a state's covariance, are treated as immutable: the
+    ``h_eig`` is (E, U) with h = U diag(E) U^dag, E ascending.  The
+    matrices, like a state's covariance, are treated as immutable: the
     propagator and the memo are built from them once.
     """
 
@@ -148,6 +163,7 @@ class SingleParticleSet:
     Q: np.ndarray
     gamma_total: float
     channels: dict[str, Channel]
+    h_eig: tuple[np.ndarray, np.ndarray]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
@@ -157,17 +173,52 @@ class SingleParticleSet:
     def L(self) -> int:
         return self.W.shape[0]
 
+    def _boundary(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(E, R, delta) with U^dag g U = iE + R^dag diag(delta) R, for g = W or Q.
+
+        g - ih is real and diagonal, nonzero at the bath sites only.
+        """
+        e, u = self.h_eig
+        return e, u[[0, -1]], g.diagonal()[[0, -1]].real
+
     @cached_property
     def propagator(self) -> Propagator:
-        """e^{-Qt} for every t, from one eigendecomposition of Q (built on first use)."""
-        return Propagator(-self.Q)
+        """e^{-Qt} for every t, from the eigenpairs of Q (built on first use).
+
+        ``linalg.secular_eig`` gives them in the eigenbasis of h and U turns
+        them into Q's; the propagator checks them, and where the sweeps
+        refuse or the check does, takes LAPACK's ``eig`` of Q and then expm.
+        """
+        try:
+            lam, y = secular_eig(*self._boundary(self.Q))
+        except LinalgError:
+            return Propagator(-self.Q)
+        v = self.h_eig[1] @ y
+        del y  # one n x n matrix fewer while the propagator checks v
+        return Propagator(-self.Q, eig=(-lam, v))
 
     def steady_state(self) -> GaussianState:
-        """Steady-state covariance: the fixed point W C + C W^dag = F of this set's W and F."""
+        """Steady-state covariance: the fixed point W C + C W^dag = F of this set's W and F.
+
+        U C' U^dag from C' of ``linalg.secular_lyapunov_solve`` in the
+        eigenbasis of h, or, where it refuses, ``linalg.lyapunov_solve``,
+        whose own refusal is raised.
+        """
         ch = self.channels
         if min(ch["1-"].rate + ch["1+"].rate, ch["L-"].rate + ch["L+"].rate) <= 0:
             raise ValueError("steady state requires gamma1 > 0 and gammaL > 0")
-        return GaussianState(C=lyapunov_solve(self.W, self.F), kind="steady")
+        e, r, delta = self._boundary(self.W)
+        try:
+            c = secular_lyapunov_solve(e, r, delta, self.F.diagonal()[[0, -1]].real)
+        except LinalgError:
+            return GaussianState(C=lyapunov_solve(self.W, self.F), kind="steady")
+        u = self.h_eig[1]
+        c = u @ c
+        np.conjugate(c, out=c)  # its transpose is C' U^dag, as C' is Hermitian
+        c = u @ c.T
+        c += c.conj().T
+        c *= 0.5
+        return GaussianState(C=c, kind="steady")
 
     def memo(self, state: GaussianState, build):
         """``build()``, computed once per state and kept on this set.
@@ -263,12 +314,14 @@ def derive_single_particle(spec: ChainSpec) -> SingleParticleSet:
     f[0, 0] = ch["1+"].rate
     f[-1, -1] = ch["L+"].rate
 
+    h = spec.h
     return SingleParticleSet(
         W=w,
         F=f,
         Q=w - f,
         gamma_total=ch["1+"].rate + ch["L+"].rate,
         channels=ch,
+        h_eig=np.linalg.eigh(h if h.imag.any() else h.real),
     )
 
 

@@ -129,11 +129,12 @@ caller gets BLAS's threads or the phases', never both.
 in the environment before the process starts give it the command line's
 allocator thresholds.
 Threads overlap only code that releases the GIL: numpy's linalg gufuncs
-(the Cholesky factorization, ``eig``, ``inv``), large elementwise
-operations and every LAPACK call of ``linalg`` do, the Schur form and
-Sylvester solve of the steady state and the per-time ``zpocon`` and
-``ztrtrs`` calls included, since ctypes releases the GIL for each call.
-What holds it is the Python between those calls.
+(the Cholesky factorization, ``eig``, ``inv``, ``solve``), matrix products,
+large elementwise operations (most of a secular sweep) and every LAPACK
+call of ``linalg`` do, the fallback Schur form and Sylvester solve of the
+steady state and the per-time ``zpocon`` and ``ztrtrs`` calls included,
+since ctypes releases the GIL for each call.  What holds it is the Python
+between those calls.
 """
 
 from __future__ import annotations
@@ -477,14 +478,17 @@ def prepare(
     """The single-particle set ``sp`` of ``spec`` and the initial state ``initial(sp)``.
 
     The one path from a chain to what a run computes on: the set is built
-    once, and ``initial`` reads it (``RunConfig.initial``), as do the time
-    grid and every density.  Building the propagator
-    (``SingleParticleSet.propagator``, an eigendecomposition and an inverse)
-    and the initial state (for a steady state, the Schur form and the
-    Sylvester solve) are independent O(L^3) steps.  When ``_pool_workers``
-    allows threads, the propagator is built on one worker thread while this
-    thread calls ``initial(sp)``; both spend their time in LAPACK, which
-    releases the GIL, so they overlap.  Each step runs as it would alone, so
+    once, with the eigendecomposition of h both later steps start from, and
+    ``initial`` reads it (``RunConfig.initial``), as do the time grid and
+    every density.  Building the propagator (``SingleParticleSet.propagator``:
+    the secular sweeps for Q, a product with the eigenvectors of h, an
+    inverse and the residual check) and the initial state (for a steady
+    state, the secular sweeps for W, a two-column solve and four products)
+    are independent steps.  When ``_pool_workers`` allows threads, the
+    propagator is built on one worker thread while this thread calls
+    ``initial(sp)``; both spend their time in numpy's elementwise loops,
+    matrix products and LAPACK calls, which release the GIL, so they
+    overlap.  Each step runs as it would alone, so
     with BLAS on one thread the results are bitwise those of the serial
     order.  Otherwise no thread starts: ``initial(sp)`` runs and the
     propagator is built on its first use.  An error of ``initial(sp)`` is

@@ -48,17 +48,37 @@ def test_traced_oracle_methods_are_the_class_own():
         assert callable(FockOracle.__dict__[meth]), meth
 
 
-def test_both_sides_of_the_batched_solve_are_benchmarked(tmp_path):
-    # cholesky_half_solve takes one path up to BATCHED_SOLVE_MAX_SITES sites
-    # and another above; the benchmark must time both.
-    sites = {}
+def _workload_configs(tmp_path):
+    """The RunConfig of every benchmark workload, by name."""
+    configs = {}
     for name, workload in _perfbench_module("workloads").WORKLOADS.items():
         config = RunConfig()
         if workload.config is not None:
             path = tmp_path / f"{name}.ini"
             path.write_text(workload.config)
             config = RunConfig.from_file(path)
-        sites[name] = config.L
+        configs[name] = config
+    return configs
+
+
+def test_both_sides_of_the_batched_solve_are_benchmarked(tmp_path):
+    # cholesky_half_solve takes one path up to BATCHED_SOLVE_MAX_SITES sites
+    # and another above; the benchmark must time both.
+    sites = {name: config.L for name, config in _workload_configs(tmp_path).items()}
     assert sites == {"curve_L200": 200, "stats_L2": 2, "verify_L5": 5}
     limit = linalg.BATCHED_SOLVE_MAX_SITES
     assert max(sites["stats_L2"], sites["verify_L5"]) <= limit < sites["curve_L200"]
+
+
+def test_every_workload_sets_up_from_the_eigendecomposition_of_h(tmp_path, monkeypatch):
+    # The propagator and the steady state come from eigh(h) and the secular
+    # sweeps, with LAPACK's eig and Schur solve as fallbacks; the benchmark
+    # must time the first path on every chain, at L = 200, 2 and 5.
+    monkeypatch.setattr(fermiwait.model, "lyapunov_solve", None)  # the fallback is not reached
+    sites = {}
+    for name, config in _workload_configs(tmp_path).items():
+        sp = fermiwait.model.derive_single_particle(config.chain_spec())
+        assert sp.propagator.path == "given", name
+        assert sp.steady_state().kind == "steady"
+        sites[name] = sp.L
+    assert sites == {"curve_L200": 200, "stats_L2": 2, "verify_L5": 5}

@@ -432,7 +432,7 @@ class TestSetupErrors:
             body = body.replace("gamma1 = 0.1", "gamma1 = 0.0")
         if failing != "steady":
 
-            def broken(g):
+            def broken(g, eig=None):
                 raise LinalgError("eigendecomposition failed")
 
             monkeypatch.setattr(fermiwait.model, "Propagator", broken)

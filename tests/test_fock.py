@@ -84,7 +84,7 @@ class TestLiouvillian:
     def test_propagator_expm_fallback_agrees(self, sv_spec, sv_oracle, monkeypatch):
         monkeypatch.setattr(linalg, "PROPAGATOR_COND_MAX", 1.0)
         other = FockOracle(sv_spec)
-        assert sv_oracle.propagator.uses_eig and not other.propagator.uses_eig
+        assert sv_oracle.propagator.path == "eig" and other.propagator.path == "expm"
         rho = sv_oracle.steady_state()
         for t in (0.3, 2.7):
             ga, gb = sv_oracle.propagator.matrix(t), other.propagator.matrix(t)

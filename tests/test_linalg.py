@@ -22,9 +22,13 @@ from fermiwait.linalg import (
     expm,
     lu_logdet,
     lyapunov_solve,
+    secular_eig,
+    secular_lyapunov_solve,
     solve_factored,
 )
 from fermiwait.model import ChainSpec, build_tight_binding, derive_single_particle, steady_state
+
+from conftest import random_hermitian
 
 
 def random_complex(rng, n, scale=1.0):
@@ -330,13 +334,24 @@ class TestPropagator:
         spec = ChainSpec(h=build_tight_binding(200, 1.0, 1.0), gamma1=0.1, gammaL=0.1, f1=1.0, fL=0.0)
         sp = derive_single_particle(spec)
         prop = sp.propagator
-        assert prop.uses_eig
+        assert prop.path == "given"
         assert sp.propagator is prop  # built once per single-particle set
         # Eigenvalue roundoff enters as e^{(w + dw) t}, so the deviation grows
-        # linearly in t: 5.6e-13 at t = 400, 1.1e-12 at the horizon t = 800.
+        # linearly in t: 4.9e-14 at t = 400, 8.9e-14 at the horizon t = 800
+        # (LAPACK's eig gave 5.6e-13 and 1.1e-12).
         for t in (0.5, 7.0, 100.0, 400.0, 800.0):
             dev = np.max(np.abs(prop.matrix(t) - sla.expm(-sp.Q * t)))
-            assert dev <= 1e-12 * max(1.0, t / 400.0)
+            assert dev <= 1e-13 * max(1.0, t / 400.0)
+
+    def test_given_pairs_that_fail_the_check_fall_back_to_eig(self):
+        rng = np.random.default_rng(14)
+        g = random_complex(rng, 5) - 3.0 * np.eye(5)
+        w, v = np.linalg.eig(g)
+        assert Propagator(g, eig=(w, v)).path == "given"
+        for wrong in ((w + 1e-6, v), (w, v + 1e-6 * random_complex(rng, 5))):
+            prop = Propagator(g, eig=wrong)
+            assert prop.path == "eig"
+            assert np.max(np.abs(prop.matrix(1.3) - sla.expm(g * 1.3))) < 1e-12
 
     def test_zero_time_is_exact_identity(self):
         rng = np.random.default_rng(12)
@@ -349,7 +364,8 @@ class TestPropagator:
         v = np.linalg.eig(g)[1]
         assert np.linalg.norm(v, 1) * np.linalg.norm(np.linalg.inv(v), 1) > PROPAGATOR_COND_MAX
         prop = Propagator(g)
-        assert not prop.uses_eig
+        assert prop.path == "expm"
+        assert Propagator(g, eig=(np.linalg.eig(g)[0], v)).path == "expm"  # given, then eig, then expm
         for t in (0.5, 2.0):
             want = np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
             assert np.max(np.abs(prop.matrix(t) - want)) < 1e-14
@@ -360,7 +376,7 @@ class TestPropagator:
         auto = Propagator(g)
         monkeypatch.setattr(linalg, "PROPAGATOR_COND_MAX", 1.0)
         forced = Propagator(g)
-        assert auto.uses_eig and not forced.uses_eig
+        assert auto.path == "eig" and forced.path == "expm"
         assert np.max(np.abs(auto.matrix(1.3) - forced.matrix(1.3))) < 1e-12
 
 
@@ -526,11 +542,102 @@ class TestLyapunov:
         tol = L * np.finfo(float).eps * np.max(np.abs(sp.F)) / (2.0 * slowest)
         assert np.max(np.abs(steady_state(spec).C - want)) <= tol
 
-    def test_equilibrium_chain_is_exact_at_large_size(self):
+    @pytest.mark.parametrize("L", [200, 400, 800])
+    def test_equilibrium_chain_is_exact_at_large_size(self, L):
         # Equal bath occupations f: C = f * 1 for any h.  The slowest modes
-        # decay at ~2e-7, which sets the forward error: 2.9e-11 here.
+        # decay at ~2e-7; the Schur solve's forward error grows with their
+        # inverse (1.5e-11, 6.0e-11 and 2.1e-10 at these sizes), the secular
+        # path's does not (5e-16 at each).
         spec = ChainSpec(
-            h=build_tight_binding(200, 1.0, 1.0), gamma1=0.1, gammaL=0.1, f1=0.3, fL=0.3
+            h=build_tight_binding(L, 1.0, 1.0), gamma1=0.1, gammaL=0.1, f1=0.3, fL=0.3
         )
         c = steady_state(spec).C
-        assert np.max(np.abs(c - 0.3 * np.eye(200))) < 1e-10
+        assert np.max(np.abs(c - 0.3 * np.eye(L))) < 1e-13
+
+
+def _boundary_problem(h, delta):
+    """(e, R, delta) of i h + diag(delta at the two end sites) in the eigenbasis of h."""
+    e, u = np.linalg.eigh(h)
+    return e, u[[0, -1]], np.asarray(delta, dtype=float)
+
+
+def _dense(e, r, delta):
+    return np.diag(1j * e) + (r.conj().T * delta) @ r
+
+
+class TestSecularEig:
+    def test_eigenpairs_match_lapack(self):
+        rng = np.random.default_rng(40)
+        for L, delta in ((2, (0.3, 1.1)), (7, (-0.4, 0.2)), (40, (0.05, -2.0))):
+            e, r, delta = _boundary_problem(random_hermitian(rng, L), delta)
+            a = _dense(e, r, delta)
+            lam, y = secular_eig(e, r, delta)
+            scale = np.max(np.abs(a))
+            assert np.allclose(np.linalg.norm(y, axis=0), 1.0, rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(a @ y - y * lam)) <= 1e-14 * L * scale
+            ref = np.linalg.eigvals(a)
+            assert np.max(np.abs(lam[:, None] - ref).min(axis=1)) <= 1e-14 * L * scale
+            assert np.max(np.abs(ref[:, None] - lam).min(axis=1)) <= 1e-14 * L * scale
+
+    def test_root_on_its_own_pole_keeps_its_vector(self):
+        # Mirror symmetry and delta_1 = -delta_L leave the middle mode of an
+        # odd chain, with equal weight on both ends, exactly on its pole.
+        e, r, delta = _boundary_problem(build_tight_binding(5, 1.0, 1.0), (-0.05, 0.05))
+        lam, y = secular_eig(e, r, delta)
+        assert np.min(np.abs(lam - 1j * e)) < 1e-15
+        a = _dense(e, r, delta)
+        assert np.max(np.abs(a @ y - y * lam)) <= 1e-15
+
+    def test_weakly_coupled_decay_rates_are_relatively_accurate(self):
+        # On the L = 200 benchmark chain the band-edge modes decay at ~1e-7,
+        # far below the roundoff of lam itself (~4e-16): the Rayleigh quotient
+        # sum_b delta_b |(R y)_b|^2 agrees with Re lam to 1e-12 relative.
+        e, r, delta = _boundary_problem(build_tight_binding(200, 1.0, 1.0), (0.05, 0.05))
+        lam, y = secular_eig(e, r, delta)
+        rate = delta @ np.abs(r @ y) ** 2
+        assert lam.real.min() < 1e-6
+        assert np.max(np.abs(lam.real - rate) / rate) < 1e-12
+
+    def test_repeated_value_is_refused(self):
+        h = np.zeros((8, 8))
+        h[:4, :4] = h[4:, 4:] = build_tight_binding(4, 1.0, 1.0).real
+        with pytest.raises(LinalgError, match="repeated eigenvalue"):
+            secular_eig(*_boundary_problem(h, (0.1, 0.1)))
+
+    def test_dark_mode_is_refused(self):
+        h = np.array([[0, 1, 1, 0], [1, 0.3, 0, 1], [1, 0, 0.3, 1], [0, 1, 1, 0]], dtype=complex)
+        with pytest.raises(LinalgError, match="dark mode"):
+            secular_eig(*_boundary_problem(h, (0.5, 0.5)))
+        # With delta = 0 every mode is dark.
+        with pytest.raises(LinalgError, match="dark mode"):
+            secular_eig(*_boundary_problem(build_tight_binding(3, 1.0, 1.0), (0.0, 0.0)))
+
+    def test_no_convergence_is_refused(self, monkeypatch):
+        monkeypatch.setattr(linalg, "SECULAR_MAX_SWEEPS", 1)
+        with pytest.raises(LinalgError, match="unconverged after 1 sweeps"):
+            secular_eig(*_boundary_problem(build_tight_binding(6, 1.0, 1.0), (0.1, 0.3)))
+
+    def test_lyapunov_solve_matches_the_schur_solve(self):
+        rng = np.random.default_rng(41)
+        e, r, delta = _boundary_problem(random_hermitian(rng, 12), (0.4, 0.9))
+        phi = np.array([0.3, 0.1])
+        c = secular_lyapunov_solve(e, r, delta, phi)
+        want = lyapunov_solve(_dense(e, r, delta), (r.conj().T * phi) @ r)
+        assert np.max(np.abs(c - want)) < 1e-13
+
+    def test_singular_eigenvectors_are_a_named_error(self, monkeypatch):
+        e, r, delta = _boundary_problem(build_tight_binding(3, 1.0, 1.0), (0.2, 0.3))
+        # numpy's own error would escape the model's fallback, which catches
+        # LinalgError only.  (Two equal columns leave a tiny pivot instead,
+        # and the residual check refuses them.)
+        lam, y = secular_eig(e, r, delta)
+        y[0] = 0.0
+        monkeypatch.setattr(linalg, "secular_eig", lambda *args: (lam, y))
+        with pytest.raises(LinalgError, match="singular"):
+            secular_lyapunov_solve(e, r, delta, (0.1, 0.0))
+
+    def test_pair_sum_refusal_is_the_schur_solves(self):
+        # Decay rates of ~1e-17 are below the pair-sum floor of lyapunov_solve.
+        e, r, delta = _boundary_problem(build_tight_binding(4, 1.0, 1.0), (1e-16, 1e-16))
+        with pytest.raises(LinalgError, match="pair"):
+            secular_lyapunov_solve(e, r, delta, (1e-16, 0.0))

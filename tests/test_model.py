@@ -5,7 +5,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st_
 
+import fermiwait.model
+from fermiwait.linalg import LinalgError, Propagator, lyapunov_solve, secular_eig
 from fermiwait.model import (
     CHANNEL_ORDER,
     MEMO_ENTRIES,
@@ -46,6 +49,26 @@ class TestChainSpec:
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             ChainSpec(h=h, gamma1=0.1, gammaL=0.1, f1=0.5, fL=0.5)
+
+    def test_keeps_the_hermitian_part(self):
+        # h Hermitian to 1e-13 only: eigh reads one triangle, W and Q read all
+        # of h, so the spec keeps (h + h^dag) / 2 and both describe it.
+        rng = np.random.default_rng(3)
+        h0 = random_hermitian(rng, 6)
+        h = h0 + 1e-13 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        assert 0 < np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(h)
+        spec = ChainSpec(h=h, gamma1=0.3, gammaL=0.7, f1=0.9, fL=0.2)
+        assert np.array_equal(spec.h, spec.h.conj().T)
+        assert np.array_equal(spec.h, 0.5 * (h + h.conj().T))
+        sp = derive_single_particle(spec)
+        e, u = sp.h_eig
+        assert np.max(np.abs((u * e) @ u.conj().T - spec.h)) < 1e-14
+        assert np.array_equal(sp.W - 1j * spec.h, np.diag([0.15, 0, 0, 0, 0, 0.35]))
+        prop = sp.propagator
+        assert prop.path == "given"
+        assert np.max(np.abs(prop.matrix(2.0) - Propagator(-sp.Q).matrix(2.0))) < 1e-13
+        c = sp.steady_state().C
+        assert np.max(np.abs(c - lyapunov_solve(sp.W, sp.F))) < 1e-13
 
     def test_rejects_bad_fermi_factor(self):
         h = build_tight_binding(2, 1.0, 1.0)
@@ -285,3 +308,105 @@ class TestMemo:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
+
+
+_filling = st_.one_of(st_.sampled_from([0.0, 0.5, 1.0]), st_.floats(0.0, 1.0))
+
+
+def _secular_spec(kind, L, seed, gammas, fs):
+    rng = np.random.default_rng(seed)
+    if kind == "nearest":
+        h = build_tight_binding(L, rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))
+        h += np.diag(rng.uniform(-1.0, 1.0, L))
+    else:
+        m = rng.standard_normal((L, L))
+        if kind == "dense complex":
+            m = m + 1j * rng.standard_normal((L, L))
+        h = 0.5 * (m + m.conj().T)
+    return ChainSpec(h=h, gamma1=gammas[0], gammaL=gammas[1], f1=fs[0], fL=fs[1])
+
+
+class TestSecularPath:
+    """The setup from eigh(h) against LAPACK's eig of Q and Schur solve of W C + C W^dag = F."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st_.sampled_from(["nearest", "dense real", "dense complex"]),
+        L=st_.integers(2, 40),
+        seed=st_.integers(0, 2**32 - 1),
+        gammas=st_.tuples(st_.floats(0.05, 4.0), st_.floats(0.05, 4.0)),
+        fs=st_.tuples(_filling, _filling),
+    )
+    def test_matches_the_lapack_path(self, kind, L, seed, gammas, fs):
+        spec = _secular_spec(kind, L, seed, gammas, fs)
+        sp = derive_single_particle(spec)
+        e, u = sp.h_eig
+        g1, gL = gammas
+        for g, delta in ((sp.Q, (g1 * (0.5 - fs[0]), gL * (0.5 - fs[1]))), (sp.W, (g1 / 2, gL / 2))):
+            try:
+                lam, _ = secular_eig(e, u[[0, -1]], delta)
+            except LinalgError as exc:
+                # Only a dark mode or a repeated value of e, which a
+                # nearest-neighbour chain has only where delta vanishes.
+                assert re.search("dark mode|repeated eigenvalue", str(exc))
+                assert kind != "nearest" or not any(delta), exc
+                continue
+            ref = np.linalg.eigvals(g)
+            scale = np.max(np.abs(ref))
+            dev = max(np.abs(lam[:, None] - ref).min(axis=1).max(), np.abs(ref[:, None] - lam).min(axis=1).max())
+            assert dev <= 1e-12 * scale
+        # Eigenvalue roundoff enters as e^{(w + dw) t}: 1.1e-12 relative at
+        # t = 50 at most over these examples.
+        ours, lapack = sp.propagator, Propagator(-sp.Q)
+        for t in (0.5, 5.0, 50.0):
+            want = lapack.matrix(t)
+            assert np.max(np.abs(ours.matrix(t) - want)) <= 1e-13 * max(1.0, t) * np.max(np.abs(want))
+        try:
+            c = sp.steady_state().C
+        except LinalgError as exc:
+            with pytest.raises(LinalgError) as lapack_exc:
+                lyapunov_solve(sp.W, sp.F)
+            assert str(lapack_exc.value) == str(exc)
+            return
+        # The Schur solve's forward error reaches about L eps ||F|| / (2 min
+        # Re lam(W)) where a mode barely decays (test_linalg.py); the secular
+        # path then keeps more digits (1e-14 against an mpmath reference
+        # where the Schur solve was off by 1.6e-2).
+        slowest = float(np.linalg.eigvals(sp.W).real.min())
+        tol = 16 * L * np.finfo(float).eps * np.max(np.abs(sp.F)) / (2.0 * slowest)
+        assert np.max(np.abs(c - lyapunov_solve(sp.W, sp.F))) <= tol
+
+    def test_degenerate_spectrum_takes_the_lapack_path(self, monkeypatch):
+        # Two identical decoupled chains: every value of h twice.  Chain A
+        # sees only bath 1 and chain B only bath L, so C = diag(f1 1, fL 1).
+        h = np.zeros((8, 8), dtype=complex)
+        h[:4, :4] = h[4:, 4:] = build_tight_binding(4, 1.0, 1.0)
+        sp = derive_single_particle(ChainSpec(h=h, gamma1=0.3, gammaL=0.2, f1=0.9, fL=0.1))
+        assert sp.propagator.path == "eig"
+        calls = []
+        monkeypatch.setattr(
+            fermiwait.model, "lyapunov_solve", lambda w, f: calls.append(w) or lyapunov_solve(w, f)
+        )
+        c = sp.steady_state().C
+        assert len(calls) == 1
+        assert np.max(np.abs(c - np.diag([0.9] * 4 + [0.1] * 4))) < 1e-12
+
+    def test_weakly_disordered_equilibrium_chain_is_exact(self, monkeypatch):
+        # On-site disorder of width 0.2 at L = 200: the slowest mode decays
+        # at 1.5e-12, and the Schur solve is off by 9.4e-6 here on one BLAS
+        # thread (8.2e-5 on two).
+        rng = np.random.default_rng(3)
+        h = build_tight_binding(200, 1.0, 1.0) + np.diag(rng.uniform(-0.1, 0.1, 200))
+        sp = derive_single_particle(ChainSpec(h=h, gamma1=0.5, gammaL=0.5, f1=0.3, fL=0.3))
+        monkeypatch.setattr(fermiwait.model, "lyapunov_solve", None)  # the fallback is not reached
+        c = sp.steady_state().C
+        assert np.max(np.abs(c - 0.3 * np.eye(200))) <= 1e-11
+
+    def test_decay_below_the_pair_floor_is_refused_by_name(self):
+        # The same family at seed 0 has a mode decaying at 3.8e-15, below the
+        # pair-sum floor 1e-14 max(1, max |lam|) of both paths.
+        rng = np.random.default_rng(0)
+        h = build_tight_binding(200, 1.0, 1.0) + np.diag(rng.uniform(-0.1, 0.1, 200))
+        spec = ChainSpec(h=h, gamma1=0.5, gammaL=0.5, f1=0.3, fL=0.3)
+        with pytest.raises(LinalgError, match="pair"):
+            steady_state(spec)

@@ -533,7 +533,7 @@ class TestExceptionalPoint:
         # here |2 - 0| = 2 with J = 1.
         spec = ChainSpec(h=build_tight_binding(2, 0.0, 1.0), gamma1=4.0, gammaL=4.0, f1=0.0, fL=0.5)
         sp = derive_single_particle(spec)
-        assert not sp.propagator.uses_eig
+        assert sp.propagator.path == "expm"
         ch = channels(spec)
         oracle = oracle_cache(spec)
         for state, rho in (
@@ -615,7 +615,7 @@ class TestStackedTimes:
     def test_exceptional_point_on_expm(self, kind):
         spec = ChainSpec(h=build_tight_binding(2, 0.0, 1.0), gamma1=4.0, gammaL=4.0, f1=0.0, fL=0.5)
         sp = derive_single_particle(spec)
-        assert not sp.propagator.uses_eig
+        assert sp.propagator.path == "expm"
         state = steady_state(spec) if kind == "steady" else vacuum_state(2)
         _assert_stack_is_bitwise_single(self.TIMES / 10.0, state, sp)
 

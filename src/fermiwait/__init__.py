@@ -15,7 +15,7 @@ import importlib
 
 #: Each submodule and the public names it defines.
 _EXPORTS = {
-    "linalg": ("LogDet", "expm", "lu_logdet", "lyapunov_solve"),
+    "linalg": ("LogDet", "expm", "lyapunov_solve"),
     "model": (
         "CHANNEL_ORDER",
         "ChainSpec",

@@ -16,22 +16,23 @@ Where they refuse, the LAPACK paths below are the fallbacks:
 :class:`Propagator` on numpy's ``eig`` and then :func:`expm`, the steady
 state on :func:`lyapunov_solve`.
 
-One LAPACK provider.  Besides numpy's own linalg gufuncs (``eigh``,
-``eig``, ``inv``, ``solve``, the batched Cholesky), the kernels call
-seven LAPACK routines directly from the OpenBLAS bundled with numpy
-(``numpy.libs/libscipy_openblas64_*.so``), which exports them as
-``scipy_<name>_64_``: Fortran calling convention, 64-bit integers, and the
-hidden length of each character argument passed last.  They are
+One LAPACK provider, bound directly only where numpy lacks the routine.
+The kernels call numpy's own linalg gufuncs (``eigh``, ``eig``, ``inv``,
+``solve``, ``slogdet``, the batched Cholesky) wherever one exists, and bind
+a LAPACK routine through ctypes only where numpy has none.  Both run on the
+OpenBLAS bundled with numpy (``numpy.libs/libscipy_openblas64_*.so``),
+which exports its routines as ``scipy_<name>_64_``: Fortran calling
+convention, 64-bit integers, and the hidden length of each character
+argument passed last.  The four bindings are
 
 - ``zgees`` (complex Schur form) and ``ztrsyl3`` (blocked triangular
   Sylvester solve, which hands blocks of one to ``ztrsyl``) in
-  :func:`lyapunov_solve`, the steady state's fallback;
-- ``zgetrf``, ``zgetrs`` and ``zgecon`` (LU factors, solves and condition
-  estimate) in :func:`lu_logdet`, :func:`solve_factored` and
-  :func:`condition_estimate`;
+  :func:`lyapunov_solve`, the steady state's fallback: numpy has no Schur
+  form and no Sylvester solver;
 - ``ztrtrs`` and ``zpocon`` (triangular solve and condition estimate on
   Cholesky factors), both in :func:`cholesky_half_solve`, which calls them
-  only for stacks of more than ``BATCHED_SOLVE_MAX_SITES`` rows.
+  only for stacks of more than ``BATCHED_SOLVE_MAX_SITES`` rows: numpy has
+  no triangular solve and no condition estimator.
 
 Character arguments and their hidden lengths are ctypes objects made once
 at import; integer arguments are made once per call and shared by every
@@ -54,7 +55,6 @@ import glob
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,14 +104,11 @@ def set_blas_threads(threads: int) -> None:
 
 _zgees = _lapack("zgees", 2, 13)
 _ztrsyl3 = _lapack("ztrsyl3", 2, 13)
-_zgetrf = _lapack("zgetrf", 0, 6)
-_zgetrs = _lapack("zgetrs", 1, 8)
-_zgecon = _lapack("zgecon", 1, 8)
 _zpocon = _lapack("zpocon", 1, 8)
 _ztrtrs = _lapack("ztrtrs", 3, 7)
 
 #: The character arguments the bindings pass, and their hidden length.
-_N, _C, _T, _U, _V, _NORM1 = (ctypes.c_char_p(c) for c in (b"N", b"C", b"T", b"U", b"V", b"1"))
+_N, _C, _T, _U, _V = (ctypes.c_char_p(c) for c in (b"N", b"C", b"T", b"U", b"V"))
 _ONE = ctypes.c_size_t(1)
 
 
@@ -126,12 +123,6 @@ class LinalgError(Exception):
 
 class NotPositiveDefiniteError(LinalgError):
     """A Cholesky factorization met a nonpositive pivot."""
-
-
-class SingularMatrixError(LinalgError):
-    def __init__(self, pivot: int):
-        self.pivot = pivot
-        super().__init__(f"matrix is exactly singular (zero pivot at index {pivot})")
 
 
 def _check_info(name: str, info: ctypes.c_int64) -> None:
@@ -151,15 +142,15 @@ class LogDet:
     def value(self) -> complex:
         return np.exp(self.log_abs) * self.phase
 
-
-class LUFactors(NamedTuple):
-    """Partial-pivoting LU factorization, reusable for solves.
-
-    ``lu`` is Fortran-ordered; ``piv`` holds LAPACK's 1-based row interchanges.
-    """
-
-    lu: np.ndarray
-    piv: np.ndarray
+    @classmethod
+    def of(cls, a: np.ndarray, name: str) -> LogDet:
+        """det ``a`` from numpy's ``slogdet``; a non-finite or exactly singular ``a`` is a named error."""
+        if not np.isfinite(a).all():
+            raise LinalgError(f"{name} has non-finite entries")
+        sign, log_abs = np.linalg.slogdet(a)
+        if sign == 0:
+            raise LinalgError(f"{name} is exactly singular")
+        return cls(float(log_abs), complex(sign))
 
 
 def _as_square(a, name="matrix") -> np.ndarray:
@@ -272,72 +263,6 @@ class Propagator:
             return expm(self.g * t)
         w, v, vinv = self._eig
         return (v * np.exp(w * t)) @ vinv
-
-
-def lu_logdet(a) -> tuple[LUFactors, LogDet]:
-    """LU-factorize ``a`` (LAPACK zgetrf) and assemble its determinant in log space.
-
-    The determinant is the product of the U pivots times the permutation
-    sign; accumulating log-magnitudes and phase angles separately keeps it
-    exact even when the plain determinant would over/underflow.
-    """
-    a = _as_square(a)
-    if a.ndim != 2:
-        raise ValueError(f"lu_logdet takes one matrix, got shape {a.shape}")
-    n = a.shape[0]
-    lu = np.array(a, order="F")
-    piv = np.empty(n, dtype=np.int64)
-    info = ctypes.c_int64()
-    n_arg = _int(n)
-    lda = n_arg if n else _int(1)
-    _zgetrf(n_arg, n_arg, lu.ctypes.data, lda, piv.ctypes.data, ctypes.byref(info))
-    _check_info("zgetrf", info)
-    if info.value > 0:
-        raise SingularMatrixError(info.value - 1)
-    # Array methods and ufuncs rather than np.sum and np.angle, whose Python
-    # wrappers cost more than the reductions at small n; same arithmetic.
-    diag = lu.diagonal()
-    sign = 1.0 if np.count_nonzero(piv != np.arange(1, n + 1)) % 2 == 0 else -1.0
-    log_abs = float(np.log(np.abs(diag)).sum())
-    phase = sign * np.exp(1j * np.arctan2(diag.imag, diag.real).sum())
-    return LUFactors(lu, piv), LogDet(log_abs, complex(phase))
-
-
-def solve_factored(factors: LUFactors, b) -> np.ndarray:
-    """Solve A X = B from an existing factorization (LAPACK zgetrs)."""
-    b = np.asarray(b, dtype=complex)
-    n = factors.lu.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, the matrix {n}")
-    x = np.array(b.reshape(n, -1), order="F")
-    info = ctypes.c_int64()
-    n_arg = _int(n)
-    lda = n_arg if n else _int(1)
-    _zgetrs(
-        _N, n_arg, _int(x.shape[1]), factors.lu.ctypes.data, lda,
-        factors.piv.ctypes.data, x.ctypes.data, lda, ctypes.byref(info), _ONE,
-    )
-    if info.value != 0:
-        raise LinalgError(f"zgetrs failed with info = {info.value}")
-    return x.reshape(b.shape)
-
-
-def condition_estimate(factors: LUFactors, anorm: float) -> float:
-    """1-norm condition estimate from the LU factors of a matrix of 1-norm ``anorm`` (zgecon).
-
-    A failed or zero estimate reads inf.
-    """
-    n = factors.lu.shape[0]
-    info, rcond = ctypes.c_int64(), ctypes.c_double()
-    n_arg = _int(n)
-    work = np.empty(3 * n, dtype=complex)  # work(2n), then rwork(2n) in the last n slots
-    w0 = work.ctypes.data
-    _zgecon(
-        _NORM1, n_arg, factors.lu.ctypes.data, n_arg if n else _int(1),
-        ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
-        w0, w0 + 32 * n, ctypes.byref(info), _ONE,
-    )
-    return np.inf if info.value != 0 or rcond.value == 0.0 else 1.0 / rcond.value
 
 
 #: Largest L at which :func:`cholesky_half_solve` inverts a stack's
@@ -495,9 +420,7 @@ def lyapunov_solve(w, f) -> np.ndarray:
     it is when the spectrum of W lies strictly in the right half plane; a
     vanishing pair, such as a mode that couples to no bath, is a named
     error, read from the diagonal of T and from the solver's own check.
-    The residual is checked last.  At most four n x n matrices are live at
-    once: U is conjugated in place, never copied, and each factor is
-    dropped as soon as the next step no longer reads it.
+    The residual is checked last.
     """
     w = _as_square(w, "W")
     f = _as_square(f, "F")
@@ -507,21 +430,11 @@ def lyapunov_solve(w, f) -> np.ndarray:
     t, u = _schur(w)
     _check_pair_sums(np.diagonal(t))
 
-    np.conjugate(u, out=u)
-    y = u.T @ f  # U^dag F
-    np.conjugate(u, out=u)
-    y = y @ u
-    y = np.asfortranarray(y)
-    scale = _trsyl(t, y)
-    del t
+    y = np.asfortranarray(u.conj().T @ f @ u)
+    scale = _trsyl(t, y)  # overwrites y with the solution, times scale
     y /= scale
-    c = u @ y  # U Y U^dag
-    del y
-    np.conjugate(u, out=u)
-    c = c @ u.T
-    del u
-    c += c.conj().T
-    c *= 0.5
+    c = u @ y @ u.conj().T  # U Y U^dag
+    c = 0.5 * (c + c.conj().T)
 
     r = w @ c  # W C + C W^dag - F, with C W^dag = (W C)^dag as C is Hermitian
     r += r.conj().T

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import LogDet, LUFactors, expm, lu_logdet, solve_factored
+from .linalg import LinalgError, LogDet, expm
 
 TWO_INSERT_KINDS = ("adjacent", "split_mp", "split_pp", "split_mm", "split_pm")
 
@@ -34,9 +34,10 @@ class QuadraticFormChain:
     Built from the coefficient matrices X_k: each is exponentiated once,
     and its inverse is taken as e^{-X_k} rather than by inversion, for
     accuracy.  All e^{X_k} and e^{-X_k} come from one stacked expm call.
-    The product P, the LU factorization of 1 + P with D = det(1 + P), and
-    T = P (1 + P)^{-1} are each computed on first use and then kept, so the
-    formulas below share them.  :meth:`prefix` gives the chain of the first
+    The product P, D = det(1 + P) (numpy's ``slogdet``) and
+    T = P (1 + P)^{-1} (numpy's ``solve``) are each computed on first use and
+    then kept, so the formulas below share them; an exactly singular 1 + P
+    is a :class:`LinalgError`.  :meth:`prefix` gives the chain of the first
     n factors on the same exponentials, with no further expm call.
     """
 
@@ -55,7 +56,7 @@ class QuadraticFormChain:
 
     def _reset(self, exps: list[np.ndarray], inv_exps: list[np.ndarray]):
         self.exps, self.inv_exps = exps, inv_exps
-        self._product = self._factors = self._kernel = None
+        self._product = self._det = self._kernel = None
 
     def prefix(self, n: int) -> "QuadraticFormChain":
         """The chain of the first n factors, sharing their exponentials."""
@@ -81,19 +82,22 @@ class QuadraticFormChain:
             self._product = p
         return self._product
 
-    def _one_plus_product(self) -> tuple[LUFactors, LogDet]:
-        if self._factors is None:
-            self._factors = lu_logdet(np.eye(self.dim, dtype=complex) + self.product())
-        return self._factors
+    def _one_plus_product(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex) + self.product()
 
     def det(self) -> LogDet:
         """D = det(1 + P), computed once."""
-        return self._one_plus_product()[1]
+        if self._det is None:
+            self._det = LogDet.of(self._one_plus_product(), "1 + P")
+        return self._det
 
     def kernel(self) -> np.ndarray:
         """T = P (1 + P)^{-1}, computed once."""
         if self._kernel is None:
-            self._kernel = solve_factored(self._one_plus_product()[0], self.product())
+            try:
+                self._kernel = np.linalg.solve(self._one_plus_product(), self.product())
+            except np.linalg.LinAlgError:  # an exactly zero pivot
+                raise LinalgError("1 + P is exactly singular") from None
         return self._kernel
 
 
@@ -212,5 +216,5 @@ def trace_one_insert_alpha_route(
     eye = np.eye(chain.dim, dtype=complex)
     e_alpha = eye.copy()
     e_alpha[i, i] = np.exp(alpha)
-    _, det_with = lu_logdet(eye + e_alpha @ p)
+    det_with = LogDet.of(eye + e_alpha @ p, "1 + e^{alpha n_i} P")
     return (det_with.value - chain.det().value) / (np.expm1(alpha))

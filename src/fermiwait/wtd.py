@@ -51,9 +51,9 @@ boundary rows and columns, K_G and the log-determinants are built once per
 (state, single-particle set) and kept in ``SingleParticleSet.memo``: every
 point, curve, moment pass and repeated call on the same objects reuses them.
 
-Fallback.  The LU form -- G, Gd G, A, one LU of A and a six-column solve
-A^{-1} [Gd, Gd G, 1][:, b] multiplied by C and the boundary rows of G and
-1 - C -- is used
+Fallback.  The LU form -- G, Gd G, A, numpy's ``slogdet`` of A and one
+``solve`` for A^{-1} [Gd[:, b], (Gd G)[:, b], 1], whose first six columns
+are multiplied by C and the boundary rows of G and 1 - C -- is used
 
 - when the propagator is on its expm fallback near an exceptional point
   (``linalg.PROPAGATOR_COND_MAX``);
@@ -69,7 +69,8 @@ impossible-click rejection are the same on both forms.  ``cond_estimate``
 of a point is the 1-norm condition number of the matrix factorized for it:
 on the eigenbasis form that of B, exact up to
 ``linalg.BATCHED_SOLVE_MAX_SITES`` sites and LAPACK's estimate from below
-(``zpocon``) above; on the LU form LAPACK's estimate for A (``zgecon``).
+(``zpocon``) above; on the LU form the exact ||A||_1 ||A^-1||_1, from the
+identity columns of its one solve.
 
 Stacks of times.  Every density runs through one evaluator
 (``_densities``) on a 1-D array of n times, which returns the (n, 4, 4)
@@ -147,14 +148,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import (
-    NotPositiveDefiniteError,
-    blas_threads,
-    cholesky_half_solve,
-    condition_estimate,
-    lu_logdet,
-    solve_factored,
-)
+from .linalg import LogDet, NotPositiveDefiniteError, blas_threads, cholesky_half_solve
 from .model import (
     CHANNEL_ORDER,
     MIN_OCCUPATION_FACTOR,
@@ -173,9 +167,9 @@ CLAMP_WINDOW = 1e-12
 IMAG_TOL = 1e-9
 
 #: 1-norm condition number of the factorized matrix (B or A) above which
-#: points are flagged.  It is exact for B up to
+#: points are flagged.  It is exact for A and for B up to
 #: ``linalg.BATCHED_SOLVE_MAX_SITES`` sites, and LAPACK's estimate, a lower
-#: bound, for B above and for A.
+#: bound, for B above.
 COND_THRESHOLD = 1e12
 
 #: Smallest eigenvalue of C from which the eigenbasis kernel is used at
@@ -221,7 +215,7 @@ class WtdPoint:
     condition number of the matrix factorized for the point, above
     COND_THRESHOLD).  For B on the eigenbasis form it is exact up to
     ``linalg.BATCHED_SOLVE_MAX_SITES`` sites and LAPACK's lower-bound
-    estimate above; for A on the LU form it is LAPACK's estimate.
+    estimate above; for A on the LU form it is exact.
     """
 
     t: float
@@ -432,14 +426,18 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     g = sp.propagator.matrix(t)
     gd = g.conj().T
     gdg = gd @ g
-    one_minus_c = np.eye(sp.L) - c
+    eye = np.eye(sp.L)
+    one_minus_c = eye - c
     a = gdg @ c
     a += one_minus_c
-    factors, logdet = lu_logdet(a)
-    cond = condition_estimate(factors, float(np.abs(a).sum(axis=0).max()))
+    logdet = LogDet.of(a, f"A of the LU form at t={t:.6g}")
 
-    # A^-1 [Gd, Gd G, 1][:, b]: the only solve, six columns.
-    cols = solve_factored(factors, np.hstack((gd[:, b], gdg[:, b], np.eye(sp.L)[:, b])))
+    # A^-1 [Gd[:, b], (Gd G)[:, b], 1]: the only solve.  Its last L columns
+    # are A^-1, for the exact condition number.
+    x = np.linalg.solve(a, np.hstack((gd[:, b], gdg[:, b], eye)))
+    a_inv = x[:, 4:]
+    cond = np.abs(a).sum(axis=0).max() * np.abs(a_inv).sum(axis=0).max()
+    cols = np.hstack((x[:, :4], a_inv[:, b]))  # A^-1 [Gd, Gd G, 1][:, b]
     c_cols = c @ cols
     left = g[b] @ c_cols  # G C A^-1 [Gd, Gd G, 1] at rows b
     right = one_minus_c[b] @ cols  # (1-C) A^-1 [Gd, Gd G] at rows b

@@ -80,8 +80,9 @@ def random_hermitian(rng, L):
 def one_blas_thread():
     """numpy's OpenBLAS and the one scipy bundles on one thread each, restored after.
 
-    The bitwise comparisons need it: OpenBLAS's zgetrs, for one, takes
-    another code path on more than one thread.  So does the block pool,
+    The bitwise comparisons with scipy's wrappers of the bound routines
+    need it: OpenBLAS may split a routine's work differently on more than
+    one thread, and so round differently.  So does the block pool,
     which starts no thread while numpy's OpenBLAS runs on more than one.
     """
     site = os.path.dirname(os.path.dirname(np.__file__))

@@ -197,10 +197,9 @@ PUBLIC_NAMES = sorted([
     "LogDet", "QuadraticFormChain", "QuadratureResult", "SingleParticleSet", "WtdCurve",
     "WtdPoint", "bss_trace", "build_fermions", "build_liouvillian", "build_tight_binding",
     "can_click", "channel_stats", "channels", "default_time_grid", "derive_single_particle",
-    "expm", "fock", "integrate_semiinfinite", "jump_frequencies", "linalg", "lu_logdet",
-    "lyapunov_solve", "model", "natd", "stats", "steady_state", "trace_one_insert",
-    "tracedet", "vacuum_state", "verify_tracedet", "wtd", "wtd_curve", "wtd_density",
-    "wtd_density_matrix",
+    "expm", "fock", "integrate_semiinfinite", "jump_frequencies", "linalg", "lyapunov_solve",
+    "model", "natd", "stats", "steady_state", "trace_one_insert", "tracedet", "vacuum_state",
+    "verify_tracedet", "wtd", "wtd_curve", "wtd_density", "wtd_density_matrix",
 ])
 
 

@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import fermiwait.tracedet
+from fermiwait.linalg import LinalgError
 from fermiwait.tracedet import (
     QuadraticFormChain,
     TWO_INSERT_KINDS,
@@ -51,6 +53,28 @@ class TestBareTrace:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal dimension"):
             QuadraticFormChain([np.zeros((2, 2)), np.zeros((3, 3))])
+
+    def test_against_extended_precision_determinant(self):
+        rng = np.random.default_rng(3)
+        with mpmath.workdps(30):
+            for _ in range(4):
+                chain = QuadraticFormChain([random_coeff(rng, 8) for _ in range(3)])
+                one_plus = np.eye(8) + chain.product()
+                want = complex(mpmath.det(mpmath.matrix(one_plus.tolist())))
+                assert abs(bss_trace(chain).value - want) < 1e-10 * abs(want)
+                assert abs(abs(bss_trace(chain).phase) - 1.0) < 1e-12
+
+    def test_exactly_singular_one_plus_product_is_a_named_error(self, monkeypatch):
+        # e^X = diag(-1, 2) exactly, so 1 + P has an exact zero pivot.
+        exps = np.array([np.diag([-1.0, 2.0]), np.diag([-1.0, 0.5])], dtype=complex)
+        monkeypatch.setattr(fermiwait.tracedet, "expm", lambda a: exps)
+        chain = QuadraticFormChain([np.zeros((2, 2))])
+        with pytest.raises(LinalgError, match=r"1 \+ P is exactly singular"):
+            bss_trace(chain)
+        with pytest.raises(LinalgError, match=r"1 \+ P is exactly singular"):
+            chain.kernel()
+        with pytest.raises(LinalgError, match=r"1 \+ e\^\{alpha n_i\} P is exactly singular"):
+            trace_one_insert_alpha_route(1, chain, 1.0)
 
 
 class TestOneInsertion:

@@ -401,7 +401,7 @@ def kernel_forms(monkeypatch):
     monkeypatch.setattr(
         wtdmod, "cholesky_half_solve", counted("eigenbasis", wtdmod.cholesky_half_solve)
     )
-    monkeypatch.setattr(wtdmod, "lu_logdet", counted("lu", wtdmod.lu_logdet))
+    monkeypatch.setattr(wtdmod, "_lu_blocks", counted("lu", wtdmod._lu_blocks))
     return calls
 
 
@@ -550,6 +550,71 @@ class TestExceptionalPoint:
                         assert rel_dev(a, b) < 1e-8
         # No eigenvectors, no eigenbasis form: every steady point took the LU form.
         assert kernel_forms["eigenbasis"] == 0 and kernel_forms["lu"] > 0
+
+
+def _refuse_cholesky(a, b):
+    raise NotPositiveDefiniteError("forced")
+
+
+class TestLuForm:
+    """Every time on the LU form against the full blocks: densities and the exact cond(A).
+
+    ``C_MIN_EIGENVALUE`` = 1 would leave the times after ``lu_until`` on the
+    eigenbasis form wherever a mode grows (f > 1/2), so the Cholesky
+    factorization of B is refused instead: each refused time takes the LU form.
+    """
+
+    @staticmethod
+    def _assert_matches_full_blocks(t, state, sp):
+        g = sp.propagator.matrix(t)
+        a = (g.conj().T @ g) @ state.C + (np.eye(sp.L) - state.C)
+        assert rel_dev(wtdmod._lu_blocks(t, state.C, sp).cond[0], np.linalg.cond(a, 1)) <= 1e-10
+        want, amp = reference_density_matrix(t, state, sp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wtdmod, "cholesky_half_solve", _refuse_cholesky)
+            try:
+                got = wtd_density_matrix(t, state, sp)
+            except WtdNumericsError:
+                # Where modes grow the LU form loses about e^{2 g t} and may
+                # refuse, but only by name and only past the flag.
+                assert not amp <= COND_THRESHOLD
+                return
+        if not amp <= COND_THRESHOLD:
+            return  # as past the "ill_conditioned" flag: no digits left to compare
+        atol = max(1e-14, 1e-14 * amp * np.max(np.abs(want)))
+        assert np.all(np.abs(got - want) <= np.maximum(1e-10 * np.abs(want), atol))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        L=st_.integers(2, 8),
+        seed=st_.integers(0, 2**32 - 1),
+        gammas=st_.tuples(st_.floats(0.05, 2.0), st_.floats(0.05, 2.0)),
+        fs=st_.tuples(_occupation, _occupation),
+        t=st_.floats(0.0, 20.0),
+    )
+    def test_steady_draws(self, L, seed, gammas, fs, t):
+        rng = np.random.default_rng(seed)
+        spec = ChainSpec(
+            h=random_hermitian(rng, L), gamma1=gammas[0], gammaL=gammas[1], f1=fs[0], fL=fs[1]
+        )
+        self._assert_matches_full_blocks(t, steady_state(spec), derive_single_particle(spec))
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.1, 2.5, 9.0])
+    def test_exceptional_point_chain(self, t):
+        spec = ChainSpec(h=build_tight_binding(2, 0.0, 1.0), gamma1=4.0, gammaL=4.0, f1=0.0, fL=0.5)
+        sp = derive_single_particle(spec)
+        assert sp.propagator.path == "expm"
+        self._assert_matches_full_blocks(t, steady_state(spec), sp)
+
+    def test_exactly_singular_a_is_a_named_error(self, monkeypatch):
+        # Site 1 full and G underflowed to 0: A = 1 - C has an exact zero pivot.
+        spec = tight_binding_spec(2, gamma=1.0, f1=0.0, fL=0.0)
+        sp = derive_single_particle(spec)
+        state = GaussianState(C=np.diag([1.0, 0.5]).astype(complex), kind="custom")
+        assert not np.any(sp.propagator.matrix(2000.0))
+        monkeypatch.setattr(wtdmod, "cholesky_half_solve", _refuse_cholesky)
+        with pytest.raises(LinalgError, match=r"A of the LU form at t=2000 is exactly singular"):
+            wtd_density_matrix(2000.0, state, sp)
 
 
 def _assert_stack_is_bitwise_single(ts, state, sp):

@@ -43,7 +43,15 @@ from .fock import (
     verify_tracedet,
 )
 from .linalg import LinalgError, set_blas_threads
-from .model import CHANNEL_ORDER, ChainSpec, can_click, channels, occupation_factor, vacuum_state
+from .model import (
+    CHANNEL_ORDER,
+    ChainSpec,
+    can_click,
+    channels,
+    derive_single_particle,
+    occupation_factor,
+    vacuum_state,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -127,7 +135,8 @@ def cmd_wtd(args) -> int:
     spec = cfg.chain_spec()
     k = _parse_channel(args.to, spec)
     q = _parse_channel(getattr(args, "from"), spec)
-    sp, state = wtdmod.prepare(spec, cfg.initial)
+    sp = derive_single_particle(spec)
+    state = cfg.initial(sp)
     grid = wtdmod.default_time_grid(sp, points=cfg.points, t_max=cfg.t_max)
     curve = wtdmod.wtd_curve(k, q, state, sp, grid)
     out = Path(cfg.out_dir) / f"wtd_{k.label}_given_{q.label}.csv"
@@ -145,8 +154,8 @@ def cmd_natd(args) -> int:
     cfg = _load_config(args)
     if cfg.initial_state != "steady":
         raise ConfigError("state.initial: net activity distribution needs 'steady'")
-    spec = cfg.chain_spec()
-    sp, state = wtdmod.prepare(spec, cfg.initial)
+    sp = derive_single_particle(cfg.chain_spec())
+    state = cfg.initial(sp)
     grid = wtdmod.default_time_grid(sp, points=cfg.points, t_max=cfg.t_max)
     rows = zip(grid, statsmod.natd(grid, state, sp).tolist())
     out = Path(cfg.out_dir) / "natd.csv"
@@ -156,7 +165,8 @@ def cmd_natd(args) -> int:
 
 
 def _stats_payload(cfg: RunConfig) -> tuple[dict, bool]:
-    sp, state = wtdmod.prepare(cfg.chain_spec(), cfg.initial)
+    sp = derive_single_particle(cfg.chain_spec())
+    state = cfg.initial(sp)
     tol = cfg.tol_quadrature
     table = statsmod.channel_stats(state, sp, tol)
 
@@ -237,7 +247,8 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     check runs.
     """
     spec = cfg.chain_spec()
-    sp, st = wtdmod.prepare(spec, dataclasses.replace(cfg, initial_state="steady").initial)
+    sp = derive_single_particle(spec)
+    st = dataclasses.replace(cfg, initial_state="steady").initial(sp)
     report = verify_tracedet(seed=seed, draws=20, sizes=(2, 3))
     tol = cfg.tol_oracle
     covariance = report.add("steady_covariance", 1e-8)
@@ -331,7 +342,8 @@ def cmd_bench(args) -> int:
     rows = []
     for L in sizes:
         run_cfg = dataclasses.replace(cfg, L=L, initial_state="steady").validate()
-        sp, state = wtdmod.prepare(run_cfg.chain_spec(), run_cfg.initial)
+        sp = derive_single_particle(run_cfg.chain_spec())
+        state = run_cfg.initial(sp)
         k, q = sp.channels["L-"], sp.channels["1+"]
         t_probe = L / 2.0
         wtdmod.wtd_density(t_probe, k, q, state, sp)  # warm up caches/BLAS
@@ -444,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The package's parallelism is its own two phases (``wtd`` thread policy);
-    # BLAS threads under them would only contend for the same cores.  Importing
-    # this module pinned OpenBLAS before it loaded, unless numpy came first;
-    # this call pins it always.
+    # The package's one parallel phase is its block-build pool (``wtd`` thread
+    # policy); BLAS threads under it would only contend for the same cores.
+    # Importing this module pinned OpenBLAS before it loaded, unless numpy
+    # came first; this call pins it always.
     set_blas_threads(1)
     _keep_freed_memory()
     parser = build_parser()

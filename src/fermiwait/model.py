@@ -188,6 +188,9 @@ class SingleParticleSet:
         ``linalg.secular_eig`` gives them in the eigenbasis of h and U turns
         them into Q's; the propagator checks them, and where the sweeps
         refuse or the check does, takes LAPACK's ``eig`` of Q and then expm.
+        The first use is on the calling thread: ``wtd._build_blocks`` reads
+        it before its pool starts, as from Python 3.12 on ``cached_property``
+        does not keep two threads from building it twice.
         """
         try:
             lam, y = secular_eig(*self._boundary(self.Q))

@@ -108,33 +108,32 @@ fallback one propagator per time.  Through the same assembly they give
 and densities conditioned on an extraction are zero, as the extraction
 columns of every state whose boundary site is empty.
 
-Thread policy.  There are two parallel phases, one after the other and
-never nested, and both run from ``POOL_MIN_SITES`` sites on with the
-worker count of ``_pool_workers``: ``prepare`` builds the propagator on
-one worker thread while the calling thread solves for the initial state,
-and the pool of ``_build_blocks`` runs over the parts of a stack.  Below
-that size no thread starts.  The command line pins numpy's bundled
-OpenBLAS, the one BLAS and LAPACK of the package (``linalg.OPENBLAS``), to
-one thread: before the library loads when it can (importing ``cli`` before
-numpy sets ``OPENBLAS_NUM_THREADS=1``, so OpenBLAS never starts a worker
-thread), and in ``cli.main`` always.  So BLAS threads never nest under
-either phase's threads.  It also keeps freed memory in the heap
-(``cli._keep_freed_memory``), so the workers do not fault their
-temporaries' pages in afresh at every part.  With one BLAS thread each
-phase's results are bitwise those of running its steps in order.  The
-library never changes the BLAS setting; while BLAS runs on more than one
-thread (``linalg.blas_threads``) no phase starts a thread, so a library
-caller gets BLAS's threads or the phases', never both.
+Thread policy.  The one place a thread starts is the pool of
+``_build_blocks``, which runs over the parts of a stack: from
+``POOL_MIN_SITES`` sites on, with more than one part, on
+min(4, os.cpu_count()) threads.  Below that size no thread starts, and
+setup (the single-particle set, the initial state, the propagator) always
+runs on the calling thread.  Everything the tasks share is built before
+the pool starts.  The command line pins numpy's bundled OpenBLAS, the one
+BLAS and LAPACK of the package (``linalg.OPENBLAS``), to one thread: before
+the library loads when it can (importing ``cli`` before numpy sets
+``OPENBLAS_NUM_THREADS=1``, so OpenBLAS never starts a worker thread), and
+in ``cli.main`` always.  So BLAS threads never nest under the pool's.  It
+also keeps freed memory in the heap (``cli._keep_freed_memory``), so the
+workers do not fault their temporaries' pages in afresh at every part.
+With one BLAS thread the pooled blocks are bitwise those of running the
+tasks in order.  The library never changes the BLAS setting; while BLAS
+runs on more than one thread (``linalg.blas_threads``) the pool does not
+start, so a library caller gets BLAS's threads or the pool's, never both.
 ``linalg.set_blas_threads(1)`` gives it the command line's choice, and
 ``MALLOC_MMAP_THRESHOLD_=33554432`` and ``MALLOC_TRIM_THRESHOLD_=67108864``
 in the environment before the process starts give it the command line's
 allocator thresholds.
 Threads overlap only code that releases the GIL: numpy's linalg gufuncs
-(the Cholesky factorization, ``eig``, ``inv``, ``solve``), matrix products,
-large elementwise operations (most of a secular sweep) and every LAPACK
-call of ``linalg`` do, the fallback Schur form and Sylvester solve of the
-steady state and the per-time ``zpocon`` and ``ztrtrs`` calls included,
-since ctypes releases the GIL for each call.  What holds it is the Python
+(the Cholesky factorization, ``inv``, ``slogdet``, ``solve``), matrix
+products, large elementwise operations and every LAPACK call of
+``linalg`` do, the per-time ``zpocon`` and ``ztrtrs`` calls included, since
+ctypes releases the GIL for each call.  What holds it is the Python
 between those calls.
 """
 
@@ -142,7 +141,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -152,11 +150,9 @@ from .linalg import LogDet, NotPositiveDefiniteError, blas_threads, cholesky_hal
 from .model import (
     CHANNEL_ORDER,
     MIN_OCCUPATION_FACTOR,
-    ChainSpec,
     Channel,
     GaussianState,
     SingleParticleSet,
-    derive_single_particle,
     occupation_factor,
 )
 
@@ -189,13 +185,13 @@ C_MIN_EIGENVALUE = 1e-3
 #: it costs more per time than one time alone.
 STACK_BYTES = 1 << 17
 
-#: Smallest chain that runs on threads, in either of the two parallel
-#: phases (``_pool_workers``): the propagator built beside the initial state
-#: (``prepare``) and the block build (``_build_blocks``).  Below it the
-#: Python between the LAPACK calls, which holds the GIL, outweighs what the
-#: pool overlaps: on two cores, with every LAPACK call releasing the GIL,
-#: pool/serial time per node was 1.06-1.12 at L = 64, 1.01-1.08 at 100,
-#: 0.90-1.06 at 128, 0.72-1.07 at 160 and 0.60-1.01 at 200 (three runs).
+#: Smallest chain whose block build (``_build_blocks``) runs on a pool.
+#: Below it the Python between the LAPACK calls, which holds the GIL,
+#: outweighs what the pool overlaps.  Milliseconds per time of a 64-time
+#: stack (32 at L = 800) from the steady state with f1 = 1 and fL = 0,
+#: pooled vs serial on two cores and one BLAS thread, median of 3: 0.9-1.4
+#: vs 0.9-1.3 at L = 128 and 2.0-2.1 vs 2.8-3.3 at 200 (three runs each),
+#: 8.5 vs 14.2 at 400 and 34.2 vs 63.6 at 800.
 POOL_MIN_SITES = 128
 
 DEFAULT_GRID_POINTS = 400
@@ -458,51 +454,6 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     )
 
 
-def _pool_workers(L: int) -> int:
-    """Threads a parallel phase runs on for a chain of L sites; 1 means no thread starts.
-
-    min(4, os.cpu_count()) from POOL_MIN_SITES sites on, 1 below, and 1
-    while BLAS runs on more than one thread, so the phases' threads never
-    stack on BLAS threads.
-    """
-    if L < POOL_MIN_SITES or blas_threads() > 1:
-        return 1
-    return min(4, os.cpu_count() or 1)
-
-
-def prepare(
-    spec: ChainSpec, initial: Callable[[SingleParticleSet], GaussianState]
-) -> tuple[SingleParticleSet, GaussianState]:
-    """The single-particle set ``sp`` of ``spec`` and the initial state ``initial(sp)``.
-
-    The one path from a chain to what a run computes on: the set is built
-    once, with the eigendecomposition of h both later steps start from, and
-    ``initial`` reads it (``RunConfig.initial``), as do the time grid and
-    every density.  Building the propagator (``SingleParticleSet.propagator``:
-    the secular sweeps for Q, a product with the eigenvectors of h, an
-    inverse and the residual check) and the initial state (for a steady
-    state, the secular sweeps for W, a two-column solve and four products)
-    are independent steps.  When ``_pool_workers`` allows threads, the
-    propagator is built on one worker thread while this thread calls
-    ``initial(sp)``; both spend their time in numpy's elementwise loops,
-    matrix products and LAPACK calls, which release the GIL, so they
-    overlap.  Each step runs as it would alone, so
-    with BLAS on one thread the results are bitwise those of the serial
-    order.  Otherwise no thread starts: ``initial(sp)`` runs and the
-    propagator is built on its first use.  An error of ``initial(sp)`` is
-    raised in preference to one of the propagator, as the serial order meets
-    it first, and only after the worker thread has ended.
-    """
-    sp = derive_single_particle(spec)
-    if _pool_workers(sp.L) == 1:
-        return sp, initial(sp)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        built = pool.submit(lambda: sp.propagator)
-        state = initial(sp)
-    built.result()
-    return sp, state
-
-
 def _vacuum_blocks(ts: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     """The blocks at the times ``ts`` from the vacuum, from the boundary columns of G alone.
 
@@ -531,10 +482,13 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
     parts of at most STACK_BYTES of L x L matrices, and every other time is
     a part of its own on the LU form.  A part whose Cholesky factorization
     is refused runs again through the same task one time at a time, and a
-    single refused time takes the LU form.  With more than one part and
-    more than one worker (``_pool_workers``), the tasks run on a pool of
-    that many threads; the blocks are bitwise the same.
+    single refused time takes the LU form.  With more than one part, from
+    POOL_MIN_SITES sites on and while BLAS runs on one thread, the tasks run
+    on a pool of min(4, os.cpu_count()) threads, after what they share (the
+    propagator, the per-state factors) is built here; the blocks are bitwise
+    the same.
     """
+    sp.propagator  # read by every task: built on this thread, never by a worker
     vacuum = state.kind == "vacuum"
     if vacuum:
         tasks = [np.arange(ts.size)[part] for part in _chunks(ts.size, 32 * sp.L)]
@@ -557,8 +511,9 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
                     return [piece for i in idx for piece in run(np.array([i]))]
         return [(idx, _lu_blocks(float(ts[idx[0]]), state.C, sp))]
 
-    workers = _pool_workers(sp.L)
-    if len(tasks) > 1 and workers > 1:
+    pooled = len(tasks) > 1 and sp.L >= POOL_MIN_SITES and blas_threads() <= 1
+    workers = min(4, os.cpu_count() or 1) if pooled else 1
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run, tasks))
     else:

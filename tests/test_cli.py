@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import threading
 
 import numpy as np
 import pytest
@@ -404,9 +403,9 @@ class TestOutputDirectory:
         self, tmp_path, capsys, monkeypatch, command, under
     ):
         def unreachable(*args):
-            raise AssertionError("prepare was reached")
+            raise AssertionError("setup was reached")
 
-        monkeypatch.setattr(fermiwait.wtd, "prepare", unreachable)
+        monkeypatch.setattr(fermiwait.cli, "derive_single_particle", unreachable)
         cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
         blocker = tmp_path / "taken"
         blocker.write_text("")
@@ -422,11 +421,11 @@ class TestOutputDirectory:
 
 
 class TestSetupErrors:
-    """From wtd.POOL_MIN_SITES sites a failing setup step exits as in the serial order."""
+    """A failing setup step exits with its own code, the steady state's error first."""
 
     @pytest.mark.parametrize("failing", ["steady", "propagator", "both"])
     def test_error_surfaces_as_in_serial_order(self, tmp_path, capsys, monkeypatch, failing):
-        body = DEFAULT_CONFIG.replace("L = 2", f"L = {fermiwait.wtd.POOL_MIN_SITES}")
+        body = DEFAULT_CONFIG
         if failing != "propagator":
             body = body.replace("gamma1 = 0.1", "gamma1 = 0.0")
         if failing != "steady":
@@ -437,19 +436,11 @@ class TestSetupErrors:
             monkeypatch.setattr(fermiwait.model, "Propagator", broken)
         cfg = write_config(tmp_path / "run.ini", body)
         argv = ["wtd", "--config", cfg, "--from", "1+", "--to", "L-", "--out", str(tmp_path)]
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        started, start = [], threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-        overlapped = main(argv), capsys.readouterr().err
-        assert len(started) == 1 and not started[0].is_alive()
-        monkeypatch.setattr(fermiwait.wtd, "POOL_MIN_SITES", 10**9)
-        serial = main(argv), capsys.readouterr().err
-        assert len(started) == 1
-        assert overlapped == serial
+        rc, err = main(argv), capsys.readouterr().err
         if failing == "propagator":
-            assert overlapped == (2, "numerical failure: eigendecomposition failed\n")
+            assert (rc, err) == (2, "numerical failure: eigendecomposition failed\n")
         else:
-            assert overlapped[0] == 1 and "gamma1 > 0" in overlapped[1]
+            assert rc == 1 and "gamma1 > 0" in err
 
 
 #: Every subcommand, with the arguments that run it on a small chain.
@@ -463,7 +454,7 @@ COMMANDS = {
 
 
 class TestSetupPath:
-    """Every subcommand reaches its chain's set and initial state through ``wtd.prepare``."""
+    """Every subcommand builds one set per chain (``derive_single_particle``), then its state."""
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_one_set_per_chain_and_one_decomposition_per_state(

@@ -755,7 +755,8 @@ class TestBlockPool:
     """The tasks of ``_build_blocks`` give the same blocks on the pool as serially, bitwise."""
 
     @staticmethod
-    def _pooled_and_serial(monkeypatch, ts, state, sp):
+    def _counted_pools(monkeypatch) -> list:
+        """The keyword arguments of every pool ``_build_blocks`` starts from now on."""
         pools = []
 
         class CountedPool(ThreadPoolExecutor):
@@ -764,6 +765,11 @@ class TestBlockPool:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(wtdmod, "ThreadPoolExecutor", CountedPool)
+        return pools
+
+    @classmethod
+    def _pooled_and_serial(cls, monkeypatch, ts, state, sp):
+        pools = cls._counted_pools(monkeypatch)
         monkeypatch.setattr(wtdmod, "POOL_MIN_SITES", sp.L)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pooled = wtdmod._build_blocks(ts, state, sp)
@@ -819,47 +825,34 @@ class TestBlockPool:
         self._pooled_and_serial(monkeypatch, ts, state, sp)
         assert kernel_forms == {"eigenbasis": 2 * 2, "lu": 2 * 4}
 
-
     def test_no_pool_on_top_of_blas_threads(self, monkeypatch):
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        ts = np.linspace(0.0, 60.0, 11)
+        pools = self._counted_pools(monkeypatch)
+        monkeypatch.setattr(wtdmod, "POOL_MIN_SITES", sp.L)
+        monkeypatch.setattr(wtdmod, "STACK_BYTES", 3 * 16 * 3**2)  # four parts
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert wtdmod._pool_workers(wtdmod.POOL_MIN_SITES) == 2
+        wtdmod._build_blocks(ts, st, sp)
+        assert pools == [{"max_workers": 2}]
         set_blas_threads(2)  # the fixture restores the count
-        assert wtdmod._pool_workers(wtdmod.POOL_MIN_SITES) == 1
+        wtdmod._build_blocks(ts, st, sp)
+        assert len(pools) == 1
 
+    def test_the_propagator_is_built_before_the_pool(self, monkeypatch):
+        # From the vacuum only the tasks read the propagator; a worker that
+        # built it could race the others into building it again.
+        sp = derive_single_particle(tight_binding_spec(wtdmod.POOL_MIN_SITES))
+        ts = np.linspace(0.0, 100.0, 40)  # two parts of boundary columns
+        built = []
 
-@pytest.mark.usefixtures("one_blas_thread")
-class TestPrepare:
-    """``prepare`` builds the propagator beside the initial state from POOL_MIN_SITES sites on."""
+        class CheckedPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append("propagator" in vars(sp))
+                super().__init__(*args, **kwargs)
 
-    @staticmethod
-    def _started_threads(monkeypatch) -> list:
-        started = []
-        real = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or real(self))
-        return started
-
-    def test_overlapped_equals_serial_bitwise(self, monkeypatch):
-        spec = tight_binding_spec(wtdmod.POOL_MIN_SITES, f1=0.8, fL=0.1)
+        monkeypatch.setattr(wtdmod, "ThreadPoolExecutor", CheckedPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        started = self._started_threads(monkeypatch)
-        sp, state = wtdmod.prepare(spec, lambda sp: sp.steady_state())
-        assert len(started) == 1 and not started[0].is_alive()
-        assert "propagator" in vars(sp)  # built by the worker, before prepare returned
-        serial_sp, serial_state = derive_single_particle(spec), steady_state(spec)
-        assert np.array_equal(state.C, serial_state.C)
-        for got, want in zip(sp.propagator.eig, serial_sp.propagator.eig):
-            assert np.array_equal(got, want)
-        k, q = sp.channels["L-"], sp.channels["1+"]
-        grid = np.linspace(0.0, 512.0, 6)
-        got = wtd_curve(k, q, state, sp, grid).values
-        assert np.array_equal(got, wtd_curve(k, q, serial_state, serial_sp, grid).values)
-
-    def test_no_thread_below_pool_min_sites(self, monkeypatch):
-        spec = tight_binding_spec(wtdmod.POOL_MIN_SITES - 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        started = self._started_threads(monkeypatch)
-        sp, state = wtdmod.prepare(spec, lambda sp: sp.steady_state())
-        assert started == []
-        assert "propagator" not in vars(sp)  # built on first use, as without prepare
-        assert np.array_equal(state.C, steady_state(spec).C)
-
+        wtdmod._build_blocks(ts, vacuum_state(sp.L), sp)
+        assert built == [True]

@@ -213,55 +213,53 @@ def expm(a) -> np.ndarray:
 PROPAGATOR_COND_MAX = 1e6
 
 
+def _checked_eig(g, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(w, V, V^-1) if g V = V diag(w) passes both measurements, else None."""
+    try:
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:  # exactly defective
+        return None
+    cond = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
+    resid = g @ v
+    resid -= v * w  # in place: one n x n temporary besides g V
+    resid = np.linalg.norm(resid) / max(np.linalg.norm(g), 1e-300)
+    if cond < PROPAGATOR_COND_MAX and resid < 1e-10:
+        return w, v, vinv
+    return None
+
+
 class Propagator:
     """exp(g t) for any t >= 0 from one eigendecomposition of g, or expm per call.
 
     With g = V diag(w) V^-1, exp(g t) = V diag(e^{w t}) V^-1 costs one matrix
-    product per time (``matrix``).  The eigenpairs (w, V) are the caller's
-    ``eig`` when given (``path`` "given"), else LAPACK's ``eig`` of g
-    ("eig"); V^-1 is one ``inv`` of V either way.
-    g is generally non-normal; if V is ill-conditioned beyond
-    PROPAGATOR_COND_MAX (near an exceptional point) or the decomposition
-    residual is poor, given pairs fall back to LAPACK's, and LAPACK's to
-    scaling-and-squaring on every call (Moler & Van Loan, SIAM Rev. 2003;
-    ``path`` "expm").  The path is chosen from these two measurements only.
-    At t = 0 every path returns the identity exactly.
+    product per time (``matrix``).  ``eig`` holds (w, V, V^-1): the caller's
+    pairs when given (``path`` "given"), else LAPACK's ``eig`` of g ("eig"),
+    with V^-1 one ``inv`` of V either way.  g is generally non-normal; if V is
+    ill-conditioned beyond PROPAGATOR_COND_MAX (near an exceptional point) or
+    the decomposition residual is poor, given pairs fall back to LAPACK's, and
+    LAPACK's to scaling-and-squaring on every call (Moler & Van Loan, SIAM
+    Rev. 2003; ``path`` "expm", where ``eig`` is None and g is the one matrix
+    kept).  The path is chosen from these two measurements only.  At t = 0
+    every path returns the identity exactly.
     """
 
     def __init__(self, g, eig: tuple[np.ndarray, np.ndarray] | None = None):
-        self.g = _as_square(g)
-        self._eig = None if eig is None else self._checked(*eig)
+        g = _as_square(g)
+        self._size = g.shape[0]
+        self.eig = None if eig is None else _checked_eig(g, *eig)
         self.path = "given"
-        if self._eig is None:
-            self._eig = self._checked(*np.linalg.eig(self.g))
-            self.path = "eig" if self._eig is not None else "expm"
-
-    def _checked(self, w, v) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(w, V, V^-1) if g V = V diag(w) passes both measurements, else None."""
-        try:
-            vinv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:  # exactly defective
-            return None
-        cond = np.linalg.norm(v, 1) * np.linalg.norm(vinv, 1)
-        resid = self.g @ v
-        resid -= v * w  # in place: one n x n temporary besides g V
-        resid = np.linalg.norm(resid) / max(np.linalg.norm(self.g), 1e-300)
-        if cond < PROPAGATOR_COND_MAX and resid < 1e-10:
-            return w, v, vinv
-        return None
-
-    @property
-    def eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(w, V, V^-1) with g = V diag(w) V^-1, or None on the expm fallback."""
-        return self._eig
+        if self.eig is None:
+            self.eig = _checked_eig(g, *np.linalg.eig(g))
+            self.path = "eig" if self.eig is not None else "expm"
+        self._g = g if self.eig is None else None
 
     def matrix(self, t: float) -> np.ndarray:
         """exp(g t) as a dense matrix."""
         if t == 0.0:
-            return np.eye(self.g.shape[0], dtype=complex)
-        if self._eig is None:
-            return expm(self.g * t)
-        w, v, vinv = self._eig
+            return np.eye(self._size, dtype=complex)
+        if self.eig is None:
+            return expm(self._g * t)
+        w, v, vinv = self.eig
         return (v * np.exp(w * t)) @ vinv
 
 
@@ -444,8 +442,8 @@ def lyapunov_solve(w, f) -> np.ndarray:
 
 
 def _check_pair_sums(lam: np.ndarray) -> None:
-    """A named error if some pair sum lam_a + conj(lam_b) is below 1e-14 max(1, max |lam|)."""
-    bad = np.abs(lam[:, None] + lam[None, :].conj()) < 1e-14 * max(1.0, float(np.abs(lam).max()))
+    """A named error unless every pair sum lam_a + conj(lam_b) is at least 1e-14 max(1, max |lam|); NaN is not."""
+    bad = ~(np.abs(lam[:, None] + lam[None, :].conj()) >= 1e-14 * max(1.0, float(np.abs(lam).max())))
     if np.any(bad):
         a, b = np.argwhere(bad)[0]
         raise LinalgError(
@@ -455,8 +453,8 @@ def _check_pair_sums(lam: np.ndarray) -> None:
 
 
 def _check_residual(resid: float, fnorm: float) -> None:
-    """A named error unless the Lyapunov residual norm is at most 1e-10 ||F||."""
-    if resid > 1e-10 * max(fnorm, 1e-300):
+    """A named error unless the Lyapunov residual norm is at most 1e-10 ||F||; NaN is not."""
+    if not resid <= 1e-10 * max(fnorm, 1e-300):
         raise LinalgError(
             f"Lyapunov residual {resid:.3e} exceeds 1e-10 * ||F|| = {1e-10 * fnorm:.3e}"
         )

@@ -2,9 +2,9 @@
 
 A chain of L sites with quadratic Hamiltonian sum_ij h_ij c_i^dag c_j is
 coupled to particle baths at sites 1 and L.  Bath i injects with rate
-gamma_i * f_i and extracts with rate gamma_i * (1 - f_i).  Everything the
-closed-form machinery needs is encoded in three L x L matrices and one
-scalar:
+gamma_i * f_i and extracts with rate gamma_i * (1 - f_i).  The closed-form
+machinery is written in three L x L matrices and one scalar, which a
+SingleParticleSet builds from the spec where one is read and never stores:
 
     W = i h + (1/2) diag(gamma_1, 0, ..., 0, gamma_L)   drift
     F = diag(gamma_1 f_1, 0, ..., 0, gamma_L f_L)       injection
@@ -149,19 +149,16 @@ def can_click(q: Channel, factor: float) -> bool:
 
 @dataclass(frozen=True)
 class SingleParticleSet:
-    """Derived single-particle matrices W, F, Q, the decay scalar and the channel table.
+    """A chain spec, its channel table and h's eigendecomposition; W, F and Q built where read.
 
     ``channels`` is the spec's :func:`channels` table; F and gamma_total are
     built from its injection rates, so every consumer reads the same rates.
-    ``h_eig`` is (E, U) with h = U diag(E) U^dag, E ascending.  The
-    matrices, like a state's covariance, are treated as immutable: the
+    ``h_eig`` is (E, U) with h = U diag(E) U^dag, E ascending.  The three
+    fields, like a state's covariance, are treated as immutable: the
     propagator and the memo are built from them once.
     """
 
-    W: np.ndarray
-    F: np.ndarray
-    Q: np.ndarray
-    gamma_total: float
+    spec: ChainSpec
     channels: dict[str, Channel]
     h_eig: tuple[np.ndarray, np.ndarray]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -171,15 +168,37 @@ class SingleParticleSet:
 
     @property
     def L(self) -> int:
-        return self.W.shape[0]
+        return self.spec.L
 
-    def _boundary(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(E, R, delta) with U^dag g U = iE + R^dag diag(delta) R, for g = W or Q.
+    @property
+    def W(self) -> np.ndarray:
+        gamma_diag = np.zeros(self.L)
+        gamma_diag[[0, -1]] = self.spec.gamma1, self.spec.gammaL
+        return 1j * self.spec.h + 0.5 * np.diag(gamma_diag)
 
-        g - ih is real and diagonal, nonzero at the bath sites only.
+    @property
+    def F(self) -> np.ndarray:
+        f = np.zeros((self.L, self.L), dtype=complex)
+        f[[0, -1], [0, -1]] = self.channels["1+"].rate, self.channels["L+"].rate
+        return f
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self.W - self.F
+
+    @property
+    def gamma_total(self) -> float:
+        return self.channels["1+"].rate + self.channels["L+"].rate
+
+    def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(E, R, delta, phi): U^dag W U = iE + R^dag diag(delta) R, U^dag F U = R^dag diag(phi) R.
+
+        delta = gamma_b / 2 and phi = gamma_b f_b, bitwise the real diagonal
+        entries of W and F at the bath sites b; Q has delta - phi.
         """
         e, u = self.h_eig
-        return e, u[[0, -1]], g.diagonal()[[0, -1]].real
+        delta = 0.5 * np.array([self.spec.gamma1, self.spec.gammaL])
+        return e, u[[0, -1]], delta, np.array([self.channels["1+"].rate, self.channels["L+"].rate])
 
     @cached_property
     def propagator(self) -> Propagator:
@@ -192,8 +211,9 @@ class SingleParticleSet:
         it before its pool starts, as from Python 3.12 on ``cached_property``
         does not keep two threads from building it twice.
         """
+        e, r, delta, phi = self._boundary()
         try:
-            lam, y = secular_eig(*self._boundary(self.Q))
+            lam, y = secular_eig(e, r, delta - phi)
         except LinalgError:
             return Propagator(-self.Q)
         v = self.h_eig[1] @ y
@@ -207,12 +227,10 @@ class SingleParticleSet:
         eigenbasis of h, or, where it refuses, ``linalg.lyapunov_solve``,
         whose own refusal is raised.
         """
-        ch = self.channels
-        if min(ch["1-"].rate + ch["1+"].rate, ch["L-"].rate + ch["L+"].rate) <= 0:
+        if min(self.spec.gamma1, self.spec.gammaL) <= 0:
             raise ValueError("steady state requires gamma1 > 0 and gammaL > 0")
-        e, r, delta = self._boundary(self.W)
         try:
-            c = secular_lyapunov_solve(e, r, delta, self.F.diagonal()[[0, -1]].real)
+            c = secular_lyapunov_solve(*self._boundary())
         except LinalgError:
             return GaussianState(C=lyapunov_solve(self.W, self.F), kind="steady")
         u = self.h_eig[1]
@@ -305,26 +323,11 @@ def build_tight_binding(L: int, V: float, J: float) -> np.ndarray:
 
 
 def derive_single_particle(spec: ChainSpec) -> SingleParticleSet:
-    """Build the drift/injection/no-click matrices and the channel table from a chain spec."""
-    L = spec.L
-    ch = channels(spec)
-    gamma_diag = np.zeros(L)
-    gamma_diag[0] = spec.gamma1
-    gamma_diag[-1] = spec.gammaL
-    w = 1j * spec.h + 0.5 * np.diag(gamma_diag)
-
-    f = np.zeros((L, L), dtype=complex)
-    f[0, 0] = ch["1+"].rate
-    f[-1, -1] = ch["L+"].rate
-
-    h = spec.h
+    """The single-particle set of a chain spec: its channel table and h's eigendecomposition."""
     return SingleParticleSet(
-        W=w,
-        F=f,
-        Q=w - f,
-        gamma_total=ch["1+"].rate + ch["L+"].rate,
-        channels=ch,
-        h_eig=np.linalg.eigh(h if h.imag.any() else h.real),
+        spec=spec,
+        channels=channels(spec),
+        h_eig=np.linalg.eigh(spec.h if spec.h.imag.any() else spec.h.real),
     )
 
 

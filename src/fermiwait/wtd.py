@@ -265,14 +265,13 @@ def default_time_grid(
     """Uniform grid covering both the bath decay and ballistic traversal scales.
 
     t_max defaults to max(20 / Gamma, 4 L / J_eff) with J_eff the largest
-    off-diagonal magnitude of h, read from the set: off the diagonal W is
-    i h, whose magnitudes are bitwise those of h.
+    off-diagonal magnitude of the spec's h.
     """
     if t_max is None:
         candidates = []
         if sp.gamma_total > 0:
             candidates.append(20.0 / sp.gamma_total)
-        j_eff = float(np.max(np.abs(sp.W - np.diag(np.diagonal(sp.W)))))
+        j_eff = float(np.max(np.abs(sp.spec.h - np.diag(np.diagonal(sp.spec.h)))))
         if j_eff > 0:
             candidates.append(4.0 * sp.L / j_eff)
         if not candidates:

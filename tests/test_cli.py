@@ -113,6 +113,36 @@ class TestRunConfig:
         assert main(argv) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ("[model]\nkind = ring\n", "model.kind"),
+            ("[model]\nkind = custom_h\n", "model.h_file"),
+            ("[model]\nL = 1\n", "model.L"),
+            ("[state]\ninitial = thermal\n", "state.initial"),
+            ("[grid]\npoints = 1\n", "grid.points"),
+            ("[tolerances]\nquadrature = 0.1\n", "tolerances.quadrature"),
+            ("[tolerances]\noracle = 0\n", "tolerances.oracle"),
+            ("[model]\nL 2\n", "[line  2]: 'L 2"),
+            ("[model]\nkind = custom_h\nh_file = h.csv\n", "model: h must be Hermitian"),
+        ],
+        ids=[
+            "kind", "custom-without-file", "L", "initial", "points", "quadrature-tol",
+            "oracle-tol", "malformed-line", "non-hermitian-h",
+        ],
+    )
+    def test_validation_error_names_the_key(self, tmp_path, body, key):
+        (tmp_path / "h.csv").write_text("0.0,0.0,1.0,0.0\n2.0,0.0,0.0,0.0\n")
+        path = write_config(tmp_path / "bad.ini", body)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_file(path).chain_spec()
+        assert key in str(exc.value)
+
+    def test_empty_value_keeps_the_default(self, tmp_path):
+        path = write_config(tmp_path / "run.ini", "[grid]\npoints =\n\n[model]\nL = 3\n")
+        cfg = RunConfig.from_file(path)
+        assert cfg.points == RunConfig().points and cfg.L == 3
+
 
 #: The variables OpenBLAS reads its thread count from.
 BLAS_THREAD_VARS = (
@@ -293,6 +323,25 @@ class TestImportGraph:
                 print("@" + argv[0], rc, *scipy_modules())
         """)
         assert out == ["import", "wtd 0", "stats 0", "natd 0", "verify 0"]
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv, code, stream, named",
+        [
+            (["stats", "--sweep-L", "1"], 1, "err", "--sweep-L"),
+            (["bench", "--sizes", "1,50"], 1, "err", "--sizes"),
+            (["stats", "--colour"], 1, "err", "--colour"),
+            (["--help"], 0, "out", "usage: fermiwait"),
+        ],
+        ids=["sweep-L", "sizes", "unknown-flag", "help"],
+    )
+    def test_exit_code_and_message(self, tmp_path, capsys, argv, code, stream, named):
+        if argv[0] != "--help":
+            argv = argv + ["--out", str(tmp_path)]
+        assert main(argv) == code
+        assert named in getattr(capsys.readouterr(), stream)
+        assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
 
 
 class TestWtdCommand:

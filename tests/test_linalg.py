@@ -360,6 +360,20 @@ class TestPropagator:
             want = np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
             assert np.max(np.abs(prop.matrix(t) - want)) < 1e-14
 
+    def test_keeps_its_generator_only_on_the_expm_path(self):
+        # The expm path is the one later reader of g; the others keep only
+        # (w, V, V^-1), so the caller's generator can be freed.
+        rng = np.random.default_rng(15)
+        g = random_complex(rng, 5) - 3.0 * np.eye(5)
+        jordan = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+        for gen, eig, path in ((g, np.linalg.eig(g), "given"), (g, None, "eig"), (jordan, None, "expm")):
+            prop = Propagator(gen, eig=eig)
+            assert prop.path == path
+            kept = [v for v in vars(prop).values() if isinstance(v, np.ndarray) and np.array_equal(v, gen)]
+            assert len(kept) == (path == "expm")
+            assert np.array_equal(prop.matrix(0.0), np.eye(gen.shape[0]))
+        assert np.array_equal(prop.matrix(1.5), expm(jordan * 1.5))
+
     def test_forced_fallback_agrees(self, monkeypatch):
         rng = np.random.default_rng(13)
         g = random_complex(rng, 5) - 3.0 * np.eye(5)
@@ -405,6 +419,14 @@ class TestLyapunov:
         w = np.diag([1j, 1.0])  # 1j + conj(1j) = 0
         with pytest.raises(LinalgError, match="pair"):
             lyapunov_solve(w, np.eye(2, dtype=complex))
+
+    def test_nan_pair_sum_is_refused(self):
+        with pytest.raises(LinalgError, match="pair"):
+            linalg._check_pair_sums(np.array([0.5 + 1j, np.nan, 2.0]))
+
+    def test_nan_residual_is_refused(self):
+        with pytest.raises(LinalgError, match="residual nan"):
+            linalg._check_residual(np.nan, 1.0)
 
     def test_near_defective_uses_fallback(self):
         # Jordan-like block: the eigenvector matrix is nearly singular

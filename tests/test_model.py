@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import sys
@@ -8,12 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 
 import fermiwait.model
-from fermiwait.linalg import LinalgError, Propagator, lyapunov_solve, secular_eig
+from fermiwait.linalg import (
+    LinalgError,
+    Propagator,
+    lyapunov_solve,
+    secular_eig,
+    secular_lyapunov_solve,
+)
 from fermiwait.model import (
     CHANNEL_ORDER,
     MEMO_ENTRIES,
     ChainSpec,
     GaussianState,
+    SingleParticleSet,
     build_tight_binding,
     channels,
     derive_single_particle,
@@ -161,6 +169,21 @@ class TestDeriveSingleParticle:
         assert sp.F[0, 0] == sp.channels["1+"].rate
         assert sp.F[-1, -1] == sp.channels["L+"].rate
         assert sp.gamma_total == sp.channels["1+"].rate + sp.channels["L+"].rate
+
+    def test_stores_the_spec_its_channels_and_h_eig_only(self):
+        # W, F, Q and gamma_total follow from the spec: none is stored, and
+        # the set holds no L x L array of its own once its steady state and
+        # propagator are built.
+        spec = generic_spec(5)
+        sp = derive_single_particle(spec)
+        sp.steady_state()
+        sp.propagator
+        assert set(vars(sp)) == {"spec", "channels", "h_eig", "_memo", "_memo_lock", "propagator"}
+        assert sp.spec is spec and sp.channels == channels(spec)
+        assert not any(isinstance(v, np.ndarray) for v in vars(sp).values())
+        for name in ("W", "F", "Q", "gamma_total"):
+            assert isinstance(inspect.getattr_static(SingleParticleSet, name), property)
+        assert sp.W is not sp.W and np.array_equal(sp.W, sp.W)
 
 
 class TestSteadyState:
@@ -375,6 +398,55 @@ class TestSecularPath:
         slowest = float(np.linalg.eigvals(sp.W).real.min())
         tol = 16 * L * np.finfo(float).eps * np.max(np.abs(sp.F)) / (2.0 * slowest)
         assert np.max(np.abs(c - lyapunov_solve(sp.W, sp.F))) <= tol
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st_.sampled_from(["nearest", "dense real", "dense complex"]),
+        L=st_.integers(2, 12),
+        seed=st_.integers(0, 2**32 - 1),
+        gammas=st_.tuples(st_.floats(0.05, 4.0), st_.floats(0.05, 4.0)),
+        fs=st_.tuples(_filling, _filling),
+    )
+    def test_secular_solves_read_the_dense_bath_diagonals(self, kind, L, seed, gammas, fs):
+        # delta and phi come from the bath rates, not from the dense W, Q and
+        # F; they must still be bitwise the real diagonal entries there.
+        sp = derive_single_particle(_secular_spec(kind, L, seed, gammas, fs))
+        seen = {}
+
+        def recording(name, solve):
+            def wrapped(e, r, *diagonals):
+                seen[name] = [np.asarray(d, dtype=float).tobytes() for d in diagonals]
+                return solve(e, r, *diagonals)
+
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fermiwait.model, "secular_eig", recording("Q", secular_eig))
+            patch.setattr(fermiwait.model, "secular_lyapunov_solve", recording("W, F", secular_lyapunov_solve))
+            sp.propagator
+            try:
+                sp.steady_state()
+            except LinalgError:
+                pass
+        bath = [0, -1]
+        dense = [np.ascontiguousarray(g.diagonal()[bath].real).tobytes() for g in (sp.Q, sp.W, sp.F)]
+        assert seen == {"Q": dense[:1], "W, F": dense[1:]}
+
+    def test_poisoned_secular_pairs_take_the_schur_solve(self, monkeypatch):
+        # A zero null vector in secular_eig's bordered solve normalizes to a
+        # NaN column.  The pair-sum check must refuse it, so the steady state
+        # is the Schur solve's; a NaN that passed both checks gave a NaN C,
+        # refused by GaussianState as a config error.
+        def poisoned(e, r, delta):
+            lam, y = secular_eig(e, r, delta)
+            y[:, 2] = np.nan
+            return lam, y
+
+        sp = derive_single_particle(generic_spec(6))
+        monkeypatch.setattr(fermiwait.linalg, "secular_eig", poisoned)
+        with np.errstate(invalid="ignore"):  # a NaN reaching C's division warns there first
+            c = sp.steady_state().C
+        assert np.array_equal(c, lyapunov_solve(sp.W, sp.F))
 
     def test_degenerate_spectrum_takes_the_lapack_path(self, monkeypatch):
         # Two identical decoupled chains: every value of h twice.  Chain A

@@ -248,6 +248,20 @@ class TestGrids:
         spec = tight_binding_spec(60)
         assert default_time_grid(derive_single_particle(spec))[-1] == pytest.approx(240.0)
 
+    @pytest.mark.parametrize(
+        "spec, kwargs, named",
+        [
+            (ChainSpec(h=np.diag([0.5, -0.5]), gamma1=0.1, gammaL=0.1, f1=0.0, fL=0.0), {}, "no hopping"),
+            (tight_binding_spec(3), {"t_max": np.inf}, "t_max"),
+            (tight_binding_spec(3), {"t_max": np.nan}, "t_max"),
+            (tight_binding_spec(3), {"points": 1}, "2 points"),
+        ],
+        ids=["no-decay-no-hopping", "infinite-t_max", "nan-t_max", "one-point"],
+    )
+    def test_default_grid_refusals(self, spec, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            default_time_grid(derive_single_particle(spec), **kwargs)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             validate_times([0.0, 1.0, 1.0], grid=True)

@@ -8,7 +8,12 @@ Fock-space oracle that verifies every formula at small chain sizes.
 Every public name resolves on first access: ``import fermiwait`` loads no
 submodule and no numpy, and ``fermiwait.wtd_curve`` imports ``fermiwait.wtd``
 then.  So ``import fermiwait.cli`` runs the command line's first lines, which
-set its BLAS thread policy, before numpy loads OpenBLAS.
+set its BLAS thread policy, before numpy loads OpenBLAS.  It then loads the
+modules every command runs (``linalg``, ``model``, ``config``, ``wtd``,
+``stats``, ``json``, ``argparse``) and no others of the package: ``verify``
+imports the oracle (``fock``, ``tracedet``), a pooled block build
+``concurrent.futures`` and a config file ``configparser`` where each is
+used.
 """
 
 import importlib

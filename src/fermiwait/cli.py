@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 if "numpy" not in sys.modules:
     # OpenBLAS reads its thread count once, when numpy loads it; a process
@@ -36,15 +37,10 @@ import numpy as np
 from . import stats as statsmod
 from . import wtd as wtdmod
 from .config import ConfigError, RunConfig
-from .fock import (
-    ORACLE_MAX_SITES,
-    FockOracle,
-    VerificationReport,
-    verify_tracedet,
-)
 from .linalg import LinalgError, set_blas_threads
 from .model import (
     CHANNEL_ORDER,
+    ORACLE_MAX_SITES,
     ChainSpec,
     can_click,
     channels,
@@ -52,6 +48,9 @@ from .model import (
     occupation_factor,
     vacuum_state,
 )
+
+if TYPE_CHECKING:
+    from .fock import VerificationReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -244,8 +243,11 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     its steady-state solve), the dimension and path of its no-click
     propagator, and the quadrature record of each normalization pass.  The
     steady state is built first, so a chain without one fails before any
-    check runs.
+    check runs.  The oracle and the identity suite (``fock``, ``tracedet``)
+    are imported here, so that no other command loads them.
     """
+    from .fock import FockOracle, verify_tracedet
+
     spec = cfg.chain_spec()
     sp = derive_single_particle(spec)
     st = dataclasses.replace(cfg, initial_state="steady").initial(sp)

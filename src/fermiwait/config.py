@@ -38,7 +38,6 @@ imaginary part of each entry, interleaved.
 
 from __future__ import annotations
 
-import configparser
 import math
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -128,6 +127,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """The validated config of the INI file at ``path``; an unset key keeps its default.
+
+        ``configparser`` is imported here, so only a run given a config
+        file loads it.
+        """
+        import configparser
+
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")

@@ -23,8 +23,10 @@ cross-checks H_eff.  Sector vectors list the (ket, bra) pairs in row-major
 order, so a sandwich A rho B has the entries A[I, I'] B[J', J].
 
 Everything here exists to verify the L x L closed forms at small L, not to
-be fast.  The one hard cap is L <= 6 (sector dimension 924); the command
-line stops at L = 4 (dimension 70) unless ``--allow-large-oracle`` is given.
+be fast.  The one hard cap is ``model.ORACLE_MAX_SITES`` = 6 (sector
+dimension 924), kept in ``model`` so that the command line reads it without
+importing this module; the command line stops at L = 4 (dimension 70)
+unless ``--allow-large-oracle`` is given.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from .linalg import Propagator, expm
-from .model import ChainSpec, Channel, CHANNEL_ORDER, can_click, channels
+from .model import ORACLE_MAX_SITES, ChainSpec, Channel, CHANNEL_ORDER, can_click, channels
 from . import tracedet
 
-ORACLE_MAX_SITES = 6
 ANTICOMM_TOL = 1e-13
 
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -94,7 +95,7 @@ def quadratic_form_operator(x, c_ops: list[np.ndarray]) -> np.ndarray:
     return op
 
 
-@dataclass
+@dataclass(eq=False)
 class LiouvillianParts:
     """Full generator, its no-click part and the four jumps, on the sector.
 

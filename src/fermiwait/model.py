@@ -29,6 +29,10 @@ Jacobi matrix, of simple spectrum and nonzero end components (Parlett, The
 Symmetric Eigenvalue Problem, sec. 7.9), and only a mode localized so
 strongly that its end amplitudes fall below roundoff reads as dark.
 :func:`can_click` is the one predicate for "can channel q click".
+
+The records that hold arrays (``ChainSpec``, ``SingleParticleSet``,
+``GaussianState``) compare and hash by identity (``eq=False``): ``==`` of
+two arrays has no single truth value.
 """
 
 from __future__ import annotations
@@ -44,8 +48,12 @@ from .linalg import LinalgError, Propagator, lyapunov_solve, secular_eig, secula
 
 HERMITICITY_TOL = 1e-12
 
+#: Largest chain of the 2^L Fock-space oracle (``fock``), whose steady-state
+#: sector has dimension C(2L, L): 924 at L = 6.
+ORACLE_MAX_SITES = 6
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Chain Hamiltonian plus the four bath parameters.
 
@@ -147,7 +155,7 @@ def can_click(q: Channel, factor: float) -> bool:
     return q.rate * factor > MIN_CLICK_WEIGHT and factor > MIN_OCCUPATION_FACTOR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleParticleSet:
     """A chain spec, its channel table and h's eigendecomposition; W, F and Q built where read.
 
@@ -161,10 +169,8 @@ class SingleParticleSet:
     spec: ChainSpec
     channels: dict[str, Channel]
     h_eig: tuple[np.ndarray, np.ndarray]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _memo_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     @property
     def L(self) -> int:
@@ -263,7 +269,7 @@ class SingleParticleSet:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Gaussian fermionic state held as a covariance matrix C_ij = <c_j^dag c_i>.
 
@@ -277,7 +283,7 @@ class GaussianState:
 
     C: np.ndarray
     kind: str = "custom"
-    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("steady", "vacuum", "custom"):

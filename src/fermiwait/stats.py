@@ -69,7 +69,7 @@ class QuadratureError(Exception):
     """Adaptive refinement failed or the tail cannot be bounded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureResult:
     """Integral value with error and truncation accounting.
 
@@ -85,7 +85,7 @@ class QuadratureResult:
     t_cut: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelStats:
     """Channel-resolved summary tables, indexed by CHANNEL_ORDER.
 

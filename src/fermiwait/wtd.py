@@ -111,9 +111,11 @@ columns of every state whose boundary site is empty.
 Thread policy.  The one place a thread starts is the pool of
 ``_build_blocks``, which runs over the parts of a stack: from
 ``POOL_MIN_SITES`` sites on, with more than one part, on
-min(4, os.cpu_count()) threads.  Below that size no thread starts, and
-setup (the single-particle set, the initial state, the propagator) always
-runs on the calling thread.  Everything the tasks share is built before
+min(4, os.cpu_count()) threads.  Its executor is imported there, when a
+pool first starts, so a process that never pools never loads
+``concurrent.futures``.  Below that size no thread starts, and setup (the
+single-particle set, the initial state, the propagator) always runs on
+the calling thread.  Everything the tasks share is built before
 the pool starts.  The command line pins numpy's bundled OpenBLAS, the one
 BLAS and LAPACK of the package (``linalg.OPENBLAS``), to one thread: before
 the library loads when it can (importing ``cli`` before numpy sets
@@ -141,7 +143,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -294,7 +295,7 @@ def default_time_grid(
 _T, _INJ_SAME, _INJ_LEFT, _INJ_RIGHT, _EXT_SAME, _EXT_LEFT, _EXT_RIGHT = range(7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Blocks:
     """Boundary entries, at sites (1, L), of the t-dependent factors of all sixteen densities.
 
@@ -309,7 +310,7 @@ class _Blocks:
     cond: np.ndarray  # (n,) 1-norm condition, exact or LAPACK's estimate (COND_THRESHOLD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Eigenbasis:
     """The t-independent factors of the eigenbasis kernel for one state."""
 
@@ -513,6 +514,8 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
     pooled = len(tasks) > 1 and sp.L >= POOL_MIN_SITES and blas_threads() <= 1
     workers = min(4, os.cpu_count() or 1) if pooled else 1
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run, tasks))
     else:

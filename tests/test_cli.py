@@ -10,6 +10,7 @@ import pytest
 
 import fermiwait.cli
 import fermiwait.config
+import fermiwait.fock
 import fermiwait.model
 import fermiwait.tracedet
 import fermiwait.wtd
@@ -299,6 +300,12 @@ class TestAllocator:
         assert out == ["0 0"]
 
 
+#: Modules that every command runs, loaded by ``import fermiwait.cli``.
+EVERY_COMMAND = ("argparse", "fermiwait.stats", "fermiwait.wtd", "json")
+#: Modules that only some runs use, loaded where they are used.
+DEFERRED = ("concurrent.futures", "configparser", "fermiwait.fock", "fermiwait.tracedet")
+
+
 class TestImportGraph:
     def test_cli_and_every_subcommand_load_no_scipy(self, tmp_path):
         # The package's one LAPACK provider is numpy's bundled OpenBLAS;
@@ -323,6 +330,51 @@ class TestImportGraph:
                 print("@" + argv[0], rc, *scipy_modules())
         """)
         assert out == ["import", "wtd 0", "stats 0", "natd 0", "verify 0"]
+
+    def test_import_loads_what_every_command_runs_and_nothing_else(self):
+        out = _run_python(f"""
+            import sys
+            import fermiwait.cli
+            print("@kept", *[m for m in {EVERY_COMMAND!r} if m in sys.modules])
+            print("@deferred", *[m for m in {DEFERRED!r} if m in sys.modules])
+        """)
+        assert out == ["kept " + " ".join(EVERY_COMMAND), "deferred"]
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["stats"], []),
+            (["wtd", "--from", "1+", "--to", "L-", "--config"], ["configparser"]),
+            (["verify"], ["fermiwait.fock", "fermiwait.tracedet"]),
+        ],
+        ids=["stats", "wtd-config", "verify"],
+    )
+    def test_a_command_loads_only_what_it_uses(self, tmp_path, argv, loaded):
+        if argv[-1] == "--config":
+            argv = argv + [write_config(tmp_path / "run.ini", DEFAULT_CONFIG)]
+        out = _run_python(f"""
+            import sys
+            import fermiwait.cli
+            rc = fermiwait.cli.main({argv + ["--out", str(tmp_path)]!r})
+            print("@" + str(rc), *[m for m in {DEFERRED!r} if m in sys.modules])
+        """)
+        assert out == [" ".join(["0", *loaded])]
+
+    def test_verify_help_shows_the_oracle_cap_without_the_oracle(self):
+        out = _run_python(f"""
+            import contextlib
+            import io
+            import sys
+            import fermiwait.cli
+            from fermiwait.model import ORACLE_MAX_SITES
+
+            shown = io.StringIO()
+            with contextlib.redirect_stdout(shown):
+                rc = fermiwait.cli.main(["verify", "--help"])
+            cap = f"up to L = {{ORACLE_MAX_SITES}} " in " ".join(shown.getvalue().split())
+            print("@" + str(rc), cap, *[m for m in {DEFERRED!r} if m in sys.modules])
+        """)
+        assert out == ["0 True"]
 
 
 class TestArguments:
@@ -543,8 +595,8 @@ class TestSetupPath:
         body = DEFAULT_CONFIG.replace("gamma1 = 0.1", "gamma1 = 0.0")
         cfg = write_config(tmp_path / "run.ini", body)
         started = []
-        monkeypatch.setattr(fermiwait.cli, "verify_tracedet", lambda **_: started.append("suite"))
-        monkeypatch.setattr(fermiwait.cli, "FockOracle", lambda spec: started.append("oracle"))
+        monkeypatch.setattr(fermiwait.fock, "verify_tracedet", lambda **_: started.append("suite"))
+        monkeypatch.setattr(fermiwait.fock, "FockOracle", lambda spec: started.append("oracle"))
         errors = []
         for argv in COMMANDS.values():
             assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1

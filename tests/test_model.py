@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 
 import fermiwait.model
+from fermiwait import fock, stats, wtd
 from fermiwait.linalg import (
     LinalgError,
     Propagator,
@@ -108,6 +109,40 @@ class TestChainSpec:
         assert ch["L-"].rate == pytest.approx(0.15)
         assert ch["L-"].site_index == 2
         assert [ch[label].label for label in CHANNEL_ORDER] == list(CHANNEL_ORDER)
+
+
+class TestRecordEquality:
+    """Records that hold arrays compare and hash by identity; the others by value."""
+
+    def test_specs_sets_and_states_compare_and_hash_by_identity(self):
+        spec, twin = tight_binding_spec(3), tight_binding_spec(3)
+        sp, sp_twin = derive_single_particle(spec), derive_single_particle(twin)
+        pairs = [(spec, twin), (sp, sp_twin), (sp.steady_state(), sp_twin.steady_state())]
+        for a, b in pairs:
+            assert a == a and a != b  # the generated __eq__ raised on the arrays
+            assert {a: "a", b: "b"}[a] == "a"  # the generated __hash__ raised
+
+    def test_channels_compare_by_value(self):
+        ch, twin = channels(tight_binding_spec(3)), channels(tight_binding_spec(3))
+        assert ch is not twin and ch == twin
+        assert {ch["1+"]: 1}[twin["1+"]] == 1
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            ChainSpec,
+            SingleParticleSet,
+            GaussianState,
+            stats.QuadratureResult,
+            stats.ChannelStats,
+            wtd._Blocks,
+            wtd._Eigenbasis,
+            fock.LiouvillianParts,
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_every_record_with_an_array_field_uses_identity(self, cls):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
 class TestDeriveSingleParticle:

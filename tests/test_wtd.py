@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 import threading
@@ -778,7 +779,7 @@ class TestBlockPool:
                 pools.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(wtdmod, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
         return pools
 
     @classmethod
@@ -866,7 +867,7 @@ class TestBlockPool:
                 built.append("propagator" in vars(sp))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(wtdmod, "ThreadPoolExecutor", CheckedPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CheckedPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         wtdmod._build_blocks(ts, vacuum_state(sp.L), sp)
         assert built == [True]

@@ -11,9 +11,9 @@ then.  So ``import fermiwait.cli`` runs the command line's first lines, which
 set its BLAS thread policy, before numpy loads OpenBLAS.  It then loads the
 modules every command runs (``linalg``, ``model``, ``config``, ``wtd``,
 ``stats``, ``json``, ``argparse``) and no others of the package: ``verify``
-imports the oracle (``fock``, ``tracedet``), a pooled block build
-``concurrent.futures`` and a config file ``configparser`` where each is
-used.
+imports the oracle (``fock``, ``tracedet``) and a config file
+``configparser`` where each is used.  A pooled block build runs on
+``threading``, which ``model`` loads, and loads nothing more.
 """
 
 import importlib

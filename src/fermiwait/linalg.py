@@ -16,23 +16,29 @@ Where they refuse, the LAPACK paths below are the fallbacks:
 :class:`Propagator` on numpy's ``eig`` and then :func:`expm`, the steady
 state on :func:`lyapunov_solve`.
 
-One LAPACK provider, bound directly only where numpy lacks the routine.
-The kernels call numpy's own linalg gufuncs (``eigh``, ``eig``, ``inv``,
-``solve``, ``slogdet``, the batched Cholesky) wherever one exists, and bind
-a LAPACK routine through ctypes only where numpy has none.  Both run on the
+One LAPACK provider, bound directly only where numpy lacks the routine or
+its gufunc cannot hand the result to a bound one in place.  The kernels
+call numpy's own linalg gufuncs (``eigh``, ``eig``, ``inv``, ``solve``,
+``slogdet``, the batched Cholesky) wherever they serve, and bind a LAPACK
+routine through ctypes only where numpy has none, or where a bound routine
+works on its output: numpy's Cholesky copies each matrix into and out of a
+scratch buffer around its LAPACK call, while ``zpotrf`` factorizes in place
+the buffer that ``ztrtrs`` and ``zpocon`` then read.  Both run on the
 OpenBLAS bundled with numpy (``numpy.libs/libscipy_openblas64_*.so``),
 which exports its routines as ``scipy_<name>_64_``: Fortran calling
 convention, 64-bit integers, and the hidden length of each character
-argument passed last.  The four bindings are
+argument passed last.  The five bindings are
 
 - ``zgees`` (complex Schur form) and ``ztrsyl3`` (blocked triangular
   Sylvester solve, which hands blocks of one to ``ztrsyl``) in
   :func:`lyapunov_solve`, the steady state's fallback: numpy has no Schur
   form and no Sylvester solver;
-- ``ztrtrs`` and ``zpocon`` (triangular solve and condition estimate on
-  Cholesky factors), both in :func:`cholesky_half_solve`, which calls them
-  only for stacks of more than ``BATCHED_SOLVE_MAX_SITES`` rows: numpy has
-  no triangular solve and no condition estimator.
+- ``zpotrf``, ``ztrtrs`` and ``zpocon`` (Cholesky factorization, then the
+  triangular solve and condition estimate on its factor), all in
+  :func:`cholesky_half_solve`, which calls them only for stacks of more
+  than ``BATCHED_SOLVE_MAX_SITES`` rows: numpy has no triangular solve and
+  no condition estimator, and ``zpotrf`` leaves its factor where they read
+  it.
 
 Character arguments and their hidden lengths are ctypes objects made once
 at import; integer arguments are made once per call and shared by every
@@ -105,6 +111,7 @@ def set_blas_threads(threads: int) -> None:
 _zgees = _lapack("zgees", 2, 13)
 _ztrsyl3 = _lapack("ztrsyl3", 2, 13)
 _zpocon = _lapack("zpocon", 1, 8)
+_zpotrf = _lapack("zpotrf", 1, 4)
 _ztrtrs = _lapack("ztrtrs", 3, 7)
 
 #: The character arguments the bindings pass, and their hidden length.
@@ -264,10 +271,11 @@ class Propagator:
 
 
 #: Largest L at which :func:`cholesky_half_solve` inverts a stack's
-#: Cholesky factors in one batched call instead of calling ztrtrs and zpocon
-#: once per time.  Microseconds per time on two cores, one BLAS thread,
-#: eight right-hand sides, min of 15 rounds; a stack holds wtd.STACK_BYTES
-#: of matrices (at most 135 times), "one" is a stack of one time:
+#: Cholesky factors in one batched call instead of calling zpotrf, ztrtrs
+#: and zpocon once per time.  Microseconds per time on two cores, one BLAS
+#: thread, eight right-hand sides, min of 15 rounds; a stack holds
+#: wtd.STACK_BYTES of matrices (at most 135 times), "one" is a stack of one
+#: time; the loop factorized the stack by numpy's batched Cholesky here:
 #:
 #:     L              2    4    6    7    8    9   10   11   12   16
 #:     loop, stack  6.1  6.8  7.7  8.4  9.0 10.1 10.6 11.1 11.3 13.9
@@ -277,8 +285,19 @@ class Propagator:
 #:
 #: Up to 8 the inverse is about twice as fast on stacks and no slower on one
 #: time; from 9 on the stacked gain shrinks, from 10 on one time costs more,
-#: and from 16 on stacks do too.
+#: and from 16 on stacks do too.  With zpotrf in the loop (two runs on a
+#: noisier host) the split holds: the inverse is 2.3-2.5 times as fast on
+#: stacks at 7 and 8 and within 10% on one time, and from 9 to 16 one time
+#: costs it 2-74% more.
 BATCHED_SOLVE_MAX_SITES = 8
+
+
+def _log_det(factors: np.ndarray) -> np.ndarray:
+    """log det a = 2 sum log diag R for each Cholesky factor R of a stack; a non-finite one is refused."""
+    log_det = 2.0 * np.sum(np.log(np.diagonal(factors, axis1=-2, axis2=-1).real), axis=-1)
+    if not np.all(np.isfinite(log_det)):
+        raise NotPositiveDefiniteError("log det is not finite")
+    return log_det
 
 
 def cholesky_half_solve(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,20 +307,23 @@ def cholesky_half_solve(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``b`` a stack (n, L, k), so that B^dag a^-1 B = (R^-1 B)^dag (R^-1 B).
     Returns the C-contiguous (n, L, k) R^-1 B and the (n,) log determinants
     and 1-norm condition numbers (inf where the number is NaN or not
-    positive, or LAPACK's estimate fails).  One call of numpy's batched
-    Cholesky, which reads the lower triangles and releases the GIL,
-    factorizes the stack; :class:`NotPositiveDefiniteError` is raised if any
-    matrix is not numerically positive definite, a non-finite lower triangle
-    included.  The rest depends on L alone, never on n, so matrix m of a
-    stack comes out bitwise as the call on it alone:
+    positive, or LAPACK's estimate fails).  The factorization reads the lower
+    triangle of each matrix only.  :class:`NotPositiveDefiniteError` is
+    raised if any matrix is not numerically positive definite, or if a log
+    determinant is not finite, as it is for a NaN in the lower triangle,
+    which neither factorization refuses.  The path depends on L alone, never
+    on n, so matrix m of a stack comes out bitwise as the call on it alone:
 
-    - up to ``BATCHED_SOLVE_MAX_SITES`` rows, one batched ``inv`` of the
-      factors gives R^-1, one batched product R^-1 B, and
-      ||a||_1 ||R^-dag R^-1||_1 the exact condition number;
-    - above, one loop calls LAPACK ztrtrs and zpocon (an estimate of the
-      condition number, from below) on the Fortran-ordered view U = R^T of
-      each factor, the upper factor of conj(a) = U^dag U, which has a's
-      condition number and 1-norm; only the matrix pointers change per step.
+    - up to ``BATCHED_SOLVE_MAX_SITES`` rows, one call of numpy's batched
+      Cholesky factorizes the stack, one batched ``inv`` of the factors gives
+      R^-1, one batched product R^-1 B, and ||a||_1 ||R^-dag R^-1||_1 the
+      exact condition number;
+    - above, one loop over the times factorizes a copy of each matrix in
+      place with LAPACK zpotrf on its Fortran-ordered view, which reads a's
+      lower triangle as the upper one of conj(a) and leaves U = R^T, the
+      upper factor of conj(a) = U^dag U (a's condition number and 1-norm);
+      then ztrtrs and zpocon (an estimate of the condition number, from
+      below) run on that factor.  Only the matrix pointers change per step.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -310,29 +332,34 @@ def cholesky_half_solve(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, size = a.shape[:2]
     if b.ndim != 3 or b.shape[:2] != (n, size):
         raise ValueError(f"right-hand sides must be a stack ({n}, {size}, k), got shape {b.shape}")
-    try:
-        lower = np.ascontiguousarray(np.linalg.cholesky(a))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from None
-    log_det = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1).real), axis=-1)
-    if not np.all(np.isfinite(log_det)):
-        raise NotPositiveDefiniteError("log det is not finite")
     anorm = np.abs(a).sum(axis=1).max(axis=1)
     if size <= BATCHED_SOLVE_MAX_SITES:
+        try:
+            lower = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(str(exc)) from None
+        log_det = _log_det(lower)
         r_inv = np.linalg.inv(lower)
         cond = anorm * np.abs(r_inv.conj().transpose(0, 2, 1) @ r_inv).sum(axis=1).max(axis=1)
         return r_inv @ b, log_det, np.where(cond > 0.0, cond, np.inf)
+    factors = np.array(a, order="C")  # overwritten by the factors, one at a time
     x = np.array(b.transpose(0, 2, 1), order="C")  # x[m] is B_m in Fortran order
     work, rwork = np.empty(2 * size, dtype=complex), np.empty(size)
     info, norm, rcond = ctypes.c_int64(), ctypes.c_double(), ctypes.c_double()
     size_arg, k_arg, info_arg = _int(size), _int(b.shape[2]), ctypes.byref(info)
     norm_arg, rcond_arg = ctypes.byref(norm), ctypes.byref(rcond)
     w0, r0 = work.ctypes.data, rwork.ctypes.data
-    a0, a_step = lower.ctypes.data, lower.strides[0]
+    a0, a_step = factors.ctypes.data, factors.strides[0]
     x0, x_step = x.ctypes.data, x.strides[0]
     cond = np.empty(n)
     for m in range(n):
         factor = a0 + m * a_step
+        _zpotrf(_U, size_arg, factor, size_arg, info_arg, _ONE)
+        _check_info("zpotrf", info)
+        if info.value > 0:
+            raise NotPositiveDefiniteError(
+                f"zpotrf: leading minor {info.value} is not positive definite at stack index {m}"
+            )
         _ztrtrs(
             _U, _T, _N, size_arg, k_arg, factor, size_arg,
             x0 + m * x_step, size_arg, info_arg, _ONE, _ONE, _ONE,
@@ -342,7 +369,7 @@ def cholesky_half_solve(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         norm.value = anorm[m]
         _zpocon(_U, size_arg, factor, size_arg, norm_arg, rcond_arg, w0, r0, info_arg, _ONE)
         cond[m] = np.inf if info.value != 0 or not rcond.value > 0.0 else 1.0 / rcond.value
-    return np.ascontiguousarray(x.transpose(0, 2, 1)), log_det, cond
+    return np.ascontiguousarray(x.transpose(0, 2, 1)), _log_det(factors), cond
 
 
 def _schur(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

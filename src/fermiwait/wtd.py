@@ -80,18 +80,21 @@ alone bitwise; ``wtd_curve`` reads entry (k, q) of one stack of the whole
 grid, and ``wtd_density`` is the curve of one time.  On the eigenbasis form
 the B matrices and right-hand sides of a part of the stack are built as
 (n, L, L) and (n, L, 8) arrays and handed to one call,
-``linalg.cholesky_half_solve``: one batched Cholesky factorization of the
-part, then, up to ``linalg.BATCHED_SOLVE_MAX_SITES`` sites, one batched
+``linalg.cholesky_half_solve``.  Up to ``linalg.BATCHED_SOLVE_MAX_SITES``
+sites it makes one batched Cholesky factorization of the part, one batched
 inverse of the factors, one batched product with the eight columns and the
-exact condition number from the inverse, with no step per time; above, one
-loop over the times that makes the eight-column triangular solve
-(``ztrtrs``) and the condition estimate (``zpocon``) of each.  numpy has no
+exact condition number from the inverse, with no step per time.  Above, it
+makes one loop over the times: LAPACK ``zpotrf`` factorizes a copy of each
+B in place, and on that factor ``ztrtrs`` makes the eight-column
+triangular solve and ``zpocon`` the condition estimate.  numpy has no
 batched triangular solve, and a row-by-row batched substitution is as fast
 on stacks but costs one Python step per row, which a single time pays in
-full, while the inverse has no row loop.  The path is chosen from L alone.
+full, while the inverse has no row loop; above the batched sizes numpy's
+Cholesky is slower than ``zpotrf`` in place, because it copies each matrix
+into and out of a scratch buffer.  The path is chosen from L alone.
 The Gram blocks and the assembly of the densities are batched as well.
-Every time on the LU form is its own part.  A part that the batched
-Cholesky refuses is evaluated again one time at a time, and a time refused
+Every time on the LU form is its own part.  A part that the factorization
+refuses is evaluated again one time at a time, and a time refused
 alone takes the LU form, so only the refused times leave the eigenbasis
 form.  One part holds at most ``STACK_BYTES`` of L x L matrices, so a
 quadrature round at L = 200-400 does not grow the memory.
@@ -110,10 +113,14 @@ columns of every state whose boundary site is empty.
 
 Thread policy.  The one place a thread starts is the pool of
 ``_build_blocks``, which runs over the parts of a stack: from
-``POOL_MIN_SITES`` sites on, with more than one part, on
-min(4, os.cpu_count()) threads.  Its executor is imported there, when a
-pool first starts, so a process that never pools never loads
-``concurrent.futures``.  Below that size no thread starts, and setup (the
+``POOL_MIN_SITES`` sites on, with more than one part, on min(4, CPUs, parts)
+threads, the calling thread among them, where CPUs counts those the
+process may run on (its affinity set where the platform reports one, else
+``os.cpu_count()``).  The pool is plain ``threading`` (``_map_on_threads``):
+each thread claims the next part, results are stored by part, and the
+error of the lowest failing part is raised on the calling thread once every
+thread has been joined, the error that running the parts in order raises.
+With one CPU, or below that size, no thread starts, and setup (the
 single-particle set, the initial state, the propagator) always runs on
 the calling thread.  Everything the tasks share is built before
 the pool starts.  The command line pins numpy's bundled OpenBLAS, the one
@@ -132,17 +139,18 @@ start, so a library caller gets BLAS's threads or the pool's, never both.
 in the environment before the process starts give it the command line's
 allocator thresholds.
 Threads overlap only code that releases the GIL: numpy's linalg gufuncs
-(the Cholesky factorization, ``inv``, ``slogdet``, ``solve``), matrix
-products, large elementwise operations and every LAPACK call of
-``linalg`` do, the per-time ``zpocon`` and ``ztrtrs`` calls included, since
-ctypes releases the GIL for each call.  What holds it is the Python
-between those calls.
+(the batched Cholesky factorization, ``inv``, ``slogdet``, ``solve``),
+matrix products, large elementwise operations and every LAPACK call of
+``linalg`` do, the per-time ``zpotrf``, ``ztrtrs`` and ``zpocon`` calls
+included, since ctypes releases the GIL for each call.  What holds it is
+the Python between those calls.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -187,12 +195,23 @@ C_MIN_EIGENVALUE = 1e-3
 STACK_BYTES = 1 << 17
 
 #: Smallest chain whose block build (``_build_blocks``) runs on a pool.
-#: Below it the Python between the LAPACK calls, which holds the GIL,
-#: outweighs what the pool overlaps.  Milliseconds per time of a 64-time
-#: stack (32 at L = 800) from the steady state with f1 = 1 and fL = 0,
-#: pooled vs serial on two cores and one BLAS thread, median of 3: 0.9-1.4
-#: vs 0.9-1.3 at L = 128 and 2.0-2.1 vs 2.8-3.3 at 200 (three runs each),
-#: 8.5 vs 14.2 at 400 and 34.2 vs 63.6 at 800.
+#: Below it the Python between the LAPACK calls, which holds the GIL, eats
+#: what the pool overlaps.  Milliseconds per time of a 64-time stack (32 at
+#: L = 800) from the steady state with f1 = 1 and fL = 0, pooled vs serial
+#: on two cores and one BLAS thread, median of 3, in each of two runs:
+#:
+#:     L     pooled       serial
+#:     64    0.32, 0.30   0.38, 0.22
+#:     96    0.61, 0.46   0.69, 0.44
+#:     128   0.81, 0.58   1.09, 0.79
+#:     200   1.51, 1.09   2.50, 1.65
+#:     400   4.15, 4.61   7.99, 7.66
+#:     800   23.0, 20.8   37.9, 40.5
+#:
+#: From 128 on the pool wins every run, below it one of two.  On the
+#: ``curve_L200`` config end to end, five fresh processes each, the pool
+#: took 0.197-0.204 s against 0.235-0.260 s, at 45.6-45.8 MB peak RSS
+#: against 43.0-43.1 MB.
 POOL_MIN_SITES = 128
 
 DEFAULT_GRID_POINTS = 400
@@ -474,6 +493,54 @@ def _vacuum_blocks(ts: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     )
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform reports one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_on_threads(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]`` on the calling thread and ``workers - 1`` more.
+
+    Each of them claims the next unclaimed task, in order, until none is
+    left or a task has raised, and stores its result at the task's index.
+    Every thread is joined before this returns or raises.  The error of the
+    lowest failing task is raised on the calling thread: every task before
+    it was claimed before it and ran, so it is the error that running the
+    tasks in order raises.
+    """
+    results = [None] * len(tasks)
+    errors = {}
+    claims = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(tasks[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    threads = [threading.Thread(target=work, name=f"fermiwait-blocks-{k}") for k in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -> _Blocks:
     """The blocks at every time of the nonempty stack ``ts``, from one task per part.
 
@@ -484,9 +551,10 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
     is refused runs again through the same task one time at a time, and a
     single refused time takes the LU form.  With more than one part, from
     POOL_MIN_SITES sites on and while BLAS runs on one thread, the tasks run
-    on a pool of min(4, os.cpu_count()) threads, after what they share (the
-    propagator, the per-state factors) is built here; the blocks are bitwise
-    the same.
+    on min(4, CPUs available, tasks) threads (``_map_on_threads``), after
+    what they share (the propagator, the per-state factors) is built here;
+    the blocks are bitwise the same, and so is the error a failing task
+    raises.
     """
     sp.propagator  # read by every task: built on this thread, never by a worker
     vacuum = state.kind == "vacuum"
@@ -512,14 +580,8 @@ def _build_blocks(ts: np.ndarray, state: GaussianState, sp: SingleParticleSet) -
         return [(idx, _lu_blocks(float(ts[idx[0]]), state.C, sp))]
 
     pooled = len(tasks) > 1 and sp.L >= POOL_MIN_SITES and blas_threads() <= 1
-    workers = min(4, os.cpu_count() or 1) if pooled else 1
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, tasks))
-    else:
-        done = [run(idx) for idx in tasks]
+    workers = min(4, _available_cpus(), len(tasks)) if pooled else 1
+    done = _map_on_threads(run, tasks, workers) if workers > 1 else [run(idx) for idx in tasks]
     pieces = [piece for task in done for piece in task]
     if len(pieces) == 1:
         return pieces[0][1]  # one piece of every time, in order

@@ -360,6 +360,28 @@ class TestImportGraph:
         """)
         assert out == [" ".join(["0", *loaded])]
 
+    def test_a_pooled_block_build_loads_no_executor(self, tmp_path):
+        # The pool runs on threading, which model loads.  Two CPUs in the
+        # affinity set start the pool on any host.
+        body = DEFAULT_CONFIG.replace("L = 2", f"L = {fermiwait.wtd.POOL_MIN_SITES}")
+        cfg = write_config(tmp_path / "run.ini", body)
+        argv = ["wtd", "--from", "1+", "--to", "L-", "--config", cfg, "--out", str(tmp_path)]
+        out = _run_python(f"""
+            import os
+            import sys
+            import threading
+
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            import fermiwait.cli
+
+            started = []
+            start = threading.Thread.start
+            threading.Thread.start = lambda thread: started.append(thread) or start(thread)
+            rc = fermiwait.cli.main({argv!r})
+            print("@" + str(rc), len(started) > 0, *[m for m in {DEFERRED!r} if m in sys.modules])
+        """)
+        assert out == ["0 True configparser"]
+
     def test_verify_help_shows_the_oracle_cap_without_the_oracle(self):
         out = _run_python(f"""
             import contextlib

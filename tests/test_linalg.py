@@ -122,7 +122,14 @@ class TestLapackBindings:
 
     SIZES = (1, 2, 5, 17, 64)
     #: Sizes that cholesky_half_solve serves with ztrtrs and zpocon.
-    LOOP_SIZES = (9, 17, 64)
+    LOOP_SIZES = (9, 17, 64, 200)
+
+    @staticmethod
+    def upper_factor(a: np.ndarray) -> np.ndarray:
+        """scipy's zpotrf of a's lower triangle, read as the upper one of a^T = conj(a)."""
+        factor, info = lapack.zpotrf(a.T, lower=0)
+        assert info == 0
+        return factor
 
     def test_ztrtrs_matches_scipy_bitwise(self):
         rng = np.random.default_rng(30)
@@ -131,11 +138,12 @@ class TestLapackBindings:
             b = np.array([random_complex(rng, size)[:, : min(size, 8)] for _ in range(3)])
             x, log_det, _ = cholesky_half_solve(a, b)
             assert x.flags.c_contiguous
-            factor = np.linalg.cholesky(a)
             for i in range(3):
-                want, info = lapack.ztrtrs(factor[i].T, b[i], lower=0, trans=1)
+                factor = self.upper_factor(a[i])
+                want, info = lapack.ztrtrs(factor, b[i], lower=0, trans=1)
                 assert info == 0
                 assert np.array_equal(x[i], want)
+                assert log_det[i] == 2.0 * np.sum(np.log(np.diagonal(factor).real))
                 assert abs(log_det[i] - np.linalg.slogdet(a[i])[1]) <= 1e-12 * max(1.0, abs(log_det[i]))
 
     def test_zpocon_matches_scipy_bitwise(self):
@@ -143,23 +151,23 @@ class TestLapackBindings:
         for size in self.LOOP_SIZES:
             a = hpd_stack(rng, 3, size)
             _, _, cond = cholesky_half_solve(a, np.zeros((3, size, 1)))
-            factor = np.linalg.cholesky(a)
             for i in range(3):
                 anorm = float(np.abs(a[i]).sum(axis=0).max())
-                rcond, info = lapack.zpocon(factor[i].T, anorm, uplo="U")
+                rcond, info = lapack.zpocon(self.upper_factor(a[i]), anorm, uplo="U")
                 assert info == 0
                 assert cond[i] == 1.0 / rcond
 
     def test_only_routines_numpy_lacks_are_bound(self):
         # numpy's gufuncs cover LU, solve, inverse, determinant and Cholesky;
-        # a routine is bound here only where numpy has none.
+        # a routine is bound here only where numpy has none, or, for zpotrf,
+        # where the bound ztrtrs and zpocon take its factor in place.
         calls = ast.walk(ast.parse(inspect.getsource(linalg)))
         bound = {
             node.args[0].value
             for node in calls
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lapack"
         }
-        assert bound == {"zgees", "ztrsyl3", "ztrtrs", "zpocon"}
+        assert bound == {"zgees", "ztrsyl3", "zpotrf", "ztrtrs", "zpocon"}
 
     def test_schur_and_trsyl_match_scipy_bitwise(self):
         # scipy wraps no ztrsyl3.  While T is one block (n <= 24) ztrsyl3
@@ -267,7 +275,7 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("size, calls", [(8, 0), (9, 5)])
     def test_the_path_is_chosen_from_the_size(self, monkeypatch, size, calls):
-        counts = {"ztrtrs": 0, "zpocon": 0}
+        counts = {"zpotrf": 0, "ztrtrs": 0, "zpocon": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -280,7 +288,7 @@ class TestBatchedSolve:
             monkeypatch.setattr(linalg, f"_{name}", counted(name, getattr(linalg, f"_{name}")))
         a = hpd_stack(np.random.default_rng(40), 5, size)
         cholesky_half_solve(a, np.zeros((5, size, 2)))
-        assert counts == {"ztrtrs": calls, "zpocon": calls}
+        assert counts == {"zpotrf": calls, "ztrtrs": calls, "zpocon": calls}
 
 
 class TestCholeskyRefusal:

@@ -1,8 +1,8 @@
-import concurrent.futures
 import dataclasses
 import os
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import numpy as np
 import pytest
@@ -765,31 +765,50 @@ class TestStackedTimes:
             wtd_density_matrix(np.ones((2, 2)), st, sv_sp)
 
 
+def _allow_cpus(monkeypatch, n: int) -> None:
+    """Let the process run on n CPUs, by its affinity set and by the machine's count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 @pytest.mark.usefixtures("one_blas_thread")
 class TestBlockPool:
     """The tasks of ``_build_blocks`` give the same blocks on the pool as serially, bitwise."""
 
     @staticmethod
     def _counted_pools(monkeypatch) -> list:
-        """The keyword arguments of every pool ``_build_blocks`` starts from now on."""
+        """The worker count of every pool ``_build_blocks`` starts from now on."""
         pools = []
+        real = wtdmod._map_on_threads
 
-        class CountedPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
+        def counted(fn, tasks, workers):
+            pools.append(workers)
+            return real(fn, tasks, workers)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(wtdmod, "_map_on_threads", counted)
         return pools
+
+    @staticmethod
+    def _counted_thread_starts(monkeypatch) -> list:
+        """Every thread started from now on."""
+        started = []
+        real = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
 
     @classmethod
     def _pooled_and_serial(cls, monkeypatch, ts, state, sp):
         pools = cls._counted_pools(monkeypatch)
         monkeypatch.setattr(wtdmod, "POOL_MIN_SITES", sp.L)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _allow_cpus(monkeypatch, 2)
         pooled = wtdmod._build_blocks(ts, state, sp)
-        assert pools == [{"max_workers": 2}]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert pools == [2]
+        _allow_cpus(monkeypatch, 1)
         serial = wtdmod._build_blocks(ts, state, sp)
         assert len(pools) == 1
         for name in ("m", "log_prefactor", "phase", "cond"):
@@ -848,9 +867,9 @@ class TestBlockPool:
         pools = self._counted_pools(monkeypatch)
         monkeypatch.setattr(wtdmod, "POOL_MIN_SITES", sp.L)
         monkeypatch.setattr(wtdmod, "STACK_BYTES", 3 * 16 * 3**2)  # four parts
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _allow_cpus(monkeypatch, 2)
         wtdmod._build_blocks(ts, st, sp)
-        assert pools == [{"max_workers": 2}]
+        assert pools == [2]
         set_blas_threads(2)  # the fixture restores the count
         wtdmod._build_blocks(ts, st, sp)
         assert len(pools) == 1
@@ -861,13 +880,112 @@ class TestBlockPool:
         sp = derive_single_particle(tight_binding_spec(wtdmod.POOL_MIN_SITES))
         ts = np.linspace(0.0, 100.0, 40)  # two parts of boundary columns
         built = []
+        real = wtdmod._map_on_threads
 
-        class CheckedPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append("propagator" in vars(sp))
-                super().__init__(*args, **kwargs)
+        def checked(fn, tasks, workers):
+            built.append("propagator" in vars(sp))
+            return real(fn, tasks, workers)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CheckedPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(wtdmod, "_map_on_threads", checked)
+        _allow_cpus(monkeypatch, 2)
         wtdmod._build_blocks(ts, vacuum_state(sp.L), sp)
         assert built == [True]
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+    def test_one_available_cpu_starts_no_thread(self, monkeypatch, affinity):
+        # The affinity set, where the platform has one, wins over the
+        # machine's count: a process pinned to one CPU gains nothing by threads.
+        spec = generic_spec(3)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        ts = np.linspace(0.0, 60.0, 11)
+        monkeypatch.setattr(wtdmod, "POOL_MIN_SITES", sp.L)
+        monkeypatch.setattr(wtdmod, "STACK_BYTES", 3 * 16 * 3**2)  # four parts
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert wtdmod._available_cpus() == 1
+        started = self._counted_thread_starts(monkeypatch)
+        wtdmod._build_blocks(ts, st, sp)
+        assert started == []
+
+    def test_cpu_count_sizes_the_pool_without_an_affinity_set(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert wtdmod._available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert wtdmod._available_cpus() == 1
+
+    def test_a_failing_task_raises_the_serial_error_and_leaves_no_thread(self, monkeypatch):
+        # At POOL_MIN_SITES every time is a part of its own.  Two parts fail,
+        # each with its own message: serially the first one's error stops the
+        # run, and the pool must raise that error, not the one it meets first.
+        # The first failing part is slow, so the pool meets the other first.
+        spec = tight_binding_spec(wtdmod.POOL_MIN_SITES)
+        sp = derive_single_particle(spec)
+        st = steady_state(spec)
+        ts = np.linspace(0.0, 50.0, 8)
+        real = wtdmod._eigen_blocks
+
+        def fail_two(part, e, gamma_total):
+            if part[0] in (ts[2], ts[5]):
+                if part[0] == ts[2]:
+                    time.sleep(0.2)
+                raise LinalgError(f"forced at t={part[0]}")
+            return real(part, e, gamma_total)
+
+        monkeypatch.setattr(wtdmod, "_eigen_blocks", fail_two)
+        _allow_cpus(monkeypatch, 1)
+        with pytest.raises(LinalgError) as serial:
+            wtdmod._build_blocks(ts, st, sp)
+        pools = self._counted_pools(monkeypatch)
+        started = self._counted_thread_starts(monkeypatch)
+        _allow_cpus(monkeypatch, 2)
+        with pytest.raises(LinalgError) as pooled:
+            wtdmod._build_blocks(ts, st, sp)
+        assert pools == [2] and len(started) == 1
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value) == f"forced at t={ts[2]}"
+        assert not any(thread.is_alive() for thread in started)
+
+
+class TestMapOnThreads:
+    """The plain-thread pool with more threads than cores and a short switch interval."""
+
+    TASKS = 2000
+
+    @staticmethod
+    def _run(fn, tasks, workers):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return wtdmod._map_on_threads(fn, tasks, workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_every_task_runs_once_and_results_keep_their_order(self):
+        ran = []
+
+        def square(i):
+            ran.append(i)
+            return i * i
+
+        out = self._run(square, list(range(self.TASKS)), 8)
+        assert out == [i * i for i in range(self.TASKS)]
+        assert sorted(ran) == list(range(self.TASKS))
+
+    def test_the_lowest_failing_task_raises_and_no_thread_is_left(self):
+        first = self.TASKS // 4
+        before = set(threading.enumerate())
+
+        def fail_from(i):
+            if i >= first:
+                raise ValueError(f"task {i}")
+            return i
+
+        with pytest.raises(ValueError, match=f"^task {first}$"):
+            self._run(fail_from, list(range(self.TASKS)), 8)
+        assert set(threading.enumerate()) == before

@@ -270,21 +270,15 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     states = [("steady", st, rho_ss), ("vacuum", vacuum_state(spec.L), oracle.vacuum_density())]
     for name, state, rho in states:
         entry = equivalence[name]
-        stack = wtdmod.wtd_density_matrix(times, state, sp)
+        closed, brute = wtdmod.wtd_density_matrix(times, state, sp), oracle.wtd_matrix(times, rho)
         at_one = wtdmod.wtd_density_matrix(1.0, state, sp) if state.kind == "vacuum" else None
         for b, ql in enumerate(CHANNEL_ORDER):
             q = ch[ql]
             if at_one is not None and q.sign == "-":
-                for a in range(4):
-                    entry.record(abs(float(at_one[a, b])))
-                continue
-            if not can_click(q, occupation_factor(q, state.boundary_occupations)):
-                continue
-            for a, kl in enumerate(CHANNEL_ORDER):
-                for t, m in zip(times, stack):
-                    x = float(m[a, b])
-                    y = oracle.wtd(float(t), ch[kl], q, rho)
-                    entry.record(abs(x - y) / max(abs(x), abs(y), floor))
+                entry.record(np.abs(at_one[:, b]))
+            elif can_click(q, occupation_factor(q, state.boundary_occupations)):
+                x, y = closed[:, :, b], brute[:, :, b]
+                entry.record(np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), floor))
 
     diagnostics = {
         "oracle": {

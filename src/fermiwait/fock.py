@@ -8,7 +8,11 @@ The waiting-time density P(t, k|q) = tr(J_k e^{L0 t} J_q rho) / tr(J_q rho)
 never forms a superoperator: the no-click generator is
 L0 rho = -i (H_eff rho - rho H_eff^dag), so the no-click evolution is the
 sandwich G rho G^dag with G = e^{-i H_eff t}, a 2^L x 2^L propagator (32 at
-L = 5, 64 at L = 6), and each jump is the sandwich rate * a rho a^dag.
+L = 5, 64 at L = 6), and each jump is the sandwich rate * a rho a^dag.  The
+oracle returns all sixteen densities at a stack of times as one table
+(``FockOracle.wtd_matrix``): one jump sandwich per conditioning channel,
+then per time one propagator matrix and one sandwich G rho G^dag per
+channel that can click, from which all four k are read as traces.
 
 What still scales as C(2L, L) is the steady state.  The full generator is
 built on the sector of entries rho[I, J] whose ket and bra hold the same
@@ -81,17 +85,16 @@ def build_fermions(L: int) -> list[np.ndarray]:
 
 
 def quadratic_form_operator(x, c_ops: list[np.ndarray]) -> np.ndarray:
-    """Many-body operator sum_ij x_ij c_i^dag c_j."""
+    """Many-body operator sum_ij x_ij c_i^dag c_j, of one L x L matrix x or a stack (..., L, L)."""
     x = np.asarray(x, dtype=complex)
     L = len(c_ops)
-    if x.shape != (L, L):
+    if x.shape[-2:] != (L, L):
         raise ValueError(f"coefficient matrix must be {L}x{L}, got {x.shape}")
     dim = c_ops[0].shape[0]
-    op = np.zeros((dim, dim), dtype=complex)
+    op = np.zeros(x.shape[:-2] + (dim, dim), dtype=complex)
     for i in range(L):
         for j in range(L):
-            if x[i, j] != 0.0:
-                op += x[i, j] * (c_ops[i].conj().T @ c_ops[j])
+            op += x[..., i, j, None, None] * (c_ops[i].conj().T @ c_ops[j])
     return op
 
 
@@ -130,18 +133,28 @@ def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
     ch = channels(spec)
     number = np.array([bin(i).count("1") for i in range(2**spec.L)])
     ket, bra = np.nonzero(number[:, None] == number[None, :])  # row-major pairs
-    kets, bras = np.ix_(ket, ket), np.ix_(bra, bra)
-    eye = np.eye(2**spec.L)
+
+    def gather(m, index):  # m[index[s], index[s']]: rows, then columns
+        return m[index][:, index]
+
+    # The identity on the sector, built once: gather(eye, ket) and gather(eye, bra).
+    eye_kets, eye_bras = ket[:, None] == ket[None, :], bra[:, None] == bra[None, :]
 
     def sandwich(a, b):  # rho -> A rho B
-        return a[kets] * b.T[bras]
+        return gather(a, ket) * gather(b.T, bra)
+
+    def left(a):  # rho -> A rho, as sandwich(a, eye)
+        return gather(a, ket) * eye_bras
+
+    def right(b):  # rho -> rho B, as sandwich(eye, b)
+        return eye_kets * gather(b.T, bra)
 
     def dissipator(a):
         ada = a.conj().T @ a
-        return sandwich(a, a.conj().T) - 0.5 * (sandwich(ada, eye) + sandwich(eye, ada))
+        return sandwich(a, a.conj().T) - 0.5 * (left(ada) + right(ada))
 
     h_many = quadratic_form_operator(spec.h, c_ops)
-    full = -1j * (sandwich(h_many, eye) - sandwich(eye, h_many))
+    full = -1j * (left(h_many) - right(h_many))
     for op, site in ((c1, "1"), (cL, "L")):
         full = full + ch[site + "-"].rate * dissipator(op)
         full = full + ch[site + "+"].rate * dissipator(op.conj().T)
@@ -149,7 +162,7 @@ def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
     jump_ops = {"1-": c1, "1+": c1.conj().T, "L-": cL, "L+": cL.conj().T}
     jumps = {label: ch[label].rate * sandwich(a, a.conj().T) for label, a in jump_ops.items()}
     h_eff = h_many - 0.5j * sum(ch[label].rate * (a.conj().T @ a) for label, a in jump_ops.items())
-    no_click = -1j * (sandwich(h_eff, eye) - sandwich(eye, h_eff.conj().T))
+    no_click = -1j * (left(h_eff) - right(h_eff.conj().T))
 
     recomposed = no_click + sum(jumps.values())
     scale = max(1.0, np.max(np.abs(full)))
@@ -173,11 +186,12 @@ class FockOracle:
 
     Builds the fermion operators, the sector Liouvillian parts and the 2^L
     no-click propagator e^{-i H_eff t} once.  The per-call work of
-    :meth:`wtd` is two jump sandwiches, one propagator matrix and one
-    sandwich G rho G^dag, all 2^L x 2^L.  The C(2L, L) sector generator
-    serves only :meth:`steady_state`, through its singular values and one
-    LU solve.  Density matrices go in and come out as full 2^L x 2^L
-    arrays.
+    :meth:`wtd_matrix` is one jump sandwich per conditioning channel, then
+    per time one propagator matrix G and one sandwich G rho G^dag per
+    channel that can click, all 2^L x 2^L; :meth:`wtd` is one entry of the
+    table at one time.  The C(2L, L) sector generator serves only
+    :meth:`steady_state`, through its singular values and one LU solve.
+    Density matrices go in and come out as full 2^L x 2^L arrays.
     """
 
     def __init__(self, spec: ChainSpec):
@@ -187,31 +201,62 @@ class FockOracle:
         self.propagator = Propagator(-1j * self.parts.h_eff)
         self.dim = 2**spec.L
         ch = channels(spec)
-        self._jumps = {label: (ch[label], a) for label, a in self.parts.jump_ops.items()}
+        self._channels = [ch[label] for label in CHANNEL_ORDER]
+        self._rates = np.array([c.rate for c in self._channels])
+        ops = np.stack([self.parts.jump_ops[label] for label in CHANNEL_ORDER])
+        self._ops, self._ops_dag = ops, ops.conj().transpose(0, 2, 1)
+        # rate_k tr(a_k X a_k^dag) = sum_ij (rate_k a_k^dag a_k)_ji X_ij: row k
+        # is k's click operator transposed and flattened, to dot with X flattened.
+        clicks = self._rates[:, None, None] * (self._ops_dag @ ops)
+        self._reads = clicks.transpose(0, 2, 1).reshape(len(CHANNEL_ORDER), -1)
+
+    def wtd_matrix(self, ts, rho: np.ndarray) -> np.ndarray:
+        """All sixteen densities P(t, k|q) at n times, as an (n, 4, 4) table.
+
+        Entry [m, a, b] is k = CHANNEL_ORDER[a] at t = ts[m] after a click
+        in q = CHANNEL_ORDER[b] at 0.  Direct evaluation: apply each jump q
+        to rho as rate_q * a_q rho a_q^dag, evolve with G rho G^dag for
+        G = e^{-i H_eff t}, and read every rate_k * tr(a_k rho(t) a_k^dag)
+        over tr of the jumped state.  A column whose q cannot click from rho
+        (``model.can_click``) is NaN.  The table at each time is the same
+        in every stack of times it is evaluated in.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"times must be a 1-D array, got shape {ts.shape}")
+        if np.any(ts < 0):
+            raise ValueError("time must be nonnegative")
+        n_ch = len(CHANNEL_ORDER)
+        table = np.full((len(ts), n_ch, n_ch), np.nan, dtype=complex)
+        sandwiches = self._ops @ np.asarray(rho, dtype=complex) @ self._ops_dag
+        occupation = np.trace(sandwiches, axis1=1, axis2=2).real  # q's occupation factor
+        live = [b for b, q in enumerate(self._channels) if can_click(q, float(occupation[b]))]
+        if live:
+            jumped = self._rates[live, None, None] * sandwiches[live]
+            denom = np.trace(jumped, axis1=1, axis2=2)
+            for m, t in enumerate(ts):
+                g = self.propagator.matrix(float(t))
+                evolved = (g @ jumped @ g.conj().T).reshape(len(live), -1)
+                table[m][:, live] = (self._reads @ evolved.T) / denom
+        vals = table[:, :, live]
+        if np.any(np.abs(vals.imag) > 1e-9 * np.maximum(1.0, np.abs(vals.real))):
+            raise AssertionError(
+                f"waiting-time density has imaginary part {np.abs(vals.imag).max():.3e}"
+            )
+        return np.ascontiguousarray(table.real)
 
     def wtd(self, t: float, k, q, rho: np.ndarray) -> float:
         """Waiting-time density between a click in q (at 0) and k (at t).
 
-        Direct evaluation: apply jump q to rho as rate_q * a_q rho a_q^dag,
-        evolve with G rho G^dag for G = e^{-i H_eff t}, and read
-        rate_k * tr(a_k rho(t) a_k^dag) over tr of the jumped state.  A q that
-        cannot click from rho (``model.can_click``) is an error.
+        One entry of :meth:`wtd_matrix` at the one time t.  A q that cannot
+        click from rho (``model.can_click``) is an error.
         """
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        k_ch, a_k = self._jumps[_as_label(k)]
-        q_ch, a_q = self._jumps[_as_label(q)]
-        sandwich = a_q @ np.asarray(rho, dtype=complex) @ a_q.conj().T  # tr: q's occupation factor
-        if not can_click(q_ch, float(np.trace(sandwich).real)):
-            raise ValueError(f"jump {q_ch.label} is impossible from this state")
-        jumped = q_ch.rate * sandwich
-        denom = np.trace(jumped)
-        g = self.propagator.matrix(t)
-        num = k_ch.rate * np.trace(a_k @ g @ jumped @ g.conj().T @ a_k.conj().T)
-        val = complex(num / denom)
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-            raise AssertionError(f"waiting-time density has imaginary part {val.imag:.3e}")
-        return float(val.real)
+        q_label = _as_label(q)
+        table = self.wtd_matrix([t], rho)[0]
+        val = table[CHANNEL_ORDER.index(_as_label(k)), CHANNEL_ORDER.index(q_label)]
+        if math.isnan(val):
+            raise ValueError(f"jump {q_label} is impossible from this state")
+        return float(val)
 
     def steady_state(self) -> np.ndarray:
         """Unique trace-1 fixed point of the full generator, from its sector null space.
@@ -291,7 +336,8 @@ class VerificationEntry:
 
     Checks go in through :meth:`record` only: ``draws`` counts them and
     ``max_deviation`` keeps the largest deviation.  A NaN deviation is kept
-    once seen, so the entry fails.
+    once seen, so the entry fails; so does an entry with no draw, which
+    checked nothing.
     """
 
     name: str
@@ -299,14 +345,17 @@ class VerificationEntry:
     draws: int = 0
     max_deviation: float = 0.0
 
-    def record(self, deviation: float) -> None:
-        self.draws += 1
-        if math.isnan(deviation) or deviation > self.max_deviation:
-            self.max_deviation = float(deviation)
+    def record(self, deviation) -> None:
+        """Record a deviation, or an array of them, each element one draw."""
+        dev = np.asarray(deviation, dtype=float)
+        self.draws += dev.size
+        worst = float(dev.max(initial=-math.inf))  # NaN if any element is NaN
+        if math.isnan(worst) or worst > self.max_deviation:
+            self.max_deviation = worst
 
     @property
     def passed(self) -> bool:
-        return bool(self.max_deviation <= self.threshold)
+        return bool(self.draws > 0 and self.max_deviation <= self.threshold)
 
 
 @dataclass
@@ -359,31 +408,39 @@ def _random_coeff(rng, L: int) -> np.ndarray:
     return (rng.uniform(-1, 1, (L, L)) + 1j * rng.uniform(-1, 1, (L, L))) / np.sqrt(2)
 
 
-def _rel_dev(lhs: complex, rhs: complex) -> float:
-    scale = max(abs(lhs), abs(rhs))
-    if scale < 1e-10:
-        return abs(lhs - rhs)
-    return abs(lhs - rhs) / scale
+def _rel_dev(lhs, rhs):
+    """|lhs - rhs| relative to the larger magnitude, absolute below 1e-10; elementwise."""
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return np.abs(lhs - rhs) / np.where(scale < 1e-10, 1.0, scale)
+
+
+def _trace(op):
+    return np.trace(op, axis1=-2, axis2=-1)
 
 
 def _fock_two_insert(kind, idx, exps, c_ops):
-    """Many-body left-hand side of a two-insertion trace."""
+    """Many-body left-hand side of a two-insertion trace.
+
+    ``idx`` is (i, i', j, j'), each an int or an index array over a stack,
+    and ``exps`` the three many-body factors, each one matrix or a stack.
+    """
     i, ip, j, jp = idx
-    cd = [op.conj().T for op in c_ops]
+    c = np.stack(c_ops)
+    cd = c.conj().transpose(0, 2, 1)
     ex, ey, ez = exps
     if kind == "adjacent":
-        op = cd[i] @ c_ops[ip] @ ex @ cd[j] @ c_ops[jp] @ ey @ ez
+        op = cd[i] @ c[ip] @ ex @ cd[j] @ c[jp] @ ey @ ez
     elif kind == "split_mp":
-        op = cd[i] @ c_ops[ip] @ ex @ cd[j] @ ey @ c_ops[jp] @ ez
+        op = cd[i] @ c[ip] @ ex @ cd[j] @ ey @ c[jp] @ ez
     elif kind == "split_pp":
-        op = c_ops[i] @ cd[ip] @ ex @ cd[j] @ ey @ c_ops[jp] @ ez
+        op = c[i] @ cd[ip] @ ex @ cd[j] @ ey @ c[jp] @ ez
     elif kind == "split_mm":
-        op = cd[i] @ c_ops[ip] @ ex @ c_ops[j] @ ey @ cd[jp] @ ez
+        op = cd[i] @ c[ip] @ ex @ c[j] @ ey @ cd[jp] @ ez
     elif kind == "split_pm":
-        op = c_ops[i] @ cd[ip] @ ex @ c_ops[j] @ ey @ cd[jp] @ ez
+        op = c[i] @ cd[ip] @ ex @ c[j] @ ey @ cd[jp] @ ez
     else:
         raise ValueError(kind)
-    return complex(np.trace(op))
+    return _trace(op)
 
 
 def verify_tracedet(
@@ -401,10 +458,15 @@ def verify_tracedet(
     through the finite-alpha factorization and checks the conjugation,
     Sylvester and Sherman-Morrison lemmas the derivations rest on.  Each
     comparison is one recorded draw of its entry; a NaN deviation fails
-    the entry.  Each draw builds one four-factor chain: the bare chains of
-    one to four factors and the three-factor chain of the insertion
-    formulas are its prefixes, so they share its exponentials, and every
-    formula on the three-factor chain shares its D and T.
+    the entry, and so does an entry with no draw (``draws`` = 0 or no
+    sizes).
+
+    The numbers are drawn draw by draw, in one fixed order, and each
+    size's draws are then evaluated as one stack: one four-factor
+    :class:`tracedet.QuadraticFormChain` stack, whose prefixes are the bare
+    chains of one to four factors and the three-factor chain of the
+    insertion formulas, each formula called once with index arrays, and on
+    the Fock side one stack of quadratic-form operators with one expm call.
     """
     rng = np.random.default_rng(seed)
     report = VerificationReport(seed=seed)
@@ -416,46 +478,56 @@ def verify_tracedet(
     sylvester = report.add("sylvester_lemma", 1e-10)
     sherman = report.add("sherman_morrison_lemma", 1e-10)
 
+    if draws < 1:
+        return report  # nothing drawn: every entry fails
     for L in sizes:
-        c_ops = build_fermions(L)
+        drawn = []
         for _ in range(draws):
-            coeffs = [_random_coeff(rng, L) for _ in range(4)]
-            many = list(expm(np.stack([quadratic_form_operator(x, c_ops) for x in coeffs])))
-
-            chain = tracedet.QuadraticFormChain(coeffs)
-            prefixes = {n: chain.prefix(n) for n in (1, 2, 3, 4)}
-            for n, head in prefixes.items():
-                lhs = complex(np.trace(np.linalg.multi_dot(many[:n]) if n > 1 else many[0]))
-                bare[n].record(_rel_dev(lhs, tracedet.bss_trace(head).value))
-
-            chain3 = prefixes[3]
-            exps3 = many[:3]
-            i, ip, j, jp = rng.integers(0, L, size=4)
-            lhs = complex(np.trace(
-                c_ops[i].conj().T @ c_ops[ip] @ exps3[0] @ exps3[1] @ exps3[2]
-            ))
-            one.record(_rel_dev(lhs, tracedet.trace_one_insert(i, ip, chain3)))
-
-            for kind in tracedet.TWO_INSERT_KINDS:
-                idx = tuple(rng.integers(0, L, size=4))
-                lhs = _fock_two_insert(kind, idx, exps3, c_ops)
-                two[kind].record(_rel_dev(lhs, tracedet.trace_two_insert_chain(kind, idx, chain3)))
-
-            d = int(rng.integers(0, L))
-            base = tracedet.trace_one_insert(d, d, chain3)
-            for alpha in (0.1, 1.0, 10.0):
-                via_alpha = tracedet.trace_one_insert_alpha_route(d, chain3, alpha)
-                alpha_route.record(_rel_dev(base, via_alpha))
-
-            conjugation.record(tracedet.conjugation_residual(chain3))
-
+            coeffs = np.stack([_random_coeff(rng, L) for _ in range(4)])
+            one_idx = rng.integers(0, L, size=4)  # (i, i', j, j'); one insertion reads i, i'
+            two_idx = np.stack([rng.integers(0, L, size=4) for _ in tracedet.TWO_INSERT_KINDS])
+            diag = rng.integers(0, L)
             a = _random_coeff(rng, L) + 2.0 * np.eye(L)
             psi = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             phi = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            upd = a + np.outer(psi, phi)
-            ainv = np.linalg.inv(a)
-            syl = np.linalg.det(a) * (1.0 + phi @ ainv @ psi)
-            sylvester.record(_rel_dev(np.linalg.det(upd), syl))
-            sm = ainv - np.outer(ainv @ psi, phi @ ainv) / (1.0 + phi @ ainv @ psi)
-            sherman.record(np.max(np.abs(np.linalg.inv(upd) - sm)))
+            drawn.append((coeffs, one_idx, two_idx, diag, a, psi, phi))
+        coeffs, one_idx, two_idx, diag, a, psi, phi = (np.stack(x) for x in zip(*drawn))
+
+        c = np.stack(build_fermions(L))
+        cd = c.conj().transpose(0, 2, 1)
+        many = expm(quadratic_form_operator(coeffs, c))  # (draws, 4, 2^L, 2^L)
+        products = [many[:, 0]]
+        for n in (1, 2, 3):
+            products.append(products[-1] @ many[:, n])
+
+        chain = tracedet.QuadraticFormChain(coeffs.transpose(1, 0, 2, 3))
+        for n in (1, 2, 3, 4):
+            formula = tracedet.bss_trace(chain.prefix(n)).value
+            bare[n].record(_rel_dev(_trace(products[n - 1]), formula))
+
+        chain3 = chain.prefix(3)
+        i, ip = one_idx[:, 0], one_idx[:, 1]
+        lhs = _trace(cd[i] @ c[ip] @ products[2])
+        one.record(_rel_dev(lhs, tracedet.trace_one_insert(i, ip, chain3)))
+
+        for n, kind in enumerate(tracedet.TWO_INSERT_KINDS):
+            idx = tuple(two_idx[:, n].T)
+            lhs = _fock_two_insert(kind, idx, (many[:, 0], many[:, 1], many[:, 2]), c)
+            two[kind].record(_rel_dev(lhs, tracedet.trace_two_insert_chain(kind, idx, chain3)))
+
+        base = tracedet.trace_one_insert(diag, diag, chain3)
+        for alpha in (0.1, 1.0, 10.0):
+            via_alpha = tracedet.trace_one_insert_alpha_route(diag, chain3, alpha)
+            alpha_route.record(_rel_dev(base, via_alpha))
+
+        conjugation.record(tracedet.conjugation_residual(chain3))
+
+        upd = a + np.einsum("ni,nj->nij", psi, phi)
+        ainv = np.linalg.inv(a)
+        ainv_psi = np.einsum("nij,nj->ni", ainv, psi)
+        phi_ainv = np.einsum("ni,nij->nj", phi, ainv)
+        denom = 1.0 + np.einsum("ni,ni->n", phi, ainv_psi)
+        sylvester.record(_rel_dev(np.linalg.det(upd), np.linalg.det(a) * denom))
+        sm = ainv - np.einsum("ni,nj->nij", ainv_psi, phi_ainv) / denom[:, None, None]
+        sherman.record(np.max(np.abs(np.linalg.inv(upd) - sm), axis=(1, 2)))
     return report

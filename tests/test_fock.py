@@ -105,12 +105,34 @@ class TestOracleWtd:
         ch = channels(sv_spec)
         assert sv_oracle.wtd(0.0, ch["1+"], ch["1+"], vac) == pytest.approx(0.0, abs=1e-13)
 
-    def test_reference_table_is_finite_and_positive(self, sv_spec, sv_oracle):
-        ch = channels(sv_spec)
-        rho = sv_oracle.steady_state()
+    def test_table_at_a_stack_of_times_equals_each_time_alone(self, oracle_cache):
+        oracle = oracle_cache(generic_spec(3))
+        times = np.array([0.0, 0.7, 3.1, 25.0])
+        for rho in (oracle.steady_state(), oracle.vacuum_density()):
+            table = oracle.wtd_matrix(times, rho)
+            assert table.shape == (4, 4, 4)
+            for m, t in enumerate(times):
+                assert np.array_equal(table[m], oracle.wtd_matrix([t], rho)[0], equal_nan=True)
+
+    def test_wtd_is_one_entry_of_the_table_and_impossible_columns_are_nan(self, oracle_cache):
+        oracle = oracle_cache(generic_spec(3))
+        vac = oracle.vacuum_density()
+        table = oracle.wtd_matrix([1.3], vac)[0]
+        for qb, ql in enumerate(CHANNEL_ORDER):
+            # From the vacuum only an injection can click.
+            assert np.isnan(table[:, qb]).all() == ql.endswith("-")
+            for ka, kl in enumerate(CHANNEL_ORDER):
+                if ql.endswith("-"):
+                    with pytest.raises(ValueError, match="impossible"):
+                        oracle.wtd(1.3, kl, ql, vac)
+                else:
+                    assert oracle.wtd(1.3, kl, ql, vac) == table[ka, qb]
+
+    def test_reference_table_is_finite_and_positive(self, sv_oracle):
+        table = sv_oracle.wtd_matrix([1.0], sv_oracle.steady_state())[0]
         for ql in ("1+", "L-"):
             for kl in CHANNEL_ORDER:
-                val = sv_oracle.wtd(1.0, ch[kl], ch[ql], rho)
+                val = table[CHANNEL_ORDER.index(kl), CHANNEL_ORDER.index(ql)]
                 assert np.isfinite(val) and val >= -1e-13
 
     def test_normalization_of_oracle_densities(self, sv_spec, sv_oracle):
@@ -135,19 +157,21 @@ class TestOracleWtd:
         parts = oracle.parts
         diagonal = parts.ket == parts.bra
         states = (oracle.steady_state(), oracle.vacuum_density())
-        for t in (0.4, 6.0, 75.0):
+        times = (0.4, 6.0, 75.0)
+        tables = [oracle.wtd_matrix(times, rho) for rho in states]
+        for m, t in enumerate(times):
             evolve = sla.expm(parts.no_click * t)
-            for rho in states:
+            for rho, table in zip(states, tables):
                 vec = rho[parts.ket, parts.bra]
-                for ql in CHANNEL_ORDER:
+                for qb, ql in enumerate(CHANNEL_ORDER):
                     jumped = parts.jumps[ql] @ vec
                     denom = np.sum(jumped[diagonal])
                     if abs(denom) <= 1e-12:
                         continue
                     after = evolve @ jumped
-                    for kl in CHANNEL_ORDER:
+                    for ka, kl in enumerate(CHANNEL_ORDER):
                         ref = (np.sum((parts.jumps[kl] @ after)[diagonal]) / denom).real
-                        val = oracle.wtd(t, kl, ql, rho)
+                        val = table[m, ka, qb]
                         assert abs(val - ref) <= 1e-12 * max(abs(val), abs(ref), 1.0)
 
 
@@ -266,12 +290,13 @@ class TestAgainstFullSpace:
         assert np.max(np.abs(rho_ss - full_steady_state(full, dim))) <= 1e-12
         evolve = sla.expm(no_click * t)
         for rho in (rho_ss, oracle.vacuum_density()):
-            for ql in CHANNEL_ORDER:
+            table = oracle.wtd_matrix([t], rho)[0]
+            for qb, ql in enumerate(CHANNEL_ORDER):
                 weight = np.trace((jumps[ql] @ rho.reshape(-1)).reshape(dim, dim)).real
                 if weight <= 1e-12:
                     continue
-                for kl in CHANNEL_ORDER:
-                    a = oracle.wtd(t, kl, ql, rho)
+                for ka, kl in enumerate(CHANNEL_ORDER):
+                    a = table[ka, qb]
                     b = full_wtd(evolve, jumps, kl, ql, rho)
                     assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
@@ -288,11 +313,12 @@ class TestLargeOracle:
         assert np.max(np.abs(oracle.covariance(rho_ss) - st.C)) < 1e-8
         times = np.random.default_rng(6).uniform(0.0, 20.0 / min(spec.gamma1, spec.gammaL), 5)
         for state, rho in ((st, rho_ss), (vacuum_state(6), oracle.vacuum_density())):
-            for ql in CHANNEL_ORDER:
+            table = oracle.wtd_matrix(times, rho)
+            for qb, ql in enumerate(CHANNEL_ORDER):
                 if state.kind == "vacuum" and ql.endswith("-"):
                     continue
-                for kl in CHANNEL_ORDER:
-                    for t in times:
+                for ka, kl in enumerate(CHANNEL_ORDER):
+                    for m, t in enumerate(times):
                         a = wtd_density(float(t), ch[kl], ch[ql], state, sp)
-                        b = oracle.wtd(float(t), ch[kl], ch[ql], rho)
+                        b = table[m, ka, qb]
                         assert abs(a - b) <= max(1e-8 * max(abs(a), abs(b)), 1e-12)

@@ -2,6 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st_
 
 import fermiwait.tracedet
 from fermiwait.linalg import LinalgError
@@ -192,6 +193,71 @@ class TestSupportingIdentities:
         assert "one_insertion" in failed
 
 
+    @pytest.mark.parametrize("kind", TWO_INSERT_KINDS)
+    def test_one_bad_member_of_a_stack_fails_its_entry(self, monkeypatch, kind):
+        real = fermiwait.tracedet.trace_two_insert_chain
+
+        def one_member_off(k, indices, chain):
+            out = real(k, indices, chain)
+            if k == kind:
+                out = out.copy()
+                out[3] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(fermiwait.tracedet, "trace_two_insert_chain", one_member_off)
+        report = verify_tracedet(seed=123, draws=5, sizes=(2,))
+        assert [e.name for e in report.entries if not e.passed] == [f"two_insertion_{kind}"]
+
+    @pytest.mark.parametrize("kwargs", [{"draws": 0}, {"sizes": ()}])
+    def test_a_report_that_checked_nothing_fails(self, kwargs):
+        report = verify_tracedet(seed=123, **kwargs)
+        assert report.entries and all(e.draws == 0 for e in report.entries)
+        assert not any(e.passed for e in report.entries)
+        assert not report.passed
+        assert "FAIL" in report.to_text()
+
+
+class TestStacks:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        L=st_.integers(2, 4), n=st_.integers(1, 5), seed=st_.integers(0, 2**32 - 1)
+    )
+    def test_stacked_formulas_equal_each_member_alone(self, L, n, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = [np.stack([random_coeff(rng, L) for _ in range(n)]) for _ in range(3)]
+        idx = rng.integers(0, L, size=(4, n))
+        stack = QuadraticFormChain(coeffs)
+        formulas = [
+            lambda c, ix: bss_trace(c).value,
+            lambda c, ix: trace_one_insert(ix[0], ix[1], c),
+            *(lambda c, ix, k=kind: trace_two_insert_chain(k, ix, c) for kind in TWO_INSERT_KINDS),
+            lambda c, ix: trace_one_insert_alpha_route(ix[2], c, 1.0),
+            lambda c, ix: conjugation_residual(c),
+            lambda c, ix: c.kernel(),
+            lambda c, ix: c.prefix(2).product(),
+        ]
+        alone = [QuadraticFormChain([x[m] for x in coeffs]) for m in range(n)]
+        for formula in formulas:
+            got = formula(stack, tuple(idx))
+            want = np.array([formula(alone[m], tuple(int(i) for i in idx[:, m])) for m in range(n)])
+            assert got.shape == want.shape and want.shape[0] == n
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_a_scalar_index_applies_to_every_member(self):
+        rng = np.random.default_rng(8)
+        stack = QuadraticFormChain([np.stack([random_coeff(rng, 3) for _ in range(4)])] * 3)
+        assert np.array_equal(trace_one_insert(2, 0, stack), trace_one_insert([2] * 4, [0] * 4, stack))
+
+    def test_index_arrays_are_range_checked(self):
+        stack = QuadraticFormChain([np.zeros((2, 3, 3))] * 3)
+        with pytest.raises(IndexError, match="mode index 3"):
+            trace_two_insert_chain("adjacent", ([0, 0], [1, 1], [2, 3], [0, 0]), stack)
+
+    def test_factors_of_unequal_stack_length_rejected(self):
+        with pytest.raises(ValueError, match="stack length"):
+            QuadraticFormChain([np.zeros((2, 3, 3)), np.zeros((3, 3, 3))])
+
+
 class TestChainSharing:
     def test_prefixes_and_cached_kernel_match_fresh_chains_bitwise(self):
         rng = np.random.default_rng(7)
@@ -228,5 +294,17 @@ class TestVerificationEntry:
         for dev in (np.nan, 1e-11, 5.0):
             entry.record(dev)
         assert entry.draws == 6
+        assert np.isnan(entry.max_deviation)
+        assert not entry.passed
+
+    def test_record_counts_each_element_of_an_array(self):
+        entry = VerificationEntry("identity", 1e-9)
+        assert not entry.passed  # no draw yet
+        entry.record(np.array([1e-12, 3e-10, 2e-11]))
+        entry.record(np.zeros((2, 2)))
+        assert (entry.draws, entry.max_deviation, entry.passed) == (7, 3e-10, True)
+        entry.record(np.array([1e-11, np.nan, 5.0]))
+        entry.record(1e-12)
+        assert entry.draws == 11
         assert np.isnan(entry.max_deviation)
         assert not entry.passed

@@ -63,11 +63,11 @@ class TestAgainstBruteForce:
 
     def test_live_table_at_unit_time(self, sv_spec, sv_sp, sv_channels, sv_oracle):
         st = steady_state(sv_spec)
-        rho = sv_oracle.steady_state()
+        table = sv_oracle.wtd_matrix([1.0], sv_oracle.steady_state())[0]
         for ql in ("1+", "L-"):
             for kl in CHANNEL_ORDER:
                 a = wtd_density(1.0, sv_channels[kl], sv_channels[ql], st, sv_sp)
-                b = sv_oracle.wtd(1.0, sv_channels[kl], sv_channels[ql], rho)
+                b = table[CHANNEL_ORDER.index(kl), CHANNEL_ORDER.index(ql)]
                 assert rel_dev(a, b) < 1e-8
 
     def test_all_sixteen_pairs_language(self, oracle_cache):
@@ -76,13 +76,14 @@ class TestAgainstBruteForce:
         ch = channels(spec)
         oracle = oracle_cache(spec)
         st = steady_state(spec)
-        rho = oracle.steady_state()
-        rng = np.random.default_rng(5)
-        for ql in CHANNEL_ORDER:
-            for kl in CHANNEL_ORDER:
-                for t in rng.uniform(0.0, 50.0, size=3):
+        # The times of pair (q, k), as drawn pair by pair: times[q, k].
+        times = np.random.default_rng(5).uniform(0.0, 50.0, size=(4, 4, 3))
+        table = oracle.wtd_matrix(times.ravel(), oracle.steady_state()).reshape(4, 4, 3, 4, 4)
+        for qb, ql in enumerate(CHANNEL_ORDER):
+            for ka, kl in enumerate(CHANNEL_ORDER):
+                for m, t in enumerate(times[qb, ka]):
                     a = wtd_density(float(t), ch[kl], ch[ql], st, sp)
-                    b = oracle.wtd(float(t), ch[kl], ch[ql], rho)
+                    b = table[qb, ka, m, ka, qb]
                     assert rel_dev(a, b) < 1e-8
 
 
@@ -555,13 +556,15 @@ class TestExceptionalPoint:
             (steady_state(spec), oracle.steady_state()),
             (vacuum_state(2), oracle.vacuum_density()),
         ):
+            times = (0.0, 0.3, 1.1, 2.5)
+            table = oracle.wtd_matrix(times, rho)
             for ql in ("1-", "L-", "L+"):
                 if ql.endswith("-") and state.kind == "vacuum":
                     continue
                 for kl in CHANNEL_ORDER:
-                    for t in (0.0, 0.3, 1.1, 2.5):
+                    for m, t in enumerate(times):
                         a = wtd_density(t, ch[kl], ch[ql], state, sp)
-                        b = oracle.wtd(t, ch[kl], ch[ql], rho)
+                        b = table[m, CHANNEL_ORDER.index(kl), CHANNEL_ORDER.index(ql)]
                         assert rel_dev(a, b) < 1e-8
         # No eigenvectors, no eigenbasis form: every steady point took the LU form.
         assert kernel_forms["eigenbasis"] == 0 and kernel_forms["lu"] > 0

@@ -288,6 +288,7 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
         },
         "quadrature": {},
     }
+    del oracle  # its sector operators are not needed by the normalization passes
     for name, state, _ in states:
         table = statsmod.channel_stats(state, sp, cfg.tol_quadrature)
         diagnostics["quadrature"][name] = _quadrature_record(table.quadrature)

@@ -164,9 +164,12 @@ def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
     h_eff = h_many - 0.5j * sum(ch[label].rate * (a.conj().T @ a) for label, a in jump_ops.items())
     no_click = -1j * (left(h_eff) - right(h_eff.conj().T))
 
-    recomposed = no_click + sum(jumps.values())
+    residual = no_click.copy()  # full - (no_click + sum(jumps)), in place
+    for jump in jumps.values():
+        residual += jump
+    np.subtract(full, residual, out=residual)
     scale = max(1.0, np.max(np.abs(full)))
-    if np.max(np.abs(full - recomposed)) > 1e-12 * scale:
+    if np.max(np.abs(residual)) > 1e-12 * scale:
         raise AssertionError("generator decomposition full = no_click + jumps failed")
     return LiouvillianParts(
         full=full, no_click=no_click, jumps=jumps, ket=ket, bra=bra, c_ops=c_ops,
@@ -202,13 +205,6 @@ class FockOracle:
         self.dim = 2**spec.L
         ch = channels(spec)
         self._channels = [ch[label] for label in CHANNEL_ORDER]
-        self._rates = np.array([c.rate for c in self._channels])
-        ops = np.stack([self.parts.jump_ops[label] for label in CHANNEL_ORDER])
-        self._ops, self._ops_dag = ops, ops.conj().transpose(0, 2, 1)
-        # rate_k tr(a_k X a_k^dag) = sum_ij (rate_k a_k^dag a_k)_ji X_ij: row k
-        # is k's click operator transposed and flattened, to dot with X flattened.
-        clicks = self._rates[:, None, None] * (self._ops_dag @ ops)
-        self._reads = clicks.transpose(0, 2, 1).reshape(len(CHANNEL_ORDER), -1)
 
     def wtd_matrix(self, ts, rho: np.ndarray) -> np.ndarray:
         """All sixteen densities P(t, k|q) at n times, as an (n, 4, 4) table.
@@ -228,16 +224,22 @@ class FockOracle:
             raise ValueError("time must be nonnegative")
         n_ch = len(CHANNEL_ORDER)
         table = np.full((len(ts), n_ch, n_ch), np.nan, dtype=complex)
-        sandwiches = self._ops @ np.asarray(rho, dtype=complex) @ self._ops_dag
+        rates = np.array([q.rate for q in self._channels])
+        ops = np.stack([self.parts.jump_ops[label] for label in CHANNEL_ORDER])
+        ops_dag = ops.conj().transpose(0, 2, 1)
+        # rate_k tr(a_k X a_k^dag) = sum_ij (rate_k a_k^dag a_k)_ji X_ij: row k
+        # is k's click operator transposed and flattened, to dot with X flattened.
+        reads = (rates[:, None, None] * (ops_dag @ ops)).transpose(0, 2, 1).reshape(n_ch, -1)
+        sandwiches = ops @ np.asarray(rho, dtype=complex) @ ops_dag
         occupation = np.trace(sandwiches, axis1=1, axis2=2).real  # q's occupation factor
         live = [b for b, q in enumerate(self._channels) if can_click(q, float(occupation[b]))]
         if live:
-            jumped = self._rates[live, None, None] * sandwiches[live]
+            jumped = rates[live, None, None] * sandwiches[live]
             denom = np.trace(jumped, axis1=1, axis2=2)
             for m, t in enumerate(ts):
                 g = self.propagator.matrix(float(t))
                 evolved = (g @ jumped @ g.conj().T).reshape(len(live), -1)
-                table[m][:, live] = (self._reads @ evolved.T) / denom
+                table[m][:, live] = (reads @ evolved.T) / denom
         vals = table[:, :, live]
         if np.any(np.abs(vals.imag) > 1e-9 * np.maximum(1.0, np.abs(vals.real))):
             raise AssertionError(
@@ -502,7 +504,7 @@ def verify_tracedet(
 
         chain = tracedet.QuadraticFormChain(coeffs.transpose(1, 0, 2, 3))
         for n in (1, 2, 3, 4):
-            formula = tracedet.bss_trace(chain.prefix(n)).value
+            formula = tracedet.bss_trace(chain.prefix(n))
             bare[n].record(_rel_dev(_trace(products[n - 1]), formula))
 
         chain3 = chain.prefix(3)
@@ -522,12 +524,12 @@ def verify_tracedet(
 
         conjugation.record(tracedet.conjugation_residual(chain3))
 
-        upd = a + np.einsum("ni,nj->nij", psi, phi)
+        psi, phi = psi[:, :, None], phi[:, None, :]  # columns and rows
+        upd = a + psi * phi
         ainv = np.linalg.inv(a)
-        ainv_psi = np.einsum("nij,nj->ni", ainv, psi)
-        phi_ainv = np.einsum("ni,nij->nj", phi, ainv)
-        denom = 1.0 + np.einsum("ni,ni->n", phi, ainv_psi)
-        sylvester.record(_rel_dev(np.linalg.det(upd), np.linalg.det(a) * denom))
-        sm = ainv - np.einsum("ni,nj->nij", ainv_psi, phi_ainv) / denom[:, None, None]
+        ainv_psi, phi_ainv = ainv @ psi, phi @ ainv
+        denom = 1.0 + phi_ainv @ psi  # (draws, 1, 1)
+        sylvester.record(_rel_dev(np.linalg.det(upd), np.linalg.det(a) * denom[:, 0, 0]))
+        sm = ainv - ainv_psi * phi_ainv / denom
         sherman.record(np.max(np.abs(np.linalg.inv(upd) - sm), axis=(1, 2)))
     return report

@@ -151,13 +151,23 @@ class LogDet:
 
     @classmethod
     def of(cls, a: np.ndarray, name: str) -> LogDet:
-        """det ``a`` from numpy's ``slogdet``; a non-finite or exactly singular ``a`` is a named error."""
-        if not np.isfinite(a).all():
-            raise LinalgError(f"{name} has non-finite entries")
-        sign, log_abs = np.linalg.slogdet(a)
-        if sign == 0:
-            raise LinalgError(f"{name} is exactly singular")
+        """det of the one matrix ``a``, refused as in :func:`checked_slogdet`."""
+        sign, log_abs = checked_slogdet(a, name)
         return cls(float(log_abs), complex(sign))
+
+
+def checked_slogdet(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|det|) of a matrix or of each of a stack (..., n, n), from numpy's ``slogdet``.
+
+    A non-finite or exactly singular matrix, or any such member of a stack,
+    is a named error.
+    """
+    if not np.isfinite(a).all():
+        raise LinalgError(f"{name} has non-finite entries")
+    sign, log_abs = np.linalg.slogdet(a)
+    if not np.all(sign):
+        raise LinalgError(f"{name} is exactly singular")
+    return sign, log_abs
 
 
 def _as_square(a, name="matrix") -> np.ndarray:

@@ -20,7 +20,8 @@ Every formula takes one chain or a stack of n chains of equal length and
 dimension (:class:`QuadraticFormChain`), and each mode index is an int or
 an (n,) integer array, one index per member of the stack.  A stack gives
 (n,) arrays, one value per member; one chain is evaluated as a stack of
-one, so each formula has one implementation, and gives a scalar.
+one, so each formula has one implementation, and gives a scalar (D as a
+:class:`LogDet`, D itself for each member of a stack).
 """
 
 from __future__ import annotations
@@ -29,23 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import LinalgError, LogDet, expm
+from .linalg import LinalgError, LogDet, checked_slogdet, expm
 
 TWO_INSERT_KINDS = ("adjacent", "split_mp", "split_pp", "split_mm", "split_pm")
-
-
-def _log_det(a: np.ndarray, name: str) -> LogDet:
-    """det of each matrix of a stack from numpy's ``slogdet``, as a LogDet of (n,) arrays.
-
-    A non-finite or exactly singular member is a named error, as in
-    :meth:`LogDet.of`.
-    """
-    if not np.isfinite(a).all():
-        raise LinalgError(f"{name} has non-finite entries")
-    sign, log_abs = np.linalg.slogdet(a)
-    if not sign.all():
-        raise LinalgError(f"{name} is exactly singular")
-    return LogDet(log_abs, sign)
 
 
 class QuadraticFormChain:
@@ -117,10 +104,16 @@ class QuadraticFormChain:
             self._product = p
         return self._product
 
-    def _stack_det(self) -> LogDet:
+    def _stack_det(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sign, log|D|) of each member."""
         if self._det is None:
-            self._det = _log_det(np.eye(self.dim) + self._stack_product(), "1 + P")
+            self._det = checked_slogdet(np.eye(self.dim) + self._stack_product(), "1 + P")
         return self._det
+
+    def _stack_det_value(self) -> np.ndarray:
+        """D of each member."""
+        sign, log_abs = self._stack_det()
+        return np.exp(log_abs) * sign
 
     def _stack_kernel(self) -> np.ndarray:
         if self._kernel is None:
@@ -135,10 +128,12 @@ class QuadraticFormChain:
         """P = e^{X_1} e^{X_2} ... in chain order, computed once."""
         return self._result(self._stack_product())
 
-    def det(self) -> LogDet:
-        """D = det(1 + P), computed once."""
-        d = self._stack_det()
-        return d if self.stacked else LogDet(d.log_abs[0].item(), d.phase[0].item())
+    def det(self):
+        """D = det(1 + P), computed once: a LogDet for one chain, an (n,) array of D for a stack."""
+        if self.stacked:
+            return self._stack_det_value()
+        sign, log_abs = self._stack_det()
+        return LogDet(float(log_abs[0]), complex(sign[0]))
 
     def kernel(self) -> np.ndarray:
         """T = P (1 + P)^{-1}, computed once."""
@@ -159,15 +154,15 @@ def _indices(chain: QuadraticFormChain, *indices) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def bss_trace(chain: QuadraticFormChain) -> LogDet:
-    """Fock-space trace of the ordered product, as det(1 + prod_k e^{X_k})."""
+def bss_trace(chain: QuadraticFormChain):
+    """Fock-space trace of the ordered product, as det(1 + prod_k e^{X_k}) (:meth:`~QuadraticFormChain.det`)."""
     return chain.det()
 
 
 def trace_one_insert(i, i_prime, chain: QuadraticFormChain):
     """Fock trace of c_i^dag c_{i'} times the ordered product: D * T[i', i]."""
     rows, i, ip = _indices(chain, i, i_prime)
-    return chain._result(chain._stack_det().value * chain._stack_kernel()[rows, ip, i])
+    return chain._result(chain._stack_det_value() * chain._stack_kernel()[rows, ip, i])
 
 
 def trace_two_insert_chain(kind: str, indices, chain: QuadraticFormChain):
@@ -196,7 +191,7 @@ def trace_two_insert_chain(kind: str, indices, chain: QuadraticFormChain):
 
     u, v, _w = chain.exps
     ui, vi, wi = chain.inv_exps
-    d, t = chain._stack_det().value, chain._stack_kernel()
+    d, t = chain._stack_det_value(), chain._stack_kernel()
     delta_ii = (i == ip).astype(float)
 
     # Building blocks shared by several kinds.
@@ -259,5 +254,5 @@ def trace_one_insert_alpha_route(i, chain: QuadraticFormChain, alpha: float):
     rows, i = _indices(chain, i)
     scaled = chain._stack_product().copy()
     scaled[rows, i] *= np.exp(alpha)  # e^{alpha n_i} P scales row i of P
-    det_with = _log_det(np.eye(chain.dim) + scaled, "1 + e^{alpha n_i} P")
-    return chain._result((det_with.value - chain._stack_det().value) / np.expm1(alpha))
+    sign, log_abs = checked_slogdet(np.eye(chain.dim) + scaled, "1 + e^{alpha n_i} P")
+    return chain._result((np.exp(log_abs) * sign - chain._stack_det_value()) / np.expm1(alpha))

@@ -15,8 +15,10 @@ from fermiwait.fock import FockOracle
 from fermiwait.linalg import (
     PROPAGATOR_COND_MAX,
     LinalgError,
+    LogDet,
     Propagator,
     NotPositiveDefiniteError,
+    checked_slogdet,
     cholesky_half_solve,
     expm,
     lyapunov_solve,
@@ -324,6 +326,30 @@ class TestCholeskyRefusalAboveBatchedSizes(TestCholeskyRefusal):
     """The same refusals where ztrtrs and zpocon serve the stack."""
 
     SIZE = 12
+
+
+class TestCheckedSlogdet:
+    """One refusal policy for the determinant of one matrix and of a stack."""
+
+    def test_a_stack_is_refused_for_any_singular_or_non_finite_member(self):
+        a = np.stack([np.eye(2), np.diag([1.0, 0.0]), 2.0 * np.eye(2)]).astype(complex)
+        with pytest.raises(LinalgError, match="A is exactly singular"):
+            checked_slogdet(a, "A")
+        a[1, 1, 1] = np.inf
+        with pytest.raises(LinalgError, match="A has non-finite entries"):
+            checked_slogdet(a, "A")
+        sign, log_abs = checked_slogdet(a[[0, 2]], "A")
+        np.testing.assert_array_equal(sign, [1.0, 1.0])
+        np.testing.assert_allclose(log_abs, [0.0, 2.0 * np.log(2.0)], rtol=1e-15)
+
+    def test_logdet_of_one_matrix_is_a_hashable_scalar_record(self):
+        a = random_complex(np.random.default_rng(41), 4)
+        d, twin = LogDet.of(a, "A"), LogDet.of(a.copy(), "A")
+        assert type(d.log_abs) is float and type(d.phase) is complex
+        assert d == twin and {d: 1}[twin] == 1
+        assert d.value == pytest.approx(np.linalg.det(a), rel=1e-12)
+        with pytest.raises(LinalgError, match="A is exactly singular"):
+            LogDet.of(np.zeros((2, 2)), "A")
 
 
 class TestPropagator:

@@ -47,6 +47,17 @@ class TestBareTrace:
         rev = bss_trace(QuadraticFormChain([x @ y - y @ x, y, x])).value
         assert abs(fwd - rev) > 1e-6
 
+    def test_one_chain_gives_a_value_record_and_a_stack_an_array(self):
+        rng = np.random.default_rng(5)
+        coeffs = [np.stack([random_coeff(rng, 3) for _ in range(4)]) for _ in range(2)]
+        one = bss_trace(QuadraticFormChain([x[2] for x in coeffs]))
+        twin = bss_trace(QuadraticFormChain([x[2] for x in coeffs]))
+        assert type(one.log_abs) is float and type(one.phase) is complex
+        assert one == twin and {one: 1}[twin] == 1
+        stacked = bss_trace(QuadraticFormChain(coeffs))
+        assert stacked.shape == (4,) and stacked.dtype == complex
+        assert stacked[2] == pytest.approx(one.value, rel=1e-13)
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             QuadraticFormChain([])
@@ -228,7 +239,7 @@ class TestStacks:
         idx = rng.integers(0, L, size=(4, n))
         stack = QuadraticFormChain(coeffs)
         formulas = [
-            lambda c, ix: bss_trace(c).value,
+            lambda c, ix: bss_trace(c) if c.stacked else bss_trace(c).value,
             lambda c, ix: trace_one_insert(ix[0], ix[1], c),
             *(lambda c, ix, k=kind: trace_two_insert_chain(k, ix, c) for kind in TWO_INSERT_KINDS),
             lambda c, ix: trace_one_insert_alpha_route(ix[2], c, 1.0),

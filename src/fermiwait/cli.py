@@ -246,6 +246,7 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     check runs.  The oracle and the identity suite (``fock``, ``tracedet``)
     are imported here, so that no other command loads them.
     """
+    from random import Random
     from .fock import FockOracle, verify_tracedet
 
     spec = cfg.chain_spec()
@@ -258,10 +259,9 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
     normalization = {s: report.add(f"normalization_{s}", AUDIT_TOL) for s in ("steady", "vacuum")}
 
     oracle = FockOracle(spec)
-    ch = sp.channels
-    rng = np.random.default_rng(seed)
+    rng = Random(seed)
     gamma_min = min(g for g in (spec.gamma1, spec.gammaL) if g > 0)
-    times = rng.uniform(0.0, 20.0 / gamma_min, size=10)
+    times = np.array([rng.uniform(0.0, 20.0 / gamma_min) for _ in range(10)])
     floor = 1e-12 / tol  # |a-b| <= tol*max(|a|,|b|, floor) == rel tol or 1e-12 abs
 
     rho_ss = oracle.steady_state()
@@ -273,7 +273,7 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
         closed, brute = wtdmod.wtd_density_matrix(times, state, sp), oracle.wtd_matrix(times, rho)
         at_one = wtdmod.wtd_density_matrix(1.0, state, sp) if state.kind == "vacuum" else None
         for b, ql in enumerate(CHANNEL_ORDER):
-            q = ch[ql]
+            q = sp.channels[ql]
             if at_one is not None and q.sign == "-":
                 entry.record(np.abs(at_one[:, b]))
             elif can_click(q, occupation_factor(q, state.boundary_occupations)):

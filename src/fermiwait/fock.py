@@ -21,10 +21,15 @@ N_ket - N_bra (Buca & Prosen, NJP 14, 073007, 2012), the trace reads only
 that sector, and the steady state lies in it, so dropping the other blocks
 is exact.  The steady state is the null vector of that sector generator:
 its uniqueness is read from the singular values, the vector from one LU
-solve.  The no-click part and the four jumps are built on the same
-sector only to assert the sum rule full = no_click + jumps, which
-cross-checks H_eff.  Sector vectors list the (ket, bra) pairs in row-major
-order, so a sandwich A rho B has the entries A[I, I'] B[J', J].
+solve.  The full generator is assembled in place in one buffer, and the
+oracle holds it and its 2^L operators, nothing else of sector size.  The
+no-click part and the four jumps are built on the same sector and summed
+one at a time into one residual buffer, to assert the sum rule
+full = no_click + jumps, which cross-checks H_eff; they are then freed.
+``LiouvillianParts.no_click`` and ``.jumps`` rebuild them, by the same
+expressions, the first time they are read.  Sector vectors list the
+(ket, bra) pairs in row-major order, so a sandwich A rho B has the entries
+A[I, I'] B[J', J].
 
 Everything here exists to verify the L x L closed forms at small L, not to
 be fast.  The one hard cap is ``model.ORACLE_MAX_SITES`` = 6 (sector
@@ -36,7 +41,9 @@ unless ``--allow-large-oracle`` is given.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from .linalg import Propagator, expm
@@ -45,8 +52,8 @@ from . import tracedet
 
 ANTICOMM_TOL = 1e-13
 
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # <0|c|1> = 1
+_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # <0|c|1> = 1
 
 
 def _check_size(L: int):
@@ -59,29 +66,32 @@ def build_fermions(L: int) -> list[np.ndarray]:
 
     c_i = Z x ... x Z x s x I x ... x I with the lowering matrix s at slot
     i and site 1 leftmost.  Canonical anticommutation is verified at
-    construction.
+    construction: all 2L^2 anticommutators {c_a, c_b^dag} and {c_a, c_b}
+    in one stacked product, the first failing pair named in the error.
+    The matrices are real, so they are built and checked in real
+    arithmetic and returned as complex arrays.
     """
     _check_size(L)
     ops = []
     for i in range(L):
-        mats = [_PAULI_Z] * i + [_LOWER] + [np.eye(2, dtype=complex)] * (L - i - 1)
+        mats = [_PAULI_Z] * i + [_LOWER] + [np.eye(2)] * (L - i - 1)
         full = mats[0]
         for m in mats[1:]:
             full = np.kron(full, m)
         ops.append(full)
 
-    dim = 2**L
-    eye = np.eye(dim)
-    for a in range(L):
-        for b in range(L):
-            acc = ops[a] @ ops[b].conj().T + ops[b].conj().T @ ops[a]
-            target = eye if a == b else 0.0
-            if np.max(np.abs(acc - target)) > ANTICOMM_TOL:
-                raise AssertionError(f"anticommutator {{c_{a}, c_{b}^dag}} violated")
-            acc2 = ops[a] @ ops[b] + ops[b] @ ops[a]
-            if np.max(np.abs(acc2)) > ANTICOMM_TOL:
-                raise AssertionError(f"anticommutator {{c_{a}, c_{b}}} violated")
-    return ops
+    c = np.stack(ops)
+    pairs = np.stack([c.conj().transpose(0, 2, 1), c], axis=1)  # [b] = (c_b^dag, c_b)
+    anti = c[:, None, None] @ pairs  # [a, b, 0] = c_a c_b^dag, [a, b, 1] = c_a c_b
+    anti += pairs @ c[:, None, None]
+    sites = np.arange(L)
+    anti[sites, sites, 0] -= np.eye(2**L)
+    bad = np.max(np.abs(anti), axis=(-2, -1)) > ANTICOMM_TOL  # (a, b, kind), the loop order
+    if np.any(bad):
+        a, b, kind = np.unravel_index(np.argmax(bad), bad.shape)
+        other = f"c_{b}^dag" if kind == 0 else f"c_{b}"
+        raise AssertionError(f"anticommutator {{c_{a}, {other}}} violated")
+    return [op.astype(complex) for op in ops]
 
 
 def quadratic_form_operator(x, c_ops: list[np.ndarray]) -> np.ndarray:
@@ -98,83 +108,135 @@ def quadratic_form_operator(x, c_ops: list[np.ndarray]) -> np.ndarray:
     return op
 
 
+def _sector_pairs(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ket, bra) of the N_ket = N_bra sector, its (ket, bra) pairs in row-major order."""
+    number = np.array([bin(i).count("1") for i in range(2**L)])
+    return np.nonzero(number[:, None] == number[None, :])
+
+
+class _Sector:
+    """Superoperators rho -> A rho B on the sector, each written into a given buffer.
+
+    Built where superoperators are assembled and dropped with them, so no
+    index array outlives the assembly.
+    """
+
+    def __init__(self, L: int):
+        self.ket, self.bra = _sector_pairs(L)
+        # The identity on the sector: gather(eye, ket) and gather(eye, bra).
+        self.eye_kets = self.ket[:, None] == self.ket[None, :]
+        self.eye_bras = self.bra[:, None] == self.bra[None, :]
+
+    def empty(self) -> np.ndarray:
+        return np.empty((len(self.ket),) * 2, dtype=complex)
+
+    @staticmethod
+    def gather(m, index, out):  # m[index[s], index[s']]: rows, then columns
+        return np.take(m[index], index, axis=1, out=out)
+
+    def sandwich(self, a, b, out, work):  # rho -> A rho B
+        kets, bras = self.gather(a, self.ket, out), self.gather(b.T, self.bra, work)
+        return np.multiply(kets, bras, out=out)
+
+    def left(self, a, out):  # rho -> A rho, as sandwich(a, eye)
+        return np.multiply(self.gather(a, self.ket, out), self.eye_bras, out=out)
+
+    def right(self, b, out):  # rho -> rho B, as sandwich(eye, b)
+        return np.multiply(self.eye_kets, self.gather(b.T, self.bra, out), out=out)
+
+    def coherent(self, a, b, out, work):  # rho -> -i (A rho - rho B)
+        np.subtract(self.left(a, out), self.right(b, work), out=out)
+        return np.multiply(-1j, out, out=out)
+
+    def jump(self, rate, a, out, work):  # rho -> rate * a rho a^dag
+        return np.multiply(rate, self.sandwich(a, a.conj().T, out, work), out=out)
+
+    def dissipator(self, a, out, work, work2):  # rho -> a rho a^dag - {a^dag a, rho} / 2
+        ada = a.conj().T @ a
+        self.sandwich(a, a.conj().T, out, work)
+        np.add(self.left(ada, work), self.right(ada, work2), out=work)
+        return np.subtract(out, np.multiply(0.5, work, out=work), out=out)
+
+
 @dataclass(eq=False)
 class LiouvillianParts:
-    """Full generator, its no-click part and the four jumps, on the sector.
+    """Full generator on the sector, and the 2^L operators its parts are built from.
 
-    Entry s of a sector vector is rho[ket[s], bra[s]].  ``c_ops`` are the
-    2^L fermion operators the superoperators were built from, ``h_eff`` the
-    2^L effective Hamiltonian that ``no_click`` is built from, and
-    ``jump_ops[label]`` the 2^L operator a of each channel, whose jump
-    superoperator is rate * (rho -> a rho a^dag).
+    Entry s of a sector vector is rho[ket[s], bra[s]]; ``ket`` and ``bra``
+    are computed on each read, not stored.  ``c_ops`` are the 2^L fermion
+    operators, ``h_eff`` the 2^L effective Hamiltonian, ``jump_ops[label]``
+    the 2^L operator a of each channel and ``rates[label]`` its rate.  The
+    no-click generator -i (H_eff rho - rho H_eff^dag) and the four jump
+    superoperators rate * (rho -> a rho a^dag) are built on the sector the
+    first time they are read, by the expressions that checked the sum rule,
+    and kept from then on.
     """
 
     full: np.ndarray
-    no_click: np.ndarray
-    jumps: dict[str, np.ndarray]
-    ket: np.ndarray
-    bra: np.ndarray
     c_ops: list[np.ndarray]
     h_eff: np.ndarray
     jump_ops: dict[str, np.ndarray]
+    rates: dict[str, float]
+
+    @property
+    def ket(self) -> np.ndarray:
+        return _sector_pairs(len(self.c_ops))[0]
+
+    @property
+    def bra(self) -> np.ndarray:
+        return _sector_pairs(len(self.c_ops))[1]
+
+    @cached_property
+    def no_click(self) -> np.ndarray:
+        sector = _Sector(len(self.c_ops))
+        return sector.coherent(self.h_eff, self.h_eff.conj().T, sector.empty(), sector.empty())
+
+    @cached_property
+    def jumps(self) -> dict[str, np.ndarray]:
+        sector = _Sector(len(self.c_ops))
+        work = sector.empty()
+        return {
+            label: sector.jump(self.rates[label], a, sector.empty(), work)
+            for label, a in self.jump_ops.items()
+        }
 
 
 def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
     """Assemble the master-equation superoperators for a chain spec.
 
-    The full generator (Lindblad dissipators), the no-click generator
-    (built from the non-Hermitian effective Hamiltonian) and the four jump
-    sandwiches are constructed independently from the one channel table;
-    their sum rule full = no_click + sum(jumps) is then asserted, which
+    The full generator (Lindblad dissipators) is assembled in one buffer.
+    The no-click generator (from the non-Hermitian effective Hamiltonian)
+    and the four jump sandwiches are built independently from the one
+    channel table and streamed into one residual buffer, each freed after
+    use, to assert the sum rule full = no_click + sum(jumps), which
     cross-validates the effective-Hamiltonian decomposition.
     """
     c_ops = build_fermions(spec.L)
     c1, cL = c_ops[0], c_ops[-1]
-    ch = channels(spec)
-    number = np.array([bin(i).count("1") for i in range(2**spec.L)])
-    ket, bra = np.nonzero(number[:, None] == number[None, :])  # row-major pairs
-
-    def gather(m, index):  # m[index[s], index[s']]: rows, then columns
-        return m[index][:, index]
-
-    # The identity on the sector, built once: gather(eye, ket) and gather(eye, bra).
-    eye_kets, eye_bras = ket[:, None] == ket[None, :], bra[:, None] == bra[None, :]
-
-    def sandwich(a, b):  # rho -> A rho B
-        return gather(a, ket) * gather(b.T, bra)
-
-    def left(a):  # rho -> A rho, as sandwich(a, eye)
-        return gather(a, ket) * eye_bras
-
-    def right(b):  # rho -> rho B, as sandwich(eye, b)
-        return eye_kets * gather(b.T, bra)
-
-    def dissipator(a):
-        ada = a.conj().T @ a
-        return sandwich(a, a.conj().T) - 0.5 * (left(ada) + right(ada))
+    jump_ops = {"1-": c1, "1+": c1.conj().T, "L-": cL, "L+": cL.conj().T}
+    rates = {label: channel.rate for label, channel in channels(spec).items()}
+    sector = _Sector(spec.L)
+    full, buffers = sector.empty(), [sector.empty() for _ in range(3)]
 
     h_many = quadratic_form_operator(spec.h, c_ops)
-    full = -1j * (left(h_many) - right(h_many))
-    for op, site in ((c1, "1"), (cL, "L")):
-        full = full + ch[site + "-"].rate * dissipator(op)
-        full = full + ch[site + "+"].rate * dissipator(op.conj().T)
+    sector.coherent(h_many, h_many, full, buffers[0])
+    for label, a in jump_ops.items():
+        dissipator = sector.dissipator(a, *buffers)
+        np.add(full, np.multiply(rates[label], dissipator, out=dissipator), out=full)
+    h_eff = h_many - 0.5j * sum(rates[label] * (a.conj().T @ a) for label, a in jump_ops.items())
 
-    jump_ops = {"1-": c1, "1+": c1.conj().T, "L-": cL, "L+": cL.conj().T}
-    jumps = {label: ch[label].rate * sandwich(a, a.conj().T) for label, a in jump_ops.items()}
-    h_eff = h_many - 0.5j * sum(ch[label].rate * (a.conj().T @ a) for label, a in jump_ops.items())
-    no_click = -1j * (left(h_eff) - right(h_eff.conj().T))
-
-    residual = no_click.copy()  # full - (no_click + sum(jumps)), in place
-    for jump in jumps.values():
-        residual += jump
+    # full - (no_click + sum(jumps)): no_click, then each jump, summed into
+    # one buffer in the order of the sum rule.
+    residual, work, work2 = buffers
+    sector.coherent(h_eff, h_eff.conj().T, residual, work)
+    for label, a in jump_ops.items():
+        np.add(residual, sector.jump(rates[label], a, work, work2), out=residual)
+    del buffers, work, work2  # freed before the check's temporaries
     np.subtract(full, residual, out=residual)
     scale = max(1.0, np.max(np.abs(full)))
     if np.max(np.abs(residual)) > 1e-12 * scale:
         raise AssertionError("generator decomposition full = no_click + jumps failed")
-    return LiouvillianParts(
-        full=full, no_click=no_click, jumps=jumps, ket=ket, bra=bra, c_ops=c_ops,
-        h_eff=h_eff, jump_ops=jump_ops,
-    )
+    return LiouvillianParts(full=full, c_ops=c_ops, h_eff=h_eff, jump_ops=jump_ops, rates=rates)
 
 
 def _as_label(k) -> str:
@@ -187,8 +249,10 @@ def _as_label(k) -> str:
 class FockOracle:
     """Cached many-body machinery for one chain spec.
 
-    Builds the fermion operators, the sector Liouvillian parts and the 2^L
-    no-click propagator e^{-i H_eff t} once.  The per-call work of
+    Builds the fermion operators, the sector generator and the 2^L no-click
+    propagator e^{-i H_eff t} once, and holds only those: the sector's
+    no-click part and jumps (``parts.no_click``, ``parts.jumps``) are built
+    only if read, and its index arrays on each read.  The per-call work of
     :meth:`wtd_matrix` is one jump sandwich per conditioning channel, then
     per time one propagator matrix G and one sandwich G rho G^dag per
     channel that can click, all 2^L x 2^L; :meth:`wtd` is one entry of the
@@ -278,14 +342,15 @@ class FockOracle:
             raise ValueError(
                 f"degenerate null space: second-smallest singular value {s[-2]:.3e}"
             )
-        diagonal = self.parts.ket == self.parts.bra
+        ket, bra = _sector_pairs(self.spec.L)
+        diagonal = ket == bra
         row = int(np.argmax(diagonal))
         a = full.copy()
         a[row] = diagonal
         rhs = np.zeros(full.shape[0], dtype=complex)
         rhs[row] = 1.0
         rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[self.parts.ket, self.parts.bra] = np.linalg.solve(a, rhs)
+        rho[ket, bra] = np.linalg.solve(a, rhs)
         rho = 0.5 * (rho + rho.conj().T)
         tr = np.trace(rho).real
         if abs(tr) < 1e-12:
@@ -405,9 +470,15 @@ class VerificationReport:
         }
 
 
-def _random_coeff(rng, L: int) -> np.ndarray:
+def _drawn(draw, *shape) -> np.ndarray:
+    """Array of the given shape, filled in row-major order by calls of draw()."""
+    return np.array([draw() for _ in range(math.prod(shape))]).reshape(shape)
+
+
+def _random_coeff(rng: random.Random, L: int) -> np.ndarray:
     """Complex matrix with entries of magnitude <= 1."""
-    return (rng.uniform(-1, 1, (L, L)) + 1j * rng.uniform(-1, 1, (L, L))) / np.sqrt(2)
+    uniform = partial(rng.uniform, -1.0, 1.0)
+    return (_drawn(uniform, L, L) + 1j * _drawn(uniform, L, L)) / np.sqrt(2)
 
 
 def _rel_dev(lhs, rhs):
@@ -463,14 +534,18 @@ def verify_tracedet(
     the entry, and so does an entry with no draw (``draws`` = 0 or no
     sizes).
 
-    The numbers are drawn draw by draw, in one fixed order, and each
-    size's draws are then evaluated as one stack: one four-factor
-    :class:`tracedet.QuadraticFormChain` stack, whose prefixes are the bare
-    chains of one to four factors and the three-factor chain of the
-    insertion formulas, each formula called once with index arrays, and on
-    the Fock side one stack of quadratic-form operators with one expm call.
+    The numbers come from one ``random.Random(seed)``, drawn draw by draw
+    in one fixed order: per draw the four coefficient matrices (uniform
+    real, then imaginary parts), the insertion indices, the diagonal
+    index, the lemma matrix, then psi and phi (standard normal real, then
+    imaginary parts).  Each size's draws are then evaluated as one stack:
+    one four-factor :class:`tracedet.QuadraticFormChain` stack, whose
+    prefixes are the bare chains of one to four factors and the
+    three-factor chain of the insertion formulas, each formula called once
+    with index arrays, and on the Fock side one stack of quadratic-form
+    operators with one expm call.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     report = VerificationReport(seed=seed)
     bare = {n: report.add(f"bare_trace_{n}_factors", threshold) for n in (1, 2, 3, 4)}
     one = report.add("one_insertion", threshold)
@@ -484,14 +559,15 @@ def verify_tracedet(
         return report  # nothing drawn: every entry fails
     for L in sizes:
         drawn = []
+        integers, normal = partial(rng.randrange, L), partial(rng.gauss, 0.0, 1.0)
         for _ in range(draws):
             coeffs = np.stack([_random_coeff(rng, L) for _ in range(4)])
-            one_idx = rng.integers(0, L, size=4)  # (i, i', j, j'); one insertion reads i, i'
-            two_idx = np.stack([rng.integers(0, L, size=4) for _ in tracedet.TWO_INSERT_KINDS])
-            diag = rng.integers(0, L)
+            one_idx = _drawn(integers, 4)  # (i, i', j, j'); one insertion reads i, i'
+            two_idx = _drawn(integers, len(tracedet.TWO_INSERT_KINDS), 4)
+            diag = integers()
             a = _random_coeff(rng, L) + 2.0 * np.eye(L)
-            psi = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            phi = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            psi = _drawn(normal, L) + 1j * _drawn(normal, L)
+            phi = _drawn(normal, L) + 1j * _drawn(normal, L)
             drawn.append((coeffs, one_idx, two_idx, diag, a, psi, phi))
         coeffs, one_idx, two_idx, diag, a, psi, phi = (np.stack(x) for x in zip(*drawn))
 

@@ -291,7 +291,7 @@ def integrate_semiinfinite(
     ``decay_rate`` is the guaranteed exponential rate of f's tail and
     ``amplitude`` an a-priori scale of its prefactor, so the initial
     cutoff satisfies amplitude * e^{-rate * T} / rate < tol / 10.  After
-    integrating, the tail bound is re-estimated from the largest component
+    integrating, the tail bound is re-estimated from the largest |component|
     of f at the cutoff (assuming the envelope, with a polynomial correction
     of degree ``poly_degree``, the highest power of t among the components)
     and the cutoff is extended, integrating only the added interval, until
@@ -329,7 +329,7 @@ def integrate_semiinfinite(
         value = value + piece
         abs_err += float(err)
 
-        edge = max(float(np.max(np.asarray(f(np.array([t_cut])))[0])), 0.0)
+        edge = float(np.max(np.abs(np.asarray(f(np.array([t_cut])))[0])))
         evaluations += 1
         slack = decay_rate * t_cut
         if slack <= poly_degree + 1:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st_
 from scipy.integrate import quad
 
+import fermiwait.fock
 from fermiwait import linalg
 from fermiwait.model import (
     CHANNEL_ORDER,
@@ -47,6 +50,39 @@ class TestFermions:
         assert ops[0].shape == (64, 64)
         with pytest.raises(ValueError, match="oracle supports"):
             build_fermions(7)
+
+    @pytest.mark.parametrize(
+        "name, value, named",
+        [
+            ("_LOWER", np.array([[0.0, 2.0], [0.0, 0.0]]), "{c_0, c_0^dag}"),
+            ("_PAULI_Z", np.eye(2), "{c_0, c_1^dag}"),
+        ],
+        ids=["doubled-lowering", "no-string"],
+    )
+    def test_a_broken_operator_names_the_first_failing_pair(self, monkeypatch, name, value, named):
+        # A doubled lowering matrix breaks {c_i, c_i^dag} = 1 first; without
+        # the Jordan-Wigner string the first failure is across sites.
+        monkeypatch.setattr(fermiwait.fock, name, value)
+        with pytest.raises(AssertionError) as err:
+            build_fermions(3)
+        assert str(err.value) == f"anticommutator {named} violated"
+
+
+MiB = 2**20
+
+
+def traced_oracle(spec):
+    """(oracle, its steady state, bytes held after construction, peak bytes up to then)."""
+    FockOracle(tight_binding_spec(2)).steady_state()  # imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        oracle = FockOracle(spec)
+        held = tracemalloc.get_traced_memory()[0]
+        rho = oracle.steady_state()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return oracle, rho, held, peak
 
 
 class TestLiouvillian:
@@ -301,15 +337,28 @@ class TestAgainstFullSpace:
                     assert abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
 
 
+class TestOracleMemory:
+    def test_five_site_oracle_holds_one_sector_operator(self):
+        # The sector generator is 252^2 complex entries, 0.97 MiB; the no-click
+        # part and the four jumps, five more of that size, are built on read.
+        oracle, _, held, peak = traced_oracle(tight_binding_spec(5))
+        assert held <= 1.5 * MiB
+        assert peak <= 6 * MiB
+        # Neither no_click, nor jumps, nor an index array is held before a read.
+        assert sorted(vars(oracle.parts)) == ["c_ops", "full", "h_eff", "jump_ops", "rates"]
+        assert oracle.parts.no_click is oracle.parts.no_click
+        assert oracle.parts.jumps is oracle.parts.jumps
+
+
 class TestLargeOracle:
     def test_six_site_oracle_equivalence(self):
         spec = generic_spec(6)
         sp = derive_single_particle(spec)
         ch = channels(spec)
-        oracle = FockOracle(spec)
+        oracle, rho_ss, held, _ = traced_oracle(spec)
+        assert held <= 30 * MiB  # the 924^2 sector generator is 13 MiB
         assert oracle.parts.no_click.shape == (924, 924)
         st = steady_state(spec)
-        rho_ss = oracle.steady_state()
         assert np.max(np.abs(oracle.covariance(rho_ss) - st.C)) < 1e-8
         times = np.random.default_rng(6).uniform(0.0, 20.0 / min(spec.gamma1, spec.gammaL), 5)
         for state, rho in ((st, rho_ss), (vacuum_state(6), oracle.vacuum_density())):

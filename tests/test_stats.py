@@ -118,7 +118,7 @@ def quad_vec_semiinfinite(
             raise QuadratureError(f"quad_vec status {info.status}")
         value = value + piece
         abs_err += float(err)
-        edge = max(float(np.max(counted(t_cut))), 0.0)
+        edge = float(np.max(np.abs(counted(t_cut))))
         slack = decay_rate * t_cut
         if slack <= poly_degree + 1:
             tail = np.inf
@@ -140,6 +140,7 @@ QUADRATURE_CASES = {
         lambda t: t * t * 0.5 * np.exp(-0.5 * t),
         dict(decay_rate=0.5, amplitude=1e-8, poly_degree=2),
     ),
+    "signed": (lambda t: -50.0 * np.exp(-0.5 * t), dict(decay_rate=0.5)),
     "array_valued": (
         lambda t: 0.25 * np.exp(-0.25 * t)[:, None] * np.stack((t**0, t, t * t), axis=1),
         dict(decay_rate=0.25, poly_degree=2),
@@ -226,6 +227,14 @@ class TestQuadrature:
             lambda t: t * g * np.exp(-g * t), 1e-8, decay_rate=g, poly_degree=1
         )
         assert res.value == pytest.approx(1.0 / g, rel=1e-7)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tail_bound_holds_for_either_sign(self, sign):
+        # A negative integrand must extend the cutoff as far as its mirror.
+        f = lambda t: sign * 50.0 * np.exp(-0.5 * t)  # noqa: E731
+        res = integrate_semiinfinite(f, 1e-8, decay_rate=0.5)
+        assert abs(res.value - sign * 100.0) <= 1e-8
+        assert 0.0 < res.truncation_tail_bound <= 1e-9
 
     def test_no_decay_scale_is_an_error(self):
         with pytest.raises(QuadratureError, match="decay scale"):

@@ -48,6 +48,7 @@ from functools import cached_property, partial
 import numpy as np
 from .linalg import Propagator, expm
 from .model import ORACLE_MAX_SITES, ChainSpec, Channel, CHANNEL_ORDER, can_click, channels
+from .wtd import validate_times
 from . import tracedet
 
 ANTICOMM_TOL = 1e-13
@@ -279,13 +280,11 @@ class FockOracle:
         G = e^{-i H_eff t}, and read every rate_k * tr(a_k rho(t) a_k^dag)
         over tr of the jumped state.  A column whose q cannot click from rho
         (``model.can_click``) is NaN.  The table at each time is the same
-        in every stack of times it is evaluated in.
+        in every stack of times it is evaluated in.  The times are checked
+        as the closed form checks them (``wtd.validate_times``): each
+        finite and t >= 0.
         """
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise ValueError(f"times must be a 1-D array, got shape {ts.shape}")
-        if np.any(ts < 0):
-            raise ValueError("time must be nonnegative")
+        ts = validate_times(ts)
         n_ch = len(CHANNEL_ORDER)
         table = np.full((len(ts), n_ch, n_ch), np.nan, dtype=complex)
         rates = np.array([q.rate for q in self._channels])

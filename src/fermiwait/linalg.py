@@ -1,10 +1,10 @@
 """Dense complex linear algebra kernels shared by the whole package.
 
 Everything here is a pure function of its arguments.  Determinants are
-carried as :class:`LogDet` (log-magnitude plus unit phase) because the
-determinants appearing downstream grow or shrink exponentially with chain
-size and time; they are only ever exponentiated after being combined with
-other log-scale terms.
+carried as (sign, log|det|) pairs, as numpy's ``slogdet`` gives them
+(:func:`checked_slogdet`), because the determinants appearing downstream
+grow or shrink exponentially with chain size and time; they are only ever
+exponentiated after being combined with other log-scale terms.
 
 The chain's generators W and Q are i h plus a diagonal at the two bath
 sites, so in the eigenbasis of the Hermitian h they are a real diagonal
@@ -60,7 +60,6 @@ import ctypes
 import glob
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,24 +135,6 @@ def _check_info(name: str, info: ctypes.c_int64) -> None:
     """A negative LAPACK info flags an illegal argument: a defect of this module."""
     if info.value < 0:
         raise LinalgError(f"{name}: illegal value in argument {-info.value}")
-
-
-@dataclass(frozen=True)
-class LogDet:
-    """Determinant in polar log form: det = exp(log_abs) * phase, |phase| = 1."""
-
-    log_abs: float
-    phase: complex
-
-    @property
-    def value(self) -> complex:
-        return np.exp(self.log_abs) * self.phase
-
-    @classmethod
-    def of(cls, a: np.ndarray, name: str) -> LogDet:
-        """det of the one matrix ``a``, refused as in :func:`checked_slogdet`."""
-        sign, log_abs = checked_slogdet(a, name)
-        return cls(float(log_abs), complex(sign))
 
 
 def checked_slogdet(a: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:

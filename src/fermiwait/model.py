@@ -38,7 +38,6 @@ two arrays has no single truth value.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -133,9 +132,6 @@ def channels(spec: ChainSpec) -> dict[str, Channel]:
     }
 
 
-#: Entries one SingleParticleSet keeps in its memo; the oldest goes first.
-MEMO_ENTRIES = 16
-
 #: Channels whose click weight is at or below this never click from the state.
 MIN_CLICK_WEIGHT = 1e-14
 
@@ -169,8 +165,7 @@ class SingleParticleSet:
     spec: ChainSpec
     channels: dict[str, Channel]
     h_eig: tuple[np.ndarray, np.ndarray]
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    _memo: tuple = field(default=(None, None), init=False, repr=False)
 
     @property
     def L(self) -> int:
@@ -248,24 +243,19 @@ class SingleParticleSet:
         return GaussianState(C=c, kind="steady")
 
     def memo(self, state: GaussianState, build):
-        """``build()``, computed once per state and kept on this set.
+        """``build()`` for ``state``, kept on this set until another state's replaces it.
 
         For data derived from this set and one state (the density kernel's
         per-state factors), shared by every point, curve and pass as the
-        propagator is.  An entry holds its state, so the state's id cannot
-        be reused while the entry lives; beyond MEMO_ENTRIES entries the
-        oldest is dropped.  Two threads missing the same entry at once both
-        build it, and the later one is kept.
+        propagator is; every command evaluates one state per set.  The one
+        entry is a (state, value) pair, read and replaced whole, so a thread
+        never gets another state's value.  Two threads missing at once both
+        build, and the later one is kept.
         """
-        key = id(state)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[1]
-        value = build()
-        with self._memo_lock:
-            self._memo[key] = (state, value)
-            while len(self._memo) > MEMO_ENTRIES:
-                del self._memo[next(iter(self._memo))]
+        held, value = self._memo
+        if held is not state:
+            value = build()
+            object.__setattr__(self, "_memo", (state, value))
         return value
 
 

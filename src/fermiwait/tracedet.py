@@ -20,8 +20,7 @@ Every formula takes one chain or a stack of n chains of equal length and
 dimension (:class:`QuadraticFormChain`), and each mode index is an int or
 an (n,) integer array, one index per member of the stack.  A stack gives
 (n,) arrays, one value per member; one chain is evaluated as a stack of
-one, so each formula has one implementation, and gives a scalar (D as a
-:class:`LogDet`, D itself for each member of a stack).
+one, so each formula has one implementation, and gives a scalar.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import LinalgError, LogDet, checked_slogdet, expm
+from .linalg import LinalgError, checked_slogdet, expm
 
 TWO_INSERT_KINDS = ("adjacent", "split_mp", "split_pp", "split_mm", "split_pm")
 
@@ -47,8 +46,9 @@ class QuadraticFormChain:
     ``slogdet``) and T = P (1 + P)^{-1} (numpy's ``solve``) are each
     computed on first use for the whole stack and then kept, so the
     formulas below share them; an exactly singular 1 + P in any member is a
-    :class:`LinalgError`.  :meth:`prefix` gives the chain of the first n
-    factors on the same exponentials, with no further expm call.
+    :class:`LinalgError`.  :func:`bss_trace` gives D.  :meth:`prefix` gives
+    the chain of the first n factors on the same exponentials, with no
+    further expm call.
     """
 
     def __init__(self, matrices: Sequence[np.ndarray]):
@@ -104,16 +104,12 @@ class QuadraticFormChain:
             self._product = p
         return self._product
 
-    def _stack_det(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sign, log|D|) of each member."""
-        if self._det is None:
-            self._det = checked_slogdet(np.eye(self.dim) + self._stack_product(), "1 + P")
-        return self._det
-
-    def _stack_det_value(self) -> np.ndarray:
+    def _stack_det(self) -> np.ndarray:
         """D of each member."""
-        sign, log_abs = self._stack_det()
-        return np.exp(log_abs) * sign
+        if self._det is None:
+            sign, log_abs = checked_slogdet(np.eye(self.dim) + self._stack_product(), "1 + P")
+            self._det = np.exp(log_abs) * sign
+        return self._det
 
     def _stack_kernel(self) -> np.ndarray:
         if self._kernel is None:
@@ -123,21 +119,6 @@ class QuadraticFormChain:
             except np.linalg.LinAlgError:  # an exactly zero pivot
                 raise LinalgError("1 + P is exactly singular") from None
         return self._kernel
-
-    def product(self) -> np.ndarray:
-        """P = e^{X_1} e^{X_2} ... in chain order, computed once."""
-        return self._result(self._stack_product())
-
-    def det(self):
-        """D = det(1 + P), computed once: a LogDet for one chain, an (n,) array of D for a stack."""
-        if self.stacked:
-            return self._stack_det_value()
-        sign, log_abs = self._stack_det()
-        return LogDet(float(log_abs[0]), complex(sign[0]))
-
-    def kernel(self) -> np.ndarray:
-        """T = P (1 + P)^{-1}, computed once."""
-        return self._result(self._stack_kernel())
 
 
 def _indices(chain: QuadraticFormChain, *indices) -> tuple[np.ndarray, ...]:
@@ -155,14 +136,14 @@ def _indices(chain: QuadraticFormChain, *indices) -> tuple[np.ndarray, ...]:
 
 
 def bss_trace(chain: QuadraticFormChain):
-    """Fock-space trace of the ordered product, as det(1 + prod_k e^{X_k}) (:meth:`~QuadraticFormChain.det`)."""
-    return chain.det()
+    """Fock-space trace of the ordered product: D = det(1 + prod_k e^{X_k})."""
+    return chain._result(chain._stack_det())
 
 
 def trace_one_insert(i, i_prime, chain: QuadraticFormChain):
     """Fock trace of c_i^dag c_{i'} times the ordered product: D * T[i', i]."""
     rows, i, ip = _indices(chain, i, i_prime)
-    return chain._result(chain._stack_det_value() * chain._stack_kernel()[rows, ip, i])
+    return chain._result(chain._stack_det() * chain._stack_kernel()[rows, ip, i])
 
 
 def trace_two_insert_chain(kind: str, indices, chain: QuadraticFormChain):
@@ -191,7 +172,7 @@ def trace_two_insert_chain(kind: str, indices, chain: QuadraticFormChain):
 
     u, v, _w = chain.exps
     ui, vi, wi = chain.inv_exps
-    d, t = chain._stack_det_value(), chain._stack_kernel()
+    d, t = chain._stack_det(), chain._stack_kernel()
     delta_ii = (i == ip).astype(float)
 
     # Building blocks shared by several kinds.
@@ -255,4 +236,4 @@ def trace_one_insert_alpha_route(i, chain: QuadraticFormChain, alpha: float):
     scaled = chain._stack_product().copy()
     scaled[rows, i] *= np.exp(alpha)  # e^{alpha n_i} P scales row i of P
     sign, log_abs = checked_slogdet(np.eye(chain.dim) + scaled, "1 + e^{alpha n_i} P")
-    return chain._result((np.exp(log_abs) * sign - chain._stack_det_value()) / np.expm1(alpha))
+    return chain._result((np.exp(log_abs) * sign - chain._stack_det()) / np.expm1(alpha))

@@ -57,9 +57,12 @@ are multiplied by C and the boundary rows of G and 1 - C -- is used
 
 - when the propagator is on its expm fallback near an exceptional point
   (``linalg.PROPAGATOR_COND_MAX``);
-- when C has an eigenvalue below ``C_MIN_EIGENVALUE``, until G has grown
-  by 1 / min(C) (for all t if no mode grows): the eigenbasis form loses
-  about 1 / min(C) units of roundoff there, the LU form about e^{2 g t};
+- when C has an eigenvalue below ``C_MIN_EIGENVALUE``, until e^{2 g t}
+  reaches 1 / ``C_MIN_EIGENVALUE``, g the fastest growth rate of G (for
+  all t if no mode grows): the eigenbasis form loses about 1 / min(C)
+  units of roundoff there and the LU form about e^{2 g t}, so the LU form
+  runs only while its loss stays within what the eigenbasis form is
+  trusted with at min(C) = ``C_MIN_EIGENVALUE``;
 - when the Cholesky factorization of B refuses the time: a part of a stack
   whose factorization is refused runs again one time at a time, and only
   a time refused alone takes the LU form (``_build_blocks``).
@@ -155,13 +158,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import LogDet, NotPositiveDefiniteError, blas_threads, cholesky_half_solve
+from .linalg import NotPositiveDefiniteError, blas_threads, checked_slogdet, cholesky_half_solve
 from .model import (
     CHANNEL_ORDER,
     MIN_OCCUPATION_FACTOR,
     Channel,
     GaussianState,
     SingleParticleSet,
+    can_click,
     occupation_factor,
 )
 
@@ -181,7 +185,8 @@ COND_THRESHOLD = 1e12
 #: every time.  Below it cond(B) grows like 1 / min(C) and the blocks lose
 #: about that many units of roundoff, while the LU form loses about
 #: e^{2 g t}, g the fastest growth rate of G: such a state takes the LU form
-#: until e^{2 g t} reaches 1 / min(C), and for all t when no mode grows.
+#: until e^{2 g t} reaches 1 / C_MIN_EIGENVALUE, the loss trusted for the
+#: eigenbasis form, and for all t when no mode grows.
 #: Eigenvalues near 1 need no fallback: B stays positive definite, and for
 #: C = 1 (both baths full) only the eigenbasis form survives the growth.
 C_MIN_EIGENVALUE = 1e-3
@@ -372,7 +377,7 @@ def _eigenbasis(state: GaussianState, sp: SingleParticleSet) -> _Eigenbasis | No
     if occ[0] < C_MIN_EIGENVALUE:
         if occ[0] <= 0.0 or growth == 0.0:
             return None
-        lu_until = -math.log(occ[0]) / (2.0 * growth)
+        lu_until = -math.log(C_MIN_EIGENVALUE) / (2.0 * growth)
     b = _boundary(sp.L)
     p = u.conj().T @ v
     z = _hermitian((p.conj().T * (1.0 / occ - 1.0)) @ p)
@@ -445,7 +450,7 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     one_minus_c = eye - c
     a = gdg @ c
     a += one_minus_c
-    logdet = LogDet.of(a, f"A of the LU form at t={t:.6g}")
+    sign, log_abs = checked_slogdet(a, f"A of the LU form at t={t:.6g}")
 
     # A^-1 [Gd[:, b], (Gd G)[:, b], 1]: the only solve.  Its last L columns
     # are A^-1, for the exact condition number.
@@ -467,8 +472,8 @@ def _lu_blocks(t: float, c: np.ndarray, sp: SingleParticleSet) -> _Blocks:
     )
     return _Blocks(
         m=np.stack(m)[None],
-        log_prefactor=np.array([-sp.gamma_total * t + logdet.log_abs]),
-        phase=np.array([logdet.phase]),
+        log_prefactor=np.array([-sp.gamma_total * t + log_abs]),
+        phase=np.array([sign]),
         cond=np.array([cond]),
     )
 
@@ -637,16 +642,20 @@ def _assemble(
     The rates are those of ``sp.channels``.  Column q is 0 wherever q's
     occupation factor (from the boundary occupations ``c_diag``) is at or
     below MIN_OCCUPATION_FACTOR, the occupation half of ``model.can_click``.
-    Raises :class:`WtdNumericsError` where any other entry keeps an
-    imaginary residue: for the first time of the stack with a failing
-    entry, and its first failing entry, the error a call with that time
-    alone raises.  Values below zero are left to the caller, which clamps
-    them to 0 (``_clamped``) and may flag them (``_clamp_flag``).
+    Raises :class:`WtdNumericsError` where an entry of a column whose q can
+    click (``model.can_click``) keeps an imaginary residue: for the first
+    time of the stack with a failing entry, and its first failing entry,
+    the error a call with that time alone raises.  A column whose q cannot
+    click (rate 0) keeps its values unchecked: no density of the chain is
+    conditioned on a click that never happens.  Values below zero are left
+    to the caller, which clamps them to 0 (``_clamped``) and may flag them
+    (``_clamp_flag``).
     """
     order = [sp.channels[label] for label in CHANNEL_ORDER]
     rates = np.array([k.rate for k in order])
     denom = np.array([occupation_factor(q, c_diag) for q in order])
     possible = denom > MIN_OCCUPATION_FACTOR
+    clicks = np.array([can_click(q, factor) for q, factor in zip(order, denom)])
     coef = np.divide(rates[:, None], denom, out=np.zeros((4, 4)), where=possible)
 
     entries = blocks.m.reshape(ts.size, 28)[:, _ENTRIES]
@@ -655,7 +664,7 @@ def _assemble(
     bracket = diag * np.where(_K_MINUS, t_diag, 1.0 - t_diag)
     bracket = np.where(_PLUS_CROSS, bracket + cross, bracket - cross)
     rotated = blocks.phase[:, None, None] * bracket
-    bad = possible & (np.abs(rotated.imag) > IMAG_TOL * np.abs(rotated) + 1e-12)
+    bad = clicks & (np.abs(rotated.imag) > IMAG_TOL * np.abs(rotated) + 1e-12)
     if bad.any():
         n0, a, b = np.argwhere(bad)[0]
         raise WtdNumericsError(

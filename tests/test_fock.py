@@ -23,7 +23,7 @@ from fermiwait.fock import (
     build_liouvillian,
     quadratic_form_operator,
 )
-from fermiwait.wtd import wtd_density
+from fermiwait.wtd import wtd_density, wtd_density_matrix
 
 from conftest import generic_spec, random_hermitian, tight_binding_spec
 from full_fock_reference import full_liouvillian, full_steady_state, full_wtd
@@ -140,6 +140,18 @@ class TestOracleWtd:
         vac = sv_oracle.vacuum_density()
         ch = channels(sv_spec)
         assert sv_oracle.wtd(0.0, ch["1+"], ch["1+"], vac) == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "t, named", [(np.nan, "finite"), (np.inf, "finite"), (-1.0, "nonnegative")]
+    )
+    def test_times_are_checked_as_the_closed_form_checks_them(
+        self, sv_spec, sv_sp, sv_oracle, t, named
+    ):
+        with pytest.raises(ValueError, match=named) as oracle_err:
+            sv_oracle.wtd_matrix([0.5, t], sv_oracle.steady_state())
+        with pytest.raises(ValueError) as closed_err:
+            wtd_density_matrix([0.5, t], steady_state(sv_spec), sv_sp)
+        assert str(oracle_err.value) == str(closed_err.value)
 
     def test_table_at_a_stack_of_times_equals_each_time_alone(self, oracle_cache):
         oracle = oracle_cache(generic_spec(3))

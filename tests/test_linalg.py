@@ -15,7 +15,6 @@ from fermiwait.fock import FockOracle
 from fermiwait.linalg import (
     PROPAGATOR_COND_MAX,
     LinalgError,
-    LogDet,
     Propagator,
     NotPositiveDefiniteError,
     checked_slogdet,
@@ -342,14 +341,14 @@ class TestCheckedSlogdet:
         np.testing.assert_array_equal(sign, [1.0, 1.0])
         np.testing.assert_allclose(log_abs, [0.0, 2.0 * np.log(2.0)], rtol=1e-15)
 
-    def test_logdet_of_one_matrix_is_a_hashable_scalar_record(self):
+    def test_one_matrix_gives_scalars_and_is_refused_alike(self):
         a = random_complex(np.random.default_rng(41), 4)
-        d, twin = LogDet.of(a, "A"), LogDet.of(a.copy(), "A")
-        assert type(d.log_abs) is float and type(d.phase) is complex
-        assert d == twin and {d: 1}[twin] == 1
-        assert d.value == pytest.approx(np.linalg.det(a), rel=1e-12)
+        sign, log_abs = checked_slogdet(a, "A")
+        assert np.ndim(sign) == np.ndim(log_abs) == 0
+        assert abs(sign) == pytest.approx(1.0, abs=1e-15)
+        assert np.exp(log_abs) * sign == pytest.approx(np.linalg.det(a), rel=1e-12)
         with pytest.raises(LinalgError, match="A is exactly singular"):
-            LogDet.of(np.zeros((2, 2)), "A")
+            checked_slogdet(np.zeros((2, 2)), "A")
 
 
 class TestPropagator:

@@ -19,7 +19,6 @@ from fermiwait.linalg import (
 )
 from fermiwait.model import (
     CHANNEL_ORDER,
-    MEMO_ENTRIES,
     ChainSpec,
     GaussianState,
     SingleParticleSet,
@@ -213,7 +212,7 @@ class TestDeriveSingleParticle:
         sp = derive_single_particle(spec)
         sp.steady_state()
         sp.propagator
-        assert set(vars(sp)) == {"spec", "channels", "h_eig", "_memo", "_memo_lock", "propagator"}
+        assert set(vars(sp)) == {"spec", "channels", "h_eig", "propagator"}
         assert sp.spec is spec and sp.channels == channels(spec)
         assert not any(isinstance(v, np.ndarray) for v in vars(sp).values())
         for name in ("W", "F", "Q", "gamma_total"):
@@ -325,22 +324,22 @@ class TestMemo:
         assert sp.memo(a, build("a")) == "a"
         assert sp.memo(a, build("again")) == "a"
         assert sp.memo(b, build("b")) == "b"
-        assert sp.memo(a, build("none")) is sp.memo(a, build("none"))
+        assert sp.memo(b, build("none")) is sp.memo(b, build("none"))
         assert builds == ["a", "b"]
 
     def test_oldest_entry_is_dropped(self, sv_spec):
         sp = derive_single_particle(sv_spec)
-        states = [vacuum_state(2) for _ in range(MEMO_ENTRIES + 1)]
-        for i, st in enumerate(states):
-            sp.memo(st, lambda i=i: i)
-        assert sp.memo(states[-1], lambda: -1) == MEMO_ENTRIES
-        assert sp.memo(states[0], lambda: -1) == -1
+        a, b = vacuum_state(2), vacuum_state(2)
+        assert sp.memo(a, lambda: "a") == "a"
+        assert sp.memo(b, lambda: "b") == "b"
+        assert sp.memo(a, lambda: "a again") == "a again"
+        assert sp.memo(a, lambda: "never") == "a again"
 
     def test_threads_never_mix_up_states(self, sv_spec):
         # Threads evaluating densities on one set share its memo; more threads
-        # than cores, a short switch interval and constant eviction.
+        # than cores, a short switch interval and constant replacement.
         sp = derive_single_particle(sv_spec)
-        states = [vacuum_state(2) for _ in range(2 * MEMO_ENTRIES)]
+        states = [vacuum_state(2) for _ in range(4)]
         errors = []
 
         def worker(seed):

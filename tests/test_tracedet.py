@@ -32,31 +32,29 @@ class TestBareTrace:
     def test_zero_forms_count_all_states(self):
         for L in (2, 3, 4):
             chain = QuadraticFormChain([np.zeros((L, L))] * 3)
-            assert bss_trace(chain).value == pytest.approx(2.0**L, rel=1e-12)
+            assert bss_trace(chain) == pytest.approx(2.0**L, rel=1e-12)
 
     def test_single_diagonal_form_factorizes_over_modes(self):
         a = np.array([0.3, -1.2, 0.8])
         chain = QuadraticFormChain([np.diag(a)])
         expected = np.prod(1.0 + np.exp(a))
-        assert bss_trace(chain).value == pytest.approx(expected, rel=1e-12)
+        assert bss_trace(chain) == pytest.approx(expected, rel=1e-12)
 
     def test_order_matters_for_noncommuting_forms(self):
         rng = np.random.default_rng(0)
         x, y = random_coeff(rng, 2), random_coeff(rng, 2)
-        fwd = bss_trace(QuadraticFormChain([x, y, x @ y - y @ x])).value
-        rev = bss_trace(QuadraticFormChain([x @ y - y @ x, y, x])).value
+        fwd = bss_trace(QuadraticFormChain([x, y, x @ y - y @ x]))
+        rev = bss_trace(QuadraticFormChain([x @ y - y @ x, y, x]))
         assert abs(fwd - rev) > 1e-6
 
-    def test_one_chain_gives_a_value_record_and_a_stack_an_array(self):
+    def test_one_chain_gives_a_scalar_and_a_stack_an_array(self):
         rng = np.random.default_rng(5)
         coeffs = [np.stack([random_coeff(rng, 3) for _ in range(4)]) for _ in range(2)]
         one = bss_trace(QuadraticFormChain([x[2] for x in coeffs]))
-        twin = bss_trace(QuadraticFormChain([x[2] for x in coeffs]))
-        assert type(one.log_abs) is float and type(one.phase) is complex
-        assert one == twin and {one: 1}[twin] == 1
+        assert np.ndim(one) == 0 and isinstance(one, complex)
         stacked = bss_trace(QuadraticFormChain(coeffs))
         assert stacked.shape == (4,) and stacked.dtype == complex
-        assert stacked[2] == pytest.approx(one.value, rel=1e-13)
+        assert stacked[2] == pytest.approx(one, rel=1e-13)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -70,21 +68,22 @@ class TestBareTrace:
         rng = np.random.default_rng(3)
         with mpmath.workdps(30):
             for _ in range(4):
-                chain = QuadraticFormChain([random_coeff(rng, 8) for _ in range(3)])
-                one_plus = np.eye(8) + chain.product()
-                want = complex(mpmath.det(mpmath.matrix(one_plus.tolist())))
-                assert abs(bss_trace(chain).value - want) < 1e-10 * abs(want)
-                assert abs(abs(bss_trace(chain).phase) - 1.0) < 1e-12
+                coeffs = [random_coeff(rng, 8) for _ in range(3)]
+                product = sla.expm(coeffs[0]) @ sla.expm(coeffs[1]) @ sla.expm(coeffs[2])
+                want = complex(mpmath.det(mpmath.matrix((np.eye(8) + product).tolist())))
+                assert abs(bss_trace(QuadraticFormChain(coeffs)) - want) < 1e-10 * abs(want)
 
     def test_exactly_singular_one_plus_product_is_a_named_error(self, monkeypatch):
-        # e^X = diag(-1, 2) exactly, so 1 + P has an exact zero pivot.
-        exps = np.array([np.diag([-1.0, 2.0]), np.diag([-1.0, 0.5])], dtype=complex)
+        # e^X = diag(-1, 2) and e^Y = e^Z = 1 exactly, so 1 + P has an exact
+        # zero pivot; the conjugation residual reads T alone.
+        eye, inv = np.eye(2), np.diag([-1.0, 0.5])
+        exps = np.array([np.diag([-1.0, 2.0]), eye, eye, inv, eye, eye], dtype=complex)
         monkeypatch.setattr(fermiwait.tracedet, "expm", lambda a: exps)
-        chain = QuadraticFormChain([np.zeros((2, 2))])
+        chain = QuadraticFormChain([np.zeros((2, 2))] * 3)
         with pytest.raises(LinalgError, match=r"1 \+ P is exactly singular"):
             bss_trace(chain)
         with pytest.raises(LinalgError, match=r"1 \+ P is exactly singular"):
-            chain.kernel()
+            conjugation_residual(chain)
         with pytest.raises(LinalgError, match=r"1 \+ e\^\{alpha n_i\} P is exactly singular"):
             trace_one_insert_alpha_route(1, chain, 1.0)
 
@@ -239,13 +238,12 @@ class TestStacks:
         idx = rng.integers(0, L, size=(4, n))
         stack = QuadraticFormChain(coeffs)
         formulas = [
-            lambda c, ix: bss_trace(c) if c.stacked else bss_trace(c).value,
+            lambda c, ix: bss_trace(c),
             lambda c, ix: trace_one_insert(ix[0], ix[1], c),
             *(lambda c, ix, k=kind: trace_two_insert_chain(k, ix, c) for kind in TWO_INSERT_KINDS),
             lambda c, ix: trace_one_insert_alpha_route(ix[2], c, 1.0),
             lambda c, ix: conjugation_residual(c),
-            lambda c, ix: c.kernel(),
-            lambda c, ix: c.prefix(2).product(),
+            lambda c, ix: bss_trace(c.prefix(2)),
         ]
         alone = [QuadraticFormChain([x[m] for x in coeffs]) for m in range(n)]
         for formula in formulas:

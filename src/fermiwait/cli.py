@@ -237,13 +237,14 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
 
     Combines the trace-determinant identity suite with a direct
     waiting-time equivalence sweep, the steady-state covariance
-    cross-check and normalization audits.  Each comparison is one
+    cross-check (the closed-form C against the C of the oracle's own
+    bilinear closure) and normalization audits.  Each comparison is one
     recorded draw of its entry, and a NaN deviation fails the entry.
-    Also returns the run's diagnostics: the oracle's sector dimension (of
-    its steady-state solve), the dimension and path of its no-click
-    propagator, and the quadrature record of each normalization pass.  The
-    steady state is built first, so a chain without one fails before any
-    check runs.  The oracle and the identity suite (``fock``, ``tracedet``)
+    Also returns the run's diagnostics: the dimension and path of the
+    oracle's no-click propagator, and the quadrature record of each
+    normalization pass.  The steady state is built first, so a chain
+    without one, or on which no channel can click, fails before any check
+    runs.  The oracle and the identity suite (``fock``, ``tracedet``)
     are imported here, so that no other command loads them.
     """
     from random import Random
@@ -281,13 +282,11 @@ def run_verification(cfg: RunConfig, seed: int) -> tuple[VerificationReport, dic
 
     diagnostics = {
         "oracle": {
-            "sector_dimension": oracle.parts.full.shape[0],
             "propagator_dimension": oracle.dim,
             "propagator": oracle.propagator.path,
         },
         "quadrature": {},
     }
-    del oracle  # its sector operators are not needed by the normalization passes
     for name, state, _ in states:
         table = statsmod.channel_stats(state, sp, cfg.tol_quadrature)
         diagnostics["quadrature"][name] = _quadrature_record(table.quadrature)
@@ -432,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             f"permit the oracle up to L = {ORACLE_MAX_SITES} "
-            "(superoperator dimension C(2L, L))"
+            "(2^L x 2^L many-body matrices)"
         ),
     )
     p.set_defaults(func=cmd_verify)

@@ -45,7 +45,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChainSpec, GaussianState, SingleParticleSet, build_tight_binding, vacuum_state
+from .model import (
+    ChainSpec,
+    GaussianState,
+    SingleParticleSet,
+    build_tight_binding,
+    can_click,
+    occupation_factor,
+    vacuum_state,
+)
 
 
 class ConfigError(Exception):
@@ -202,14 +210,27 @@ class RunConfig:
             raise ConfigError(f"model: {exc}") from exc
 
     def initial(self, sp: SingleParticleSet) -> GaussianState:
-        """The configured initial state of the chain of ``sp``, a steady one from its W and F."""
+        """The configured initial state of the chain of ``sp``, a steady one from its W and F.
+
+        A state from which no channel can click (``model.can_click``) has no
+        waiting time to compute, and is refused as a config error, like a
+        chain without a steady state: the baths fill or empty both ends.
+        """
         if self.initial_state == "vacuum":
-            return vacuum_state(sp.L)
-        try:
-            return sp.steady_state()
-        except ValueError as exc:
-            # e.g. a decoupled bath: a config-level problem, not a numerical one
-            raise ConfigError(f"state.initial = steady: {exc}") from exc
+            state = vacuum_state(sp.L)
+        else:
+            try:
+                state = sp.steady_state()
+            except ValueError as exc:
+                # e.g. a decoupled bath: a config-level problem, not a numerical one
+                raise ConfigError(f"state.initial = steady: {exc}") from exc
+        occupations = state.boundary_occupations
+        if not any(can_click(q, occupation_factor(q, occupations)) for q in sp.channels.values()):
+            raise ConfigError(
+                f"baths: no channel can click from the {state.kind} state (gamma1 = "
+                f"{self.gamma1}, gammaL = {self.gammaL}, f1 = {self.f1}, fL = {self.fL})"
+            )
+        return state
 
     def to_dict(self) -> dict:
         """The fully-resolved config, as every output file records it.

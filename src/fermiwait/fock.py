@@ -14,28 +14,22 @@ oracle returns all sixteen densities at a stack of times as one table
 then per time one propagator matrix and one sandwich G rho G^dag per
 channel that can click, from which all four k are read as traces.
 
-What still scales as C(2L, L) is the steady state.  The full generator is
-built on the sector of entries rho[I, J] whose ket and bra hold the same
-particle number: a number-conserving h with single-site jumps conserves
-N_ket - N_bra (Buca & Prosen, NJP 14, 073007, 2012), the trace reads only
-that sector, and the steady state lies in it, so dropping the other blocks
-is exact.  The steady state is the null vector of that sector generator:
-its uniqueness is read from the singular values, the vector from one LU
-solve.  The full generator is assembled in place in one buffer, and the
-oracle holds it and its 2^L operators, nothing else of sector size.  The
-no-click part and the four jumps are built on the same sector and summed
-one at a time into one residual buffer, to assert the sum rule
-full = no_click + jumps, which cross-checks H_eff; they are then freed.
-``LiouvillianParts.no_click`` and ``.jumps`` rebuild them, by the same
-expressions, the first time they are read.  Sector vectors list the
-(ket, bra) pairs in row-major order, so a sandwich A rho B has the entries
-A[I, I'] B[J', J].
+The steady state never forms a superoperator either.  A quadratic
+Lindbladian maps the bilinears c_j^dag c_i to linear combinations of
+themselves and 1, so C_ij = <c_j^dag c_i> obeys a closed L^2 x L^2 linear
+system, and the steady state is the Gaussian state of its solution, unique
+when every mode decays (Prosen, NJP 10, 043026, 2008).  The oracle applies
+its adjoint generator, in dissipator form, to the L^2 bilinears as 2^L
+matrices and reads the coefficients by least squares; nothing of the
+closed form enters.  The state is then certified in the other form of the
+generator, the no-click part plus the jumps, by its full 2^L residual, so
+an error in H_eff, in the jumps or in the closure fails it.
 
 Everything here exists to verify the L x L closed forms at small L, not to
-be fast.  The one hard cap is ``model.ORACLE_MAX_SITES`` = 6 (sector
-dimension 924), kept in ``model`` so that the command line reads it without
-importing this module; the command line stops at L = 4 (dimension 70)
-unless ``--allow-large-oracle`` is given.
+be fast.  The one hard cap is ``model.ORACLE_MAX_SITES`` = 6 (2^L = 64),
+kept in ``model`` so that the command line reads it without importing
+this module; the command line stops at L = 4 unless
+``--allow-large-oracle`` is given.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from .linalg import Propagator, expm
@@ -109,137 +103,6 @@ def quadratic_form_operator(x, c_ops: list[np.ndarray]) -> np.ndarray:
     return op
 
 
-def _sector_pairs(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ket, bra) of the N_ket = N_bra sector, its (ket, bra) pairs in row-major order."""
-    number = np.array([bin(i).count("1") for i in range(2**L)])
-    return np.nonzero(number[:, None] == number[None, :])
-
-
-class _Sector:
-    """Superoperators rho -> A rho B on the sector, each written into a given buffer.
-
-    Built where superoperators are assembled and dropped with them, so no
-    index array outlives the assembly.
-    """
-
-    def __init__(self, L: int):
-        self.ket, self.bra = _sector_pairs(L)
-        # The identity on the sector: gather(eye, ket) and gather(eye, bra).
-        self.eye_kets = self.ket[:, None] == self.ket[None, :]
-        self.eye_bras = self.bra[:, None] == self.bra[None, :]
-
-    def empty(self) -> np.ndarray:
-        return np.empty((len(self.ket),) * 2, dtype=complex)
-
-    @staticmethod
-    def gather(m, index, out):  # m[index[s], index[s']]: rows, then columns
-        return np.take(m[index], index, axis=1, out=out)
-
-    def sandwich(self, a, b, out, work):  # rho -> A rho B
-        kets, bras = self.gather(a, self.ket, out), self.gather(b.T, self.bra, work)
-        return np.multiply(kets, bras, out=out)
-
-    def left(self, a, out):  # rho -> A rho, as sandwich(a, eye)
-        return np.multiply(self.gather(a, self.ket, out), self.eye_bras, out=out)
-
-    def right(self, b, out):  # rho -> rho B, as sandwich(eye, b)
-        return np.multiply(self.eye_kets, self.gather(b.T, self.bra, out), out=out)
-
-    def coherent(self, a, b, out, work):  # rho -> -i (A rho - rho B)
-        np.subtract(self.left(a, out), self.right(b, work), out=out)
-        return np.multiply(-1j, out, out=out)
-
-    def jump(self, rate, a, out, work):  # rho -> rate * a rho a^dag
-        return np.multiply(rate, self.sandwich(a, a.conj().T, out, work), out=out)
-
-    def dissipator(self, a, out, work, work2):  # rho -> a rho a^dag - {a^dag a, rho} / 2
-        ada = a.conj().T @ a
-        self.sandwich(a, a.conj().T, out, work)
-        np.add(self.left(ada, work), self.right(ada, work2), out=work)
-        return np.subtract(out, np.multiply(0.5, work, out=work), out=out)
-
-
-@dataclass(eq=False)
-class LiouvillianParts:
-    """Full generator on the sector, and the 2^L operators its parts are built from.
-
-    Entry s of a sector vector is rho[ket[s], bra[s]]; ``ket`` and ``bra``
-    are computed on each read, not stored.  ``c_ops`` are the 2^L fermion
-    operators, ``h_eff`` the 2^L effective Hamiltonian, ``jump_ops[label]``
-    the 2^L operator a of each channel and ``rates[label]`` its rate.  The
-    no-click generator -i (H_eff rho - rho H_eff^dag) and the four jump
-    superoperators rate * (rho -> a rho a^dag) are built on the sector the
-    first time they are read, by the expressions that checked the sum rule,
-    and kept from then on.
-    """
-
-    full: np.ndarray
-    c_ops: list[np.ndarray]
-    h_eff: np.ndarray
-    jump_ops: dict[str, np.ndarray]
-    rates: dict[str, float]
-
-    @property
-    def ket(self) -> np.ndarray:
-        return _sector_pairs(len(self.c_ops))[0]
-
-    @property
-    def bra(self) -> np.ndarray:
-        return _sector_pairs(len(self.c_ops))[1]
-
-    @cached_property
-    def no_click(self) -> np.ndarray:
-        sector = _Sector(len(self.c_ops))
-        return sector.coherent(self.h_eff, self.h_eff.conj().T, sector.empty(), sector.empty())
-
-    @cached_property
-    def jumps(self) -> dict[str, np.ndarray]:
-        sector = _Sector(len(self.c_ops))
-        work = sector.empty()
-        return {
-            label: sector.jump(self.rates[label], a, sector.empty(), work)
-            for label, a in self.jump_ops.items()
-        }
-
-
-def build_liouvillian(spec: ChainSpec) -> LiouvillianParts:
-    """Assemble the master-equation superoperators for a chain spec.
-
-    The full generator (Lindblad dissipators) is assembled in one buffer.
-    The no-click generator (from the non-Hermitian effective Hamiltonian)
-    and the four jump sandwiches are built independently from the one
-    channel table and streamed into one residual buffer, each freed after
-    use, to assert the sum rule full = no_click + sum(jumps), which
-    cross-validates the effective-Hamiltonian decomposition.
-    """
-    c_ops = build_fermions(spec.L)
-    c1, cL = c_ops[0], c_ops[-1]
-    jump_ops = {"1-": c1, "1+": c1.conj().T, "L-": cL, "L+": cL.conj().T}
-    rates = {label: channel.rate for label, channel in channels(spec).items()}
-    sector = _Sector(spec.L)
-    full, buffers = sector.empty(), [sector.empty() for _ in range(3)]
-
-    h_many = quadratic_form_operator(spec.h, c_ops)
-    sector.coherent(h_many, h_many, full, buffers[0])
-    for label, a in jump_ops.items():
-        dissipator = sector.dissipator(a, *buffers)
-        np.add(full, np.multiply(rates[label], dissipator, out=dissipator), out=full)
-    h_eff = h_many - 0.5j * sum(rates[label] * (a.conj().T @ a) for label, a in jump_ops.items())
-
-    # full - (no_click + sum(jumps)): no_click, then each jump, summed into
-    # one buffer in the order of the sum rule.
-    residual, work, work2 = buffers
-    sector.coherent(h_eff, h_eff.conj().T, residual, work)
-    for label, a in jump_ops.items():
-        np.add(residual, sector.jump(rates[label], a, work, work2), out=residual)
-    del buffers, work, work2  # freed before the check's temporaries
-    np.subtract(full, residual, out=residual)
-    scale = max(1.0, np.max(np.abs(full)))
-    if np.max(np.abs(residual)) > 1e-12 * scale:
-        raise AssertionError("generator decomposition full = no_click + jumps failed")
-    return LiouvillianParts(full=full, c_ops=c_ops, h_eff=h_eff, jump_ops=jump_ops, rates=rates)
-
-
 def _as_label(k) -> str:
     label = k.label if isinstance(k, Channel) else str(k)
     if label not in CHANNEL_ORDER:
@@ -250,26 +113,32 @@ def _as_label(k) -> str:
 class FockOracle:
     """Cached many-body machinery for one chain spec.
 
-    Builds the fermion operators, the sector generator and the 2^L no-click
-    propagator e^{-i H_eff t} once, and holds only those: the sector's
-    no-click part and jumps (``parts.no_click``, ``parts.jumps``) are built
-    only if read, and its index arrays on each read.  The per-call work of
+    Builds and holds only 2^L x 2^L operators: the fermions ``c_ops``, the
+    jump operator a of each channel, the many-body H, H_eff and the
+    no-click propagator e^{-i H_eff t}.  The per-call work of
     :meth:`wtd_matrix` is one jump sandwich per conditioning channel, then
     per time one propagator matrix G and one sandwich G rho G^dag per
-    channel that can click, all 2^L x 2^L; :meth:`wtd` is one entry of the
-    table at one time.  The C(2L, L) sector generator serves only
-    :meth:`steady_state`, through its singular values and one LU solve.
+    channel that can click; :meth:`wtd` is one entry of the table at one
+    time.  :meth:`steady_state` solves the L^2 x L^2 closure of the
+    bilinears c_j^dag c_i, which :meth:`covariance` reads as well.
     Density matrices go in and come out as full 2^L x 2^L arrays.
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        self.parts = build_liouvillian(spec)
-        self.c_ops = self.parts.c_ops
-        self.propagator = Propagator(-1j * self.parts.h_eff)
         self.dim = 2**spec.L
+        self.c_ops = build_fermions(spec.L)
         ch = channels(spec)
         self._channels = [ch[label] for label in CHANNEL_ORDER]
+        self._rates = np.array([q.rate for q in self._channels])
+        c1, cL = self.c_ops[0], self.c_ops[-1]
+        ops = {"1-": c1, "1+": c1.conj().T, "L-": cL, "L+": cL.conj().T}
+        self._jumps = np.stack([ops[label] for label in CHANNEL_ORDER])
+        self._h = quadratic_form_operator(spec.h, self.c_ops)
+        self._h_eff = self._h - 0.5j * sum(
+            rate * (a.conj().T @ a) for rate, a in zip(self._rates, self._jumps)
+        )
+        self.propagator = Propagator(-1j * self._h_eff)
 
     def wtd_matrix(self, ts, rho: np.ndarray) -> np.ndarray:
         """All sixteen densities P(t, k|q) at n times, as an (n, 4, 4) table.
@@ -287,8 +156,7 @@ class FockOracle:
         ts = validate_times(ts)
         n_ch = len(CHANNEL_ORDER)
         table = np.full((len(ts), n_ch, n_ch), np.nan, dtype=complex)
-        rates = np.array([q.rate for q in self._channels])
-        ops = np.stack([self.parts.jump_ops[label] for label in CHANNEL_ORDER])
+        rates, ops = self._rates, self._jumps
         ops_dag = ops.conj().transpose(0, 2, 1)
         # rate_k tr(a_k X a_k^dag) = sum_ij (rate_k a_k^dag a_k)_ji X_ij: row k
         # is k's click operator transposed and flattened, to dot with X flattened.
@@ -323,50 +191,57 @@ class FockOracle:
             raise ValueError(f"jump {q_label} is impossible from this state")
         return float(val)
 
-    def steady_state(self) -> np.ndarray:
-        """Unique trace-1 fixed point of the full generator, from its sector null space.
+    def _bilinears(self) -> np.ndarray:
+        """The (L, L) stack of 2^L operators c_j^dag c_i at [i, j], so C_ij is the mean of [i, j]."""
+        c = np.stack(self.c_ops)
+        return c.conj().transpose(0, 2, 1)[None] @ c[:, None]
 
-        The null space must be one-dimensional: the second-smallest singular
-        value of the sector generator (singular values only) must exceed
-        1e-10.  The null vector is then one LU solve of the generator with
-        the row of the first diagonal entry rho[I, I] replaced by the trace
-        functional, right-hand side that row's unit vector.  The trace
-        functional is the generator's left null vector, so the replaced
-        equation follows from the others, and the solution is the null
-        vector with trace 1.
+    def steady_state(self) -> np.ndarray:
+        """Unique steady state: the Gaussian state of the bilinears' fixed point.
+
+        1. The adjoint generator in dissipator form,
+           L^dag(X) = i[H, X] + sum_q rate_q (a_q^dag X a_q - {a_q^dag a_q, X} / 2),
+           maps each bilinear X_ij = c_j^dag c_i to a combination of 1 and
+           the X_kl, read by one least-squares solve over the 4^L entries:
+           dC_ij/dt = b_ij + sum_kl M_(ij),(kl) C_kl.
+        2. The fixed point is unique when the smallest singular value of the
+           drift M exceeds 1e-10.  M is singular exactly when two
+           single-particle rapidities sum to zero, lam_i + conj(lam_j) = 0,
+           as on a chain without baths.
+        3. C solves M C = -b, and the state is its Gaussian density
+           (:meth:`gaussian_density`, which refuses C outside [0, 1]).
+        4. The state is certified in the generator's other form, no click
+           plus jumps: -i (H_eff rho - rho H_eff^dag) + sum_q rate_q a_q rho
+           a_q^dag must vanish to 1e-12 max(1, max |H_eff|).
         """
-        full = self.parts.full
-        s = np.linalg.svd(full, compute_uv=False)
-        if s[-2] <= 1e-10:
+        n, dim = self.spec.L**2, self.dim
+        x = self._bilinears().reshape(n, dim, dim)
+        flow = 1j * (self._h @ x - x @ self._h)
+        for rate, a in zip(self._rates, self._jumps):
+            ada = a.conj().T @ a
+            flow += rate * (a.conj().T @ x @ a - 0.5 * (ada @ x + x @ ada))
+        basis = np.concatenate([np.eye(dim)[None], x]).reshape(n + 1, -1)
+        coef = np.linalg.lstsq(basis.T, flow.reshape(n, -1).T, rcond=None)[0]
+        drift, offset = coef[1:].T, coef[0]
+        smallest = np.linalg.svd(drift, compute_uv=False)[-1]
+        if smallest <= 1e-10:
             raise ValueError(
-                f"degenerate null space: second-smallest singular value {s[-2]:.3e}"
+                f"degenerate null space: smallest singular value of the drift {smallest:.3e}"
             )
-        ket, bra = _sector_pairs(self.spec.L)
-        diagonal = ket == bra
-        row = int(np.argmax(diagonal))
-        a = full.copy()
-        a[row] = diagonal
-        rhs = np.zeros(full.shape[0], dtype=complex)
-        rhs[row] = 1.0
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[ket, bra] = np.linalg.solve(a, rhs)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = np.trace(rho).real
-        if abs(tr) < 1e-12:
-            raise ValueError("null vector is traceless; not a state")
-        rho = rho / tr
-        if np.linalg.eigvalsh(rho).min() < -1e-8:
-            raise ValueError("steady-state candidate is not positive semidefinite")
+        cov = np.linalg.solve(drift, -offset).reshape(self.spec.L, self.spec.L)
+        rho = self.gaussian_density(0.5 * (cov + cov.conj().T))
+
+        sandwiches = self._jumps @ rho @ self._jumps.conj().transpose(0, 2, 1)
+        residual = -1j * (self._h_eff @ rho - rho @ self._h_eff.conj().T)
+        residual += np.tensordot(self._rates, sandwiches, axes=1)
+        worst = np.max(np.abs(residual))
+        if worst > 1e-12 * max(1.0, np.max(np.abs(self._h_eff))):
+            raise AssertionError(f"steady state is not stationary: residual {worst:.3e}")
         return rho
 
     def covariance(self, rho: np.ndarray) -> np.ndarray:
         """Two-point matrix C_ij = <c_j^dag c_i> of a density matrix."""
-        L = self.spec.L
-        c = np.empty((L, L), dtype=complex)
-        for i in range(L):
-            for j in range(L):
-                c[i, j] = np.trace(rho @ self.c_ops[j].conj().T @ self.c_ops[i])
-        return c
+        return _trace(rho @ self._bilinears())
 
     def gaussian_density(self, cov: np.ndarray) -> np.ndarray:
         """Many-body density matrix of the Gaussian state with covariance cov.

@@ -47,8 +47,8 @@ from .linalg import LinalgError, Propagator, lyapunov_solve, secular_eig, secula
 
 HERMITICITY_TOL = 1e-12
 
-#: Largest chain of the 2^L Fock-space oracle (``fock``), whose steady-state
-#: sector has dimension C(2L, L): 924 at L = 6.
+#: Largest chain of the 2^L Fock-space oracle (``fock``): its many-body
+#: matrices are 64 x 64 at L = 6.
 ORACLE_MAX_SITES = 6
 
 

@@ -2,9 +2,11 @@
 
 This is the straightforward form of the many-body superoperators: density
 matrices are vectorized row-major over the whole 4^L space, so a sandwich
-A rho B becomes kron(A, B.T).  The program builds the same generators on the
-N_ket = N_bra sector only; restricted to that sector the two must agree, and
-no entry may couple the sector to the rest.
+A rho B becomes kron(A, B.T).  The program builds no superoperator: its
+oracle evolves 2^L sandwiches and takes its steady state from the closure
+of the bilinears c_j^dag c_i.  Both are compared with this reference.  No
+entry of these generators couples the N_ket = N_bra sector to the rest, so
+a test may restrict them to that sector, C(2L, L) square.
 """
 
 import numpy as np

@@ -613,6 +613,31 @@ class TestSetupPath:
         assert errors == [message] * len(COMMANDS)
         assert started == []  # verify failed before its tracedet suite and its oracle
 
+    @pytest.mark.parametrize(
+        "command, f, initial",
+        [(command, "1.0", "steady") for command in COMMANDS]
+        + [("stats", "0.0", "steady"), ("stats", "0.0", "vacuum")],
+    )
+    def test_a_state_no_channel_can_click_from_is_a_validation_error(
+        self, tmp_path, capsys, monkeypatch, command, f, initial
+    ):
+        # Full baths at both ends fill the chain, so nothing can be injected
+        # or extracted; empty baths leave it in the vacuum.
+        body = (
+            DEFAULT_CONFIG.replace("f1 = 1.0", f"f1 = {f}")
+            .replace("fL = 0.0", f"fL = {f}")
+            .replace("initial = steady", f"initial = {initial}")
+        )
+        cfg = write_config(tmp_path / "run.ini", body)
+        started = []
+        monkeypatch.setattr(fermiwait.fock, "verify_tracedet", lambda **_: started.append("suite"))
+        monkeypatch.setattr(fermiwait.fock, "FockOracle", lambda spec: started.append("oracle"))
+        assert main(COMMANDS[command] + ["--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: baths: no channel can click from the {initial} state")
+        assert started == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]  # no output written
+
 
 class TestNatdCommand:
     def test_writes_curve(self, tmp_path):
@@ -759,7 +784,6 @@ class TestVerifyCommand:
         assert [e["name"] for e in payload["entries"]] == VERIFY_ENTRY_NAMES
         assert (tmp_path / "verify.txt").exists()
         assert payload["oracle"] == {
-            "sector_dimension": 6,
             "propagator_dimension": 4,
             "propagator": "eig",
         }
@@ -795,6 +819,25 @@ class TestVerifyCommand:
         entries = json.loads((tmp_path / "verify.json").read_text())["entries"]
         failed = [e["name"] for e in entries if not e["passed"]]
         assert failed == ["wtd_equivalence_steady", "wtd_equivalence_vacuum"]
+
+    def test_closed_form_covariance_off_by_1e_7_is_caught(self, tmp_path, monkeypatch):
+        # The oracle's C comes from its own bilinear closure, not from the
+        # closed form, so a Hermitian 1e-7 change to the closed-form C fails
+        # the covariance entry.
+        real = fermiwait.model.SingleParticleSet.steady_state
+
+        def shifted(sp):
+            st = real(sp)
+            shift = np.zeros_like(st.C)
+            shift[0, 1], shift[1, 0] = 1e-7j, -1e-7j
+            return fermiwait.model.GaussianState(C=st.C + shift, kind=st.kind)
+
+        monkeypatch.setattr(fermiwait.model.SingleParticleSet, "steady_state", shifted)
+        cfg = write_config(tmp_path / "run.ini", DEFAULT_CONFIG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+        entries = json.loads((tmp_path / "verify.json").read_text())["entries"]
+        failed = [e["name"] for e in entries if not e["passed"]]
+        assert failed == ["steady_covariance", "wtd_equivalence_steady"]
 
     def test_nan_density_is_caught(self, tmp_path, monkeypatch):
         real = fermiwait.wtd.wtd_density_matrix

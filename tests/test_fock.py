@@ -17,12 +17,7 @@ from fermiwait.model import (
     steady_state,
     vacuum_state,
 )
-from fermiwait.fock import (
-    FockOracle,
-    build_fermions,
-    build_liouvillian,
-    quadratic_form_operator,
-)
+from fermiwait.fock import FockOracle, build_fermions, quadratic_form_operator
 from fermiwait.wtd import wtd_density, wtd_density_matrix
 
 from conftest import generic_spec, random_hermitian, tight_binding_spec
@@ -71,6 +66,12 @@ class TestFermions:
 MiB = 2**20
 
 
+def sector(L):
+    """(ket, bra) of the N_ket = N_bra entries of a 2^L density matrix, row-major."""
+    number = np.array([bin(i).count("1") for i in range(2**L)])
+    return np.nonzero(number[:, None] == number[None, :])
+
+
 def traced_oracle(spec):
     """(oracle, its steady state, bytes held after construction, peak bytes up to then)."""
     FockOracle(tight_binding_spec(2)).steady_state()  # imports and caches, outside the trace
@@ -86,27 +87,6 @@ def traced_oracle(spec):
 
 
 class TestLiouvillian:
-    def test_isolated_chain_is_antihermitian_rotation(self):
-        spec = ChainSpec(
-            h=build_tight_binding(2, 1.0, 1.0), gamma1=0.0, gammaL=0.0, f1=0.5, fL=0.5
-        )
-        parts = build_liouvillian(spec)
-        evals = np.linalg.eigvals(parts.full)
-        assert np.max(np.abs(evals.real)) < 1e-10
-
-    def test_trace_preservation(self, sv_spec):
-        parts = build_liouvillian(sv_spec)
-        trace = (parts.ket == parts.bra).astype(float)
-        left = trace @ parts.full
-        assert np.max(np.abs(left)) < 1e-10
-
-    def test_no_click_part_from_effective_hamiltonian(self, sv_spec):
-        # build_liouvillian already asserts full = no_click + sum(jumps);
-        # recompute the residual here so a regression is visible.
-        parts = build_liouvillian(sv_spec)
-        recomposed = parts.no_click + sum(parts.jumps.values())
-        assert np.max(np.abs(parts.full - recomposed)) < 1e-13
-
     def test_no_click_evolution_loses_norm(self, sv_oracle):
         rho = sv_oracle.steady_state()
         norms = []
@@ -200,25 +180,38 @@ class TestOracleWtd:
 
     def test_verify_chain_wtd_matches_sector_expm(self):
         # The verify_L5 benchmark chain: oracle.wtd (2^L sandwich) against
-        # tr(J_k e^{L0 t} J_q rho) / tr(J_q rho) on the C(2L, L) sector.
-        oracle = FockOracle(tight_binding_spec(5))
-        parts = oracle.parts
-        diagonal = parts.ket == parts.bra
-        states = (oracle.steady_state(), oracle.vacuum_density())
+        # tr(J_k e^{L0 t} J_q rho) / tr(J_q rho) on the C(2L, L) sector of the
+        # full-space reference, whose null vector is the steady state.
+        spec = tight_binding_spec(5)
+        oracle = FockOracle(spec)
+        ket, bra = sector(5)
+        rows = np.ix_(ket * oracle.dim + bra, ket * oracle.dim + bra)
+        full, no_click, jumps = full_liouvillian(spec)
+        full, no_click = full[rows], no_click[rows]
+        jumps = {label: op[rows] for label, op in jumps.items()}
+        diagonal = ket == bra
+
+        rho_ss = oracle.steady_state()
+        want = np.zeros_like(rho_ss)
+        want[ket, bra] = np.linalg.svd(full)[2][-1].conj()
+        want = 0.5 * (want + want.conj().T)
+        assert np.max(np.abs(rho_ss - want / np.trace(want).real)) <= 1e-12
+
+        states = (rho_ss, oracle.vacuum_density())
         times = (0.4, 6.0, 75.0)
         tables = [oracle.wtd_matrix(times, rho) for rho in states]
         for m, t in enumerate(times):
-            evolve = sla.expm(parts.no_click * t)
+            evolve = sla.expm(no_click * t)
             for rho, table in zip(states, tables):
-                vec = rho[parts.ket, parts.bra]
+                vec = rho[ket, bra]
                 for qb, ql in enumerate(CHANNEL_ORDER):
-                    jumped = parts.jumps[ql] @ vec
+                    jumped = jumps[ql] @ vec
                     denom = np.sum(jumped[diagonal])
                     if abs(denom) <= 1e-12:
                         continue
                     after = evolve @ jumped
                     for ka, kl in enumerate(CHANNEL_ORDER):
-                        ref = (np.sum((parts.jumps[kl] @ after)[diagonal]) / denom).real
+                        ref = (np.sum((jumps[kl] @ after)[diagonal]) / denom).real
                         val = table[m, ka, qb]
                         assert abs(val - ref) <= 1e-12 * max(abs(val), abs(ref), 1.0)
 
@@ -244,15 +237,24 @@ class TestOracleSteadyState:
         assert np.max(np.abs(oracle.covariance(oracle.steady_state()) - ref)) < 1e-8
 
     @pytest.mark.parametrize("make_spec", [generic_spec, tight_binding_spec])
-    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [2, 3, 4])
     def test_lu_null_vector_matches_svd(self, oracle_cache, make_spec, L):
-        oracle = oracle_cache(make_spec(L))
-        vh = np.linalg.svd(oracle.parts.full)[2]
-        want = np.zeros((oracle.dim, oracle.dim), dtype=complex)
-        want[oracle.parts.ket, oracle.parts.bra] = vh[-1].conj()
-        want = 0.5 * (want + want.conj().T)
-        want /= np.trace(want).real
-        assert np.max(np.abs(oracle.steady_state() - want)) <= 1e-12
+        # The bilinear closure's state against the null vector of the
+        # full-space generator, from its SVD.
+        spec = make_spec(L)
+        want = full_steady_state(full_liouvillian(spec)[0], 2**L)
+        assert np.max(np.abs(oracle_cache(spec).steady_state() - want)) <= 1e-12
+
+    def test_a_closure_off_by_1e_9_fails_the_certificate(self, monkeypatch):
+        # The closure's C, shifted by a Hermitian 1e-9 before its Gaussian
+        # state is built: the no-click-plus-jumps residual must refuse it.
+        oracle = FockOracle(generic_spec(3))
+        shift = np.zeros((3, 3), dtype=complex)
+        shift[0, 1], shift[1, 0] = 1e-9j, -1e-9j
+        real = oracle.gaussian_density
+        monkeypatch.setattr(oracle, "gaussian_density", lambda cov: real(cov + shift))
+        with pytest.raises(AssertionError, match="not stationary"):
+            oracle.steady_state()
 
     def test_degenerate_null_space_is_rejected(self):
         # Without baths every function of the conserved particle number and
@@ -322,19 +324,17 @@ class TestAgainstFullSpace:
             h=random_hermitian(rng, L), gamma1=gammas[0], gammaL=gammas[1], f1=fs[0], fL=fs[1]
         )
         oracle = FockOracle(spec)
-        parts = oracle.parts
         full, no_click, jumps = full_liouvillian(spec)
         dim = 2**L
-        sector = parts.ket * dim + parts.bra  # row-major position in vec(rho)
-        rest = np.setdiff1d(np.arange(dim * dim), sector)
-        pairs = [(full, parts.full), (no_click, parts.no_click)]
-        pairs += [(jumps[label], parts.jumps[label]) for label in CHANNEL_ORDER]
-        for big, small in pairs:
-            assert not np.any(big[np.ix_(sector, rest)])
-            assert not np.any(big[np.ix_(rest, sector)])
-            assert np.array_equal(big[np.ix_(sector, sector)], small)
+        ket, bra = sector(L)
+        inside = ket * dim + bra  # row-major position in vec(rho)
+        rest = np.setdiff1d(np.arange(dim * dim), inside)
+        for big in [full, no_click, *jumps.values()]:
+            assert not np.any(big[np.ix_(inside, rest)])
+            assert not np.any(big[np.ix_(rest, inside)])
 
         rho_ss = oracle.steady_state()
+        assert not np.any(rho_ss.reshape(-1)[rest])
         assert np.max(np.abs(rho_ss - full_steady_state(full, dim))) <= 1e-12
         evolve = sla.expm(no_click * t)
         for rho in (rho_ss, oracle.vacuum_density()):
@@ -350,16 +350,17 @@ class TestAgainstFullSpace:
 
 
 class TestOracleMemory:
-    def test_five_site_oracle_holds_one_sector_operator(self):
-        # The sector generator is 252^2 complex entries, 0.97 MiB; the no-click
-        # part and the four jumps, five more of that size, are built on read.
+    def test_five_site_oracle_holds_only_fock_space_operators(self):
+        # Five fermions, four jumps, H, H_eff and the propagator's two
+        # eigenvector matrices are 13 matrices of 32^2 complex entries, 0.2
+        # MiB; the closure's 25 bilinears and their images live only in
+        # steady_state.
         oracle, _, held, peak = traced_oracle(tight_binding_spec(5))
-        assert held <= 1.5 * MiB
-        assert peak <= 6 * MiB
-        # Neither no_click, nor jumps, nor an index array is held before a read.
-        assert sorted(vars(oracle.parts)) == ["c_ops", "full", "h_eff", "jump_ops", "rates"]
-        assert oracle.parts.no_click is oracle.parts.no_click
-        assert oracle.parts.jumps is oracle.parts.jumps
+        assert held <= 0.5 * MiB
+        assert peak <= 4 * MiB
+        assert sorted(vars(oracle)) == [
+            "_channels", "_h", "_h_eff", "_jumps", "_rates", "c_ops", "dim", "propagator", "spec"
+        ]
 
 
 class TestLargeOracle:
@@ -368,8 +369,7 @@ class TestLargeOracle:
         sp = derive_single_particle(spec)
         ch = channels(spec)
         oracle, rho_ss, held, _ = traced_oracle(spec)
-        assert held <= 30 * MiB  # the 924^2 sector generator is 13 MiB
-        assert oracle.parts.no_click.shape == (924, 924)
+        assert held <= 2 * MiB  # 13 matrices of 64^2 complex entries are 0.8 MiB
         st = steady_state(spec)
         assert np.max(np.abs(oracle.covariance(rho_ss) - st.C)) < 1e-8
         times = np.random.default_rng(6).uniform(0.0, 20.0 / min(spec.gamma1, spec.gammaL), 5)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st_
 
 import fermiwait.model
-from fermiwait import fock, stats, wtd
+from fermiwait import stats, wtd
 from fermiwait.linalg import (
     LinalgError,
     Propagator,
@@ -136,7 +136,6 @@ class TestRecordEquality:
             stats.ChannelStats,
             wtd._Blocks,
             wtd._Eigenbasis,
-            fock.LiouvillianParts,
         ],
         ids=lambda cls: cls.__name__,
     )

@@ -1,13 +1,17 @@
-"""Committed outputs of three command lines, rerun in process and compared.
+"""Committed outputs of five command lines, rerun in process and compared.
 
-``records/`` holds what ``fermiwait stats`` writes at the defaults,
-``fermiwait wtd --from 1+ --to L-`` on the 200-site chain of
-``curve_L200.ini`` and ``fermiwait verify --allow-large-oracle --seed 0`` on
-the five-site chain of ``verify_L5.ini``.  Numbers must agree to a relative
-1e-12; keys, flags, strings and counts exactly.  Of a verify entry the
-name, draws, threshold and verdict are compared, not its deviation, which
-is roundoff.  A change that is meant to move a number regenerates the
-record, from the repository root, with
+``records/`` holds what ``fermiwait stats`` writes at the defaults, from
+the vacuum (``stats_vacuum.ini``) and on the strongly coupled 16-site
+chain of ``stats_L16.ini``, what ``fermiwait wtd --from 1+ --to L-``
+writes on the 200-site chain of ``curve_L200.ini`` and what ``fermiwait
+verify --allow-large-oracle --seed 0`` writes on the five-site chain of
+``verify_L5.ini``.  Each record is stored as its run's name with the
+output's suffix.  Numbers must agree to a relative 1e-12; keys, flags,
+strings and counts exactly.  Of a verify entry the name, draws, threshold
+and verdict are compared, not its deviation, which is roundoff.  The
+configs of ``curve_L200`` and ``verify_L5`` are the benchmark workloads'
+own.  A change that is meant to move a number regenerates the records,
+from the repository root, with
 
     PYTHONPATH=src python tests/test_records.py
 """
@@ -24,16 +28,25 @@ import fermiwait.wtd
 from fermiwait.cli import main
 from fermiwait.model import CHANNEL_ORDER
 
+from test_benchmark_contract import _perfbench_module
+
 RECORDS = Path(__file__).resolve().parent / "records"
 
 #: Record name -> (command line, config file in ``records/`` or None, output file).
 RUNS = {
     "stats": (["stats"], None, "stats.json"),
+    "stats_vacuum": (["stats"], "stats_vacuum.ini", "stats.json"),
+    "stats_L16": (["stats"], "stats_L16.ini", "stats.json"),
     "curve_L200": (["wtd", "--from", "1+", "--to", "L-"], "curve_L200.ini", "wtd_L-_given_1+.csv"),
     "verify_L5": (["verify", "--allow-large-oracle", "--seed", "0"], "verify_L5.ini", "verify.json"),
 }
 
 RTOL = 1e-12
+
+
+def record(name: str) -> Path:
+    """The committed record of run ``name``."""
+    return RECORDS / (name + Path(RUNS[name][2]).suffix)
 
 
 def run(name: str, out_dir: Path) -> Path:
@@ -81,11 +94,10 @@ def differences(got, want, where: str = "") -> list[str]:
 
 @pytest.mark.parametrize("name", RUNS)
 def test_output_matches_the_record(tmp_path, name):
-    got = run(name, tmp_path)
-    assert differences(load(got), load(RECORDS / got.name)) == []
+    assert differences(load(run(name, tmp_path)), load(record(name))) == []
 
 
-@pytest.mark.parametrize("name", ["stats", "curve_L200"])
+@pytest.mark.parametrize("name", ["stats", "curve_L200", "stats_vacuum", "stats_L16"])
 def test_one_density_off_by_1e_10_is_caught(tmp_path, monkeypatch, name):
     real = fermiwait.wtd._densities
     k, q = CHANNEL_ORDER.index("L-"), CHANNEL_ORDER.index("1+")
@@ -96,17 +108,22 @@ def test_one_density_off_by_1e_10_is_caught(tmp_path, monkeypatch, name):
         return table, cond
 
     monkeypatch.setattr(fermiwait.wtd, "_densities", skewed)
-    got = run(name, tmp_path)
-    assert differences(load(got), load(RECORDS / got.name)) != []
+    assert differences(load(run(name, tmp_path)), load(record(name))) != []
 
 
 def test_a_changed_flag_is_caught(tmp_path, monkeypatch):
     monkeypatch.setattr(fermiwait.wtd, "COND_THRESHOLD", 0.0)  # every point ill_conditioned
-    got = run("curve_L200", tmp_path)
-    assert differences(load(got), load(RECORDS / got.name)) != []
+    assert differences(load(run("curve_L200", tmp_path)), load(record("curve_L200"))) != []
+
+
+def test_the_records_run_the_benchmark_configs():
+    # A drift would let a record and the benchmark measure different chains.
+    workloads = _perfbench_module("workloads")
+    assert (RECORDS / "curve_L200.ini").read_text() == workloads.CURVE_L200_INI
+    assert (RECORDS / "verify_L5.ini").read_text() == workloads.VERIFY_L5_INI
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for name in RUNS:
-            shutil.copy(run(name, Path(scratch)), RECORDS)
+            shutil.copy(run(name, Path(scratch) / name), record(name))

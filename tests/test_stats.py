@@ -27,6 +27,7 @@ from fermiwait.stats import (
 from fermiwait.wtd import wtd_density, wtd_density_matrix
 
 from conftest import generic_spec, tight_binding_spec
+from full_fock_reference import full_liouvillian
 
 
 def cell(kl, ql):
@@ -46,20 +47,21 @@ def sv_tables(sv_spec, sv_sp):
     }
 
 
-def exact_moments(oracle, rho):
+def exact_moments(spec, rho):
     """Quadrature-free moments int t^n P(t, k|q) dt, n = 0, 1, 2, and p_q.
 
     With the post-jump state rho_q = J_q rho / tr(J_q rho) and the no-click
     generator L0, P(t, k|q) = tr(J_k e^{L0 t} rho_q), so the moments are
     -tr(J_k L0^-1 rho_q), tr(J_k L0^-2 rho_q) and -2 tr(J_k L0^-3 rho_q).
+    L0 and J are the full-space reference superoperators (4^L square).
     Columns of channels that cannot click are NaN.
     """
-    parts = oracle.parts
-    l0, jumps = parts.no_click, parts.jumps
-    vec = rho[parts.ket, parts.bra]
+    _, l0, jumps = full_liouvillian(spec)
+    dim = rho.shape[0]
+    vec = rho.reshape(-1)
 
     def tr(v):
-        return float(np.sum(v[parts.ket == parts.bra]).real)
+        return float(np.trace(v.reshape(dim, dim)).real)
 
     weights = np.array([tr(jumps[ql] @ vec) for ql in CHANNEL_ORDER])
     out = np.full((3, 4, 4), np.nan)
@@ -505,7 +507,7 @@ class TestExactTable:
             state, rho = steady_state(spec), oracle.steady_state()
         else:
             state, rho = vacuum_state(L), oracle.vacuum_density()
-        exact, p_q = exact_moments(oracle, rho)
+        exact, p_q = exact_moments(spec, rho)
         table = channel_stats(state, sp)
 
         def close(got, want):
@@ -546,7 +548,7 @@ class TestExactTable:
             state, rho = steady_state(spec), oracle.steady_state()
         else:
             state, rho = vacuum_state(2), oracle.vacuum_density()
-        exact, _ = exact_moments(oracle, rho)
+        exact, _ = exact_moments(spec, rho)
         assert np.nanmax(np.abs(exact[2])) > 5e3
         table = channel_stats(state, sp)
         for n in range(3):
